@@ -58,6 +58,7 @@ from .experiments import (
     parse_sweep_csv,
     run_sweep,
     sweep_csv,
+    thread_count,
 )
 
 DEFAULT_SEED = 0
@@ -139,26 +140,6 @@ def _parse_weights(spec: str) -> tuple[float, float, float]:
     except ValueError:
         raise ConfigError(f"weights have non-numeric fields: {spec!r}") from None
     return (wx, wy, wz)
-
-
-# Flag name -> config-file key name is the identity; these are the keys a
-# --config JSON may provide for the mc/figure1 commands.
-_MC_CONFIG_KEYS = {
-    "code",
-    "p",
-    "trials",
-    "seed",
-    "out",
-    "weights",
-    "phase_mode",
-    "rotations",
-    "rot_axis",
-    "rot_angle",
-    "rot_mode",
-    "detect",
-    "threshold",
-    "noise",
-}
 
 
 def _load_config_file(path: str) -> dict:
@@ -255,6 +236,10 @@ _MC_DEFAULTS = {
     "threshold": 0.01,
 }
 
+# Flag name -> config-file key name is the identity; these are the keys a
+# --config JSON may provide for the mc command.
+_MC_CONFIG_KEYS = {*_MC_DEFAULTS, "noise"}
+
 
 def _merge_mc_parameters(args: argparse.Namespace) -> dict:
     merged = dict(_MC_DEFAULTS)
@@ -284,6 +269,12 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     parser = _build_parser()
     args = parser.parse_args(argv)
     command = args.command
+
+    if command in ("mc", "figure1"):
+        try:
+            thread_count()  # run_sweep reads HQEC_THREADS again; checked here for exit 3
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     if command == "mc":
         merged = _merge_mc_parameters(args)
@@ -372,16 +363,8 @@ def _validate_mc(merged: dict) -> dict:
             if isinstance(merged["weights"], (tuple, list))
             else _parse_weights(str(merged["weights"]))
         )
-        axis = (
-            merged["rot_axis"]
-            if isinstance(merged["rot_axis"], ImaginaryAxis)
-            else _parse_axis(str(merged["rot_axis"]))
-        )
-        angle = (
-            merged["rot_angle"]
-            if isinstance(merged["rot_angle"], AngleDistribution)
-            else _parse_angle(str(merged["rot_angle"]))
-        )
+        axis = _parse_axis(str(merged["rot_axis"]))
+        angle = _parse_angle(str(merged["rot_angle"]))
         try:
             noise = NoiseModel(
                 p=0.0,
@@ -487,18 +470,18 @@ def _codeword_report_lines(code_id: str) -> list[str]:
 def _audit_json() -> str:
     """Machine-readable audit: gate matrices in the standard serialization
     plus the row-level table diff and codeword verdicts."""
-    h, c = hadamard_gate(), cnot_gate()
+    gates = {}
+    for gate in (hadamard_gate(), cnot_gate()):
+        report = is_unitary(gate.matrix)
+        gates[gate.name] = {
+            "matrix": matrix_to_dict(gate.matrix),
+            "side": gate.side.value,
+            "unitary": report.passed,
+            "max_deviation": report.max_deviation,
+        }
     audit = audit_against_paper(build_syndrome_table(get_code("paper5")))
     payload = {
-        "gates": {
-            gate.name: {
-                "matrix": matrix_to_dict(gate.matrix),
-                "side": gate.side.value,
-                "unitary": is_unitary(gate.matrix).passed,
-                "max_deviation": is_unitary(gate.matrix).max_deviation,
-            }
-            for gate in (h, c)
-        },
+        "gates": gates,
         "table2": {
             "mismatch_count": audit.mismatch_count,
             "rows": [

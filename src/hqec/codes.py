@@ -31,16 +31,25 @@ LETTERS = ("I", "X", "Y", "Z")
 _ERROR_LETTERS = ("X", "Y", "Z")
 
 
+# Symplectic (x|z) bits of each letter, as binary digits: Y = XZ up to phase.
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
+
+
 @dataclass(frozen=True)
 class PauliString:
     """Per-qubit I/X/Y/Z word carrying one unit-quaternion phase.
 
     The phase multiplies the whole operator from the left and must be one
-    of the eight units ``+-1, +-i, +-j, +-k``.
+    of the eight units ``+-1, +-i, +-j, +-k``.  ``x`` and ``z`` are the
+    symplectic bitmasks the algebra runs on (qubit 1 is the most
+    significant bit): X sets the x bit, Z the z bit, Y both.
     """
 
     letters: tuple[str, ...]
     phase: Quaternion = quat.ONE
+    x: int = field(init=False, compare=False, repr=False)
+    z: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
@@ -51,6 +60,9 @@ class PauliString:
                 raise ValueError(f"bad Pauli letter {letter!r}")
         if self.phase not in quat.UNIT_PHASES:
             raise ValueError(f"phase must be one of the eight unit phases, got {self.phase}")
+        word = self.word()
+        object.__setattr__(self, "x", int(word.translate(_X_DIGITS), 2))
+        object.__setattr__(self, "z", int(word.translate(_Z_DIGITS), 2))
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
@@ -73,7 +85,7 @@ class PauliString:
 
     @property
     def weight(self) -> int:
-        return sum(1 for letter in self.letters if letter != "I")
+        return (self.x | self.z).bit_count()
 
     def word(self) -> str:
         return "".join(self.letters)
@@ -91,24 +103,22 @@ class PauliString:
         return f"{prefix}{self.word()}"
 
 
+def _symplectic_sign(ax: int, az: int, bx: int, bz: int) -> int:
+    # Each qubit where one operator has x and the other z (but not both
+    # ways) contributes one anticommuting letter pair.
+    return -1 if ((ax & bz) ^ (az & bx)).bit_count() & 1 else 1
+
+
 def commute_sign(a: PauliString, b: PauliString) -> int:
     """+1 when the strings commute, -1 when they anticommute.
 
-    Two letters contribute an anticommutation exactly when they differ and
-    neither is I; the overall sign is the parity of those positions.
-    Phases never matter: unit scalars cannot flip a commutator sign.
+    The sign is the parity of the symplectic product
+    ``popcount((a.x & b.z) ^ (a.z & b.x))``.  Phases never matter: unit
+    scalars cannot flip a commutator sign.
     """
     if a.n != b.n:
         raise ValueError(f"length mismatch: {a.n} vs {b.n}")
-    return _commute_letters(a.letters, b.letters)
-
-
-def _commute_letters(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    clashes = 0
-    for la, lb in zip(a, b):
-        if la != lb and la != "I" and lb != "I":
-            clashes += 1
-    return -1 if clashes & 1 else 1
+    return _symplectic_sign(a.x, a.z, b.x, b.z)
 
 
 @dataclass(frozen=True)
@@ -182,7 +192,7 @@ def syndrome_of(e: PauliString, code: StabilizerCode) -> Syndrome:
     """
     if e.n != code.n:
         raise ValueError(f"error length {e.n} does not match code n={code.n}")
-    return Syndrome(tuple(commute_sign(e, g) for g in code.generators))
+    return Syndrome(tuple(_symplectic_sign(e.x, e.z, g.x, g.z) for g in code.generators))
 
 
 def _enumerate_single_errors(code: StabilizerCode):
@@ -197,7 +207,7 @@ def _build_decode_map(code: StabilizerCode) -> dict[tuple[int, ...], list[PauliS
     # weight, then qubit index, then X < Y < Z.
     table: dict[tuple[int, ...], list[PauliString]] = {}
     for error in _enumerate_single_errors(code):
-        bits = tuple(_commute_letters(error.letters, g.letters) for g in code.generators)
+        bits = tuple(_symplectic_sign(error.x, error.z, g.x, g.z) for g in code.generators)
         table.setdefault(bits, []).append(error)
     return table
 
@@ -239,6 +249,21 @@ def decode(syndrome: Syndrome, code: StabilizerCode) -> DecodeOutcome:
     )
 
 
+def logical_failure(error: PauliString, correction: PauliString, code: StabilizerCode) -> bool:
+    """True when the residual ``error * correction`` damages the logical qubit.
+
+    The residual, phases dropped, is the XOR of the two masks; it fails
+    when it anticommutes with logical X or logical Z.
+    """
+    if error.n != code.n or correction.n != code.n:
+        raise ValueError(f"operator lengths {error.n}, {correction.n} do not match code n={code.n}")
+    x, z = error.x ^ correction.x, error.z ^ correction.z
+    return any(
+        _symplectic_sign(x, z, logical.x, logical.z) == -1
+        for logical in (code.logical_x, code.logical_z)
+    )
+
+
 # -- state-level application and measurement ----------------------------
 
 def apply_pauli(ps: PauliString, reg: QRegister) -> QRegister:
@@ -250,26 +275,15 @@ def apply_pauli(ps: PauliString, reg: QRegister) -> QRegister:
     """
     if ps.n != reg.n:
         raise ValueError(f"operator length {ps.n} does not match register n={reg.n}")
-    n, dim = reg.n, reg.dim
-    x_mask = z_mask = 0
-    n_y = 0
-    for qubit, letter in enumerate(ps.letters, start=1):
-        shift = n - qubit
-        if letter in ("X", "Y"):
-            x_mask |= 1 << shift
-        if letter in ("Z", "Y"):
-            z_mask |= 1 << shift
-        if letter == "Y":
-            n_y += 1
     scalar = ps.phase
-    for _ in range(n_y % 4):
+    for _ in range((ps.x & ps.z).bit_count() % 4):
         scalar = scalar * quat.I
-    indices = np.arange(dim)
-    signs = 1.0 - 2.0 * (np.bitwise_count(indices & z_mask) & 1)
+    indices = np.arange(reg.dim)
+    signs = 1.0 - 2.0 * (np.bitwise_count(indices & ps.z) & 1)
     rotated = (reg.amps.components @ left_mul_matrix(scalar).T) * signs[:, None]
     out = np.empty_like(rotated)
-    out[indices ^ x_mask] = rotated
-    return QRegister.from_components(n, out)
+    out[indices ^ ps.x] = rotated
+    return QRegister.from_components(reg.n, out)
 
 
 def measure_stabilizer_eigenvalue(reg: QRegister, s: PauliString, tol: float = quat.TOLERANCE) -> int:

@@ -33,18 +33,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import (
-    DecodeOutcome,
-    PauliString,
-    StabilizerCode,
-    _commute_letters,
-    decode,
-    get_code,
-    syndrome_of,
+from .codes import StabilizerCode, decode, get_code, logical_failure, syndrome_of
+from .noise import (
+    ErrorEvent,
+    ErrorSampler,
+    NoiseModel,
+    apply_rotations,
+    correct_rotation,
+    detect_rotations,
+    jk_excess,
+    sample_error,
 )
-from .noise import ErrorEvent, ErrorSampler, NoiseModel, correct_rotation, detect_rotations, jk_excess, sample_error
-from .register import QRegister
-from .noise import _rotate_components
 
 #: Published performance targets, attached to outputs as annotations only.
 TARGET_STANDARD_EXPONENT = 2.0
@@ -140,25 +139,6 @@ def suppression_factor(p_L_d: float, p_L_d2: float) -> float:
     return p_L_d / p_L_d2
 
 
-_LETTER_INDEX = {"I": 0, "X": 1, "Y": 2, "Z": 3}
-_LETTER_LIST = ("I", "X", "Y", "Z")
-# Product of two Pauli letters, phases dropped (phases cannot affect the
-# commutation checks the scorer performs).
-_LETTER_PRODUCT = {
-    (a, b): (
-        "I"
-        if a == b
-        else (b if a == "I" else (a if b == "I" else next(c for c in "XYZ" if c not in (a, b))))
-    )
-    for a in _LETTER_LIST
-    for b in _LETTER_LIST
-}
-
-
-def _compose_letters(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(_LETTER_PRODUCT[(la, lb)] for la, lb in zip(a, b))
-
-
 def score_event(
     code: StabilizerCode,
     event: ErrorEvent,
@@ -172,23 +152,12 @@ def score_event(
     strength after whatever corrections the pipeline performs.
     """
     outcome = decode(syndrome_of(event.pauli, code), code)
-    if outcome.unknown:
-        pauli_failed = True
-    else:
-        residual = _compose_letters(event.pauli.letters, outcome.correction.letters)
-        pauli_failed = (
-            _commute_letters(residual, code.logical_x.letters) == -1
-            or _commute_letters(residual, code.logical_z.letters) == -1
-        )
-    if pauli_failed:
+    if outcome.unknown or logical_failure(event.pauli, outcome.correction, code):
         return True
     if not event.rotations:
         return False
     reference = code.codeword_zero
-    comp = reference.amps.components.copy()
-    for rot in event.rotations:
-        comp = _rotate_components(comp, code.n, rot.qubit, rot.axis, rot.angle, event.rot_mode)
-    damaged = QRegister.from_components(code.n, comp)
+    damaged = apply_rotations(reference, event.rotations, event.rot_mode)
     if quaternionic_detection:
         flagged = {
             flag.qubit
@@ -213,7 +182,11 @@ def run_trial(
     return score_event(code, event, quaternionic_detection, detection_threshold)
 
 
-def _thread_count() -> int:
+def thread_count() -> int:
+    """Worker count from ``HQEC_THREADS``: unset means 1, 0 means every CPU.
+
+    Raises ValueError for a value that is not a nonnegative integer.
+    """
     raw = os.environ.get("HQEC_THREADS")
     if raw is None:
         return 1
@@ -255,7 +228,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     coupled (common random numbers).
     """
     get_code(config.code_id)  # validate the id before any work
-    workers = _thread_count()
+    workers = thread_count()
     points = []
     for p in config.p_values:
         noise_p = config.noise.with_p(p)

@@ -145,9 +145,6 @@ class ErrorEvent:
         return self.pauli.weight == 0 and self.pauli.phase == quat.ONE and not self.rotations
 
 
-_LETTER_CHOICES = ("X", "Y", "Z")
-
-
 def _check_counter(name: str, value: int) -> int:
     value = int(value)
     if not 0 <= value < 2**64:
@@ -241,21 +238,23 @@ def _rotate_components(
     return out
 
 
-def apply_event(reg: QRegister, event: ErrorEvent) -> QRegister:
-    """Apply the Pauli part (phase as left scalar), then each rotation.
+def apply_rotations(reg: QRegister, rotations: tuple[RotationError, ...], mode: str) -> QRegister:
+    """Apply each rotation in order, in slot mode ``mode``.
 
-    Rotations multiply the affected qubit's amplitude slots on the left by
+    A rotation multiplies its qubit's amplitude slots on the left by
     ``exp_axis(axis, angle)``; the basis-state support never changes.
     """
-    out = apply_pauli(event.pauli, reg)
-    if not event.rotations:
-        return out
-    comp = out.amps.components.copy()
-    for rot in event.rotations:
+    comp = reg.amps.components
+    for rot in rotations:
         if not 1 <= rot.qubit <= reg.n:
             raise ValueError(f"rotation qubit {rot.qubit} out of range 1..{reg.n}")
-        comp = _rotate_components(comp, reg.n, rot.qubit, rot.axis, rot.angle, event.rot_mode)
+        comp = _rotate_components(comp, reg.n, rot.qubit, rot.axis, rot.angle, mode)
     return QRegister.from_components(reg.n, comp)
+
+
+def apply_event(reg: QRegister, event: ErrorEvent) -> QRegister:
+    """Apply the Pauli part (phase as left scalar), then each rotation."""
+    return apply_rotations(apply_pauli(event.pauli, reg), event.rotations, event.rot_mode)
 
 
 @dataclass(frozen=True)

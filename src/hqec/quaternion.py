@@ -161,29 +161,6 @@ def phase_label(q: Quaternion) -> str:
         raise ValueError(f"{q} is not one of the eight unit phases") from None
 
 
-# Operation-style aliases; the methods above are the implementation.
-
-def mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product ``a * b``."""
-    return a * b
-
-
-def conj(q: Quaternion) -> Quaternion:
-    return q.conj()
-
-
-def norm_sq(q: Quaternion) -> float:
-    return q.norm_sq()
-
-
-def inverse(q: Quaternion) -> Quaternion:
-    return q.inverse()
-
-
-def component(q: Quaternion, axis: str) -> float:
-    return q.component(axis)
-
-
 @dataclass(frozen=True)
 class ImaginaryAxis:
     """Unit direction in the imaginary subspace spanned by ``i``, ``j``, ``k``."""

@@ -248,9 +248,14 @@ def test_criterion_8_exponent_recovery_and_quaternionic_substitutes():
 
 
 def test_criterion_9_cli_byte_determinism(tmp_path):
+    # The child interpreters import hqec from the tree this test imported.
+    src_dir = os.path.dirname(os.path.dirname(quat.__file__))
+    base_env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src_dir, os.environ.get("PYTHONPATH")))))
+
     def run_with_threads(threads, out_name):
         out = tmp_path / out_name
-        env = dict(os.environ, HQEC_THREADS=threads)
+        env = dict(base_env, HQEC_THREADS=threads)
         cmd = [
             sys.executable, "-m", "hqec", "mc", "--code", "perfect5",
             "--p", "0.005:0.05:log:4", "--trials", "3000", "--seed", "12",
@@ -268,7 +273,7 @@ def test_criterion_9_cli_byte_determinism(tmp_path):
         src = tmp_path / source
         subprocess.run(
             [sys.executable, "-m", "hqec", "fit", "--in", str(src), "--out", str(out)],
-            check=True, env=dict(os.environ), capture_output=True,
+            check=True, env=base_env, capture_output=True,
         )
         return out.read_bytes()
 

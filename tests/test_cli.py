@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -239,6 +240,51 @@ def test_mc_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+# Frozen SHA-256 digests of the `hqec mc` CSV; any change to sampling,
+# decoding or scoring moves them.
+_MC_NOISE_FLAGS = {
+    "pauli": (),
+    "rotations": ("--phase-mode", "table1", "--rotations", "0.05"),
+    "detect": ("--phase-mode", "table1", "--rotations", "0.05", "--detect"),
+}
+_MC_GOLDEN_SHA256 = {
+    ("three", "pauli"): "712e7c45ebd7d8b0a4ec727c4035aa2f4caa95dfc30b378a09948ca01a659c1b",
+    ("three", "rotations"): "7b1398ddb8648155c8b22f366a67169c5fe8677d7785cfd7027cd0b7db18ec12",
+    ("three", "detect"): "712e7c45ebd7d8b0a4ec727c4035aa2f4caa95dfc30b378a09948ca01a659c1b",
+    ("paper5", "pauli"): "4009276e0a08af0ca927e245252c667826ff410d997821aaf26c7882ed45201d",
+    ("paper5", "rotations"): "6844484a79502c39b3e690eef50ba7b7093e4c1e97f7b5ec10d0567f6d2e22c7",
+    ("paper5", "detect"): "4009276e0a08af0ca927e245252c667826ff410d997821aaf26c7882ed45201d",
+    ("perfect5", "pauli"): "2acfb1d42b8a91ed04cb0887a6dbd38ee2e7309f441561268fc7dc4585c84395",
+    ("perfect5", "rotations"): "f94230a3f42fb362c64d0432efed1307309e3ce196e2042f6ea6c8449ba3da25",
+    ("perfect5", "detect"): "2acfb1d42b8a91ed04cb0887a6dbd38ee2e7309f441561268fc7dc4585c84395",
+}
+
+
+@pytest.mark.parametrize(("code_id", "noise"), list(_MC_GOLDEN_SHA256))
+def test_mc_csv_golden_bytes(capsys, code_id, noise):
+    code, out, _ = run_cli(
+        capsys, "mc", "--code", code_id, "--p", "0.01:0.2:log:4", "--trials", "300",
+        "--seed", "11", *_MC_NOISE_FLAGS[noise]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _MC_GOLDEN_SHA256[(code_id, noise)]
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1"])
+@pytest.mark.parametrize("command", ["mc", "figure1"])
+def test_bad_thread_env_exits_3(monkeypatch, capsys, tmp_path, command, raw):
+    monkeypatch.setenv("HQEC_THREADS", raw)
+    if command == "mc":
+        argv = ("mc", "--code", "three", "--p", "0.01:0.1:log:3", "--trials", "10")
+    else:
+        argv = ("figure1", "--out", str(tmp_path / "fig"), "--trials", "10")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "HQEC_THREADS" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mc_detect_flag(capsys):

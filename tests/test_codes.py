@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from hqec import quaternion as quat
 from hqec.quaternion import Quaternion
 from hqec.register import QRegister
 from hqec.codes import (
+    CODE_IDS,
+    LETTERS,
     MAPPING_TABLE,
     MAPPING_TEXT,
     REFERENCE_TABLE2,
@@ -21,6 +25,7 @@ from hqec.codes import (
     get_code,
     hqubit_contract,
     hqubit_expand,
+    logical_failure,
     measure_stabilizer_eigenvalue,
     paper_five_qubit_code,
     standard_perfect_code,
@@ -73,6 +78,15 @@ def oracle_commute_sign(a, b):
     raise AssertionError("operators neither commute nor anticommute")
 
 
+def oracle_product_letters(a, b):
+    """Letter-wise product of two words with phases dropped, read off 2x2 matrices."""
+    letters = []
+    for la, lb in zip(a, b):
+        m = _PAULI_C[la] @ _PAULI_C[lb]
+        letters.append(next(name for name, p in _PAULI_C.items() if abs(np.vdot(p, m)) > 1.0))
+    return tuple(letters)
+
+
 # -- PauliString ---------------------------------------------------------------
 
 def test_pauli_string_validation():
@@ -118,10 +132,18 @@ def test_commute_sign_matches_matrix_oracle():
     rng = np.random.default_rng(41)
     letters = ("I", "X", "Y", "Z")
     for _ in range(60):
-        n = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 6))
         a = tuple(letters[i] for i in rng.integers(0, 4, size=n))
         b = tuple(letters[i] for i in rng.integers(0, 4, size=n))
         assert commute_sign(PauliString(a), PauliString(b)) == oracle_commute_sign(a, b)
+        for word in (a, b):
+            ps = PauliString(word)
+            # qubit 1 is the most significant bit; x + 2z indexes I, X, Z, Y
+            rebuilt = tuple(
+                "IXZY"[((ps.x >> (n - q)) & 1) + 2 * ((ps.z >> (n - q)) & 1)]
+                for q in range(1, n + 1)
+            )
+            assert rebuilt == word
 
 
 def test_generator_commutation_matches_oracle_for_shipped_codes():
@@ -326,6 +348,33 @@ def test_decode_perfect5_soundness():
             assert out.correction == error
     assert len(seen) == 15
     assert (1, 1, 1, 1) not in seen
+
+
+@pytest.mark.parametrize("code_id", CODE_IDS)
+def test_logical_failure_matches_matrix_oracle_exhaustively(code_id):
+    code = get_code(code_id)
+    expected_by_residual = {}
+    checked = 0
+    for word in itertools.product(LETTERS, repeat=code.n):
+        error = PauliString(word)
+        outcome = decode(syndrome_of(error, code), code)
+        if outcome.unknown:
+            continue
+        residual = oracle_product_letters(word, outcome.correction.letters)
+        if residual not in expected_by_residual:
+            expected_by_residual[residual] = any(
+                oracle_commute_sign(residual, logical.letters) == -1
+                for logical in (code.logical_x, code.logical_z)
+            )
+        assert logical_failure(error, outcome.correction, code) == expected_by_residual[residual]
+        checked += 1
+    assert checked >= 4 ** code.n // 2
+    assert set(expected_by_residual.values()) == {False, True}
+
+
+def test_logical_failure_length_validation():
+    with pytest.raises(ValueError):
+        logical_failure(PauliString.identity(2), PauliString.identity(3), three_qubit_code())
 
 
 # -- codeword verification ---------------------------------------------------------
