@@ -293,7 +293,7 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
             "rotations": _rate("rotations", args.rotations),
             "rot_axis": _parse_axis(args.rot_axis),
             "rot_angle": _parse_angle(args.rot_angle),
-            "threshold": float(args.threshold),
+            "threshold": _threshold(args.threshold),
             "include_model": bool(args.include_model),
         }
         return RunConfig("figure1", params, params["seed"], args.out)
@@ -312,21 +312,25 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     return RunConfig(command, {}, DEFAULT_SEED, getattr(args, "out", None))
 
 
-def _positive_int(name: str, value) -> int:
+def _integer(name: str, value) -> int:
+    """``value`` as an int; bools and floats are refused, not truncated."""
+    if isinstance(value, (bool, float)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
-        value = int(value)
+        return int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _positive_int(name: str, value) -> int:
+    value = _integer(name, value)
     if value < 1:
         raise ConfigError(f"{name} must be >= 1, got {value}")
     return value
 
 
 def _seed_value(value) -> int:
-    try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"seed must be an integer, got {value!r}") from None
+    value = _integer("seed", value)
     if not 0 <= value < 2**64:
         raise ConfigError(f"seed must be in [0, 2**64), got {value}")
     return value
@@ -342,13 +346,28 @@ def _rate(name: str, value) -> float:
     return value
 
 
+def _threshold(value) -> float:
+    """Detection threshold: a finite number >= 0 (NaN would disable detection)."""
+    if isinstance(value, bool):
+        raise ConfigError(f"threshold must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"threshold must be a number, got {value!r}") from None
+    if not 0.0 <= value < math.inf:
+        raise ConfigError(f"threshold must be a finite number >= 0, got {value}")
+    return value
+
+
 def _validate_mc(merged: dict) -> dict:
     if merged["code"] not in CODE_IDS:
         raise ConfigError(f"code must be one of {CODE_IDS}, got {merged['code']!r}")
     p_values = _parse_p_range(str(merged["p"]))
     trials = _positive_int("trials", merged["trials"])
     seed = _seed_value(merged["seed"])
-    threshold = float(merged["threshold"])
+    threshold = _threshold(merged["threshold"])
+    if not isinstance(merged["detect"], bool):
+        raise ConfigError(f"detect must be true or false, got {merged['detect']!r}")
     if merged["noise"] is not None:
         if not isinstance(merged["noise"], dict):
             raise ConfigError("noise section must be an object")
@@ -383,7 +402,7 @@ def _validate_mc(merged: dict) -> dict:
         "trials": trials,
         "seed": seed,
         "noise": noise,
-        "detect": bool(merged["detect"]),
+        "detect": merged["detect"],
         "threshold": threshold,
     }
 

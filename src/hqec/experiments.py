@@ -370,14 +370,19 @@ def parse_sweep_csv(text: str) -> SweepResult:
     return SweepResult(rows[0]["code_id"], int(rows[0]["seed"]), points)
 
 
-def fit_json(fit: FitResult) -> str:
-    payload = {
+def _fit_payload(fit: FitResult | None) -> dict | None:
+    if fit is None:
+        return None
+    return {
         "slope": fit.exponent,
         "p_th_intercept": fit.p_th,
         "p_th_crossing": fit.p_th_crossing,
         "residual": fit.residual,
     }
-    return json.dumps(payload)
+
+
+def fit_json(fit: FitResult) -> str:
+    return json.dumps(_fit_payload(fit))
 
 
 FIGURE1_CSV_HEADER = (
@@ -431,16 +436,6 @@ def figure1_csv(data: Figure1Data, include_model_curves: bool = False) -> str:
 
 
 def figure1_fits_json(data: Figure1Data) -> str:
-    def _fit_payload(fit: FitResult | None):
-        if fit is None:
-            return None
-        return {
-            "slope": fit.exponent,
-            "p_th_intercept": fit.p_th,
-            "p_th_crossing": fit.p_th_crossing,
-            "residual": fit.residual,
-        }
-
     payload = {
         "standard": _fit_payload(data.standard_fit),
         "quaternionic": _fit_payload(data.quaternionic_fit),

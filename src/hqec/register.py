@@ -24,7 +24,7 @@ from .linalg import (
     QMatrix,
     QVector,
     left_mul_matrix,
-    matvec,
+    qmul_components,
     real_norm_sq,
 )
 
@@ -33,11 +33,6 @@ from .linalg import (
 UNIT_FOR_LETTER = {"I": quat.ONE, "X": quat.I, "Y": quat.J, "Z": quat.K}
 
 NORMALIZATION_TOL = 1e-10
-
-
-def bit_of(index: int, qubit: int, n: int) -> int:
-    """Bit of ``qubit`` (1-based, leftmost first) in basis index ``index``."""
-    return (index >> (n - qubit)) & 1
 
 
 class QRegister:
@@ -214,28 +209,14 @@ def identity_gate() -> Gate:
     return pauli_gate("I")
 
 
-def _embed(gate: Gate, targets: tuple[int, ...], n: int) -> QMatrix:
-    """Expand a gate matrix to the full register via identity padding."""
-    dim = 2**n
-    shifts = tuple(n - q for q in targets)
-    rest_mask = (dim - 1) ^ sum(1 << s for s in shifts)
-    sub = gate.matrix.components
-    full = np.zeros((dim, dim, 4))
-    for r in range(dim):
-        sr = 0
-        for s in shifts:
-            sr = (sr << 1) | ((r >> s) & 1)
-        base = r & rest_mask
-        for sc in range(sub.shape[1]):
-            c = base
-            for pos, s in enumerate(shifts):
-                c |= ((sc >> (len(shifts) - 1 - pos)) & 1) << s
-            full[r, c] = sub[sr, sc]
-    return QMatrix.from_components(full)
-
-
 def apply_gate(reg: QRegister, gate: Gate, targets: list[int] | tuple[int, ...]) -> QRegister:
-    """Apply ``gate`` to 1-based ``targets`` using the gate's multiplication side."""
+    """Apply ``gate`` to 1-based ``targets`` using the gate's multiplication side.
+
+    The amplitudes are viewed as a ``(2,)*n + (4,)`` tensor whose target
+    axes are contracted with the gate matrix, so no ``2**n x 2**n`` matrix
+    is ever built.  The first target is the most significant bit of the
+    gate's row and column index.
+    """
     targets = tuple(targets)
     if len(targets) != gate.arity:
         raise ValueError(f"gate {gate.name} has arity {gate.arity}, got {len(targets)} targets")
@@ -244,11 +225,19 @@ def apply_gate(reg: QRegister, gate: Gate, targets: list[int] | tuple[int, ...])
     for q in targets:
         if not 1 <= q <= reg.n:
             raise ValueError(f"target {q} out of range 1..{reg.n}")
-    if gate.arity == reg.n and targets == tuple(range(1, reg.n + 1)):
-        full = gate.matrix
+    n, a = reg.n, gate.arity
+    axes = [q - 1 for q in targets]
+    front = np.moveaxis(reg.amps.components.reshape((2,) * n + (4,)), axes, range(a))
+    amps = front.reshape(1, 2**a, -1, 4)
+    entries = gate.matrix.components[:, :, None, :]
+    if gate.side is MulSide.LEFT:
+        prod = qmul_components(entries, amps)
+    elif gate.side is MulSide.RIGHT:
+        prod = qmul_components(amps, entries)
     else:
-        full = _embed(gate, targets, reg.n)
-    return QRegister(reg.n, matvec(full, reg.amps, gate.side))
+        raise ValueError(f"side must be a MulSide, got {gate.side!r}")
+    out = np.moveaxis(prod.sum(axis=1).reshape(front.shape), range(a), axes)
+    return QRegister.from_components(n, out.reshape(2**n, 4))
 
 
 def bell_prepare() -> QRegister:

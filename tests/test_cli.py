@@ -156,6 +156,60 @@ def test_missing_required_parameter_exits_3(tmp_path, capsys):
     assert "p" in err
 
 
+@pytest.mark.parametrize(
+    ("key", "value"),
+    [
+        ("threshold", "abc"),
+        ("threshold", math.nan),
+        ("threshold", math.inf),
+        ("threshold", -0.01),
+        ("threshold", True),
+        ("threshold", None),
+        ("detect", "false"),
+        ("detect", 1),
+        ("detect", None),
+        ("trials", 1.5),
+        ("trials", 20.0),
+        ("trials", True),
+        ("seed", 3.7),
+        ("seed", False),
+    ],
+)
+def test_config_bad_detection_values_exit_3(tmp_path, capsys, key, value):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"code": "three", "p": "0.05:0.2:log:3", "trials": 20,
+                                  key: value}))
+    code, out, err = run_cli(capsys, "mc", "--config", str(config))
+    assert code == 3
+    assert out == ""
+    assert key in err
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["mc", "figure1"])
+def test_bad_threshold_flag_exits_3(capsys, tmp_path, command, raw):
+    if command == "mc":
+        argv = ("mc", "--code", "three", "--p", "0.01:0.1:log:3", "--trials", "10")
+    else:
+        argv = ("figure1", "--out", str(tmp_path / "fig"), "--trials", "10")
+    code, out, err = run_cli(capsys, *argv, "--threshold", raw)
+    assert code == 3
+    assert out == ""
+    assert "threshold" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_valid_detection_values_accepted(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"code": "three", "p": "0.05:0.2:log:3", "trials": 20,
+                                  "seed": 4, "detect": True, "threshold": 0}))
+    code, out, _ = run_cli(capsys, "mc", "--config", str(config))
+    assert code == 0
+    flags = ("mc", "--code", "three", "--p", "0.05:0.2:log:3", "--trials", "20",
+             "--seed", "4", "--detect", "--threshold", "0")
+    assert run_cli(capsys, *flags)[1] == out
+
+
 # -- subcommand outputs ----------------------------------------------------------
 
 def test_bell_output(capsys):

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hqec import quaternion as quat
 from hqec.quaternion import Quaternion, exp_axis
-from hqec.linalg import is_unitary, real_norm_sq
+from hqec.linalg import MulSide, QMatrix, is_unitary, matvec, real_norm_sq
 from hqec.register import (
+    Gate,
     QRegister,
     apply_gate,
     bell_prepare,
@@ -84,6 +86,98 @@ def test_apply_cnot_reversed_targets():
     out = apply_gate(reg, cnot_gate(), [2, 1])
     # control (qubit 2) reads 1: the 4x4 acts on (control, target) = (q2, q1)
     assert out.amplitude("11").isclose(K, tol=1e-12)
+
+
+# -- contraction against the dense oracle -------------------------------------
+
+def dense_embed(gate, targets, n):
+    """Reference: the full ``2**n x 2**n`` matrix of ``gate`` on ``targets``."""
+    dim = 2**n
+    shifts = tuple(n - q for q in targets)
+    rest_mask = (dim - 1) ^ sum(1 << s for s in shifts)
+    sub = gate.matrix.components
+    full = np.zeros((dim, dim, 4))
+    for r in range(dim):
+        sr = 0
+        for s in shifts:
+            sr = (sr << 1) | ((r >> s) & 1)
+        base = r & rest_mask
+        for sc in range(sub.shape[1]):
+            c = base
+            for pos, s in enumerate(shifts):
+                c |= ((sc >> (len(shifts) - 1 - pos)) & 1) << s
+            full[r, c] = sub[sr, sc]
+    return QMatrix.from_components(full)
+
+
+def oracle_apply(reg, gate, targets):
+    return matvec(dense_embed(gate, tuple(targets), reg.n), reg.amps, gate.side)
+
+
+@pytest.mark.parametrize("side", [MulSide.LEFT, MulSide.RIGHT])
+def test_apply_gate_matches_dense_oracle(side):
+    rng = np.random.default_rng(41 if side is MulSide.LEFT else 42)
+    arities = set()
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        arity = int(rng.integers(1, min(n, 3) + 1))
+        arities.add(arity)
+        targets = [int(q) for q in rng.permutation(np.arange(1, n + 1))[:arity]]
+        entries = rng.normal(size=(2**arity, 2**arity, 4))  # non-unit, non-unitary
+        gate = Gate("R", QMatrix.from_components(entries), side, arity)
+        reg = QRegister.from_components(n, rng.normal(size=(2**n, 4)))
+        out = apply_gate(reg, gate, targets)
+        want = oracle_apply(reg, gate, targets)
+        assert np.allclose(out.amps.components, want.components, rtol=0, atol=1e-12), (
+            n, targets)
+    assert arities == {1, 2, 3}
+
+
+@pytest.mark.parametrize("targets", [[3, 1], [1, 3], [4, 2, 1], [2, 4], [5, 1, 3]])
+def test_apply_gate_reversed_and_nonadjacent_targets_match_oracle(targets):
+    rng = np.random.default_rng(43)
+    n, arity = 5, len(targets)
+    for side in (MulSide.LEFT, MulSide.RIGHT):
+        entries = rng.normal(size=(2**arity, 2**arity, 4))
+        gate = Gate("R", QMatrix.from_components(entries), side, arity)
+        reg = rand_register(rng, n)
+        out = apply_gate(reg, gate, targets)
+        want = oracle_apply(reg, gate, targets)
+        assert np.allclose(out.amps.components, want.components, rtol=0, atol=1e-12)
+
+
+def test_apply_gate_whole_register_in_order_is_plain_matvec():
+    reg = rand_register(np.random.default_rng(44), 2)
+    direct = matvec(cnot_gate().matrix, reg.amps, MulSide.RIGHT)
+    out = apply_gate(reg, cnot_gate(), [1, 2])
+    assert np.allclose(out.amps.components, direct.components, rtol=0, atol=1e-12)
+
+
+def test_apply_gate_peak_memory_is_linear_in_state():
+    rng = np.random.default_rng(45)
+    reg = rand_register(rng, 12)
+    state_bytes = reg.amps.components.nbytes
+    for gate, targets in ((hadamard_gate(), [6]), (cnot_gate(), [12, 1])):
+        tracemalloc.start()
+        try:
+            apply_gate(reg, gate, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * state_bytes, (gate.name, peak / state_bytes)
+
+
+def test_bell_on_far_apart_qubits_of_16():
+    n = 16
+    reg = QRegister.computational(n, 0)
+    reg = apply_gate(reg, hadamard_gate(), [1])
+    reg = apply_gate(reg, cnot_gate(), [1, n])
+    comp = reg.amps.components
+    far = int("1" + "0" * (n - 2) + "1", 2)
+    assert tuple(comp[0]) == (INV_SQRT2, 0.0, 0.0, 0.0)
+    assert tuple(comp[far]) == (0.0, 0.0, -INV_SQRT2, 0.0)
+    rest = np.delete(comp, [0, far], axis=0)
+    assert not np.any(rest)
 
 
 # -- Bell benchmark -------------------------------------------------------------
