@@ -337,6 +337,8 @@ def _seed_value(value) -> int:
 
 
 def _rate(name: str, value) -> float:
+    if isinstance(value, bool):  # float(True) would run at rate 1
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         value = float(value)
     except (TypeError, ValueError):
@@ -387,7 +389,7 @@ def _validate_mc(merged: dict) -> dict:
         try:
             noise = NoiseModel(
                 p=0.0,
-                pauli_weights=tuple(float(w) for w in weights),
+                pauli_weights=tuple(weights),
                 phase_mode=str(merged["phase_mode"]),
                 p_rot=_rate("rotations", merged["rotations"]),
                 rot_axis=axis,

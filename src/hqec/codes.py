@@ -162,6 +162,7 @@ class StabilizerCode:
     codeword_zero: QRegister
     codeword_one: QRegister
     _decode_map: dict = field(init=False, repr=False)
+    _decode_table: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for ps in (*self.generators, self.logical_x, self.logical_z):
@@ -177,6 +178,7 @@ class StabilizerCode:
                         f"generators {a.word()} and {b.word()} anticommute"
                     )
         object.__setattr__(self, "_decode_map", _build_decode_map(self))
+        object.__setattr__(self, "_decode_table", _build_decode_table(self))
 
     @property
     def t(self) -> int:
@@ -210,6 +212,21 @@ def _build_decode_map(code: StabilizerCode) -> dict[tuple[int, ...], list[PauliS
         bits = tuple(_symplectic_sign(error.x, error.z, g.x, g.z) for g in code.generators)
         table.setdefault(bits, []).append(error)
     return table
+
+
+def _build_decode_table(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (unknown, correction x, correction z) per syndrome index, where bit i
+    # of the index is set when generator i anticommutes; built from the
+    # decode map, so the chosen correction is the one ``decode`` returns.
+    size = 1 << len(code.generators)
+    unknown = np.ones(size, dtype=bool)
+    cx = np.zeros(size, dtype=np.uint64)
+    cz = np.zeros(size, dtype=np.uint64)
+    for bits, candidates in code._decode_map.items():
+        index = sum(1 << i for i, bit in enumerate(bits) if bit == -1)
+        unknown[index] = False
+        cx[index], cz[index] = candidates[0].x, candidates[0].z
+    return unknown, cx, cz
 
 
 @dataclass(frozen=True)
@@ -261,6 +278,32 @@ def logical_failure(error: PauliString, correction: PauliString, code: Stabilize
     return any(
         _symplectic_sign(x, z, logical.x, logical.z) == -1
         for logical in (code.logical_x, code.logical_z)
+    )
+
+
+def _anticommutes(x: np.ndarray, z: np.ndarray, gx: int, gz: int) -> np.ndarray:
+    return (np.bitwise_count((x & gz) ^ (z & gx)) & 1).astype(bool)
+
+
+def pauli_failures(code: StabilizerCode, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Batched decode and score of Pauli errors given as uint64 mask arrays.
+
+    Element ``t`` is True exactly when ``decode(syndrome_of(e, code), code)``
+    is unknown or ``logical_failure(e, correction, code)`` holds for the
+    error ``e`` with masks ``x[t], z[t]``.  The syndrome is read as an
+    integer that indexes a table of all ``2**m`` syndromes, built once per
+    code from the decoder's map, so the tie-break is the same and
+    syndromes outside the map fail.
+    """
+    unknown, cx, cz = code._decode_table
+    index = np.zeros(np.shape(x), dtype=np.intp)
+    for i, g in enumerate(code.generators):
+        index |= _anticommutes(x, z, g.x, g.z).astype(np.intp) << i
+    rx, rz = x ^ cx[index], z ^ cz[index]
+    return (
+        unknown[index]
+        | _anticommutes(rx, rz, code.logical_x.x, code.logical_x.z)
+        | _anticommutes(rx, rz, code.logical_z.x, code.logical_z.z)
     )
 
 

@@ -18,6 +18,12 @@ scores failure on two independent channels:
 Sweeps derive every trial from ``(seed, trial)`` alone, which makes the
 results independent of the parallelism degree (``HQEC_THREADS``) and lets
 paired configurations share their noise realizations.
+
+:func:`run_trial` and :func:`score_event` score one trial and are the
+reference.  Sweeps run the batched engine, :func:`count_failures`: it
+draws the uniforms of up to :data:`CHUNK_TRIALS` trials at once and
+scores them at every p of the grid, with counts equal to the per-trial
+loop bit for bit.
 """
 
 from __future__ import annotations
@@ -33,15 +39,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import StabilizerCode, decode, get_code, logical_failure, syndrome_of
+from .codes import (
+    StabilizerCode,
+    decode,
+    get_code,
+    logical_failure,
+    pauli_failures,
+    syndrome_of,
+)
 from .noise import (
+    DRAWS_PER_QUBIT,
     ErrorEvent,
-    ErrorSampler,
     NoiseModel,
     apply_rotations,
     correct_rotation,
     detect_rotations,
     jk_excess,
+    pauli_masks,
+    philox_uniforms,
+    rotation_events,
     sample_error,
 )
 
@@ -201,22 +217,48 @@ def thread_count() -> int:
     return value
 
 
-def _count_failures(
-    code_id: str,
+#: Trials the engine scores per batch; bounds its working set (the draws
+#: take ``32 * n`` bytes per trial) whatever the trial count.
+CHUNK_TRIALS = 8192
+
+
+def count_failures(
+    code: StabilizerCode,
     noise: NoiseModel,
+    p_values: tuple[float, ...],
     seed: int,
     start: int,
     stop: int,
-    quaternionic_detection: bool,
-    detection_threshold: float,
-) -> int:
-    code = get_code(code_id)
-    sampler = ErrorSampler(noise, code.n, seed)
-    failures = 0
-    for trial in range(start, stop):
-        event = sampler.sample(trial)
-        failures += score_event(code, event, quaternionic_detection, detection_threshold)
-    return failures
+    quaternionic_detection: bool = False,
+    detection_threshold: float = DEFAULT_DETECTION_THRESHOLD,
+) -> list[int]:
+    """Failures among trials ``start .. stop - 1`` at each p of ``p_values``.
+
+    The batched trial engine; ``noise`` is a template whose ``p`` each
+    point replaces.  Entry ``i`` equals the number of those trials for
+    which ``run_trial(code, noise.with_p(p_values[i]), seed, t, ...)``
+    fails, bit for bit.  The uniforms of a chunk of trials are
+    drawn once for every point; the Pauli channel is scored as mask arrays
+    by :func:`codes.pauli_failures`, and a trial that carries rotations is
+    scored once through :func:`score_event` with its Pauli part removed,
+    because the rotation channel does not depend on ``p``.
+    """
+    if not 0 <= start <= stop <= 2**64:
+        raise ValueError(f"need 0 <= start <= stop <= 2**64, got {start}, {stop}")
+    counts = [0] * len(p_values)
+    for lo in range(start, stop, CHUNK_TRIALS):
+        size = min(CHUNK_TRIALS, stop - lo)
+        trials = np.uint64(lo) + np.arange(size, dtype=np.uint64)
+        draws = philox_uniforms(seed, trials, DRAWS_PER_QUBIT * code.n)
+        rotation_failed = np.zeros(size, dtype=bool)
+        for row, event in rotation_events(noise, draws):
+            rotation_failed[row] = score_event(
+                code, event, quaternionic_detection, detection_threshold
+            )
+        for i, p in enumerate(p_values):
+            x, z = pauli_masks(noise.with_p(p), draws)
+            counts[i] += int(np.count_nonzero(pauli_failures(code, x, z) | rotation_failed))
+    return counts
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -225,37 +267,38 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     Trial ``t`` at every p point reuses the stream keyed by
     ``(config.seed, t)``, so the counts are reproducible bit for bit
     regardless of ``HQEC_THREADS`` and adjacent points are positively
-    coupled (common random numbers).
+    coupled (common random numbers).  With more than one worker, one
+    process pool serves the whole sweep and each worker scores a
+    contiguous range of trials at every point.
     """
-    get_code(config.code_id)  # validate the id before any work
+    code = get_code(config.code_id)
     workers = thread_count()
+    failures = _sweep_failures(config, code, workers)
     points = []
-    for p in config.p_values:
-        noise_p = config.noise.with_p(p)
-        failures = _run_point(config, noise_p, workers)
-        p_l = failures / config.trials
+    for p, count in zip(config.p_values, failures):
+        p_l = count / config.trials
         stderr = math.sqrt(p_l * (1.0 - p_l) / config.trials)
-        points.append(SweepPoint(p, failures, config.trials, p_l, stderr))
+        points.append(SweepPoint(p, count, config.trials, p_l, stderr))
     return SweepResult(config.code_id, config.seed, tuple(points))
 
 
-def _run_point(config: SweepConfig, noise_p: NoiseModel, workers: int) -> int:
-    args = (config.code_id, noise_p, config.seed)
+def _sweep_failures(config: SweepConfig, code: StabilizerCode, workers: int) -> list[int]:
+    args = (code, config.noise, config.p_values, config.seed)
     tail = (config.quaternionic_detection, config.detection_threshold)
     if workers <= 1 or config.trials < 2 * workers:
-        return _count_failures(*args, 0, config.trials, *tail)
+        return count_failures(*args, 0, config.trials, *tail)
     bounds = np.linspace(0, config.trials, workers + 1, dtype=int)
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_count_failures, *args, int(a), int(b), *tail)
+                pool.submit(count_failures, *args, int(a), int(b), *tail)
                 for a, b in zip(bounds[:-1], bounds[1:])
             ]
-            return sum(f.result() for f in futures)
-    except (OSError, PermissionError):
+            return [sum(counts) for counts in zip(*(f.result() for f in futures))]
+    except OSError:
         # Restricted environments without process support; identical
         # counts either way because trials are keyed individually.
-        return _count_failures(*args, 0, config.trials, *tail)
+        return count_failures(*args, 0, config.trials, *tail)
 
 
 def fit_threshold(result: SweepResult) -> FitResult:

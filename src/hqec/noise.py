@@ -7,14 +7,22 @@ syndromes; it shows up only in the j/k component strengths that
 acts on the amplitudes whose ``q`` bit is 0 (the ``"zero"`` slot mode);
 ``"all"`` applies it to the whole register instead.
 
-Sampling is counter-based: the draw stream for a trial is derived solely
-from the two integers ``(seed, trial)``, so trials are reproducible in any
-evaluation order and across any degree of parallelism.
+Sampling is counter-based: the draws of a trial are the first
+``DRAWS_PER_QUBIT * n`` uniforms of numpy's Philox4x64-10 keyed by the two
+integers ``(seed, trial)``, so trials are reproducible in any evaluation
+order and across any degree of parallelism.  :func:`sample_error` draws
+one trial through numpy and is the single-trial oracle;
+:func:`philox_uniforms` computes the same doubles for a whole range of
+trials at once in plain numpy, and :func:`pauli_masks` and
+:func:`rotation_events` turn those rows into what the batched engine in
+:mod:`hqec.experiments` scores, with the same comparisons as
+:func:`sample_error`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +35,9 @@ from .codes import PauliString, apply_pauli
 
 ROT_MODES = ("zero", "all")
 PHASE_MODES = ("none", "table1")
+
+#: Uniforms a trial consumes per qubit: Pauli hit, letter, rotation hit, angle.
+DRAWS_PER_QUBIT = 4
 
 
 @dataclass(frozen=True)
@@ -74,9 +85,13 @@ class NoiseModel:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
         if not 0.0 <= self.p_rot <= 1.0:
             raise ValueError(f"p_rot must be in [0, 1], got {self.p_rot}")
-        object.__setattr__(self, "pauli_weights", tuple(float(w) for w in self.pauli_weights))
-        if len(self.pauli_weights) != 3 or any(w < 0 for w in self.pauli_weights):
-            raise ValueError("pauli_weights must be three nonnegative reals")
+        weights = tuple(self.pauli_weights)
+        if len(weights) != 3 or not all(
+            isinstance(w, numbers.Real) and not isinstance(w, bool) and 0.0 <= w < math.inf
+            for w in weights
+        ):
+            raise ValueError(f"pauli_weights must be three finite reals >= 0, got {weights}")
+        object.__setattr__(self, "pauli_weights", tuple(float(w) for w in weights))
         if abs(sum(self.pauli_weights) - 1.0) > 1e-12:
             raise ValueError(f"pauli_weights must sum to 1, got {sum(self.pauli_weights)}")
         if self.phase_mode not in PHASE_MODES:
@@ -106,15 +121,17 @@ class NoiseModel:
             raise ValueError(f"unknown noise config keys: {sorted(unknown)}")
         kwargs: dict = {}
         if "p" in data:
-            kwargs["p"] = float(data["p"])
+            kwargs["p"] = _config_rate("p", data["p"])
         else:
             raise ValueError("noise config is missing 'p'")
         if "weights" in data:
-            kwargs["pauli_weights"] = tuple(float(w) for w in data["weights"])
+            if not isinstance(data["weights"], (list, tuple)):
+                raise ValueError(f"weights must be a list of three numbers, got {data['weights']!r}")
+            kwargs["pauli_weights"] = tuple(data["weights"])
         if "phase_mode" in data:
             kwargs["phase_mode"] = str(data["phase_mode"])
         if "p_rot" in data:
-            kwargs["p_rot"] = float(data["p_rot"])
+            kwargs["p_rot"] = _config_rate("p_rot", data["p_rot"])
         if "axis" in data:
             x, y, z = (float(c) for c in data["axis"])
             kwargs["rot_axis"] = ImaginaryAxis(x, y, z)
@@ -123,6 +140,16 @@ class NoiseModel:
         if "rot_mode" in data:
             kwargs["rot_mode"] = str(data["rot_mode"])
         return cls(**kwargs)
+
+
+def _config_rate(name: str, value) -> float:
+    # float() would read a JSON true as 1.0
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -191,34 +218,96 @@ def sample_error(model: NoiseModel, n: int, seed: int, trial: int) -> ErrorEvent
         raise ValueError("n must be >= 1")
     key = np.array([_check_counter("seed", seed), _check_counter("trial", trial)], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    return _event_from_draws(model, n, rng.random(4 * n))
+    return _event_from_draws(model, n, rng.random(DRAWS_PER_QUBIT * n))
 
 
-class ErrorSampler:
-    """Reusable sampler producing the exact :func:`sample_error` streams.
+# Philox4x64-10 (Salmon et al., SC'11) with numpy's constants and layout.
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
 
-    Resets one counter-based generator per trial instead of constructing a
-    fresh one, which matters in Monte Carlo loops; equality of the two
-    paths is part of the test suite.
+
+def _mulhilo(m: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products ``m * b``, from 32-bit halves."""
+    m_lo, m_hi = m & _LOW32, m >> np.uint64(32)
+    b_lo, b_hi = b & _LOW32, b >> np.uint64(32)
+    # Each partial sum stays below 2**64: (2**32 - 1)**2 + 2 * (2**32 - 1) < 2**64.
+    mid = b_hi * m_lo
+    mid += (b_lo * m_lo) >> np.uint64(32)
+    cross = b_lo * m_hi
+    cross += mid & _LOW32
+    hi = b_hi * m_hi
+    hi += mid >> np.uint64(32)
+    hi += cross >> np.uint64(32)
+    return hi, m * b
+
+
+def philox_uniforms(seed: int, trials, count: int) -> np.ndarray:
+    """The first ``count`` doubles of each trial's stream, one row per trial.
+
+    Row ``r`` equals ``np.random.Generator(np.random.Philox(key=[seed,
+    trials[r]])).random(count)`` bit for bit: block ``b`` of four words is
+    Philox4x64-10 of the counter ``(b + 1, 0, 0, 0)`` under that key, and a
+    word ``u`` becomes the double ``(u >> 11) * 2**-53``.
     """
+    seed = _check_counter("seed", seed)
+    trials = np.asarray(trials)
+    if trials.ndim != 1 or trials.dtype.kind not in "ui" or (
+        trials.dtype.kind == "i" and trials.size and trials.min() < 0
+    ):
+        raise ValueError("trials must be a 1-d array of integers in [0, 2**64)")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    blocks = -(-count // 4)
+    key0 = np.full((trials.size, 1), seed, dtype=np.uint64)
+    key1 = trials.astype(np.uint64).reshape(-1, 1)
+    zero = np.zeros((trials.size, blocks), dtype=np.uint64)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64) + zero
+    c1, c2, c3 = zero, zero, zero
+    for rnd in range(_PHILOX_ROUNDS):
+        if rnd:
+            key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(trials.size, 4 * blocks)[:, :count]
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    def __init__(self, model: NoiseModel, n: int, seed: int):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self._model = model
-        self._n = n
-        self._seed = _check_counter("seed", seed)
-        self._bit_gen = np.random.Philox(key=np.array([self._seed, 0], dtype=np.uint64))
-        self._rng = np.random.Generator(self._bit_gen)
 
-    def sample(self, trial: int) -> ErrorEvent:
-        state = self._bit_gen.state
-        state["state"]["counter"][:] = 0
-        state["state"]["key"][0] = self._seed
-        state["state"]["key"][1] = _check_counter("trial", trial)
-        state["buffer_pos"] = 4
-        self._bit_gen.state = state
-        return _event_from_draws(self._model, self._n, self._rng.random(4 * self._n))
+def pauli_masks(model: NoiseModel, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symplectic ``(x, z)`` masks of the Pauli part of each row's event.
+
+    ``draws`` holds one trial's uniforms per row, as :func:`sample_error`
+    consumes them; each mask is a uint64 with qubit 1 as the most
+    significant bit, and the letter comparisons are the ones
+    :func:`sample_error` makes.
+    """
+    n = draws.shape[1] // DRAWS_PER_QUBIT
+    if n > 64:
+        raise ValueError(f"masks hold at most 64 qubits, got n={n}")
+    hit = draws[:, 0:n] < model.p
+    u_letter = draws[:, n : 2 * n]
+    c1 = model.pauli_weights[0]
+    c2 = c1 + model.pauli_weights[1]
+    place = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
+    x = (hit & (u_letter < c2)).astype(np.uint64) @ place
+    z = (hit & ~(u_letter < c1)).astype(np.uint64) @ place
+    return x, z
+
+
+def rotation_events(model: NoiseModel, draws: np.ndarray) -> list[tuple[int, ErrorEvent]]:
+    """``(row, event)`` for each row of ``draws`` whose event has a rotation.
+
+    The event is the row's :func:`sample_error` event with its Pauli part
+    removed: the rotations are the same, and they do not depend on ``p``.
+    """
+    if model.p_rot <= 0.0:
+        return []
+    n = draws.shape[1] // DRAWS_PER_QUBIT
+    rows = np.flatnonzero((draws[:, 2 * n : 3 * n] < model.p_rot).any(axis=1))
+    quiet = model.with_p(0.0)
+    return [(int(row), _event_from_draws(quiet, n, draws[row])) for row in rows]
 
 
 def _rotation_rows(dim: int, n: int, qubit: int, mode: str) -> np.ndarray:

@@ -185,6 +185,59 @@ def test_config_bad_detection_values_exit_3(tmp_path, capsys, key, value):
     assert key in err
 
 
+_BAD_WEIGHTS = ([math.nan, 1, 1], [math.inf, 0, 0], [True, False, False])
+
+
+@pytest.mark.parametrize(
+    ("section", "key", "value"),
+    [
+        ("flat", "rotations", True),
+        ("flat", "rotations", False),
+        ("noise", "p_rot", True),
+        ("noise", "p", True),
+        ("noise", "p", False),
+        *(("flat", "weights", w) for w in _BAD_WEIGHTS),
+        *(("noise", "weights", w) for w in _BAD_WEIGHTS),
+        ("noise", "weights", 1.0),
+    ],
+)
+def test_config_bool_and_non_finite_noise_values_exit_3(tmp_path, capsys, section, key, value):
+    body = {"code": "three", "p": "0.05:0.2:log:3", "trials": 20}
+    if section == "noise":
+        body["noise"] = {key: value}
+    else:
+        body[key] = value
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(body))  # NaN and Infinity as JSON literals
+    code, out, err = run_cli(capsys, "mc", "--config", str(config))
+    assert code == 3
+    assert out == ""
+    assert key in err
+
+
+@pytest.mark.parametrize("raw", ["nan,1,1", "1,inf,0", "0,0,inf"])
+def test_bad_weights_flag_exits_3(capsys, raw):
+    code, out, err = run_cli(capsys, "mc", "--code", "three", "--p", "0.05:0.2:log:3",
+                             "--trials", "20", "--weights", raw)
+    assert code == 3
+    assert out == ""
+    assert "weights" in err
+
+
+def test_config_integer_noise_values_accepted(tmp_path, capsys):
+    flags = ("mc", "--code", "three", "--p", "0.05:0.2:log:3", "--trials", "20",
+             "--seed", "4", "--weights", "1,0,0")
+    expected = run_cli(capsys, *flags)[1]
+    for body in ({"weights": [1, 0, 0], "rotations": 0},
+                 {"noise": {"p": 0, "weights": [1, 0, 0], "p_rot": 0}}):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"code": "three", "p": "0.05:0.2:log:3", "trials": 20,
+                                      "seed": 4, **body}))
+        code, out, _ = run_cli(capsys, "mc", "--config", str(config))
+        assert code == 0
+        assert out == expected
+
+
 @pytest.mark.parametrize("raw", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("command", ["mc", "figure1"])
 def test_bad_threshold_flag_exits_3(capsys, tmp_path, command, raw):
@@ -369,6 +422,30 @@ def test_figure1_writes_files(tmp_path, capsys):
     fits = json.loads((tmp_path / "fig_fit.json").read_text())
     assert fits["targets"]["quaternionic"]["p_th"] == 0.015
     assert fits["targets"]["standard"]["exponent"] == 2.0
+
+
+# Frozen SHA-256 digests of the `hqec figure1` CSV and fit JSON (both
+# pipelines, rotation and Pauli channels, fitted slopes); any change to
+# sampling, decoding, scoring or the fit moves them.
+_FIGURE1_GOLDEN_SHA256 = (
+    "d8d56df7a05e399bdee88752c564bcc38c6cbec0c51c4222265776001723894b",
+    "d18b205d527d0464b94d604af8dadbd74bfcdbc0404ef2329fc8521b2f00b847",
+)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_figure1_golden_bytes(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("HQEC_THREADS", threads)
+    code, _, _ = run_cli(
+        capsys, "figure1", "--out", str(tmp_path / "fig"), "--p", "0.005:0.05:log:4",
+        "--trials", "600", "--seed", "5", "--rotations", "0.1"
+    )
+    assert code == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("fig.csv", "fig_fit.json")
+    )
+    assert digests == _FIGURE1_GOLDEN_SHA256
 
 
 def test_report_runs(capsys):

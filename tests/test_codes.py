@@ -28,6 +28,7 @@ from hqec.codes import (
     logical_failure,
     measure_stabilizer_eigenvalue,
     paper_five_qubit_code,
+    pauli_failures,
     standard_perfect_code,
     state_based_syndrome,
     syndrome_of,
@@ -370,6 +371,19 @@ def test_logical_failure_matches_matrix_oracle_exhaustively(code_id):
         checked += 1
     assert checked >= 4 ** code.n // 2
     assert set(expected_by_residual.values()) == {False, True}
+
+
+@pytest.mark.parametrize("code_id", CODE_IDS)
+def test_pauli_failures_matches_decoder_on_every_word(code_id):
+    code = get_code(code_id)
+    errors = [PauliString(word) for word in itertools.product(LETTERS, repeat=code.n)]
+    x = np.array([e.x for e in errors], dtype=np.uint64)
+    z = np.array([e.z for e in errors], dtype=np.uint64)
+    expected = []
+    for error in errors:
+        outcome = decode(syndrome_of(error, code), code)
+        expected.append(outcome.unknown or logical_failure(error, outcome.correction, code))
+    assert pauli_failures(code, x, z).tolist() == expected
 
 
 def test_logical_failure_length_validation():

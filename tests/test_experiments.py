@@ -4,9 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from hqec.quaternion import K_AXIS
-from hqec.codes import PauliString, get_code
-from hqec.noise import AngleDistribution, ErrorEvent, NoiseModel, RotationError
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from hqec import experiments
+from hqec.quaternion import I_AXIS, J_AXIS, K_AXIS, ImaginaryAxis
+from hqec.codes import CODE_IDS, PauliString, get_code
+from hqec.noise import (
+    AngleDistribution,
+    ErrorEvent,
+    NoiseModel,
+    RotationError,
+    sample_error,
+)
 from hqec.experiments import (
     Figure1Data,
     FitResult,
@@ -14,6 +25,7 @@ from hqec.experiments import (
     SweepPoint,
     SweepResult,
     closed_form_three_qubit,
+    count_failures,
     figure1_csv,
     figure1_data,
     fit_json,
@@ -210,6 +222,90 @@ def test_run_sweep_monotone_under_shared_seeds():
 def test_run_sweep_rejects_unknown_code():
     with pytest.raises(ValueError):
         run_sweep(SweepConfig("nope", bitflip_model(), (0.1,), trials=1, seed=0))
+
+
+# -- batched engine against the per-trial oracle --------------------------------
+
+_CODES = {code_id: get_code(code_id) for code_id in CODE_IDS}
+
+
+def oracle_counts(code, noise, p_values, seed, start, stop, detect, threshold):
+    """Per-point failure counts from ``sample_error`` and ``score_event``, one trial at a time."""
+    return [
+        sum(
+            score_event(code, sample_error(noise.with_p(p), code.n, seed, t), detect, threshold)
+            for t in range(start, stop)
+        )
+        for p in p_values
+    ]
+
+
+@st.composite
+def engine_cases(draw):
+    code = _CODES[draw(st.sampled_from(CODE_IDS))]
+    raw = draw(st.tuples(*[st.integers(0, 4)] * 3).filter(any))
+    weights = tuple(w / sum(raw) for w in raw)
+    p_values = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 0.02, 0.1, 0.4, 1.0]), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    angle = AngleDistribution(
+        draw(st.sampled_from(["fixed", "uniform"])),
+        draw(st.sampled_from([math.pi / 8, 0.05, 1.2, -0.7])),
+    )
+    noise = NoiseModel(
+        p=0.0,
+        pauli_weights=weights,
+        phase_mode=draw(st.sampled_from(["none", "table1"])),
+        p_rot=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        rot_axis=draw(st.sampled_from([K_AXIS, J_AXIS, I_AXIS, ImaginaryAxis.normalized(1, 2, 3)])),
+        rot_angle=angle,
+        rot_mode=draw(st.sampled_from(["zero", "all"])),
+    )
+    length = draw(st.integers(1, 20))
+    start = draw(st.one_of(st.integers(1, 10**6), st.just(2**64 - length)))
+    return dict(
+        code=code,
+        noise=noise,
+        p_values=p_values,
+        seed=draw(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**64 - 1]))),
+        start=start,
+        stop=start + length,
+        detect=draw(st.booleans()),
+        threshold=draw(st.sampled_from([0.0, 0.01, 0.2])),
+        chunk=draw(st.integers(1, 8)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_cases())
+def test_batched_engine_equals_per_trial_oracle(case):
+    args = (case["code"], case["noise"], case["p_values"], case["seed"],
+            case["start"], case["stop"], case["detect"], case["threshold"])
+    # A small chunk puts chunk boundaries inside every drawn range.
+    with mock.patch.object(experiments, "CHUNK_TRIALS", case["chunk"]):
+        assert count_failures(*args) == oracle_counts(*args)
+
+
+def test_batched_engine_crosses_the_real_chunk_boundary():
+    noise = NoiseModel(p=0.0, pauli_weights=(0.5, 0.2, 0.3), phase_mode="table1", p_rot=0.02)
+    start = 2**40 + 5
+    stop = start + experiments.CHUNK_TRIALS + 37
+    args = (_CODES["paper5"], noise, (0.05, 0.3), 2**64 - 1, start, stop, True, 0.01)
+    counts = count_failures(*args)
+    assert counts == oracle_counts(*args)
+    assert all(counts)
+
+
+def test_count_failures_range_validation():
+    code, noise = _CODES["three"], NoiseModel(p=0.0)
+    assert count_failures(code, noise, (0.1, 0.2), 0, 5, 5) == [0, 0]
+    for start, stop in ((-1, 3), (4, 3), (2**64 - 1, 2**64 + 1)):
+        with pytest.raises(ValueError):
+            count_failures(code, noise, (0.1,), 0, start, stop)
 
 
 # -- fitting ----------------------------------------------------------------------

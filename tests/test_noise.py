@@ -15,15 +15,18 @@ from hqec.codes import (
     syndrome_of,
 )
 from hqec.noise import (
+    DRAWS_PER_QUBIT,
     AngleDistribution,
     ErrorEvent,
-    ErrorSampler,
     NoiseModel,
     RotationError,
     apply_event,
     correct_rotation,
     detect_rotations,
     jk_excess,
+    pauli_masks,
+    philox_uniforms,
+    rotation_events,
     sample_error,
 )
 
@@ -44,13 +47,59 @@ def test_sample_error_reproducible():
     assert a != c or a != d  # streams keyed by both integers
 
 
-def test_error_sampler_matches_sample_error():
+def test_batch_draws_match_sample_error():
     model = NoiseModel(p=0.25, p_rot=0.1, rot_angle=AngleDistribution("uniform", 0.5))
-    sampler = ErrorSampler(model, 4, seed=9)
-    for trial in (0, 1, 5, 100, 99999):
-        assert sampler.sample(trial) == sample_error(model, 4, 9, trial)
-    # order independence: resample an earlier trial after later ones
-    assert sampler.sample(1) == sample_error(model, 4, 9, 1)
+    # unsorted, with a repeat: each row depends on its own trial number only
+    trials = [1, 99999, 0, 5, 100, 1, 2**64 - 1]
+    draws = philox_uniforms(9, np.array(trials, dtype=np.uint64), DRAWS_PER_QUBIT * 4)
+    x, z = pauli_masks(model, draws)
+    rotated = dict(rotation_events(model, draws))
+    for row, trial in enumerate(trials):
+        event = sample_error(model, 4, 9, trial)
+        assert (int(x[row]), int(z[row])) == (event.pauli.x, event.pauli.z)
+        if event.rotations:
+            assert rotated[row].rotations == event.rotations
+            assert rotated[row].pauli == PauliString.identity(4)
+            assert rotated[row].rot_mode == event.rot_mode
+        else:
+            assert row not in rotated
+    assert rotated  # both branches run
+
+
+_MAX = 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    ("seed", "trials", "count"),
+    [
+        (0, [0], 1),
+        (0, list(range(64)), 20),
+        (_MAX, [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, _MAX - 1, _MAX], 23),
+        (2**63, [_MAX, 0, 12345], 8),
+        (0x0123456789ABCDEF, [0xFEDCBA9876543210], 40),
+        (7, [3], 0),
+    ],
+)
+def test_philox_uniforms_match_numpy_generator(seed, trials, count):
+    got = philox_uniforms(seed, np.array(trials, dtype=np.uint64), count)
+    assert got.shape == (len(trials), count)
+    for row, trial in zip(got, trials):
+        key = np.array([seed, trial], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(count)
+        assert row.tobytes() == want.tobytes()
+
+
+def test_philox_uniforms_validation():
+    with pytest.raises(ValueError):
+        philox_uniforms(-1, np.array([0]), 4)
+    with pytest.raises(ValueError):
+        philox_uniforms(2**64, np.array([0]), 4)
+    with pytest.raises(ValueError):
+        philox_uniforms(0, np.array([-1]), 4)
+    with pytest.raises(ValueError):
+        philox_uniforms(0, np.array([0.5]), 4)
+    with pytest.raises(ValueError):
+        philox_uniforms(0, np.array([0]), -1)
 
 
 def test_sample_error_seed_bounds():
@@ -85,8 +134,9 @@ def test_sample_phase_mode_none():
 def test_sample_error_frequency():
     model = NoiseModel(p=0.1)
     trials, n = 20000, 5
-    sampler = ErrorSampler(model, n, seed=10)
-    count = sum(sampler.sample(t).pauli.weight for t in range(trials))
+    draws = philox_uniforms(10, np.arange(trials, dtype=np.uint64), DRAWS_PER_QUBIT * n)
+    x, z = pauli_masks(model, draws)
+    count = int(np.bitwise_count(x | z).sum())
     expected = trials * n * 0.1
     sigma = math.sqrt(trials * n * 0.1 * 0.9)
     assert abs(count - expected) <= 3 * sigma
@@ -94,19 +144,17 @@ def test_sample_error_frequency():
 
 def test_sample_letter_mixture():
     model = NoiseModel(p=1.0, pauli_weights=(0.5, 0.25, 0.25))
-    sampler = ErrorSampler(model, 1, seed=11)
     counts = {"X": 0, "Y": 0, "Z": 0}
     trials = 8000
     for t in range(trials):
-        counts[sampler.sample(t).pauli.letters[0]] += 1
+        counts[sample_error(model, 1, 11, t).pauli.letters[0]] += 1
     assert abs(counts["X"] - trials * 0.5) <= 3 * math.sqrt(trials * 0.25)
     assert abs(counts["Y"] - trials * 0.25) <= 3 * math.sqrt(trials * 0.1875)
 
 
 def test_sample_uniform_angles_bounded():
     model = NoiseModel(p=0.0, p_rot=1.0, rot_angle=AngleDistribution("uniform", 0.4))
-    sampler = ErrorSampler(model, 3, seed=12)
-    angles = [r.angle for t in range(200) for r in sampler.sample(t).rotations]
+    angles = [r.angle for t in range(200) for r in sample_error(model, 3, 12, t).rotations]
     assert len(angles) == 600
     assert all(0.0 <= a < 0.4 for a in angles)
     assert max(angles) > 0.3  # actually spreads over the range
@@ -123,6 +171,39 @@ def test_noise_model_validation():
         NoiseModel(p=0.1, phase_mode="both")
     with pytest.raises(ValueError):
         NoiseModel(p=0.1, rot_mode="some")
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (math.nan, 1.0, 1.0),
+        (1.0, math.nan, 0.0),
+        (math.inf, 0.0, 0.0),
+        (True, False, False),
+        (1, False, 0),
+        ("1", 0, 0),
+        (0.5, 0.5),
+        (0.25, 0.25, 0.25, 0.25),
+    ],
+)
+def test_noise_model_rejects_bad_weights(weights):
+    with pytest.raises(ValueError, match="pauli_weights"):
+        NoiseModel(p=0.1, pauli_weights=weights)
+    with pytest.raises(ValueError):
+        NoiseModel.from_dict({"p": 0.1, "weights": list(weights)})
+
+
+def test_noise_model_accepts_integer_and_numpy_weights():
+    model = NoiseModel(p=0.1, pauli_weights=(1, 0, np.float64(0.0)))
+    assert model.pauli_weights == (1.0, 0.0, 0.0)
+    assert all(type(w) is float for w in model.pauli_weights)
+
+
+@pytest.mark.parametrize("key", ["p", "p_rot"])
+@pytest.mark.parametrize("value", [True, False, None, "x"])
+def test_noise_dict_rejects_non_numeric_rates(key, value):
+    with pytest.raises(ValueError, match=key):
+        NoiseModel.from_dict({"p": 0.1, key: value})
 
 
 def test_noise_model_dict_roundtrip():
