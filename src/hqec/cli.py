@@ -20,6 +20,7 @@ the ``HQEC_THREADS`` parallelism cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -27,8 +28,9 @@ from dataclasses import dataclass
 
 from . import quaternion as quat
 from .quaternion import ImaginaryAxis, format_quaternion
-from .linalg import is_unitary, matrix_to_dict, phase_alignment_check
+from .linalg import UnitarityReport, is_unitary, matrix_to_dict, phase_alignment_check
 from .register import (
+    Gate,
     bell_prepare,
     cnot_gate,
     hadamard_gate,
@@ -41,6 +43,10 @@ from .codes import (
     CODE_IDS,
     MAPPING_TABLE,
     MAPPING_TEXT,
+    AuditReport,
+    CodewordReport,
+    StabilizerCode,
+    Syndrome,
     audit_against_paper,
     build_syndrome_table,
     codeword_action_diff,
@@ -158,6 +164,7 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+@functools.cache  # parse_args reuses one parser; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hqec",
@@ -336,13 +343,17 @@ def _seed_value(value) -> int:
     return value
 
 
-def _rate(name: str, value) -> float:
-    if isinstance(value, bool):  # float(True) would run at rate 1
+def _number(name: str, value) -> float:
+    if isinstance(value, bool):  # float() would read a JSON true as 1.0
         raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
-        value = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
+def _rate(name: str, value) -> float:
+    value = _number(name, value)
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"{name} must be in [0, 1], got {value}")
     return value
@@ -350,12 +361,7 @@ def _rate(name: str, value) -> float:
 
 def _threshold(value) -> float:
     """Detection threshold: a finite number >= 0 (NaN would disable detection)."""
-    if isinstance(value, bool):
-        raise ConfigError(f"threshold must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"threshold must be a number, got {value!r}") from None
+    value = _number("threshold", value)
     if not 0.0 <= value < math.inf:
         raise ConfigError(f"threshold must be a finite number >= 0, got {value}")
     return value
@@ -374,10 +380,9 @@ def _validate_mc(merged: dict) -> dict:
         if not isinstance(merged["noise"], dict):
             raise ConfigError("noise section must be an object")
         try:
-            base = NoiseModel.from_dict({"p": 0.0, **merged["noise"]})
+            noise = NoiseModel.from_dict({"p": 0.0, **merged["noise"]})
         except ValueError as exc:
             raise ConfigError(f"bad noise section: {exc}") from None
-        noise = base
     else:
         weights = (
             merged["weights"]
@@ -419,64 +424,57 @@ def _emit(text: str, output_path: str | None) -> None:
             fh.write(text)
 
 
-def _gate_audit_lines() -> list[str]:
-    lines = []
-    for gate in (hadamard_gate(), cnot_gate(), pauli_gate("X"), pauli_gate("Y"),
-                 pauli_gate("Z"), t_gate(), phased_pauli_gate("X"), phased_pauli_gate("Y"),
-                 phased_pauli_gate("Z"), identity_gate()):
-        report = is_unitary(gate.matrix)
-        verdict = "PASS" if report.passed else "FAIL"
-        aligned = phase_alignment_check(gate.matrix)
-        lines.append(
-            f"gate {gate.name}: unitary={verdict} max_deviation={report.max_deviation:.12g} "
-            f"worst_entry={report.worst_entry} phase_aligned={'yes' if aligned else 'no'} "
-            f"side={gate.side.value}"
-        )
-    return lines
+@dataclass(frozen=True)
+class _Findings:
+    """What the audit commands report, computed once per command."""
+
+    bell: str  # the rendered benchmark state
+    gates: dict[str, tuple[Gate, UnitarityReport, bool]]  # name -> gate, unitarity, aligned
+    codes: dict[str, StabilizerCode]
+    codewords: dict[str, CodewordReport]
+    table2: AuditReport  # paper5 syndrome table against the published rows
+    mappings: tuple[tuple[str, int], ...]  # codeword slot action: name, rows matching
 
 
-def _audit_summary_line() -> str:
-    hadamard = is_unitary(hadamard_gate().matrix)
-    cnot = is_unitary(cnot_gate().matrix)
-    table = build_syndrome_table(get_code("paper5"))
-    audit = audit_against_paper(table)
-    paper5_words = verify_codewords(get_code("paper5"))
-    return (
-        f"AUDIT hadamard_unitary={'PASS' if hadamard.passed else 'FAIL'} "
-        f"cnot_unitary={'PASS' if cnot.passed else 'FAIL'} "
-        f"table2_mismatches={audit.mismatch_count} "
-        f"codeword_check_paper5={'PASS' if paper5_words.passed else 'FAIL'}"
+def _findings() -> _Findings:
+    gates = (hadamard_gate(), cnot_gate(), *map(pauli_gate, "XYZ"), t_gate(),
+             *map(phased_pauli_gate, "XYZ"), identity_gate())
+    codes = {code_id: get_code(code_id) for code_id in CODE_IDS}
+    return _Findings(
+        bell=bell_prepare().render(),
+        gates={g.name: (g, is_unitary(g.matrix), phase_alignment_check(g.matrix)) for g in gates},
+        codes=codes,
+        codewords={code_id: verify_codewords(code) for code_id, code in codes.items()},
+        table2=audit_against_paper(build_syndrome_table(codes["paper5"])),
+        mappings=tuple(
+            (name, codeword_action_diff(mapping)[1])
+            for name, mapping in (("table-implied", MAPPING_TABLE), ("prose", MAPPING_TEXT))
+        ),
     )
 
 
-def _cmd_bell(config: RunConfig) -> int:
-    reg = bell_prepare()
-    lines = [f"bell state: {reg.render()}"]
-    for gate in (hadamard_gate(), cnot_gate()):
-        report = is_unitary(gate.matrix)
-        verdict = "PASS" if report.passed else "FAIL"
-        lines.append(
-            f"gate {gate.name}: unitary={verdict} "
-            f"max_deviation={report.max_deviation:.12g} worst_entry={report.worst_entry}"
-        )
-    _emit("\n".join(lines) + "\n", config.output_path)
-    return 0
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    lines = []
-    for code_id in CODE_IDS:
-        report = verify_codewords(get_code(code_id))
-        verdict = "PASS" if report.passed else "FAIL"
-        lines.append(f"codewords {code_id}: {verdict}")
-    lines.append(_audit_summary_line())
-    _emit("\n".join(lines) + "\n", config.output_path)
-    return 0
+def _gate_line(gate: Gate, report: UnitarityReport) -> str:
+    return (
+        f"gate {gate.name}: unitary={_verdict(report.passed)} "
+        f"max_deviation={report.max_deviation:.12g} worst_entry={report.worst_entry}"
+    )
 
 
-def _codeword_report_lines(code_id: str) -> list[str]:
-    report = verify_codewords(get_code(code_id))
-    lines = [f"codeword verification [{code_id}]: {'PASS' if report.passed else 'FAIL'}"]
+def _summary_line(f: _Findings) -> str:
+    return (
+        f"AUDIT hadamard_unitary={_verdict(f.gates['H'][1].passed)} "
+        f"cnot_unitary={_verdict(f.gates['CNOT'][1].passed)} "
+        f"table2_mismatches={f.table2.mismatch_count} "
+        f"codeword_check_paper5={_verdict(f.codewords['paper5'].passed)}"
+    )
+
+
+def _codeword_lines(code_id: str, report: CodewordReport) -> list[str]:
+    lines = [f"codeword verification [{code_id}]: {_verdict(report.passed)}"]
     for check in report.checks:
         lines.append(
             f"  generator {check.generator}: fixes |0_L> "
@@ -488,30 +486,55 @@ def _codeword_report_lines(code_id: str) -> list[str]:
     return lines
 
 
-def _audit_json() -> str:
+def _collision_lines(audit: AuditReport) -> list[str]:
+    return [
+        f"collision {Syndrome(bits)}: {' '.join(labels)}"
+        for bits, labels in sorted(audit.collisions.items())
+    ]
+
+
+def _bell_lines(f: _Findings) -> list[str]:
+    gates = (_gate_line(gate, report) for gate, report, _ in (f.gates["H"], f.gates["CNOT"]))
+    return [f"bell state: {f.bell}", *gates]
+
+
+def _verify_lines(f: _Findings) -> list[str]:
+    lines = [f"codewords {code_id}: {_verdict(r.passed)}" for code_id, r in f.codewords.items()]
+    return [*lines, _summary_line(f)]
+
+
+def _audit_lines(f: _Findings) -> list[str]:
+    audit = f.table2
+    lines = ["published syndrome table diff [paper5]:"]
+    for row in audit.rows:
+        status = "match" if row.match else "MISMATCH"
+        lines.append(
+            f"  {row.error_label}: computed {row.computed} reference {row.reference} {status}"
+        )
+    lines.append(f"mismatch count: {audit.mismatch_count}")
+    lines.extend(_collision_lines(audit))
+    if audit.trivial_syndrome_errors:
+        lines.append("trivial computed syndrome: " + " ".join(audit.trivial_syndrome_errors))
+    for code_id, report in f.codewords.items():
+        lines.extend(_codeword_lines(code_id, report))
+    return [*lines, _summary_line(f)]
+
+
+def _audit_json_lines(f: _Findings) -> list[str]:
     """Machine-readable audit: gate matrices in the standard serialization
     plus the row-level table diff and codeword verdicts."""
-    gates = {}
-    for gate in (hadamard_gate(), cnot_gate()):
-        report = is_unitary(gate.matrix)
-        gates[gate.name] = {
-            "matrix": matrix_to_dict(gate.matrix),
-            "side": gate.side.value,
-            "unitary": report.passed,
-            "max_deviation": report.max_deviation,
-        }
-    audit = audit_against_paper(build_syndrome_table(get_code("paper5")))
+    audit = f.table2
     payload = {
-        "gates": gates,
+        "gates": {
+            name: {"matrix": matrix_to_dict(gate.matrix), "side": gate.side.value,
+                   "unitary": report.passed, "max_deviation": report.max_deviation}
+            for name, (gate, report, _) in f.gates.items() if name in ("H", "CNOT")
+        },
         "table2": {
             "mismatch_count": audit.mismatch_count,
             "rows": [
-                {
-                    "error": row.error_label,
-                    "computed": list(row.computed.bits),
-                    "reference": list(row.reference.bits),
-                    "match": row.match,
-                }
+                {"error": row.error_label, "computed": list(row.computed.bits),
+                 "reference": list(row.reference.bits), "match": row.match}
                 for row in audit.rows
             ],
             "collisions": {
@@ -520,37 +543,47 @@ def _audit_json() -> str:
             },
             "trivial_syndrome_errors": list(audit.trivial_syndrome_errors),
         },
-        "codewords": {
-            code_id: verify_codewords(get_code(code_id)).passed for code_id in CODE_IDS
-        },
+        "codewords": {code_id: report.passed for code_id, report in f.codewords.items()},
     }
-    return json.dumps(payload)
+    return [json.dumps(payload)]
 
 
-def _cmd_audit(config: RunConfig) -> int:
-    if config.parameters.get("format") == "json":
-        _emit(_audit_json() + "\n", config.output_path)
-        return 0
-    table = build_syndrome_table(get_code("paper5"))
-    audit = audit_against_paper(table)
-    lines = ["published syndrome table diff [paper5]:"]
-    for row in audit.rows:
-        status = "match" if row.match else "MISMATCH"
+def _report_lines(f: _Findings) -> list[str]:
+    lines = ["state and gate benchmark", "-" * 40, f"bell state: {f.bell}"]
+    for gate, report, aligned in f.gates.values():
         lines.append(
-            f"  {row.error_label}: computed {row.computed} reference {row.reference} {status}"
+            f"{_gate_line(gate, report)} phase_aligned={'yes' if aligned else 'no'} "
+            f"side={gate.side.value}"
         )
-    lines.append(f"mismatch count: {audit.mismatch_count}")
-    for bits, labels in sorted(audit.collisions.items()):
-        syndrome = "(" + ",".join(f"{b:+d}" for b in bits) + ")"
-        lines.append(f"collision {syndrome}: {' '.join(labels)}")
-    if audit.trivial_syndrome_errors:
-        lines.append(
-            "trivial computed syndrome: " + " ".join(audit.trivial_syndrome_errors)
-        )
-    for code_id in CODE_IDS:
-        lines.extend(_codeword_report_lines(code_id))
-    lines.append(_audit_summary_line())
-    _emit("\n".join(lines) + "\n", config.output_path)
+    lines.append("note: the conditional-flip operation is non-linear and therefore "
+                 "excluded from the unitary audit")
+    lines += ["", "codes", "-" * 40]
+    for code_id, code in f.codes.items():
+        words = " ".join(g.word() for g in code.generators)
+        lines.append(f"{code_id}: [[{code.n},{code.k},{code.d}]] generators: {words}")
+        lines.extend(_codeword_lines(code_id, f.codewords[code_id]))
+    lines += ["", "published syndrome table audit [paper5]", "-" * 40]
+    lines.append(f"mismatch count: {f.table2.mismatch_count} of {len(f.table2.rows)} rows")
+    lines.extend(_collision_lines(f.table2))
+    lines += ["", "codeword slot action vs published rows", "-" * 40]
+    for name, matches in f.mappings:
+        lines.append(f"mapping {name}: {matches}/6 rows match the published table")
+    return [*lines, "", _summary_line(f)]
+
+
+# (command, --format) -> renderer of the findings
+_RENDERERS = {
+    ("bell", "text"): _bell_lines,
+    ("verify", "text"): _verify_lines,
+    ("audit", "text"): _audit_lines,
+    ("audit", "json"): _audit_json_lines,
+    ("report", "text"): _report_lines,
+}
+
+
+def _cmd_findings(config: RunConfig) -> int:
+    render = _RENDERERS[config.command, config.parameters.get("format", "text")]
+    _emit("\n".join(render(_findings())) + "\n", config.output_path)
     return 0
 
 
@@ -649,49 +682,15 @@ def _cmd_figure1(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_report(config: RunConfig) -> int:
-    lines = ["state and gate benchmark", "-" * 40]
-    lines.append(f"bell state: {bell_prepare().render()}")
-    lines.extend(_gate_audit_lines())
-    lines.append("note: the conditional-flip operation is non-linear and therefore "
-                 "excluded from the unitary audit")
-    lines.append("")
-    lines.append("codes")
-    lines.append("-" * 40)
-    for code_id in CODE_IDS:
-        code = get_code(code_id)
-        words = " ".join(g.word() for g in code.generators)
-        lines.append(f"{code_id}: [[{code.n},{code.k},{code.d}]] generators: {words}")
-        lines.extend(_codeword_report_lines(code_id))
-    lines.append("")
-    lines.append("published syndrome table audit [paper5]")
-    lines.append("-" * 40)
-    audit = audit_against_paper(build_syndrome_table(get_code("paper5")))
-    lines.append(f"mismatch count: {audit.mismatch_count} of {len(audit.rows)} rows")
-    for bits, labels in sorted(audit.collisions.items()):
-        syndrome = "(" + ",".join(f"{b:+d}" for b in bits) + ")"
-        lines.append(f"collision {syndrome}: {' '.join(labels)}")
-    lines.append("")
-    lines.append("codeword slot action vs published rows")
-    lines.append("-" * 40)
-    for name, mapping in (("table-implied", MAPPING_TABLE), ("prose", MAPPING_TEXT)):
-        _, matches = codeword_action_diff(mapping)
-        lines.append(f"mapping {name}: {matches}/6 rows match the published table")
-    lines.append("")
-    lines.append(_audit_summary_line())
-    _emit("\n".join(lines) + "\n", config.output_path)
-    return 0
-
-
 _DISPATCH = {
-    "bell": _cmd_bell,
-    "verify": _cmd_verify,
-    "audit": _cmd_audit,
+    "bell": _cmd_findings,
+    "verify": _cmd_findings,
+    "audit": _cmd_findings,
     "syndrome-table": _cmd_syndrome_table,
     "mc": _cmd_mc,
     "fit": _cmd_fit,
     "figure1": _cmd_figure1,
-    "report": _cmd_report,
+    "report": _cmd_findings,
 }
 
 

@@ -61,10 +61,12 @@ class AngleDistribution:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AngleDistribution":
+        if not isinstance(data, dict):
+            raise ValueError(f"angle must be an object with 'fixed' or 'uniform_max', got {data!r}")
         if set(data) == {"fixed"}:
-            return cls("fixed", float(data["fixed"]))
+            return cls("fixed", _config_number("angle fixed", data["fixed"]))
         if set(data) == {"uniform_max"}:
-            return cls("uniform", float(data["uniform_max"]))
+            return cls("uniform", _config_number("angle uniform_max", data["uniform_max"]))
         raise ValueError(f"angle dict must have exactly 'fixed' or 'uniform_max', got {sorted(data)}")
 
 
@@ -121,7 +123,7 @@ class NoiseModel:
             raise ValueError(f"unknown noise config keys: {sorted(unknown)}")
         kwargs: dict = {}
         if "p" in data:
-            kwargs["p"] = _config_rate("p", data["p"])
+            kwargs["p"] = _config_number("p", data["p"])
         else:
             raise ValueError("noise config is missing 'p'")
         if "weights" in data:
@@ -131,10 +133,11 @@ class NoiseModel:
         if "phase_mode" in data:
             kwargs["phase_mode"] = str(data["phase_mode"])
         if "p_rot" in data:
-            kwargs["p_rot"] = _config_rate("p_rot", data["p_rot"])
+            kwargs["p_rot"] = _config_number("p_rot", data["p_rot"])
         if "axis" in data:
-            x, y, z = (float(c) for c in data["axis"])
-            kwargs["rot_axis"] = ImaginaryAxis(x, y, z)
+            if not isinstance(data["axis"], (list, tuple)) or len(data["axis"]) != 3:
+                raise ValueError(f"axis must be a list of three numbers, got {data['axis']!r}")
+            kwargs["rot_axis"] = ImaginaryAxis(*(_config_number("axis", c) for c in data["axis"]))
         if "angle" in data:
             kwargs["rot_angle"] = AngleDistribution.from_dict(data["angle"])
         if "rot_mode" in data:
@@ -142,7 +145,7 @@ class NoiseModel:
         return cls(**kwargs)
 
 
-def _config_rate(name: str, value) -> float:
+def _config_number(name: str, value) -> float:
     # float() would read a JSON true as 1.0
     if isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value!r}")
@@ -395,10 +398,7 @@ def correct_rotation(
     reg: QRegister, qubit: int, axis: ImaginaryAxis, angle: float, mode: str = "zero"
 ) -> QRegister:
     """Undo a rotation by applying the inverse unit ``exp_axis(axis, -angle)``."""
-    if not 1 <= qubit <= reg.n:
-        raise ValueError(f"qubit {qubit} out of range 1..{reg.n}")
-    comp = _rotate_components(reg.amps.components, reg.n, qubit, axis, -angle, mode)
-    return QRegister.from_components(reg.n, comp)
+    return apply_rotations(reg, (RotationError(qubit, axis, -angle),), mode)
 
 
 def jk_excess(reg: QRegister, reference: QRegister) -> float:

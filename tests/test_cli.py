@@ -1,9 +1,11 @@
+import collections
 import hashlib
 import json
 import math
 
 import pytest
 
+from hqec import cli
 from hqec.cli import ConfigError, main, parse_args, _parse_p_range
 
 
@@ -49,6 +51,20 @@ def test_parse_args_mc():
     assert len(config.parameters["p_values"]) == 10
     assert config.parameters["trials"] == 1000
     assert config.seed == 7
+
+
+def test_parse_args_reuses_one_parser_without_leaking_flags():
+    base = ["mc", "--code", "three", "--p", "0.1:0.2:lin:2"]
+    assert parse_args([*base, "--detect"]).parameters["detect"] is True
+    assert parse_args(base).parameters["detect"] is False
+    first = parse_args(["figure1", "--out", "a", "--trials", "7", "--rotations", "0.2",
+                        "--include-model"]).parameters
+    second = parse_args(["figure1", "--out", "b"])
+    assert (first["trials"], first["rotations"], first["include_model"]) == (7, 0.2, True)
+    assert second.output_path == "b"
+    assert (second.parameters["trials"], second.parameters["rotations"],
+            second.parameters["include_model"]) == (20000, 0.05, False)
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_missing_subcommand_exits_2(capsys):
@@ -199,6 +215,12 @@ _BAD_WEIGHTS = ([math.nan, 1, 1], [math.inf, 0, 0], [True, False, False])
         *(("flat", "weights", w) for w in _BAD_WEIGHTS),
         *(("noise", "weights", w) for w in _BAD_WEIGHTS),
         ("noise", "weights", 1.0),
+        ("noise", "axis", [True, False, False]),
+        ("noise", "axis", 5),
+        ("noise", "axis", [0, 0, None]),
+        ("noise", "angle", {"fixed": True}),
+        ("noise", "angle", 5),
+        ("noise", "angle", {"fixed": None}),
     ],
 )
 def test_config_bool_and_non_finite_noise_values_exit_3(tmp_path, capsys, section, key, value):
@@ -229,7 +251,7 @@ def test_config_integer_noise_values_accepted(tmp_path, capsys):
              "--seed", "4", "--weights", "1,0,0")
     expected = run_cli(capsys, *flags)[1]
     for body in ({"weights": [1, 0, 0], "rotations": 0},
-                 {"noise": {"p": 0, "weights": [1, 0, 0], "p_rot": 0}}):
+                 {"noise": {"p": 0, "weights": [1, 0, 0], "p_rot": 0, "axis": [0, 0, 1]}}):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"code": "three", "p": "0.05:0.2:log:3", "trials": 20,
                                       "seed": 4, **body}))
@@ -469,3 +491,69 @@ def test_audit_json_embeds_matrices(capsys):
     assert payload["gates"]["H"]["unitary"] is False
     assert payload["table2"]["mismatch_count"] == 9
     assert payload["codewords"] == {"three": True, "paper5": False, "perfect5": True}
+
+
+# stdout SHA-256 of the audit and syndrome-table commands, recorded before the
+# audit commands shared one findings build; the eight runs the benchmark
+# covers equal its bench/reference/outputs.json digests.
+_AUDIT_GOLDEN_SHA256 = {
+    ("bell",): "8073fa16030f67677643fa89d60fce96322342556f407a87a995dcf39843a3bb",
+    ("verify",): "c053c15f7aaffc69aba21ce8ebc0515b3263e4807f9628dee4064ae6b82c7cc0",
+    ("report",): "5c462e54d9f3069619aa63b7c6673027b36473d9b42aeed3bc74b88d436634d4",
+    ("audit",): "16be2427333fd225588c8180187b3e95c7bdf3d4a9499669ea4aa5d94f30121b",
+    ("audit", "--format", "json"):
+        "b1403e75869f053b5b2be22c768c309f4b1dc26f0ea1e91c40b859e9cc354212",
+    ("syndrome-table", "--code", "three", "--format", "csv"):
+        "687ed737ae127a922591d23bc8479bf723515f6b43d10251740d339c505e4195",
+    ("syndrome-table", "--code", "three", "--format", "text"):
+        "ccaf03a8133911da0bcc5bae217bf0c03ea9a66d177774a120eb5e2e34dd471d",
+    ("syndrome-table", "--code", "paper5", "--format", "csv"):
+        "fb9a2ca8f6ab828d311d40330fb0cf1af17c1ffe3e6907ad82dd7904ec0cc19e",
+    ("syndrome-table", "--code", "paper5", "--format", "text"):
+        "a5e7b29cdc27a0a3c5c53e83d850522551f864940ee58aaf69a4731358c3c93b",
+    ("syndrome-table", "--code", "perfect5", "--format", "csv"):
+        "e885a7127e8db8526648ec9a137890f7c1a86d76f66d2d527a5b0fd36997dcb4",
+    ("syndrome-table", "--code", "perfect5", "--format", "text"):
+        "349c635e967fa2fce87c7adbcc5c010a0b8f6fa99e711190571ba33e850f8251",
+}
+
+
+@pytest.mark.parametrize("argv", list(_AUDIT_GOLDEN_SHA256), ids=" ".join)
+def test_audit_golden_bytes(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _AUDIT_GOLDEN_SHA256[argv]
+
+
+# name in hqec.cli -> the thing one call of it is about
+_AUDIT_CALL_KEYS = {
+    "get_code": lambda code_id: code_id,
+    "verify_codewords": lambda code: code.code_id,
+    "build_syndrome_table": lambda code, *_: code.code_id,
+    "audit_against_paper": lambda table: table.code_id,
+    "is_unitary": lambda m, *_: hashlib.sha256(m.components.tobytes()).hexdigest()[:12],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", [("bell",), ("verify",), ("audit",), ("audit", "--format", "json"), ("report",)],
+    ids=" ".join,
+)
+def test_audit_commands_compute_each_finding_once(monkeypatch, capsys, argv):
+    calls = collections.Counter()
+
+    def counted(name, key):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name, key(*args, **kwargs)] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name, key in _AUDIT_CALL_KEYS.items():
+        monkeypatch.setattr(cli, name, counted(name, key))
+    assert run_cli(capsys, *argv)[0] == 0
+    # Every finding goes through the names hqec.cli imports, once per code or gate.
+    assert {name for name, _ in calls} == set(_AUDIT_CALL_KEYS)
+    assert max(calls.values()) == 1, calls
