@@ -23,6 +23,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -420,8 +421,41 @@ def _emit(text: str, output_path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
+        _write_file(output_path, text)
+
+
+def _write_file(path: str, text: str) -> None:
+    """Write ``text`` whole: to a temporary file beside ``path``, then renamed onto it."""
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "x", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.replace(temporary, path)
+    finally:
+        if os.path.exists(temporary):
+            os.remove(temporary)
+
+
+def _figure1_paths(prefix: str) -> tuple[str, str]:
+    return f"{prefix}.csv", f"{prefix}_fit.json"
+
+
+def _check_output_paths(config: RunConfig) -> None:
+    """Raise :class:`ConfigError` unless every file the command writes can be written."""
+    if config.output_path is None:
+        return
+    if config.command == "figure1":
+        paths = _figure1_paths(config.output_path)
+    else:
+        paths = (config.output_path,)
+    for path in paths:
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise ConfigError(f"output directory {directory!r} does not exist")
+        if not os.access(directory, os.W_OK | os.X_OK):
+            raise ConfigError(f"output directory {directory!r} is not writable")
+        if os.path.isdir(path):
+            raise ConfigError(f"output path {path!r} is a directory")
 
 
 @dataclass(frozen=True)
@@ -671,13 +705,9 @@ def _cmd_figure1(config: RunConfig) -> int:
         SweepConfig(quaternionic_detection=False, **base),
         SweepConfig(quaternionic_detection=True, **base),
     )
-    prefix = config.output_path
-    csv_path = f"{prefix}.csv"
-    json_path = f"{prefix}_fit.json"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(figure1_csv(data, include_model_curves=params["include_model"]))
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(figure1_fits_json(data) + "\n")
+    csv_path, json_path = _figure1_paths(config.output_path)
+    _write_file(csv_path, figure1_csv(data, include_model_curves=params["include_model"]))
+    _write_file(json_path, figure1_fits_json(data) + "\n")
     sys.stdout.write(f"wrote {csv_path}\nwrote {json_path}\n")
     return 0
 
@@ -695,7 +725,12 @@ _DISPATCH = {
 
 
 def run(config: RunConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit code."""
+    """Dispatch a parsed configuration; returns the process exit code.
+
+    Output paths are checked before any work, so a run that could not
+    write its result fails at once with :class:`ConfigError`.
+    """
+    _check_output_paths(config)
     return _DISPATCH[config.command](config)
 
 

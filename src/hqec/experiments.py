@@ -23,7 +23,15 @@ paired configurations share their noise realizations.
 reference.  Sweeps run the batched engine, :func:`count_failures`: it
 draws the uniforms of up to :data:`CHUNK_TRIALS` trials at once and
 scores them at every p of the grid, with counts equal to the per-trial
-loop bit for bit.
+loop bit for bit.  The Pauli channel is scored as bitmask arrays.  The
+rotation channel is scored as arrays of damaged ``|0_L>`` states: the
+rotations of an event share one axis, so each slot is the reference slot
+times a product of unit quaternions, and detection and correction are
+per-qubit slot sums and inverse units.  A trial whose compared excesses
+lie within :data:`GUARD` of the threshold, where the other summation
+order could flip the verdict, is scored by :func:`score_event` instead.
+:func:`figure1_data` scores both pipelines in one pass of the engine, so
+they share the draws, the Pauli failures and the damaged states.
 """
 
 from __future__ import annotations
@@ -57,9 +65,12 @@ from .noise import (
     jk_excess,
     pauli_masks,
     philox_uniforms,
-    rotation_events,
+    rotation_angles,
     sample_error,
+    slot_cover,
 )
+from .linalg import left_mul_matrix
+from .quaternion import Quaternion
 
 #: Published performance targets, attached to outputs as annotations only.
 TARGET_STANDARD_EXPONENT = 2.0
@@ -221,6 +232,12 @@ def thread_count() -> int:
 #: take ``32 * n`` bytes per trial) whatever the trial count.
 CHUNK_TRIALS = 8192
 
+#: Half-width of the band around the detection threshold in which the
+#: batched rotation scorer defers to :func:`score_event`.  It sums in
+#: another order than that oracle, so a comparison this close to the
+#: threshold could go the other way there.
+GUARD = 1e-9
+
 
 def count_failures(
     code: StabilizerCode,
@@ -237,28 +254,125 @@ def count_failures(
     The batched trial engine; ``noise`` is a template whose ``p`` each
     point replaces.  Entry ``i`` equals the number of those trials for
     which ``run_trial(code, noise.with_p(p_values[i]), seed, t, ...)``
-    fails, bit for bit.  The uniforms of a chunk of trials are
-    drawn once for every point; the Pauli channel is scored as mask arrays
-    by :func:`codes.pauli_failures`, and a trial that carries rotations is
-    scored once through :func:`score_event` with its Pauli part removed,
-    because the rotation channel does not depend on ``p``.
+    fails, bit for bit.  The uniforms of a chunk of trials are drawn once
+    for every point.  The Pauli channel is scored as mask arrays by
+    :func:`codes.pauli_failures`.  The rotation channel does not depend on
+    ``p``: the chunk's rotated trials are scored once, as arrays of damaged
+    ``|0_L>`` states, and a trial whose compared excesses lie within
+    :data:`GUARD` of the threshold is scored again through
+    :func:`score_event` with its Pauli part removed.
+    """
+    pipeline = (noise, quaternionic_detection, detection_threshold)
+    return _count_pipelines(code, (pipeline,), p_values, seed, start, stop)[0]
+
+
+def _count_pipelines(code, pipelines, p_values, seed, start, stop) -> list[list[int]]:
+    """:func:`count_failures` for several ``(noise, detect, threshold)`` at once.
+
+    Pipelines share the draws, the Pauli failures when their Pauli weights
+    agree, and the damaged states when their rotation parameters agree.
     """
     if not 0 <= start <= stop <= 2**64:
         raise ValueError(f"need 0 <= start <= stop <= 2**64, got {start}, {stop}")
-    counts = [0] * len(p_values)
+    counts = [[0] * len(p_values) for _ in pipelines]
     for lo in range(start, stop, CHUNK_TRIALS):
         size = min(CHUNK_TRIALS, stop - lo)
         trials = np.uint64(lo) + np.arange(size, dtype=np.uint64)
         draws = philox_uniforms(seed, trials, DRAWS_PER_QUBIT * code.n)
-        rotation_failed = np.zeros(size, dtype=bool)
-        for row, event in rotation_events(noise, draws):
-            rotation_failed[row] = score_event(
-                code, event, quaternionic_detection, detection_threshold
-            )
-        for i, p in enumerate(p_values):
-            x, z = pauli_masks(noise.with_p(p), draws)
-            counts[i] += int(np.count_nonzero(pauli_failures(code, x, z) | rotation_failed))
+        pauli: dict = {}
+        rotation: dict = {}
+        for tally, (noise, detect, threshold) in zip(counts, pipelines):
+            weights = noise.pauli_weights
+            if weights not in pauli:
+                pauli[weights] = [
+                    pauli_failures(code, *pauli_masks(noise.with_p(p), draws)) for p in p_values
+                ]
+            failed = pauli[weights]
+            if noise.p_rot > 0.0:
+                key = (noise.p_rot, noise.rot_axis, noise.rot_angle, noise.rot_mode)
+                if key not in rotation:
+                    rotation[key] = _RotationChunk(code, noise, seed, trials, draws)
+                rotated = rotation[key].failures(detect, threshold)
+                failed = [f | rotated for f in failed]
+            for i, f in enumerate(failed):
+                tally[i] += int(np.count_nonzero(f))
     return counts
+
+
+class _RotationChunk:
+    """The rotation channel of one chunk of trials, scored as arrays.
+
+    All rotations of an event turn about ``noise.rot_axis``, so they
+    commute.  Each slot of the damaged ``|0_L>`` is therefore the reference
+    slot multiplied on the left by ``w + v a``, the product of the units
+    ``cos(theta) + a sin(theta)`` of the rotations whose slot
+    (:func:`noise.slot_cover`) holds it, with ``a`` the axis as a pure
+    quaternion.  Units are multiplied, not angles added, so the result
+    stays as accurate as the oracle's for any angle.  The damaged states
+    are built once and scored by each pipeline that shares the rotation
+    parameters.
+    """
+
+    def __init__(self, code, noise, seed, trials, draws) -> None:
+        self.code, self.quiet, self.seed, self.trials = code, noise.with_p(0.0), seed, trials
+        self.rows, angles = rotation_angles(noise, draws)
+        self.moved = angles != 0.0
+        self.cos, self.sin = np.cos(angles), np.sin(angles)
+        self.cover = slot_cover(code.n, noise.rot_mode)
+        axis = noise.rot_axis
+        self.axis_norm = axis.x * axis.x + axis.y * axis.y + axis.z * axis.z
+        ref = code.codeword_zero.amps.components
+        turned = ref @ left_mul_matrix(Quaternion(0.0, axis.x, axis.y, axis.z)).T
+        self.ref_jk, self.turned_jk = ref[:, 2:], turned[:, 2:]
+        ref_strengths = self.ref_jk**2
+        self.ref_total = ref_strengths.sum(axis=0)
+        self.ref_slots = self.cover @ ref_strengths
+        ones = np.ones((self.rows.size, ref.shape[0]))
+        self.w, self.v = self._multiply(ones, np.zeros_like(ones), self.cos, self.sin)
+        self.strengths = self._jk_strengths(self.w, self.v)
+
+    def _multiply(self, w, v, cos, sin):
+        """``w + v a`` times the unit ``cos + a sin`` of each qubit over its slots."""
+        for q, slots in enumerate(self.cover):
+            c = np.where(slots, cos[:, q, None], 1.0)
+            s = np.where(slots, sin[:, q, None], 0.0)
+            w, v = w * c - self.axis_norm * (v * s), w * s + v * c
+        return w, v
+
+    def _jk_strengths(self, w, v) -> np.ndarray:
+        """``(R, 2**n, 2)`` squared j and k components of the damaged slots."""
+        return (w[..., None] * self.ref_jk + v[..., None] * self.turned_jk) ** 2
+
+    def failures(self, detect: bool, threshold: float) -> np.ndarray:
+        """Rotation-channel verdict of each trial, as :func:`score_event` gives it.
+
+        With detection, a qubit is flagged when its slot j or k strength
+        exceeds the reference's by more than ``threshold``, and the
+        rotations of flagged qubits are undone by their inverse units.
+        Rows whose compared excesses lie within :data:`GUARD` of the
+        threshold (per-qubit excesses count for rotated qubits only, since
+        a flag on any other corrects nothing) are scored again through
+        :func:`run_trial`.
+        """
+        w, v, strengths = self.w, self.v, self.strengths
+        near = np.zeros(self.rows.size, dtype=bool)
+        if detect:
+            slots = self.cover @ strengths - self.ref_slots
+            flags = (slots > threshold).any(axis=-1)
+            near = ((np.abs(slots - threshold) <= GUARD).any(axis=-1) & self.moved).any(axis=-1)
+            w, v = self._multiply(
+                w, v, np.where(flags, self.cos, 1.0), np.where(flags, -self.sin, 0.0)
+            )
+            strengths = self._jk_strengths(w, v)
+        excess = (strengths.sum(axis=1) - self.ref_total).max(axis=-1)
+        failed = excess > threshold
+        near |= np.abs(excess - threshold) <= GUARD
+        for r in np.flatnonzero(near):
+            trial = int(self.trials[self.rows[r]])
+            failed[r] = run_trial(self.code, self.quiet, self.seed, trial, detect, threshold)
+        out = np.zeros(self.trials.size, dtype=bool)
+        out[self.rows] = failed
+        return out
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -271,34 +385,46 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     process pool serves the whole sweep and each worker scores a
     contiguous range of trials at every point.
     """
-    code = get_code(config.code_id)
+    return _run_sweeps((config,))[0]
+
+
+def _run_sweeps(configs: tuple[SweepConfig, ...]) -> list[SweepResult]:
+    """One engine pass for configs that share code, grid, trials and seed."""
+    head = configs[0]
+    code = get_code(head.code_id)
     workers = thread_count()
-    failures = _sweep_failures(config, code, workers)
-    points = []
-    for p, count in zip(config.p_values, failures):
-        p_l = count / config.trials
-        stderr = math.sqrt(p_l * (1.0 - p_l) / config.trials)
-        points.append(SweepPoint(p, count, config.trials, p_l, stderr))
-    return SweepResult(config.code_id, config.seed, tuple(points))
+    pipelines = tuple(
+        (c.noise, c.quaternionic_detection, c.detection_threshold) for c in configs
+    )
+    failures = _sweep_failures(code, pipelines, head.p_values, head.seed, head.trials, workers)
+    results = []
+    for config, counts in zip(configs, failures):
+        points = []
+        for p, count in zip(config.p_values, counts):
+            p_l = count / config.trials
+            stderr = math.sqrt(p_l * (1.0 - p_l) / config.trials)
+            points.append(SweepPoint(p, count, config.trials, p_l, stderr))
+        results.append(SweepResult(config.code_id, config.seed, tuple(points)))
+    return results
 
 
-def _sweep_failures(config: SweepConfig, code: StabilizerCode, workers: int) -> list[int]:
-    args = (code, config.noise, config.p_values, config.seed)
-    tail = (config.quaternionic_detection, config.detection_threshold)
-    if workers <= 1 or config.trials < 2 * workers:
-        return count_failures(*args, 0, config.trials, *tail)
-    bounds = np.linspace(0, config.trials, workers + 1, dtype=int)
+def _sweep_failures(code, pipelines, p_values, seed, trials, workers) -> list[list[int]]:
+    args = (code, pipelines, p_values, seed)
+    if workers <= 1 or trials < 2 * workers:
+        return _count_pipelines(*args, 0, trials)
+    bounds = np.linspace(0, trials, workers + 1, dtype=int)
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(count_failures, *args, int(a), int(b), *tail)
+                pool.submit(_count_pipelines, *args, int(a), int(b))
                 for a, b in zip(bounds[:-1], bounds[1:])
             ]
-            return [sum(counts) for counts in zip(*(f.result() for f in futures))]
+            parts = [f.result() for f in futures]
     except OSError:
         # Restricted environments without process support; identical
         # counts either way because trials are keyed individually.
-        return count_failures(*args, 0, config.trials, *tail)
+        return _count_pipelines(*args, 0, trials)
+    return [[sum(counts) for counts in zip(*tallies)] for tallies in zip(*parts)]
 
 
 def fit_threshold(result: SweepResult) -> FitResult:
@@ -348,9 +474,10 @@ def figure1_data(
 ) -> Figure1Data:
     """Run a paired comparison of the two decoding pipelines.
 
-    The configs must differ only in ``quaternionic_detection`` (and, if
-    desired, the rotation parameters of the noise); code, grid, trials and
-    seed are shared so the pipelines see the same realizations.
+    Code, grid, trials and seed must be shared so the pipelines see the
+    same realizations; the noise and the threshold may differ.  Both
+    sweeps run in one engine pass (one process pool when ``HQEC_THREADS``
+    asks for workers), with the counts two :func:`run_sweep` calls give.
     """
     if standard_config.quaternionic_detection:
         raise ValueError("standard_config must have quaternionic_detection disabled")
@@ -359,8 +486,7 @@ def figure1_data(
     for attr in ("code_id", "p_values", "trials", "seed"):
         if getattr(standard_config, attr) != getattr(quaternionic_config, attr):
             raise ValueError(f"paired configs must share {attr}")
-    standard = run_sweep(standard_config)
-    quaternionic = run_sweep(quaternionic_config)
+    standard, quaternionic = _run_sweeps((standard_config, quaternionic_config))
 
     def _try_fit(result: SweepResult) -> FitResult | None:
         try:

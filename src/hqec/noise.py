@@ -14,9 +14,10 @@ order and across any degree of parallelism.  :func:`sample_error` draws
 one trial through numpy and is the single-trial oracle;
 :func:`philox_uniforms` computes the same doubles for a whole range of
 trials at once in plain numpy, and :func:`pauli_masks` and
-:func:`rotation_events` turn those rows into what the batched engine in
+:func:`rotation_angles` turn those rows into what the batched engine in
 :mod:`hqec.experiments` scores, with the same comparisons as
-:func:`sample_error`.
+:func:`sample_error`; :func:`slot_cover` gives that engine the slots of
+every qubit at once.
 """
 
 from __future__ import annotations
@@ -299,18 +300,22 @@ def pauli_masks(model: NoiseModel, draws: np.ndarray) -> tuple[np.ndarray, np.nd
     return x, z
 
 
-def rotation_events(model: NoiseModel, draws: np.ndarray) -> list[tuple[int, ErrorEvent]]:
-    """``(row, event)`` for each row of ``draws`` whose event has a rotation.
+def rotation_angles(model: NoiseModel, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``draws`` whose event has a rotation, and their angles.
 
-    The event is the row's :func:`sample_error` event with its Pauli part
-    removed: the rotations are the same, and they do not depend on ``p``.
+    Returns ``(rows, angles)``: ``angles[r, q - 1]`` is the angle of the
+    :func:`sample_error` rotation on qubit ``q`` in row ``rows[r]``, and 0.0
+    where that qubit is not rotated.  The rotations do not depend on ``p``.
     """
-    if model.p_rot <= 0.0:
-        return []
     n = draws.shape[1] // DRAWS_PER_QUBIT
-    rows = np.flatnonzero((draws[:, 2 * n : 3 * n] < model.p_rot).any(axis=1))
-    quiet = model.with_p(0.0)
-    return [(int(row), _event_from_draws(quiet, n, draws[row])) for row in rows]
+    hit = draws[:, 2 * n : 3 * n] < model.p_rot
+    rows = np.flatnonzero(hit.any(axis=1))
+    hit = hit[rows]
+    if model.rot_angle.kind == "fixed":
+        angles = np.where(hit, model.rot_angle.theta, 0.0)
+    else:
+        angles = np.where(hit, draws[rows, 3 * n : 4 * n] * model.rot_angle.theta, 0.0)
+    return rows, angles
 
 
 def _rotation_rows(dim: int, n: int, qubit: int, mode: str) -> np.ndarray:
@@ -319,6 +324,11 @@ def _rotation_rows(dim: int, n: int, qubit: int, mode: str) -> np.ndarray:
     if mode == "zero":
         return ((np.arange(dim) >> (n - qubit)) & 1) == 0
     raise ValueError(f"rot_mode must be one of {ROT_MODES}, got {mode!r}")
+
+
+def slot_cover(n: int, mode: str) -> np.ndarray:
+    """``(n, 2**n)`` bool matrix: row ``q - 1`` marks the slots a rotation on ``q`` touches."""
+    return np.array([_rotation_rows(2**n, n, q, mode) for q in range(1, n + 1)])
 
 
 def _rotate_components(

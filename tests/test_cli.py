@@ -432,6 +432,60 @@ def test_fit_missing_file_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+_OUT_COMMANDS = [
+    ["bell"],
+    ["verify"],
+    ["audit"],
+    ["audit", "--format", "json"],
+    ["syndrome-table", "--code", "three"],
+    ["mc", "--code", "three", "--p", "0.05:0.2:log:3", "--trials", "5"],
+    ["fit", "--in", "IN"],
+    ["figure1", "--trials", "5"],
+    ["report"],
+]
+
+
+@pytest.mark.parametrize("argv", _OUT_COMMANDS, ids=" ".join)
+def test_unwritable_output_exits_3_before_any_work(monkeypatch, capsys, tmp_path, argv):
+    calls = []
+
+    def no_work(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} ran")
+        return record
+
+    from hqec import experiments
+
+    monkeypatch.setattr(experiments, "_count_pipelines", no_work("engine"))
+    monkeypatch.setattr(cli, "_findings", no_work("findings"))
+    monkeypatch.setattr(cli, "build_syndrome_table", no_work("syndrome table"))
+    monkeypatch.setattr(cli, "fit_threshold", no_work("fit"))
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_text("code_id,p,trials,failures,p_L,stderr,seed\nthree,0.1,10,1,0.1,0.09,0\n")
+    argv = [str(sweep) if arg == "IN" else arg for arg in argv]
+    # an output path that is a directory (figure1 writes <prefix>.csv)
+    taken = tmp_path / ("taken.csv" if argv[0] == "figure1" else "taken")
+    taken.mkdir()
+    for out in (tmp_path / "missing" / "x", tmp_path / "taken"):
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 3, err
+        assert "output" in err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["sweep.csv", taken.name])
+
+
+def test_output_files_are_replaced_whole(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    out.write_text("stale\n" * 1000)
+    argv = ["mc", "--code", "three", "--p", "0.05:0.2:log:3", "--trials", "50"]
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 0
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert out.read_text() == stdout
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
 def test_figure1_writes_files(tmp_path, capsys):
     prefix = tmp_path / "fig"
     code, out, _ = run_cli(

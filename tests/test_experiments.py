@@ -16,6 +16,9 @@ from hqec.noise import (
     ErrorEvent,
     NoiseModel,
     RotationError,
+    apply_rotations,
+    detect_rotations,
+    jk_excess,
     sample_error,
 )
 from hqec.experiments import (
@@ -300,6 +303,52 @@ def test_batched_engine_crosses_the_real_chunk_boundary():
     assert all(counts)
 
 
+def oracle_excesses(code, event, detect):
+    """``(excess, matters)`` for each value ``score_event`` compares with the threshold.
+
+    These are the excess of the uncorrected state and, with detection, each
+    qubit's slot j and k excesses; a qubit's flag matters only when the
+    qubit carries a rotation to undo.
+    """
+    reference = code.codeword_zero
+    damaged = apply_rotations(reference, event.rotations, event.rot_mode)
+    values = [(jk_excess(damaged, reference), True)]
+    if detect:
+        rotated = {rot.qubit for rot in event.rotations if rot.angle != 0.0}
+        for flag in detect_rotations(damaged, reference, -math.inf, event.rot_mode):
+            values += [(flag.j_excess, flag.qubit in rotated), (flag.k_excess, flag.qubit in rotated)]
+    return values
+
+
+@pytest.mark.parametrize("rot_mode", ["zero", "all"])
+@pytest.mark.parametrize(
+    "angle",
+    [
+        AngleDistribution("fixed", math.pi / 8),
+        AngleDistribution("uniform", 1.2),
+        AngleDistribution("uniform", -0.7),
+    ],
+    ids=["fixed", "uniform", "uniform-negative"],
+)
+def test_engine_threshold_on_an_oracle_excess(rot_mode, angle):
+    # A threshold equal to a value the oracle compares sits inside the guard
+    # band, so the batched scorer must defer to score_event for that trial.
+    code, seed = _CODES["perfect5"], 41
+    for axis in (K_AXIS, ImaginaryAxis.normalized(1, 2, 3)):
+        noise = NoiseModel(p=0.0, p_rot=0.3, rot_axis=axis, rot_angle=angle, rot_mode=rot_mode)
+        events = [sample_error(noise, code.n, seed, t) for t in range(6)]
+        for detect in (False, True):
+            values = [
+                value for event in events if event.rotations
+                for value in oracle_excesses(code, event, detect)
+            ]
+            with mock.patch.object(experiments, "run_trial", wraps=run_trial) as fallback:
+                for threshold in sorted({x for x, _ in values}):
+                    args = (code, noise, (0.0,), seed, 0, len(events), detect, threshold)
+                    assert count_failures(*args) == oracle_counts(*args), (axis, detect, threshold)
+            assert fallback.call_count >= len({x for x, matters in values if matters})
+
+
 def test_count_failures_range_validation():
     code, noise = _CODES["three"], NoiseModel(p=0.0)
     assert count_failures(code, noise, (0.1, 0.2), 0, 5, 5) == [0, 0]
@@ -452,6 +501,66 @@ def test_figure1_rotation_noise_orders_pipelines():
         assert q_pt.failures <= std_pt.failures
         strict += q_pt.failures < std_pt.failures
     assert strict >= 1
+
+
+_PAIRS = {
+    # same noise, so the pass shares the Pauli failures and the damaged states
+    "shared-noise": (
+        "perfect5",
+        (NoiseModel(p=0.0, p_rot=0.2), 0.01),
+        (NoiseModel(p=0.0, p_rot=0.2), 0.05),
+    ),
+    # nothing shared but the draws
+    "different-noise": (
+        "paper5",
+        (NoiseModel(p=0.0, p_rot=0.1, rot_angle=AngleDistribution("uniform", 1.2)), 0.2),
+        (
+            NoiseModel(
+                p=0.0,
+                pauli_weights=(0.5, 0.25, 0.25),
+                p_rot=0.3,
+                rot_axis=ImaginaryAxis.normalized(1, 2, 3),
+                rot_angle=AngleDistribution("uniform", -0.9),
+                rot_mode="all",
+            ),
+            0.0,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+@pytest.mark.parametrize("pair", list(_PAIRS))
+def test_figure1_pass_equals_separate_sweeps_and_oracle(monkeypatch, pair, threads):
+    code_id, (std_noise, std_threshold), (q_noise, q_threshold) = _PAIRS[pair]
+    base = dict(code_id=code_id, p_values=(0.02, 0.1), trials=300, seed=17)
+    std = SweepConfig(noise=std_noise, detection_threshold=std_threshold, **base)
+    quat_cfg = SweepConfig(
+        noise=q_noise, detection_threshold=q_threshold, quaternionic_detection=True, **base
+    )
+    pools = []
+
+    class CountedPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
+    if threads is None:
+        monkeypatch.delenv("HQEC_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("HQEC_THREADS", threads)
+    data = figure1_data(std, quat_cfg)
+    assert pools == ([] if threads is None else [2])  # one pass, one pool
+    assert data.standard == run_sweep(std)
+    assert data.quaternionic == run_sweep(quat_cfg)
+    code = _CODES[code_id]
+    for config, result in ((std, data.standard), (quat_cfg, data.quaternionic)):
+        want = oracle_counts(
+            code, config.noise, config.p_values, config.seed, 0, config.trials,
+            config.quaternionic_detection, config.detection_threshold,
+        )
+        assert [pt.failures for pt in result.points] == want
 
 
 def test_figure1_csv_layout():

@@ -26,8 +26,9 @@ from hqec.noise import (
     jk_excess,
     pauli_masks,
     philox_uniforms,
-    rotation_events,
+    rotation_angles,
     sample_error,
+    slot_cover,
 )
 
 
@@ -47,6 +48,26 @@ def test_sample_error_reproducible():
     assert a != c or a != d  # streams keyed by both integers
 
 
+def rotation_events(model, draws):
+    """``(row, event)`` for each row of ``draws`` whose event has a rotation.
+
+    Reads the rotation draws one qubit at a time, in the layout
+    :func:`sample_error` consumes; the event is the row's event with its
+    Pauli part removed.
+    """
+    n = draws.shape[1] // DRAWS_PER_QUBIT
+    events = []
+    for row, u in enumerate(draws):
+        rotations = tuple(
+            RotationError(q + 1, model.rot_axis, model.rot_angle.draw(float(u[3 * n + q])))
+            for q in range(n)
+            if u[2 * n + q] < model.p_rot
+        )
+        if rotations:
+            events.append((row, ErrorEvent(PauliString.identity(n), rotations, model.rot_mode)))
+    return events
+
+
 def test_batch_draws_match_sample_error():
     model = NoiseModel(p=0.25, p_rot=0.1, rot_angle=AngleDistribution("uniform", 0.5))
     # unsorted, with a repeat: each row depends on its own trial number only
@@ -54,6 +75,11 @@ def test_batch_draws_match_sample_error():
     draws = philox_uniforms(9, np.array(trials, dtype=np.uint64), DRAWS_PER_QUBIT * 4)
     x, z = pauli_masks(model, draws)
     rotated = dict(rotation_events(model, draws))
+    rows, angles = rotation_angles(model, draws)
+    assert rows.tolist() == sorted(rotated)
+    for row, row_angles in zip(rows, angles):
+        by_qubit = {rot.qubit: rot.angle for rot in rotated[row].rotations}
+        assert row_angles.tolist() == [by_qubit.get(q, 0.0) for q in range(1, 5)]
     for row, trial in enumerate(trials):
         event = sample_error(model, 4, 9, trial)
         assert (int(x[row]), int(z[row])) == (event.pauli.x, event.pauli.z)
@@ -267,6 +293,19 @@ def test_apply_event_zero_mode_skips_one_slots():
     )
     out_all = apply_event(reg, event_all)
     assert out_all.amplitude("1").isclose(exp_axis(K_AXIS, theta), tol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["zero", "all"])
+def test_slot_cover_marks_the_slots_a_rotation_moves(mode):
+    n = 3
+    arr = np.tile([1.0, 0.0, 0.0, 0.0], (2**n, 1))
+    reg = QRegister.from_components(n, arr / math.sqrt(2**n))
+    cover = slot_cover(n, mode)
+    assert cover.shape == (n, 2**n) and cover.dtype == bool
+    for q in range(1, n + 1):
+        event = ErrorEvent(PauliString.identity(n), (RotationError(q, K_AXIS, 0.5),), mode)
+        moved = (apply_event(reg, event).amps.components != reg.amps.components).any(axis=1)
+        assert moved.tolist() == cover[q - 1].tolist()
 
 
 def test_rotations_preserve_norm():
