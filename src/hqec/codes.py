@@ -161,8 +161,7 @@ class StabilizerCode:
     logical_z: PauliString
     codeword_zero: QRegister
     codeword_one: QRegister
-    _decode_map: dict = field(init=False, repr=False)
-    _decode_table: tuple = field(init=False, repr=False)
+    _decoder: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for ps in (*self.generators, self.logical_x, self.logical_z):
@@ -177,8 +176,7 @@ class StabilizerCode:
                     raise ValueError(
                         f"generators {a.word()} and {b.word()} anticommute"
                     )
-        object.__setattr__(self, "_decode_map", _build_decode_map(self))
-        object.__setattr__(self, "_decode_table", _build_decode_table(self))
+        object.__setattr__(self, "_decoder", _build_decoder(self))
 
     @property
     def t(self) -> int:
@@ -197,36 +195,25 @@ def syndrome_of(e: PauliString, code: StabilizerCode) -> Syndrome:
     return Syndrome(tuple(_symplectic_sign(e.x, e.z, g.x, g.z) for g in code.generators))
 
 
-def _enumerate_single_errors(code: StabilizerCode):
-    yield PauliString.identity(code.n)
-    for qubit in range(1, code.n + 1):
-        for letter in _ERROR_LETTERS:
-            yield PauliString.single(code.n, qubit, letter)
+def _syndrome_index(bits: Sequence[int]) -> int:
+    # Bit i of the index is set when generator i anticommutes.
+    return sum(1 << i for i, bit in enumerate(bits) if bit == -1)
 
 
-def _build_decode_map(code: StabilizerCode) -> dict[tuple[int, ...], list[PauliString]]:
-    # Enumeration order doubles as the decoder tie-break:
-    # weight, then qubit index, then X < Y < Z.
-    table: dict[tuple[int, ...], list[PauliString]] = {}
-    for error in _enumerate_single_errors(code):
-        bits = tuple(_symplectic_sign(error.x, error.z, g.x, g.z) for g in code.generators)
-        table.setdefault(bits, []).append(error)
-    return table
-
-
-def _build_decode_table(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (unknown, correction x, correction z) per syndrome index, where bit i
-    # of the index is set when generator i anticommutes; built from the
-    # decode map, so the chosen correction is the one ``decode`` returns.
-    size = 1 << len(code.generators)
-    unknown = np.ones(size, dtype=bool)
-    cx = np.zeros(size, dtype=np.uint64)
-    cz = np.zeros(size, dtype=np.uint64)
-    for bits, candidates in code._decode_map.items():
-        index = sum(1 << i for i, bit in enumerate(bits) if bit == -1)
-        unknown[index] = False
-        cx[index], cz[index] = candidates[0].x, candidates[0].z
-    return unknown, cx, cz
+def _build_decoder(code: StabilizerCode) -> tuple[tuple[PauliString, ...], ...]:
+    # The identity and single-qubit errors matching each syndrome index;
+    # empty means unknown.  Enumeration order doubles as the decoder
+    # tie-break: weight, then qubit index, then X < Y < Z.
+    errors = [PauliString.identity(code.n)] + [
+        PauliString.single(code.n, qubit, letter)
+        for qubit in range(1, code.n + 1)
+        for letter in _ERROR_LETTERS
+    ]
+    table: list[list[PauliString]] = [[] for _ in range(1 << len(code.generators))]
+    for error in errors:
+        bits = [_symplectic_sign(error.x, error.z, g.x, g.z) for g in code.generators]
+        table[_syndrome_index(bits)].append(error)
+    return tuple(map(tuple, table))
 
 
 @dataclass(frozen=True)
@@ -255,14 +242,11 @@ def decode(syndrome: Syndrome, code: StabilizerCode) -> DecodeOutcome:
             f"syndrome length {len(syndrome.bits)} does not match "
             f"{len(code.generators)} generators"
         )
-    candidates = code._decode_map.get(syndrome.bits)
-    if candidates is None:
+    candidates = code._decoder[_syndrome_index(syndrome.bits)]
+    if not candidates:
         return DecodeOutcome(None, unknown=True, ambiguous=False, candidates=())
     return DecodeOutcome(
-        candidates[0],
-        unknown=False,
-        ambiguous=len(candidates) > 1,
-        candidates=tuple(candidates),
+        candidates[0], unknown=False, ambiguous=len(candidates) > 1, candidates=candidates
     )
 
 
@@ -291,11 +275,14 @@ def pauli_failures(code: StabilizerCode, x: np.ndarray, z: np.ndarray) -> np.nda
     Element ``t`` is True exactly when ``decode(syndrome_of(e, code), code)``
     is unknown or ``logical_failure(e, correction, code)`` holds for the
     error ``e`` with masks ``x[t], z[t]``.  The syndrome is read as an
-    integer that indexes a table of all ``2**m`` syndromes, built once per
-    code from the decoder's map, so the tie-break is the same and
-    syndromes outside the map fail.
+    integer that indexes arrays taken from the decoder's table of all
+    ``2**m`` syndromes, so the tie-break is the same and unknown syndromes
+    fail.
     """
-    unknown, cx, cz = code._decode_table
+    table = code._decoder
+    unknown = np.array([not candidates for candidates in table])
+    cx = np.array([c[0].x if c else 0 for c in table], dtype=np.uint64)
+    cz = np.array([c[0].z if c else 0 for c in table], dtype=np.uint64)
     index = np.zeros(np.shape(x), dtype=np.intp)
     for i, g in enumerate(code.generators):
         index |= _anticommutes(x, z, g.x, g.z).astype(np.intp) << i

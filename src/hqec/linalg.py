@@ -351,19 +351,3 @@ def matrix_from_dict(data: dict) -> QMatrix:
     if entries.shape != (rows * cols, 4):
         raise ValueError(f"expected {rows * cols} entries of 4 components, got {entries.shape}")
     return QMatrix.from_components(entries.reshape(rows, cols, 4))
-
-
-def vector_to_dict(v: QVector) -> dict:
-    """Vectors serialize as single-column matrices."""
-    return {
-        "rows": v.dim,
-        "cols": 1,
-        "entries": [[float(c) for c in amp] for amp in v.components],
-    }
-
-
-def vector_from_dict(data: dict) -> QVector:
-    m = matrix_from_dict(data)
-    if m.cols != 1:
-        raise ValueError(f"expected a single-column matrix for a vector, got cols={m.cols}")
-    return QVector.from_components(m.components[:, 0, :])

@@ -16,8 +16,9 @@ one trial through numpy and is the single-trial oracle;
 trials at once in plain numpy, and :func:`pauli_masks` and
 :func:`rotation_angles` turn those rows into what the batched engine in
 :mod:`hqec.experiments` scores, with the same comparisons as
-:func:`sample_error`; :func:`slot_cover` gives that engine the slots of
-every qubit at once.
+:func:`sample_error`.  :func:`slot_cover` is the one rule for which
+amplitude slots a rotation touches, read by the single-trial oracle
+(:func:`apply_rotations`, :func:`detect_rotations`) and by that engine.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import quaternion as quat
-from .quaternion import ImaginaryAxis, K_AXIS, Quaternion, exp_axis
+from .quaternion import ImaginaryAxis, K_AXIS, exp_axis
 from .linalg import left_mul_matrix
 from .register import UNIT_FOR_LETTER, QRegister
 from .codes import PauliString, apply_pauli
@@ -318,39 +319,29 @@ def rotation_angles(model: NoiseModel, draws: np.ndarray) -> tuple[np.ndarray, n
     return rows, angles
 
 
-def _rotation_rows(dim: int, n: int, qubit: int, mode: str) -> np.ndarray:
-    if mode == "all":
-        return np.ones(dim, dtype=bool)
-    if mode == "zero":
-        return ((np.arange(dim) >> (n - qubit)) & 1) == 0
-    raise ValueError(f"rot_mode must be one of {ROT_MODES}, got {mode!r}")
-
-
 def slot_cover(n: int, mode: str) -> np.ndarray:
     """``(n, 2**n)`` bool matrix: row ``q - 1`` marks the slots a rotation on ``q`` touches."""
-    return np.array([_rotation_rows(2**n, n, q, mode) for q in range(1, n + 1)])
-
-
-def _rotate_components(
-    comp: np.ndarray, n: int, qubit: int, axis: ImaginaryAxis, angle: float, mode: str
-) -> np.ndarray:
-    rows = _rotation_rows(comp.shape[0], n, qubit, mode)
-    out = comp.copy()
-    out[rows] = comp[rows] @ left_mul_matrix(exp_axis(axis, angle)).T
-    return out
+    if mode == "all":
+        return np.ones((n, 2**n), dtype=bool)
+    if mode == "zero":
+        return ((np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1) == 0
+    raise ValueError(f"rot_mode must be one of {ROT_MODES}, got {mode!r}")
 
 
 def apply_rotations(reg: QRegister, rotations: tuple[RotationError, ...], mode: str) -> QRegister:
     """Apply each rotation in order, in slot mode ``mode``.
 
-    A rotation multiplies its qubit's amplitude slots on the left by
-    ``exp_axis(axis, angle)``; the basis-state support never changes.
+    A rotation multiplies its qubit's :func:`slot_cover` slots on the left
+    by ``exp_axis(axis, angle)``; the basis-state support never changes.
     """
+    cover = slot_cover(reg.n, mode)
     comp = reg.amps.components
     for rot in rotations:
         if not 1 <= rot.qubit <= reg.n:
             raise ValueError(f"rotation qubit {rot.qubit} out of range 1..{reg.n}")
-        comp = _rotate_components(comp, reg.n, rot.qubit, rot.axis, rot.angle, mode)
+        rows = cover[rot.qubit - 1]
+        comp = comp.copy()
+        comp[rows] = comp[rows] @ left_mul_matrix(exp_axis(rot.axis, rot.angle)).T
     return QRegister.from_components(reg.n, comp)
 
 
@@ -393,8 +384,7 @@ def detect_rotations(
     flags = []
     comp = reg.amps.components
     ref = reference.amps.components
-    for qubit in range(1, reg.n + 1):
-        rows = _rotation_rows(reg.dim, reg.n, qubit, mode)
+    for qubit, rows in enumerate(slot_cover(reg.n, mode), start=1):
         j_strength, k_strength = _slot_jk_strength(comp, rows)
         j_ref, k_ref = _slot_jk_strength(ref, rows)
         j_excess = j_strength - j_ref

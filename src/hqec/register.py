@@ -18,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quaternion as quat
-from .quaternion import ImaginaryAxis, Quaternion, exp_axis, format_quaternion
+from .quaternion import Quaternion, exp_axis, format_quaternion
 from .linalg import (
     MulSide,
     QMatrix,
     QVector,
-    left_mul_matrix,
     qmul_components,
     real_norm_sq,
 )
@@ -62,26 +61,6 @@ class QRegister:
     @classmethod
     def from_components(cls, n: int, arr: np.ndarray) -> "QRegister":
         return cls(n, QVector.from_components(arr))
-
-    @classmethod
-    def encode_across_units(
-        cls, alpha: float, beta: float, gamma: float, delta: float
-    ) -> "QRegister":
-        """Two-qubit state ``alpha|00> + beta*i|01> + gamma*j|10> + delta*k|11>``.
-
-        The four real coefficients ride on distinct quaternion units, so a
-        disturbance of any one of them shows up in the corresponding
-        component strength.  Requires ``alpha**2 + ... + delta**2 == 1``.
-        """
-        total = alpha * alpha + beta * beta + gamma * gamma + delta * delta
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"coefficients must have unit square sum, got {total}")
-        arr = np.zeros((4, 4))
-        arr[0, 0] = alpha
-        arr[1, 1] = beta
-        arr[2, 2] = gamma
-        arr[3, 3] = delta
-        return cls(2, QVector.from_components(arr))
 
     @property
     def n(self) -> int:
@@ -348,9 +327,3 @@ def conditional_flip(reg: QRegister, control: int, target: int) -> QRegister:
         return reg
     flipped = comp[indices ^ (1 << (reg.n - target))]
     return QRegister.from_components(reg.n, flipped)
-
-
-def left_scalar_mul(reg: QRegister, q: Quaternion) -> QRegister:
-    """Multiply every amplitude by ``q`` on the left."""
-    rotated = reg.amps.components @ left_mul_matrix(q).T
-    return QRegister.from_components(reg.n, rotated)

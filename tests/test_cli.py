@@ -377,6 +377,11 @@ _MC_NOISE_FLAGS = {
     "pauli": (),
     "rotations": ("--phase-mode", "table1", "--rotations", "0.05"),
     "detect": ("--phase-mode", "table1", "--rotations", "0.05", "--detect"),
+    # Every rotated trial sits in the guard band and is re-scored one at a
+    # time; at threshold 0 each one fails on a j/k rounding residue, which
+    # is why its bytes equal paper5-rotations.
+    "guard": ("--rotations", "0.05", "--rot-mode", "all", "--threshold", "0", "--detect"),
+    "uniform": ("--rotations", "0.3", "--rot-mode", "all", "--rot-angle", "uniform:3"),
 }
 _MC_GOLDEN_SHA256 = {
     ("three", "pauli"): "712e7c45ebd7d8b0a4ec727c4035aa2f4caa95dfc30b378a09948ca01a659c1b",
@@ -388,6 +393,8 @@ _MC_GOLDEN_SHA256 = {
     ("perfect5", "pauli"): "2acfb1d42b8a91ed04cb0887a6dbd38ee2e7309f441561268fc7dc4585c84395",
     ("perfect5", "rotations"): "f94230a3f42fb362c64d0432efed1307309e3ce196e2042f6ea6c8449ba3da25",
     ("perfect5", "detect"): "2acfb1d42b8a91ed04cb0887a6dbd38ee2e7309f441561268fc7dc4585c84395",
+    ("paper5", "guard"): "6844484a79502c39b3e690eef50ba7b7093e4c1e97f7b5ec10d0567f6d2e22c7",
+    ("three", "uniform"): "56ecf9e11bbfc7312d281d9e258ea8a76cf8f9182c6742319270f4c6a394ae9c",
 }
 
 

@@ -352,6 +352,26 @@ def test_decode_perfect5_soundness():
 
 
 @pytest.mark.parametrize("code_id", CODE_IDS)
+def test_decode_every_syndrome_against_enumeration(code_id):
+    code = get_code(code_id)
+    m = len(code.generators)
+    # identity, then qubit 1..n with X < Y < Z: the documented tie-break order
+    errors = [PauliString.identity(code.n)] + [
+        PauliString.single(code.n, qubit, letter)
+        for qubit in range(1, code.n + 1)
+        for letter in "XYZ"
+    ]
+    for index in range(2**m):
+        bits = tuple(-1 if (index >> i) & 1 else 1 for i in range(m))
+        expected = tuple(e for e in errors if syndrome_of(e, code).bits == bits)
+        out = decode(Syndrome(bits), code)
+        assert out.candidates == expected
+        assert out.correction == (expected[0] if expected else None)
+        assert out.unknown == (len(expected) == 0)
+        assert out.ambiguous == (len(expected) >= 2)
+
+
+@pytest.mark.parametrize("code_id", CODE_IDS)
 def test_logical_failure_matches_matrix_oracle_exhaustively(code_id):
     code = get_code(code_id)
     expected_by_residual = {}

@@ -21,8 +21,6 @@ from hqec.linalg import (
     real_norm_sq,
     right_scalar_mul,
     tensor,
-    vector_from_dict,
-    vector_to_dict,
 )
 from hqec.register import cnot_gate, hadamard_gate, t_gate
 
@@ -310,13 +308,6 @@ def test_matrix_dict_roundtrip():
     assert data["rows"] == 4 and data["cols"] == 4
     assert len(data["entries"]) == 16
     assert matrix_from_dict(data).isclose(m)
-
-
-def test_vector_dict_roundtrip():
-    v = QVector([ONE, J, Quaternion(0.5, -1, 2, 3)])
-    data = vector_to_dict(v)
-    assert data["cols"] == 1
-    assert vector_from_dict(data).isclose(v)
 
 
 def test_matrix_dict_rejects_bad_keys():

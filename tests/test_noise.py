@@ -5,8 +5,8 @@ import pytest
 
 from hqec import quaternion as quat
 from hqec.quaternion import I_AXIS, J_AXIS, K_AXIS, ImaginaryAxis, Quaternion, exp_axis
-from hqec.linalg import real_norm_sq
-from hqec.register import QRegister, component_strength, left_scalar_mul
+from hqec.linalg import left_mul_matrix, real_norm_sq
+from hqec.register import QRegister, component_strength
 from hqec.codes import (
     PauliString,
     apply_pauli,
@@ -21,6 +21,7 @@ from hqec.noise import (
     NoiseModel,
     RotationError,
     apply_event,
+    apply_rotations,
     correct_rotation,
     detect_rotations,
     jk_excess,
@@ -30,6 +31,11 @@ from hqec.noise import (
     sample_error,
     slot_cover,
 )
+
+
+def left_scalar_mul(reg, q):
+    """Oracle: every amplitude times ``q`` on the left."""
+    return QRegister.from_components(reg.n, reg.amps.components @ left_mul_matrix(q).T)
 
 
 def bitflip_model(p, p_rot=0.0, **kw):
@@ -306,6 +312,16 @@ def test_slot_cover_marks_the_slots_a_rotation_moves(mode):
         event = ErrorEvent(PauliString.identity(n), (RotationError(q, K_AXIS, 0.5),), mode)
         moved = (apply_event(reg, event).amps.components != reg.amps.components).any(axis=1)
         assert moved.tolist() == cover[q - 1].tolist()
+
+
+def test_bad_slot_mode_raises():
+    reg = QRegister.computational(2, "00")
+    with pytest.raises(ValueError, match="rot_mode"):
+        slot_cover(2, "some")
+    with pytest.raises(ValueError, match="rot_mode"):
+        apply_rotations(reg, (RotationError(1, K_AXIS, 0.5),), "some")
+    with pytest.raises(ValueError, match="rot_mode"):
+        detect_rotations(reg, reg, threshold=0.1, mode="some")
 
 
 def test_rotations_preserve_norm():

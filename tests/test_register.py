@@ -6,7 +6,7 @@ import pytest
 
 from hqec import quaternion as quat
 from hqec.quaternion import Quaternion, exp_axis
-from hqec.linalg import MulSide, QMatrix, is_unitary, matvec, real_norm_sq
+from hqec.linalg import MulSide, QMatrix, is_unitary, left_mul_matrix, matvec, real_norm_sq
 from hqec.register import (
     Gate,
     QRegister,
@@ -16,7 +16,6 @@ from hqec.register import (
     component_strength,
     conditional_flip,
     hadamard_gate,
-    left_scalar_mul,
     measure_qubit,
     pauli_gate,
     phased_pauli_gate,
@@ -26,6 +25,11 @@ from hqec.register import (
 
 ONE, I, J, K, ZERO = quat.ONE, quat.I, quat.J, quat.K, quat.ZERO
 INV_SQRT2 = 1 / math.sqrt(2)
+
+
+def left_scalar_mul(reg, q):
+    """Oracle: every amplitude times ``q`` on the left."""
+    return QRegister.from_components(reg.n, reg.amps.components @ left_mul_matrix(q).T)
 
 
 def rand_register(rng, n):
@@ -332,18 +336,6 @@ def test_component_strength_validation():
         component_strength(reg, 2, "j")
     with pytest.raises(ValueError):
         component_strength(reg, 1, "w")
-
-
-# -- two-qubit unit-spread encoding ----------------------------------------------------
-
-def test_encode_across_units():
-    reg = QRegister.encode_across_units(0.5, 0.5, 0.5, 0.5)
-    assert reg.amplitude("01") == 0.5 * I
-    assert reg.amplitude("10") == 0.5 * J
-    assert reg.amplitude("11") == 0.5 * K
-    assert component_strength(reg, 1, "j") == pytest.approx(0.25, abs=1e-12)
-    with pytest.raises(ValueError):
-        QRegister.encode_across_units(1, 1, 0, 0)
 
 
 # -- conditional flip --------------------------------------------------------------
