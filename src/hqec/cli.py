@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass
 
 from . import quaternion as quat
-from .quaternion import ImaginaryAxis, format_quaternion
+from .quaternion import ImaginaryAxis
 from .linalg import UnitarityReport, is_unitary, matrix_to_dict, phase_alignment_check
 from .register import (
     Gate,
@@ -132,10 +132,9 @@ def _parse_angle(spec: str) -> AngleDistribution:
     if len(parts) != 2 or parts[0] not in ("fixed", "uniform"):
         raise ConfigError(f"rot-angle must be fixed:THETA or uniform:THETA_MAX, got {spec!r}")
     try:
-        theta = float(parts[1])
-    except ValueError:
-        raise ConfigError(f"rot-angle has a non-numeric angle: {spec!r}") from None
-    return AngleDistribution(parts[0], theta)
+        return AngleDistribution(parts[0], float(parts[1]))
+    except ValueError as exc:
+        raise ConfigError(f"bad rot-angle {spec!r}: {exc}") from None
 
 
 def _parse_weights(spec: str) -> tuple[float, float, float]:
@@ -165,6 +164,18 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
+    """The sweep flags ``mc`` and ``figure1`` share; unset flags stay ``None``."""
+    parser.add_argument("--code", default=None, choices=CODE_IDS)
+    parser.add_argument("--p", default=None, help="range start:stop:{log|lin}:count")
+    parser.add_argument("--trials", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--rotations", type=float, default=None, help="rotation rate per qubit")
+    parser.add_argument("--rot-axis", dest="rot_axis", default=None, help="i|j|k or x,y,z")
+    parser.add_argument("--rot-angle", dest="rot_angle", default=None, help="fixed:T or uniform:T")
+    parser.add_argument("--threshold", type=float, default=None, help="detection threshold")
+
+
 @functools.cache  # parse_args reuses one parser; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -189,19 +200,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--out", default=None)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo logical-error-rate sweep")
-    p_mc.add_argument("--code", default=None, choices=CODE_IDS)
-    p_mc.add_argument("--p", default=None, help="range start:stop:{log|lin}:count")
-    p_mc.add_argument("--trials", type=int, default=None)
-    p_mc.add_argument("--seed", type=int, default=None)
+    _add_sweep_flags(p_mc)
     p_mc.add_argument("--weights", default=None, help="Pauli mixture wx,wy,wz")
     p_mc.add_argument("--phase-mode", dest="phase_mode", default=None, choices=("none", "table1"))
-    p_mc.add_argument("--rotations", type=float, default=None, help="rotation rate per qubit")
-    p_mc.add_argument("--rot-axis", dest="rot_axis", default=None, help="i|j|k or x,y,z")
-    p_mc.add_argument("--rot-angle", dest="rot_angle", default=None, help="fixed:T or uniform:T")
     p_mc.add_argument("--rot-mode", dest="rot_mode", default=None, choices=("zero", "all"))
     p_mc.add_argument("--detect", action="store_true", default=None,
                       help="enable quaternionic detection and correction")
-    p_mc.add_argument("--threshold", type=float, default=None, help="detection threshold")
     p_mc.add_argument("--config", default=None, help="JSON config file; flags override")
     p_mc.add_argument("--out", default=None)
 
@@ -211,14 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figure1", help="paired standard/quaternionic sweep")
     p_fig.add_argument("--out", required=True, help="output path prefix")
-    p_fig.add_argument("--code", default="perfect5", choices=CODE_IDS)
-    p_fig.add_argument("--p", default="0.001:0.03:log:8")
-    p_fig.add_argument("--trials", type=int, default=20000)
-    p_fig.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_fig.add_argument("--rotations", type=float, default=0.05)
-    p_fig.add_argument("--rot-axis", dest="rot_axis", default="k")
-    p_fig.add_argument("--rot-angle", dest="rot_angle", default=f"fixed:{math.pi / 8}")
-    p_fig.add_argument("--threshold", type=float, default=0.01)
+    _add_sweep_flags(p_fig)
     p_fig.add_argument("--include-model", dest="include_model", action="store_true",
                        help="append suppression-law rows at the target parameters")
 
@@ -228,6 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The one place a sweep default is written; figure1 overrides four of them.
 _MC_DEFAULTS = {
     "code": None,  # required
     "p": None,  # required
@@ -244,20 +242,29 @@ _MC_DEFAULTS = {
     "threshold": 0.01,
 }
 
+_FIGURE1_DEFAULTS = {
+    **_MC_DEFAULTS,
+    "code": "perfect5",
+    "p": "0.001:0.03:log:8",
+    "trials": 20000,
+    "rotations": 0.05,
+}
+
 # Flag name -> config-file key name is the identity; these are the keys a
 # --config JSON may provide for the mc command.
 _MC_CONFIG_KEYS = {*_MC_DEFAULTS, "noise"}
 
 
-def _merge_mc_parameters(args: argparse.Namespace) -> dict:
-    merged = dict(_MC_DEFAULTS)
+def _merge_sweep_parameters(args: argparse.Namespace, defaults: dict) -> dict:
+    """Defaults, then the ``mc --config`` file, then the flags given."""
+    merged = dict(defaults)
     noise_section = None
-    if args.config is not None:
+    if getattr(args, "config", None) is not None:
         file_values = _load_config_file(args.config)
         noise_section = file_values.pop("noise", None)
         merged.update(file_values)
-    for key in _MC_DEFAULTS:
-        flag_value = getattr(args, key)
+    for key in defaults:
+        flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
     if merged["code"] is None:
@@ -283,28 +290,15 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
             thread_count()  # run_sweep reads HQEC_THREADS again; checked here for exit 3
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-    if command == "mc":
-        merged = _merge_mc_parameters(args)
-        params = _validate_mc(merged)
-        return RunConfig("mc", params, params["seed"], merged.get("out"))
+        defaults = _FIGURE1_DEFAULTS if command == "figure1" else _MC_DEFAULTS
+        merged = _merge_sweep_parameters(args, defaults)
+        params = _validate_sweep(merged)
+        if command == "figure1":
+            params["include_model"] = bool(args.include_model)
+        return RunConfig(command, params, params["seed"], merged["out"])
 
     if command == "fit":
         return RunConfig("fit", {"input": args.input}, DEFAULT_SEED, args.out)
-
-    if command == "figure1":
-        params = {
-            "code": args.code,
-            "p_values": _parse_p_range(args.p),
-            "trials": _positive_int("trials", args.trials),
-            "seed": _seed_value(args.seed),
-            "rotations": _rate("rotations", args.rotations),
-            "rot_axis": _parse_axis(args.rot_axis),
-            "rot_angle": _parse_angle(args.rot_angle),
-            "threshold": _threshold(args.threshold),
-            "include_model": bool(args.include_model),
-        }
-        return RunConfig("figure1", params, params["seed"], args.out)
 
     if command == "syndrome-table":
         return RunConfig(
@@ -368,7 +362,7 @@ def _threshold(value) -> float:
     return value
 
 
-def _validate_mc(merged: dict) -> dict:
+def _validate_sweep(merged: dict) -> dict:
     if merged["code"] not in CODE_IDS:
         raise ConfigError(f"code must be one of {CODE_IDS}, got {merged['code']!r}")
     p_values = _parse_p_range(str(merged["p"]))
@@ -654,19 +648,21 @@ def _cmd_syndrome_table(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_mc(config: RunConfig) -> int:
-    params = config.parameters
-    sweep = SweepConfig(
+def _sweep_config(params: dict, detect: bool) -> SweepConfig:
+    return SweepConfig(
         code_id=params["code"],
         noise=params["noise"],
         p_values=params["p_values"],
         trials=params["trials"],
         seed=params["seed"],
-        quaternionic_detection=params["detect"],
+        quaternionic_detection=detect,
         detection_threshold=params["threshold"],
     )
-    result = run_sweep(sweep)
-    _emit(sweep_csv(result), config.output_path)
+
+
+def _cmd_mc(config: RunConfig) -> int:
+    sweep = _sweep_config(config.parameters, config.parameters["detect"])
+    _emit(sweep_csv(run_sweep(sweep)), config.output_path)
     return 0
 
 
@@ -687,24 +683,7 @@ def _cmd_fit(config: RunConfig) -> int:
 
 def _cmd_figure1(config: RunConfig) -> int:
     params = config.parameters
-    noise = NoiseModel(
-        p=0.0,
-        p_rot=params["rotations"],
-        rot_axis=params["rot_axis"],
-        rot_angle=params["rot_angle"],
-    )
-    base = dict(
-        code_id=params["code"],
-        noise=noise,
-        p_values=params["p_values"],
-        trials=params["trials"],
-        seed=params["seed"],
-        detection_threshold=params["threshold"],
-    )
-    data = figure1_data(
-        SweepConfig(quaternionic_detection=False, **base),
-        SweepConfig(quaternionic_detection=True, **base),
-    )
+    data = figure1_data(_sweep_config(params, False), _sweep_config(params, True))
     csv_path, json_path = _figure1_paths(config.output_path)
     _write_file(csv_path, figure1_csv(data, include_model_curves=params["include_model"]))
     _write_file(json_path, figure1_fits_json(data) + "\n")

@@ -72,11 +72,9 @@ from .noise import (
 from .linalg import left_mul_matrix
 from .quaternion import Quaternion
 
-#: Published performance targets, attached to outputs as annotations only.
-TARGET_STANDARD_EXPONENT = 2.0
-TARGET_STANDARD_P_TH = 0.01
-TARGET_QUATERNIONIC_EXPONENT = 2.2
-TARGET_QUATERNIONIC_P_TH = 0.015
+# Published performance targets, pipeline -> (exponent, p_th), attached
+# to outputs as annotations only.
+_TARGETS = {"standard": (2.0, 0.01), "quaternionic": (2.2, 0.015)}
 
 DEFAULT_DETECTION_THRESHOLD = 0.01
 
@@ -508,13 +506,16 @@ def _g12(value: float) -> str:
 SWEEP_CSV_HEADER = "code_id,p,trials,failures,p_L,stderr,seed"
 
 
+def _point_row(result: SweepResult, pt: SweepPoint) -> str:
+    """One point in the ``SWEEP_CSV_HEADER`` columns."""
+    return (
+        f"{result.code_id},{_g12(pt.p)},{pt.trials},{pt.failures},"
+        f"{_g12(pt.p_L)},{_g12(pt.stderr)},{result.seed}"
+    )
+
+
 def sweep_csv(result: SweepResult) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    for pt in result.points:
-        lines.append(
-            f"{result.code_id},{_g12(pt.p)},{pt.trials},{pt.failures},"
-            f"{_g12(pt.p_L)},{_g12(pt.stderr)},{result.seed}"
-        )
+    lines = [SWEEP_CSV_HEADER, *(_point_row(result, pt) for pt in result.points)]
     return "\n".join(lines) + "\n"
 
 
@@ -567,40 +568,16 @@ def figure1_csv(data: Figure1Data, include_model_curves: bool = False) -> str:
     (zero trials) so simulated and model-generated data stay distinct.
     """
     lines = [FIGURE1_CSV_HEADER]
-
-    def _rows(label: str, result: SweepResult, exponent: float, p_th: float):
-        for pt in result.points:
-            lines.append(
-                f"{label},{result.code_id},{_g12(pt.p)},{pt.trials},{pt.failures},"
-                f"{_g12(pt.p_L)},{_g12(pt.stderr)},{result.seed},"
-                f"{_g12(exponent)},{_g12(p_th)}"
-            )
-
-    _rows("standard", data.standard, TARGET_STANDARD_EXPONENT, TARGET_STANDARD_P_TH)
-    _rows(
-        "quaternionic",
-        data.quaternionic,
-        TARGET_QUATERNIONIC_EXPONENT,
-        TARGET_QUATERNIONIC_P_TH,
-    )
-    if include_model_curves:
-        for label, result, exponent, p_th in (
-            ("standard_model", data.standard, TARGET_STANDARD_EXPONENT, TARGET_STANDARD_P_TH),
-            (
-                "quaternionic_model",
-                data.quaternionic,
-                TARGET_QUATERNIONIC_EXPONENT,
-                TARGET_QUATERNIONIC_P_TH,
-            ),
-        ):
-            # The target exponents are fit values, not integer distances, so
-            # the curve is evaluated directly rather than via scaling_model.
+    for suffix in ("", "_model") if include_model_curves else ("",):
+        for pipeline, result in (("standard", data.standard), ("quaternionic", data.quaternionic)):
+            exponent, p_th = _TARGETS[pipeline]
+            targets = f"{_g12(exponent)},{_g12(p_th)}"
             for pt in result.points:
-                model_pl = (pt.p / p_th) ** exponent
-                lines.append(
-                    f"{label},{result.code_id},{_g12(pt.p)},0,0,"
-                    f"{_g12(model_pl)},0,{result.seed},{_g12(exponent)},{_g12(p_th)}"
-                )
+                if suffix:
+                    # The target exponents are fit values, not integer distances,
+                    # so the curve is evaluated directly rather than via scaling_model.
+                    pt = SweepPoint(pt.p, 0, 0, (pt.p / p_th) ** exponent, 0.0)
+                lines.append(f"{pipeline}{suffix},{_point_row(result, pt)},{targets}")
     return "\n".join(lines) + "\n"
 
 
@@ -609,11 +586,8 @@ def figure1_fits_json(data: Figure1Data) -> str:
         "standard": _fit_payload(data.standard_fit),
         "quaternionic": _fit_payload(data.quaternionic_fit),
         "targets": {
-            "standard": {"exponent": TARGET_STANDARD_EXPONENT, "p_th": TARGET_STANDARD_P_TH},
-            "quaternionic": {
-                "exponent": TARGET_QUATERNIONIC_EXPONENT,
-                "p_th": TARGET_QUATERNIONIC_P_TH,
-            },
+            pipeline: {"exponent": exponent, "p_th": p_th}
+            for pipeline, (exponent, p_th) in _TARGETS.items()
         },
     }
     return json.dumps(payload)

@@ -6,7 +6,6 @@ makes every number here reproducible bit for bit across platforms and
 parallelism settings.
 """
 
-import json
 import math
 import os
 import subprocess
@@ -15,10 +14,9 @@ import time
 import warnings
 
 import numpy as np
-import pytest
 
 from hqec import quaternion as quat
-from hqec.quaternion import K_AXIS, Quaternion, exp_axis
+from hqec.quaternion import Quaternion
 from hqec.linalg import MulSide, QVector, adjoint, is_unitary, matmul, matvec, real_norm_sq
 from hqec.register import (
     QRegister,
@@ -30,7 +28,6 @@ from hqec.register import (
 )
 from hqec.codes import (
     PauliString,
-    apply_pauli,
     audit_against_paper,
     build_syndrome_table,
     get_code,
@@ -41,9 +38,7 @@ from hqec.codes import (
 )
 from hqec.noise import (
     AngleDistribution,
-    ErrorEvent,
     NoiseModel,
-    RotationError,
     apply_event,
     correct_rotation,
     sample_error,

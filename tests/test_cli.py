@@ -60,11 +60,23 @@ def test_parse_args_reuses_one_parser_without_leaking_flags():
     first = parse_args(["figure1", "--out", "a", "--trials", "7", "--rotations", "0.2",
                         "--include-model"]).parameters
     second = parse_args(["figure1", "--out", "b"])
-    assert (first["trials"], first["rotations"], first["include_model"]) == (7, 0.2, True)
+    assert (first["trials"], first["noise"].p_rot, first["include_model"]) == (7, 0.2, True)
     assert second.output_path == "b"
-    assert (second.parameters["trials"], second.parameters["rotations"],
+    assert (second.parameters["trials"], second.parameters["noise"].p_rot,
             second.parameters["include_model"]) == (20000, 0.05, False)
     assert cli._build_parser() is cli._build_parser()
+
+
+def test_mc_and_figure1_parse_shared_flags_alike(tmp_path):
+    shared = ["--code", "three", "--p", "0.01:0.1:log:3", "--trials", "9", "--seed", "4",
+              "--rotations", "0.2", "--rot-axis", "i", "--rot-angle", "uniform:0.5",
+              "--threshold", "0.03"]
+    mc = parse_args(["mc", *shared]).parameters
+    figure1 = parse_args(["figure1", "--out", str(tmp_path / "fig"), *shared]).parameters
+    for key in ("noise", "p_values", "trials", "seed", "threshold"):
+        assert mc[key] == figure1[key], key
+    assert mc["noise"].p_rot == 0.2
+    assert mc["noise"].rot_angle.kind == "uniform"
 
 
 def test_missing_subcommand_exits_2(capsys):
@@ -272,6 +284,26 @@ def test_bad_threshold_flag_exits_3(capsys, tmp_path, command, raw):
     assert out == ""
     assert "threshold" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", ["mc flag", "figure1 flag", "config key"])
+def test_non_finite_rot_angle_exits_3(capsys, tmp_path, source):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    mc = ("mc", "--code", "three", "--p", "0.01:0.1:log:3", "--out", str(out_dir / "x.csv"))
+    if source == "mc flag":
+        argv = (*mc, "--rot-angle", "fixed:nan")
+    elif source == "figure1 flag":
+        argv = ("figure1", "--out", str(out_dir / "x"), "--rot-angle", "uniform:inf")
+    else:
+        config = tmp_path / "run.json"
+        config.write_text('{"code": "three", "p": "0.01:0.1:log:3", "rot_angle": "fixed:1e400"}')
+        argv = ("mc", "--config", str(config), "--out", str(out_dir / "x.csv"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "rot-angle" in err
+    assert list(out_dir.iterdir()) == []
 
 
 def test_config_valid_detection_values_accepted(tmp_path, capsys):
@@ -509,26 +541,67 @@ def test_figure1_writes_files(tmp_path, capsys):
 
 # Frozen SHA-256 digests of the `hqec figure1` CSV and fit JSON (both
 # pipelines, rotation and Pauli channels, fitted slopes); any change to
-# sampling, decoding, scoring or the fit moves them.
-_FIGURE1_GOLDEN_SHA256 = (
-    "d8d56df7a05e399bdee88752c564bcc38c6cbec0c51c4222265776001723894b",
-    "d18b205d527d0464b94d604af8dadbd74bfcdbc0404ef2329fc8521b2f00b847",
-)
+# sampling, decoding, scoring or the fit moves them.  The "defaults" run
+# leaves every sweep flag at its figure1 default and adds the model rows.
+_FIGURE1_GOLDEN_SHA256 = {
+    "small": (
+        "d8d56df7a05e399bdee88752c564bcc38c6cbec0c51c4222265776001723894b",
+        "d18b205d527d0464b94d604af8dadbd74bfcdbc0404ef2329fc8521b2f00b847",
+    ),
+    "defaults": (
+        "432d47c3b583606140d272ea432a3daa143d5e689b23ca16aa713d65f700c463",
+        "8b699d702f24c262dbf7af12ca604b14281c2b1ee02c0d3ec1a5887e4e45da0a",
+    ),
+}
+_FIGURE1_GOLDEN_FLAGS = {
+    "small": ("--p", "0.005:0.05:log:4", "--trials", "600", "--seed", "5",
+              "--rotations", "0.1"),
+    "defaults": ("--include-model",),
+}
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_figure1_golden_bytes(tmp_path, capsys, monkeypatch, threads):
+@pytest.mark.parametrize(("run", "threads"), [
+    pytest.param("small", "1", id="1"),
+    pytest.param("small", "2", id="2"),
+    pytest.param("defaults", "1", id="defaults-1"),
+    pytest.param("defaults", "2", id="defaults-2"),
+])
+def test_figure1_golden_bytes(tmp_path, capsys, monkeypatch, run, threads):
     monkeypatch.setenv("HQEC_THREADS", threads)
     code, _, _ = run_cli(
-        capsys, "figure1", "--out", str(tmp_path / "fig"), "--p", "0.005:0.05:log:4",
-        "--trials", "600", "--seed", "5", "--rotations", "0.1"
+        capsys, "figure1", "--out", str(tmp_path / "fig"), *_FIGURE1_GOLDEN_FLAGS[run]
     )
     assert code == 0
     digests = tuple(
         hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("fig.csv", "fig_fit.json")
     )
-    assert digests == _FIGURE1_GOLDEN_SHA256
+    assert digests == _FIGURE1_GOLDEN_SHA256[run]
+
+
+def test_tiny_trial_counts_and_certain_failure(tmp_path, capsys):
+    # One trial per point: no failures anywhere, so neither pipeline can be fit.
+    code, _, _ = run_cli(capsys, "figure1", "--out", str(tmp_path / "fig"), "--trials", "1")
+    assert code == 0
+    rows = (tmp_path / "fig.csv").read_text().splitlines()[1:]
+    assert len(rows) == 16
+    assert all(row.split(",")[3:7] == ["1", "0", "0", "0"] for row in rows)
+    fits = json.loads((tmp_path / "fig_fit.json").read_text())
+    assert (fits["standard"], fits["quaternionic"]) == (None, None)
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("fig.csv", "fig_fit.json")
+    )
+    assert digests == (
+        "d9c7df9ddb6b3b01bd5b131ea7397cf75de65d62d068643727cb4038e106b9b0",
+        "d0513af40821df49af75dbdcf3571668603c20dce681449fe8b8d2f3a25da37a",
+    )
+    # At p >= 0.9 every trial of the three-qubit code fails: p_L = 1, stderr 0.
+    code, out, _ = run_cli(capsys, "mc", "--code", "three", "--p", "0.9:0.99:lin:2",
+                           "--trials", "3")
+    assert code == 0
+    assert out == ("code_id,p,trials,failures,p_L,stderr,seed\n"
+                   "three,0.9,3,3,1,0,0\nthree,0.99,3,3,1,0,0\n")
 
 
 def test_report_runs(capsys):

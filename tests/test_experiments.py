@@ -1,7 +1,6 @@
 import itertools
 import math
 
-import numpy as np
 import pytest
 
 from unittest import mock
@@ -22,7 +21,6 @@ from hqec.noise import (
     sample_error,
 )
 from hqec.experiments import (
-    Figure1Data,
     FitResult,
     SweepConfig,
     SweepPoint,

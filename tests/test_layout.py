@@ -6,6 +6,7 @@ from pathlib import Path
 import hqec
 
 SRC = Path(hqec.__file__).resolve().parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_no_module_imports_another_modules_private_names():
@@ -18,4 +19,26 @@ def test_no_module_imports_another_modules_private_names():
                     for alias in node.names
                     if alias.name.startswith("_")
                 ]
+    assert offenders == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # hqec/__init__.py imports in order to re-export, so it is left out.
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((REPO / "tests").glob("*.py")) + sorted((REPO / "demos").glob("*.py"))
+    offenders = [entry for path in paths for entry in _unused_imports(path)]
     assert offenders == []

@@ -9,7 +9,6 @@ from hqec.linalg import left_mul_matrix, real_norm_sq
 from hqec.register import QRegister, component_strength
 from hqec.codes import (
     PauliString,
-    apply_pauli,
     get_code,
     stabilizer_expectation_sign,
     syndrome_of,

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from hqec import quaternion as quat
 from hqec.quaternion import (
-    I_AXIS,
     J_AXIS,
     K_AXIS,
     ImaginaryAxis,
