@@ -152,7 +152,7 @@ def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
@@ -271,6 +271,8 @@ def _merge_sweep_parameters(args: argparse.Namespace, defaults: dict) -> dict:
         raise ConfigError("missing required parameter: code")
     if merged["p"] is None:
         raise ConfigError("missing required parameter: p")
+    if merged["out"] is not None and not isinstance(merged["out"], str):
+        raise ConfigError(f"out must be a path string, got {merged['out']!r}")
     merged["noise"] = noise_section
     return merged
 
@@ -314,99 +316,47 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     return RunConfig(command, {}, DEFAULT_SEED, getattr(args, "out", None))
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; bools and floats are refused, not truncated."""
-    if isinstance(value, (bool, float)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _positive_int(name: str, value) -> int:
-    value = _integer(name, value)
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
-    return value
-
-
-def _seed_value(value) -> int:
-    value = _integer("seed", value)
-    if not 0 <= value < 2**64:
-        raise ConfigError(f"seed must be in [0, 2**64), got {value}")
-    return value
-
-
-def _number(name: str, value) -> float:
-    if isinstance(value, bool):  # float() would read a JSON true as 1.0
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-
-
-def _rate(name: str, value) -> float:
-    value = _number(name, value)
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"{name} must be in [0, 1], got {value}")
-    return value
-
-
-def _threshold(value) -> float:
-    """Detection threshold: a finite number >= 0 (NaN would disable detection)."""
-    value = _number("threshold", value)
-    if not 0.0 <= value < math.inf:
-        raise ConfigError(f"threshold must be a finite number >= 0, got {value}")
-    return value
+def _noise_model(merged: dict) -> NoiseModel:
+    """The noise template: the config's ``noise`` section, else the flat keys."""
+    section = merged["noise"]
+    if section is not None:
+        if not isinstance(section, dict):
+            raise ConfigError("noise section must be an object")
+        return NoiseModel.from_dict({"p": 0.0, **section})
+    weights = merged["weights"]
+    if not isinstance(weights, (tuple, list)):
+        weights = _parse_weights(str(weights))
+    return NoiseModel(
+        p=0.0,
+        pauli_weights=tuple(weights),
+        phase_mode=merged["phase_mode"],
+        p_rot=merged["rotations"],
+        rot_axis=_parse_axis(str(merged["rot_axis"])),
+        rot_angle=_parse_angle(str(merged["rot_angle"])),
+        rot_mode=merged["rot_mode"],
+    )
 
 
 def _validate_sweep(merged: dict) -> dict:
-    if merged["code"] not in CODE_IDS:
-        raise ConfigError(f"code must be one of {CODE_IDS}, got {merged['code']!r}")
-    p_values = _parse_p_range(str(merged["p"]))
-    trials = _positive_int("trials", merged["trials"])
-    seed = _seed_value(merged["seed"])
-    threshold = _threshold(merged["threshold"])
-    if not isinstance(merged["detect"], bool):
-        raise ConfigError(f"detect must be true or false, got {merged['detect']!r}")
-    if merged["noise"] is not None:
-        if not isinstance(merged["noise"], dict):
-            raise ConfigError("noise section must be an object")
-        try:
-            noise = NoiseModel.from_dict({"p": 0.0, **merged["noise"]})
-        except ValueError as exc:
-            raise ConfigError(f"bad noise section: {exc}") from None
-    else:
-        weights = (
-            merged["weights"]
-            if isinstance(merged["weights"], (tuple, list))
-            else _parse_weights(str(merged["weights"]))
-        )
-        axis = _parse_axis(str(merged["rot_axis"]))
-        angle = _parse_angle(str(merged["rot_angle"]))
-        try:
-            noise = NoiseModel(
-                p=0.0,
-                pauli_weights=tuple(weights),
-                phase_mode=str(merged["phase_mode"]),
-                p_rot=_rate("rotations", merged["rotations"]),
-                rot_axis=axis,
-                rot_angle=angle,
-                rot_mode=str(merged["rot_mode"]),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    return {
-        "code": merged["code"],
-        "p_values": p_values,
-        "trials": trials,
-        "seed": seed,
-        "noise": noise,
-        "detect": merged["detect"],
-        "threshold": threshold,
-    }
+    """Parse ``merged`` into sweep parameters and check them by building the sweep.
+
+    The value rules are :class:`SweepConfig`'s and :class:`NoiseModel`'s;
+    a value they refuse raises :class:`ConfigError` here, before any work.
+    """
+    try:
+        params = {
+            "code": merged["code"],
+            "p_values": _parse_p_range(str(merged["p"])),
+            "trials": merged["trials"],
+            "seed": merged["seed"],
+            "noise": _noise_model(merged),
+            "detect": merged["detect"],
+            "threshold": merged["threshold"],
+        }
+        _sweep_config(params, params["detect"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return params
 
 
 def _emit(text: str, output_path: str | None) -> None:
@@ -443,6 +393,8 @@ def _check_output_paths(config: RunConfig) -> None:
     else:
         paths = (config.output_path,)
     for path in paths:
+        if not path:
+            raise ConfigError("output path is empty")
         directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):
             raise ConfigError(f"output directory {directory!r} does not exist")
@@ -670,7 +622,7 @@ def _cmd_fit(config: RunConfig) -> int:
     try:
         with open(config.parameters["input"], "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read input CSV: {exc}") from None
     try:
         result = parse_sweep_csv(text)

@@ -40,6 +40,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -48,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import (
+    CODE_IDS,
     StabilizerCode,
     decode,
     get_code,
@@ -60,8 +62,10 @@ from .noise import (
     ErrorEvent,
     NoiseModel,
     apply_rotations,
+    check_counter,
     correct_rotation,
     detect_rotations,
+    is_number,
     jk_excess,
     pauli_masks,
     philox_uniforms,
@@ -92,16 +96,32 @@ class SweepConfig:
     detection_threshold: float = DEFAULT_DETECTION_THRESHOLD
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
-        if not self.p_values:
+        if self.code_id not in CODE_IDS:
+            raise ValueError(f"code_id must be one of {CODE_IDS}, got {self.code_id!r}")
+        p_values = tuple(self.p_values)
+        if not p_values:
             raise ValueError("p_values must be nonempty")
-        for p in self.p_values:
-            if not 0.0 <= p < 1.0:
-                raise ValueError(f"p values must lie in [0, 1), got {p}")
+        for p in p_values:
+            if not (is_number(p) and 0.0 <= p < 1.0):
+                raise ValueError(f"p_values must be real numbers in [0, 1), got {p!r}")
+        object.__setattr__(self, "p_values", tuple(map(float, p_values)))
         if any(b <= a for a, b in zip(self.p_values, self.p_values[1:])):
             raise ValueError("p_values must be strictly increasing")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not (is_number(self.trials, numbers.Integral) and self.trials >= 1):
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "seed", check_counter("seed", self.seed))
+        if not isinstance(self.quaternionic_detection, bool):
+            raise ValueError(
+                f"quaternionic_detection must be true or false, got {self.quaternionic_detection!r}"
+            )
+        threshold = self.detection_threshold
+        # NaN would disable detection: every comparison with it is false.
+        if not (is_number(threshold) and 0.0 <= threshold < math.inf):
+            raise ValueError(
+                f"detection_threshold must be a finite real number >= 0, got {threshold!r}"
+            )
+        object.__setattr__(self, "detection_threshold", float(threshold))
 
 
 @dataclass(frozen=True)

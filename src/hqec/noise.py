@@ -42,6 +42,23 @@ PHASE_MODES = ("none", "table1")
 DRAWS_PER_QUBIT = 4
 
 
+def is_number(value, kind: type = numbers.Real) -> bool:
+    """True when ``value`` is an instance of ``kind``, which a bool never is here.
+
+    Python counts ``True`` as the integer 1, so without this rule a JSON
+    ``true`` would run as a rate of 1 or a seed of 1.  Strings are not
+    numbers either.
+    """
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_counter(name: str, value) -> int:
+    """``value`` as an ``int`` key or counter word of the Philox stream, in [0, 2**64)."""
+    if not (is_number(value, numbers.Integral) and 0 <= value < 2**64):
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class AngleDistribution:
     """Rotation angle law: ``fixed`` theta or ``uniform`` on [0, theta)."""
@@ -52,8 +69,9 @@ class AngleDistribution:
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "uniform"):
             raise ValueError(f"kind must be 'fixed' or 'uniform', got {self.kind!r}")
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
+        if not (is_number(self.theta) and math.isfinite(self.theta)):
+            raise ValueError(f"angle theta must be a finite real number, got {self.theta!r}")
+        object.__setattr__(self, "theta", float(self.theta))
 
     def draw(self, u: float) -> float:
         return self.theta if self.kind == "fixed" else u * self.theta
@@ -66,9 +84,9 @@ class AngleDistribution:
         if not isinstance(data, dict):
             raise ValueError(f"angle must be an object with 'fixed' or 'uniform_max', got {data!r}")
         if set(data) == {"fixed"}:
-            return cls("fixed", _config_number("angle fixed", data["fixed"]))
+            return cls("fixed", data["fixed"])
         if set(data) == {"uniform_max"}:
-            return cls("uniform", _config_number("angle uniform_max", data["uniform_max"]))
+            return cls("uniform", data["uniform_max"])
         raise ValueError(f"angle dict must have exactly 'fixed' or 'uniform_max', got {sorted(data)}")
 
 
@@ -85,16 +103,17 @@ class NoiseModel:
     rot_mode: str = "zero"
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if not 0.0 <= self.p_rot <= 1.0:
-            raise ValueError(f"p_rot must be in [0, 1], got {self.p_rot}")
+        if not (is_number(self.p) and 0.0 <= self.p <= 1.0):
+            raise ValueError(f"p must be a real number in [0, 1], got {self.p!r}")
+        if not (is_number(self.p_rot) and 0.0 <= self.p_rot <= 1.0):
+            raise ValueError(
+                f"p_rot (rotations per qubit) must be a real number in [0, 1], got {self.p_rot!r}"
+            )
         weights = tuple(self.pauli_weights)
-        if len(weights) != 3 or not all(
-            isinstance(w, numbers.Real) and not isinstance(w, bool) and 0.0 <= w < math.inf
-            for w in weights
-        ):
+        if len(weights) != 3 or not all(is_number(w) and 0.0 <= w < math.inf for w in weights):
             raise ValueError(f"pauli_weights must be three finite reals >= 0, got {weights}")
+        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "p_rot", float(self.p_rot))
         object.__setattr__(self, "pauli_weights", tuple(float(w) for w in weights))
         if abs(sum(self.pauli_weights) - 1.0) > 1e-12:
             raise ValueError(f"pauli_weights must sum to 1, got {sum(self.pauli_weights)}")
@@ -123,38 +142,21 @@ class NoiseModel:
         unknown = set(data) - allowed
         if unknown:
             raise ValueError(f"unknown noise config keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        if "p" in data:
-            kwargs["p"] = _config_number("p", data["p"])
-        else:
+        if "p" not in data:
             raise ValueError("noise config is missing 'p'")
+        kwargs = {key: data[key] for key in ("p", "p_rot", "phase_mode", "rot_mode") if key in data}
         if "weights" in data:
             if not isinstance(data["weights"], (list, tuple)):
                 raise ValueError(f"weights must be a list of three numbers, got {data['weights']!r}")
             kwargs["pauli_weights"] = tuple(data["weights"])
-        if "phase_mode" in data:
-            kwargs["phase_mode"] = str(data["phase_mode"])
-        if "p_rot" in data:
-            kwargs["p_rot"] = _config_number("p_rot", data["p_rot"])
         if "axis" in data:
-            if not isinstance(data["axis"], (list, tuple)) or len(data["axis"]) != 3:
+            axis = data["axis"] if isinstance(data["axis"], (list, tuple)) else ()
+            if len(axis) != 3 or not all(map(is_number, axis)):
                 raise ValueError(f"axis must be a list of three numbers, got {data['axis']!r}")
-            kwargs["rot_axis"] = ImaginaryAxis(*(_config_number("axis", c) for c in data["axis"]))
+            kwargs["rot_axis"] = ImaginaryAxis(*axis)
         if "angle" in data:
             kwargs["rot_angle"] = AngleDistribution.from_dict(data["angle"])
-        if "rot_mode" in data:
-            kwargs["rot_mode"] = str(data["rot_mode"])
         return cls(**kwargs)
-
-
-def _config_number(name: str, value) -> float:
-    # float() would read a JSON true as 1.0
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -175,13 +177,6 @@ class ErrorEvent:
     @property
     def is_identity(self) -> bool:
         return self.pauli.weight == 0 and self.pauli.phase == quat.ONE and not self.rotations
-
-
-def _check_counter(name: str, value: int) -> int:
-    value = int(value)
-    if not 0 <= value < 2**64:
-        raise ValueError(f"{name} must be in [0, 2**64), got {value}")
-    return value
 
 
 def _event_from_draws(model: NoiseModel, n: int, draws: np.ndarray) -> ErrorEvent:
@@ -221,7 +216,7 @@ def sample_error(model: NoiseModel, n: int, seed: int, trial: int) -> ErrorEvent
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    key = np.array([_check_counter("seed", seed), _check_counter("trial", trial)], dtype=np.uint64)
+    key = np.array([check_counter("seed", seed), check_counter("trial", trial)], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     return _event_from_draws(model, n, rng.random(DRAWS_PER_QUBIT * n))
 
@@ -256,7 +251,7 @@ def philox_uniforms(seed: int, trials, count: int) -> np.ndarray:
     Philox4x64-10 of the counter ``(b + 1, 0, 0, 0)`` under that key, and a
     word ``u`` becomes the double ``(u >> 11) * 2**-53``.
     """
-    seed = _check_counter("seed", seed)
+    seed = check_counter("seed", seed)
     trials = np.asarray(trials)
     if trials.ndim != 1 or trials.dtype.kind not in "ui" or (
         trials.dtype.kind == "i" and trials.size and trials.min() < 0

@@ -19,6 +19,11 @@ from dataclasses import dataclass
 TOLERANCE = 1e-12
 
 
+def _is_scalar(value) -> bool:
+    """A real ``int`` or ``float`` a quaternion may be scaled by; a bool is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class Quaternion:
     """Immutable quaternion ``w + x*i + y*j + z*k``.
@@ -67,19 +72,17 @@ class Quaternion:
                 a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
                 a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
             )
-        if isinstance(other, (int, float)) and not isinstance(other, bool):
+        if _is_scalar(other):
             s = float(other)
             return Quaternion(self.w * s, self.x * s, self.y * s, self.z * s)
         return NotImplemented
 
     def __rmul__(self, other):
         # Real scalars commute with quaternions, so this is unambiguous.
-        if isinstance(other, (int, float)) and not isinstance(other, bool):
-            return self.__mul__(other)
-        return NotImplemented
+        return self.__mul__(other) if _is_scalar(other) else NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)) and not isinstance(other, bool):
+        if _is_scalar(other):
             s = float(other)
             return Quaternion(self.w / s, self.x / s, self.y / s, self.z / s)
         return NotImplemented

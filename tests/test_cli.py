@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from unittest import mock
+
 from hqec import cli
 from hqec.cli import ConfigError, main, parse_args, _parse_p_range
 
@@ -249,6 +251,33 @@ def test_config_bool_and_non_finite_noise_values_exit_3(tmp_path, capsys, sectio
     assert key in err
 
 
+@pytest.mark.parametrize(
+    ("section", "key", "value"),
+    [
+        ("flat", "trials", "5"),
+        ("flat", "seed", "3"),
+        ("flat", "threshold", "0.02"),
+        ("flat", "rotations", "0.1"),
+        ("noise", "p", "0.1"),
+        ("noise", "p_rot", "0.1"),
+        ("noise", "axis", ["0", "0", "1"]),
+        ("noise", "angle", {"fixed": "0.3"}),
+    ],
+)
+def test_config_numeric_strings_exit_3(tmp_path, capsys, section, key, value):
+    body = {"code": "three", "p": "0.05:0.2:log:3", "trials": 20}
+    if section == "noise":
+        body["noise"] = {key: value}
+    else:
+        body[key] = value
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(body))
+    code, out, err = run_cli(capsys, "mc", "--config", str(config))
+    assert code == 3
+    assert out == ""
+    assert key in err
+
+
 @pytest.mark.parametrize("raw", ["nan,1,1", "1,inf,0", "0,0,inf"])
 def test_bad_weights_flag_exits_3(capsys, raw):
     code, out, err = run_cli(capsys, "mc", "--code", "three", "--p", "0.05:0.2:log:3",
@@ -469,6 +498,31 @@ def test_mc_detect_flag(capsys):
 def test_fit_missing_file_exits_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "fit", "--in", str(tmp_path / "absent.csv"))
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["fit --in", "mc --config"])
+def test_non_utf8_input_exits_3(capsys, tmp_path, command):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, *command.split(), str(path))
+    assert code == 3
+    assert out == ""
+    assert "cannot read" in err
+
+
+@pytest.mark.parametrize("out", [5, True, ""], ids=["int", "bool", "empty"])
+def test_bad_config_out_exits_3_before_any_work(monkeypatch, capsys, tmp_path, out):
+    from hqec import experiments
+
+    monkeypatch.setattr(experiments, "_count_pipelines", mock.Mock(side_effect=AssertionError))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({"code": "three", "p": "0.05:0.2:log:3",
+                                                   "trials": 5, "out": out}))
+    code, stdout, err = run_cli(capsys, "mc", "--config", "run.json")
+    assert code == 3, err
+    assert stdout == ""
+    assert "out" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 _OUT_COMMANDS = [

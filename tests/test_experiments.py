@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from unittest import mock
@@ -161,6 +162,44 @@ def test_sweep_config_validation():
         SweepConfig("three", model, (0.1, 1.0), trials=10, seed=0)
     with pytest.raises(ValueError):
         SweepConfig("three", model, (0.1,), trials=0, seed=0)
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("detection_threshold", math.nan),
+        ("detection_threshold", math.inf),
+        ("detection_threshold", -0.01),
+        ("detection_threshold", True),
+        ("detection_threshold", "0.01"),
+        ("trials", True),
+        ("trials", 2.0),
+        ("trials", "5"),
+        ("seed", -1),
+        ("seed", 2**64),
+        ("seed", 3.7),
+        ("seed", False),
+        ("quaternionic_detection", "yes"),
+        ("code_id", "five"),
+        ("p_values", (True,)),
+        ("p_values", ("0.1",)),
+    ],
+)
+def test_sweep_config_refuses_bad_values(field, value):
+    # A NaN threshold used to run: every comparison with it is false, so
+    # no trial failed on the rotation channel.
+    base = dict(code_id="perfect5", noise=NoiseModel(p=0.0, p_rot=0.3), p_values=(0.0,),
+                trials=20, seed=0)
+    with pytest.raises(ValueError, match=field):
+        SweepConfig(**{**base, field: value})
+
+
+def test_sweep_config_normalizes_numpy_and_integer_values():
+    config = SweepConfig("three", bitflip_model(), (0.1,), trials=np.int64(5),
+                         seed=np.uint64(2**64 - 1), detection_threshold=0)
+    assert (config.trials, config.seed, config.detection_threshold) == (5, 2**64 - 1, 0.0)
+    assert (type(config.trials), type(config.seed), type(config.detection_threshold)) == (
+        int, int, float)
 
 
 def test_run_sweep_zero_p_single_trial():

@@ -141,6 +141,27 @@ def test_sample_error_seed_bounds():
         sample_error(model, 3, seed=0, trial=2**64)
 
 
+@pytest.mark.parametrize("value", [3.7, True, "7", np.float64(3.0), None])
+@pytest.mark.parametrize("name", ["seed", "trial"])
+def test_counters_must_be_integers(name, value):
+    # int() used to read these as seeds 3, 1 and 7.
+    model = NoiseModel(p=0.1)
+    counters = {"seed": 0, "trial": 0, name: value}
+    with pytest.raises(ValueError, match=name):
+        sample_error(model, 3, **counters)
+    if name == "seed":
+        with pytest.raises(ValueError, match="seed"):
+            philox_uniforms(value, np.array([0], dtype=np.uint64), 4)
+
+
+def test_counters_accept_numpy_integers():
+    model = NoiseModel(p=0.1)
+    expected = sample_error(model, 3, seed=5, trial=2**64 - 1)
+    assert sample_error(model, 3, seed=np.int64(5), trial=np.uint64(2**64 - 1)) == expected
+    trials = np.array([0, 9], dtype=np.uint64)
+    assert np.array_equal(philox_uniforms(np.uint64(5), trials, 4), philox_uniforms(5, trials, 4))
+
+
 def test_sample_zero_rates_is_identity():
     model = NoiseModel(p=0.0, p_rot=0.0)
     for trial in range(20):
@@ -235,6 +256,22 @@ def test_noise_model_accepts_integer_and_numpy_weights():
 def test_noise_dict_rejects_non_numeric_rates(key, value):
     with pytest.raises(ValueError, match=key):
         NoiseModel.from_dict({"p": 0.1, key: value})
+
+
+@pytest.mark.parametrize(
+    ("build", "name"),
+    [
+        (lambda: NoiseModel(p=0.1, p_rot=True), "p_rot"),
+        (lambda: NoiseModel(p="0.1"), "p"),
+        (lambda: NoiseModel(p=True), "p"),
+        (lambda: AngleDistribution("fixed", True), "theta"),
+        (lambda: AngleDistribution("uniform", "0.5"), "theta"),
+    ],
+    ids=["p_rot True", "p string", "p True", "theta True", "theta string"],
+)
+def test_noise_values_refuse_bools_and_strings(build, name):
+    with pytest.raises(ValueError, match=name):
+        build()
 
 
 def test_noise_model_dict_roundtrip():
