@@ -79,7 +79,6 @@ class ConfigError(Exception):
 class RunConfig:
     command: str
     parameters: dict
-    seed: int
     output_path: str | None
 
 
@@ -297,23 +296,10 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
         params = _validate_sweep(merged)
         if command == "figure1":
             params["include_model"] = bool(args.include_model)
-        return RunConfig(command, params, params["seed"], merged["out"])
+        return RunConfig(command, params, merged["out"])
 
-    if command == "fit":
-        return RunConfig("fit", {"input": args.input}, DEFAULT_SEED, args.out)
-
-    if command == "syndrome-table":
-        return RunConfig(
-            "syndrome-table",
-            {"code": args.code, "format": args.format},
-            DEFAULT_SEED,
-            args.out,
-        )
-
-    if command == "audit":
-        return RunConfig("audit", {"format": args.format}, DEFAULT_SEED, args.out)
-
-    return RunConfig(command, {}, DEFAULT_SEED, getattr(args, "out", None))
+    params = {key: value for key, value in vars(args).items() if key not in ("command", "out")}
+    return RunConfig(command, params, args.out)
 
 
 def _noise_model(merged: dict) -> NoiseModel:
@@ -362,8 +348,6 @@ def _validate_sweep(merged: dict) -> dict:
 def _emit(text: str, output_path: str | None) -> None:
     if output_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         _write_file(output_path, text)
 

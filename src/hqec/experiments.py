@@ -258,37 +258,23 @@ GUARD = 1e-9
 
 
 def count_failures(
-    code: StabilizerCode,
-    noise: NoiseModel,
-    p_values: tuple[float, ...],
-    seed: int,
-    start: int,
-    stop: int,
-    quaternionic_detection: bool = False,
-    detection_threshold: float = DEFAULT_DETECTION_THRESHOLD,
-) -> list[int]:
-    """Failures among trials ``start .. stop - 1`` at each p of ``p_values``.
+    code: StabilizerCode, pipelines: tuple[tuple[NoiseModel, bool, float], ...],
+    p_values: tuple[float, ...], seed: int, start: int, stop: int,
+) -> list[list[int]]:
+    """Failures among trials ``start .. stop - 1`` at each p of ``p_values``, per pipeline.
 
-    The batched trial engine; ``noise`` is a template whose ``p`` each
-    point replaces.  Entry ``i`` equals the number of those trials for
-    which ``run_trial(code, noise.with_p(p_values[i]), seed, t, ...)``
-    fails, bit for bit.  The uniforms of a chunk of trials are drawn once
-    for every point.  The Pauli channel is scored as mask arrays by
-    :func:`codes.pauli_failures`.  The rotation channel does not depend on
-    ``p``: the chunk's rotated trials are scored once, as arrays of damaged
-    ``|0_L>`` states, and a trial whose compared excesses lie within
-    :data:`GUARD` of the threshold is scored again through
-    :func:`score_event` with its Pauli part removed.
-    """
-    pipeline = (noise, quaternionic_detection, detection_threshold)
-    return _count_pipelines(code, (pipeline,), p_values, seed, start, stop)[0]
-
-
-def _count_pipelines(code, pipelines, p_values, seed, start, stop) -> list[list[int]]:
-    """:func:`count_failures` for several ``(noise, detect, threshold)`` at once.
-
-    Pipelines share the draws, the Pauli failures when their Pauli weights
-    agree, and the damaged states when their rotation parameters agree.
+    The batched trial engine.  A pipeline is a ``(noise, detect, threshold)``
+    triple whose ``noise`` is a template; each point replaces its ``p``.
+    Entry ``[j][i]`` equals the number of those trials for which
+    ``run_trial(code, noise.with_p(p_values[i]), seed, t, detect, threshold)``
+    of pipeline ``j`` fails, bit for bit.  The uniforms of a chunk of trials
+    are drawn once for every point and pipeline.  The Pauli channel is scored
+    as mask arrays by :func:`codes.pauli_failures`, shared by pipelines whose
+    Pauli weights agree.  The rotation channel does not depend on ``p``: the
+    chunk's rotated trials are scored once, as arrays of damaged ``|0_L>``
+    states shared by pipelines whose rotation parameters agree, and a trial
+    whose compared excesses lie within :data:`GUARD` of the threshold is
+    scored again through :func:`score_event` with its Pauli part removed.
     """
     if not 0 <= start <= stop <= 2**64:
         raise ValueError(f"need 0 <= start <= stop <= 2**64, got {start}, {stop}")
@@ -409,40 +395,36 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 def _run_sweeps(configs: tuple[SweepConfig, ...]) -> list[SweepResult]:
     """One engine pass for configs that share code, grid, trials and seed."""
     head = configs[0]
-    code = get_code(head.code_id)
-    workers = thread_count()
     pipelines = tuple(
         (c.noise, c.quaternionic_detection, c.detection_threshold) for c in configs
     )
-    failures = _sweep_failures(code, pipelines, head.p_values, head.seed, head.trials, workers)
+    args = (get_code(head.code_id), pipelines, head.p_values, head.seed)
+    workers = thread_count()
+    parts = None
+    if workers > 1 and head.trials >= 2 * workers:
+        bounds = np.linspace(0, head.trials, workers + 1, dtype=int)
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [
+                    pool.submit(count_failures, *args, int(a), int(b))
+                    for a, b in zip(bounds[:-1], bounds[1:])
+                ]
+                parts = [f.result() for f in futures]
+        except OSError:
+            # Restricted environments without process support run serially;
+            # identical counts either way because trials are keyed individually.
+            pass
+    if parts is None:
+        parts = [count_failures(*args, 0, head.trials)]
     results = []
-    for config, counts in zip(configs, failures):
+    for config, tallies in zip(configs, zip(*parts)):
         points = []
-        for p, count in zip(config.p_values, counts):
+        for p, count in zip(config.p_values, map(sum, zip(*tallies))):
             p_l = count / config.trials
             stderr = math.sqrt(p_l * (1.0 - p_l) / config.trials)
             points.append(SweepPoint(p, count, config.trials, p_l, stderr))
         results.append(SweepResult(config.code_id, config.seed, tuple(points)))
     return results
-
-
-def _sweep_failures(code, pipelines, p_values, seed, trials, workers) -> list[list[int]]:
-    args = (code, pipelines, p_values, seed)
-    if workers <= 1 or trials < 2 * workers:
-        return _count_pipelines(*args, 0, trials)
-    bounds = np.linspace(0, trials, workers + 1, dtype=int)
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_count_pipelines, *args, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:])
-            ]
-            parts = [f.result() for f in futures]
-    except OSError:
-        # Restricted environments without process support; identical
-        # counts either way because trials are keyed individually.
-        return _count_pipelines(*args, 0, trials)
-    return [[sum(counts) for counts in zip(*tallies)] for tallies in zip(*parts)]
 
 
 def fit_threshold(result: SweepResult) -> FitResult:

@@ -232,6 +232,19 @@ def adjoint(a: QMatrix) -> QMatrix:
     return QMatrix._wrap(qconj_components(np.swapaxes(a.components, 0, 1)))
 
 
+def entry_products(entries: np.ndarray, amps: np.ndarray, side: MulSide) -> np.ndarray:
+    """Broadcast products of entry and amplitude components on ``side``.
+
+    LEFT gives ``entry * amp`` and RIGHT gives ``amp * entry``; any other
+    ``side`` raises ``ValueError``.
+    """
+    if side is MulSide.LEFT:
+        return qmul_components(entries, amps)
+    if side is MulSide.RIGHT:
+        return qmul_components(amps, entries)
+    raise ValueError(f"side must be a MulSide, got {side!r}")
+
+
 def matvec(a: QMatrix, psi: QVector, side: MulSide) -> QVector:
     """Apply a matrix to a vector with an explicit entry-multiplication side.
 
@@ -240,13 +253,7 @@ def matvec(a: QMatrix, psi: QVector, side: MulSide) -> QVector:
     """
     if a.cols != psi.dim:
         raise ValueError(f"shape mismatch: matrix cols {a.cols} vs vector dim {psi.dim}")
-    v = psi.components[None, :, :]
-    if side is MulSide.LEFT:
-        prod = qmul_components(a.components, v)
-    elif side is MulSide.RIGHT:
-        prod = qmul_components(v, a.components)
-    else:
-        raise ValueError(f"side must be a MulSide, got {side!r}")
+    prod = entry_products(a.components, psi.components[None, :, :], side)
     return QVector._wrap(prod.sum(axis=1))
 
 

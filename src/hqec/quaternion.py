@@ -174,7 +174,10 @@ class ImaginaryAxis:
 
     def __post_init__(self) -> None:
         for name in ("x", "y", "z"):
-            value = float(getattr(self, name))
+            value = getattr(self, name)
+            if not _is_scalar(value):
+                raise TypeError(f"axis component {name} must be a real number, got {value!r}")
+            value = float(value)
             if not math.isfinite(value):
                 raise ValueError(f"axis component {name} must be finite")
             object.__setattr__(self, name, value)

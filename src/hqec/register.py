@@ -23,7 +23,7 @@ from .linalg import (
     MulSide,
     QMatrix,
     QVector,
-    qmul_components,
+    entry_products,
     real_norm_sq,
 )
 
@@ -208,13 +208,7 @@ def apply_gate(reg: QRegister, gate: Gate, targets: list[int] | tuple[int, ...])
     axes = [q - 1 for q in targets]
     front = np.moveaxis(reg.amps.components.reshape((2,) * n + (4,)), axes, range(a))
     amps = front.reshape(1, 2**a, -1, 4)
-    entries = gate.matrix.components[:, :, None, :]
-    if gate.side is MulSide.LEFT:
-        prod = qmul_components(entries, amps)
-    elif gate.side is MulSide.RIGHT:
-        prod = qmul_components(amps, entries)
-    else:
-        raise ValueError(f"side must be a MulSide, got {gate.side!r}")
+    prod = entry_products(gate.matrix.components[:, :, None, :], amps, gate.side)
     out = np.moveaxis(prod.sum(axis=1).reshape(front.shape), range(a), axes)
     return QRegister.from_components(n, out.reshape(2**n, 4))
 

@@ -52,7 +52,7 @@ def test_parse_args_mc():
     assert config.command == "mc"
     assert len(config.parameters["p_values"]) == 10
     assert config.parameters["trials"] == 1000
-    assert config.seed == 7
+    assert config.parameters["seed"] == 7
 
 
 def test_parse_args_reuses_one_parser_without_leaking_flags():
@@ -510,11 +510,56 @@ def test_non_utf8_input_exits_3(capsys, tmp_path, command):
     assert "cannot read" in err
 
 
+_MC = ["mc", "--code", "three", "--p", "0.05:0.2:log:3", "--trials", "5"]
+
+# case -> argv (IN is a file holding the text), file text, a fragment of the message
+_BAD_INPUTS = {
+    "rot-axis two fields": ([*_MC, "--rot-axis", "1,0"], None, "x,y,z, got '1,0'"),
+    "rot-axis zero": ([*_MC, "--rot-axis", "0,0,0"], None, "bad rot-axis '0,0,0'"),
+    "rot-axis letters": ([*_MC, "--rot-axis", "a,b,c"], None, "bad rot-axis 'a,b,c'"),
+    "rot-angle malformed": ([*_MC, "--rot-angle", "fixed"], None, "THETA_MAX, got 'fixed'"),
+    "weights two fields": ([*_MC, "--weights", "1,2"], None, "wx,wy,wz, got '1,2'"),
+    "weights letters": ([*_MC, "--weights", "a,b,c"], None, "non-numeric fields: 'a,b,c'"),
+    "config not JSON": (["mc", "--config", "IN"], "{", "is not valid JSON"),
+    "config not object": (["mc", "--config", "IN"], "[1]", "must hold a JSON object"),
+    "config without code": (["mc", "--config", "IN"], '{"p": "0.05:0.2:log:3"}',
+                            "missing required parameter: code"),
+    "noise not object": (["mc", "--config", "IN"],
+                         '{"code": "three", "p": "0.05:0.2:log:3", "noise": 5}',
+                         "noise section must be an object"),
+    "fit bad header": (["fit", "--in", "IN"], "p,failures\n0.1,1\n", "bad CSV header"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUTS))
+def test_bad_input_exits_3_with_a_message_naming_it(capsys, tmp_path, case):
+    argv, text, fragment = _BAD_INPUTS[case]
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(capsys, *(str(path) if arg == "IN" else arg for arg in argv))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and fragment in err, err
+
+
+def test_internal_error_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_findings", mock.Mock(side_effect=RuntimeError("boom")))
+    assert run_cli(capsys, "verify") == (1, "", "internal error: boom\n")
+
+
+def test_comma_triple_rot_axis_equals_named_axis(capsys):
+    argv = ["mc", "--code", "perfect5", "--p", "0.01:0.1:log:3", "--trials", "500",
+            "--rotations", "0.2", "--detect", "--rot-axis"]
+    code, named, err = run_cli(capsys, *argv, "k")
+    assert code == 0, err
+    assert run_cli(capsys, *argv, "0,0,2") == (0, named, "")
+
+
 @pytest.mark.parametrize("out", [5, True, ""], ids=["int", "bool", "empty"])
 def test_bad_config_out_exits_3_before_any_work(monkeypatch, capsys, tmp_path, out):
     from hqec import experiments
 
-    monkeypatch.setattr(experiments, "_count_pipelines", mock.Mock(side_effect=AssertionError))
+    monkeypatch.setattr(experiments, "count_failures", mock.Mock(side_effect=AssertionError))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.json").write_text(json.dumps({"code": "three", "p": "0.05:0.2:log:3",
                                                    "trials": 5, "out": out}))
@@ -550,7 +595,7 @@ def test_unwritable_output_exits_3_before_any_work(monkeypatch, capsys, tmp_path
 
     from hqec import experiments
 
-    monkeypatch.setattr(experiments, "_count_pipelines", no_work("engine"))
+    monkeypatch.setattr(experiments, "count_failures", no_work("engine"))
     monkeypatch.setattr(cli, "_findings", no_work("findings"))
     monkeypatch.setattr(cli, "build_syndrome_table", no_work("syndrome table"))
     monkeypatch.setattr(cli, "fit_threshold", no_work("fit"))

@@ -280,6 +280,11 @@ def oracle_counts(code, noise, p_values, seed, start, stop, detect, threshold):
     ]
 
 
+def engine_counts(code, noise, p_values, seed, start, stop, detect=False, threshold=0.01):
+    """The engine's counts for the one pipeline ``(noise, detect, threshold)``."""
+    return count_failures(code, ((noise, detect, threshold),), p_values, seed, start, stop)[0]
+
+
 @st.composite
 def engine_cases(draw):
     code = _CODES[draw(st.sampled_from(CODE_IDS))]
@@ -327,7 +332,7 @@ def test_batched_engine_equals_per_trial_oracle(case):
             case["start"], case["stop"], case["detect"], case["threshold"])
     # A small chunk puts chunk boundaries inside every drawn range.
     with mock.patch.object(experiments, "CHUNK_TRIALS", case["chunk"]):
-        assert count_failures(*args) == oracle_counts(*args)
+        assert engine_counts(*args) == oracle_counts(*args)
 
 
 def test_batched_engine_crosses_the_real_chunk_boundary():
@@ -335,7 +340,7 @@ def test_batched_engine_crosses_the_real_chunk_boundary():
     start = 2**40 + 5
     stop = start + experiments.CHUNK_TRIALS + 37
     args = (_CODES["paper5"], noise, (0.05, 0.3), 2**64 - 1, start, stop, True, 0.01)
-    counts = count_failures(*args)
+    counts = engine_counts(*args)
     assert counts == oracle_counts(*args)
     assert all(counts)
 
@@ -382,16 +387,16 @@ def test_engine_threshold_on_an_oracle_excess(rot_mode, angle):
             with mock.patch.object(experiments, "run_trial", wraps=run_trial) as fallback:
                 for threshold in sorted({x for x, _ in values}):
                     args = (code, noise, (0.0,), seed, 0, len(events), detect, threshold)
-                    assert count_failures(*args) == oracle_counts(*args), (axis, detect, threshold)
+                    assert engine_counts(*args) == oracle_counts(*args), (axis, detect, threshold)
             assert fallback.call_count >= len({x for x, matters in values if matters})
 
 
 def test_count_failures_range_validation():
     code, noise = _CODES["three"], NoiseModel(p=0.0)
-    assert count_failures(code, noise, (0.1, 0.2), 0, 5, 5) == [0, 0]
+    assert engine_counts(code, noise, (0.1, 0.2), 0, 5, 5) == [0, 0]
     for start, stop in ((-1, 3), (4, 3), (2**64 - 1, 2**64 + 1)):
         with pytest.raises(ValueError):
-            count_failures(code, noise, (0.1,), 0, start, stop)
+            engine_counts(code, noise, (0.1,), 0, start, stop)
 
 
 # -- fitting ----------------------------------------------------------------------
@@ -598,6 +603,26 @@ def test_figure1_pass_equals_separate_sweeps_and_oracle(monkeypatch, pair, threa
             config.quaternionic_detection, config.detection_threshold,
         )
         assert [pt.failures for pt in result.points] == want
+
+
+def test_pool_that_cannot_start_falls_back_to_serial(monkeypatch):
+    base = dict(code_id="perfect5", noise=NoiseModel(p=0.0, p_rot=0.1), p_values=(0.02, 0.1),
+                trials=300, seed=5)
+    std = SweepConfig(**base)
+    quat_cfg = SweepConfig(quaternionic_detection=True, **base)
+    monkeypatch.delenv("HQEC_THREADS", raising=False)
+    serial = (run_sweep(std), figure1_data(std, quat_cfg))
+    attempts = []
+
+    class NoProcesses:
+        def __init__(self, *args, **kwargs):
+            attempts.append(kwargs.get("max_workers"))
+            raise OSError("no process support")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoProcesses)
+    monkeypatch.setenv("HQEC_THREADS", "2")
+    assert (run_sweep(std), figure1_data(std, quat_cfg)) == serial
+    assert attempts == [2, 2]
 
 
 def test_figure1_csv_layout():

@@ -151,6 +151,13 @@ def test_exp_axis_rejects_non_axis():
         ImaginaryAxis(0.5, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("components", [(True, False, False), ("1", "0", "0")],
+                         ids=["bool", "string"])
+def test_axis_components_must_be_real_numbers(components):
+    with pytest.raises(TypeError, match="axis component x must be a real number"):
+        ImaginaryAxis(*components)
+
+
 def test_axis_normalized_rejects_zero():
     with pytest.raises(ValueError):
         ImaginaryAxis.normalized(0, 0, 0)

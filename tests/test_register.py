@@ -150,6 +150,17 @@ def test_apply_gate_reversed_and_nonadjacent_targets_match_oracle(targets):
         assert np.allclose(out.amps.components, want.components, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("side", ["left", None], ids=["string", "none"])
+def test_side_that_is_not_a_mulside_raises_in_matvec_and_apply_gate(side):
+    matrix = hadamard_gate().matrix
+    gate = Gate("H", matrix, side, 1)  # Gate does not check its side
+    reg = QRegister.computational(1, "0")
+    with pytest.raises(ValueError, match="side must be a MulSide"):
+        matvec(matrix, reg.amps, side)
+    with pytest.raises(ValueError, match="side must be a MulSide"):
+        apply_gate(reg, gate, [1])
+
+
 def test_apply_gate_whole_register_in_order_is_plain_matvec():
     reg = rand_register(np.random.default_rng(44), 2)
     direct = matvec(cnot_gate().matrix, reg.amps, MulSide.RIGHT)
