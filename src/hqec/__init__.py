@@ -35,7 +35,6 @@ from .linalg import (
     matvec,
     phase_alignment_check,
     real_norm_sq,
-    right_scalar_mul,
     tensor,
 )
 from .register import (
@@ -68,7 +67,6 @@ from .codes import (
     commute_sign,
     decode,
     get_code,
-    hqubit_contract,
     hqubit_expand,
     paper_five_qubit_code,
     standard_perfect_code,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import quaternion as quat
 from .quaternion import Quaternion, phase_label
-from .linalg import QVector, inner_product, left_mul_matrix
+from .linalg import QVector, inner_product, left_mul_matrix, real_norm_sq
 from .register import UNIT_FOR_LETTER, QRegister
 
 LETTERS = ("I", "X", "Y", "Z")
@@ -316,17 +316,6 @@ def apply_pauli(ps: PauliString, reg: QRegister) -> QRegister:
     return QRegister.from_components(reg.n, out)
 
 
-def measure_stabilizer_eigenvalue(reg: QRegister, s: PauliString, tol: float = quat.TOLERANCE) -> int:
-    """Exact +-1 eigenvalue of ``s`` on ``reg``; raises if ``reg`` is not an eigenstate."""
-    moved = apply_pauli(s, reg)
-    if moved.amps.isclose(reg.amps, tol):
-        return 1
-    negated = QVector.from_components(-moved.amps.components)
-    if negated.isclose(reg.amps, tol):
-        return -1
-    raise ValueError(f"register is not a +-1 eigenstate of {s.word()}")
-
-
 def stabilizer_expectation_sign(reg: QRegister, s: PauliString) -> int:
     """Sign of the real part of ``<reg| s |reg>`` (0 when it vanishes)."""
     value = inner_product(reg.amps, apply_pauli(s, reg).amps).w
@@ -335,18 +324,6 @@ def stabilizer_expectation_sign(reg: QRegister, s: PauliString) -> int:
     if value < 0.0:
         return -1
     return 0
-
-
-def state_based_syndrome(e: PauliString, code: StabilizerCode, codeword: int = 0) -> Syndrome:
-    """Syndrome measured on a damaged codeword instead of via commutation.
-
-    Applies ``e`` to the chosen codeword and reads each generator's exact
-    eigenvalue.  Valid only for codes whose codewords the generators fix,
-    which is what makes it an independent check of :func:`syndrome_of`.
-    """
-    cw = code.codeword_zero if codeword == 0 else code.codeword_one
-    damaged = apply_pauli(e, cw)
-    return Syndrome(tuple(measure_stabilizer_eigenvalue(damaged, g) for g in code.generators))
 
 
 # -- codeword verification ------------------------------------------------
@@ -468,7 +445,7 @@ def standard_perfect_code() -> StabilizerCode:
     for g in generators:
         reg = QRegister.from_components(5, arr)
         arr = (arr + apply_pauli(g, reg).amps.components) / 2.0
-    norm = float(np.sqrt(np.sum(arr * arr)))
+    norm = float(np.sqrt(real_norm_sq(QVector.from_components(arr))))
     zero = QRegister.from_components(5, arr / norm)
     one = apply_pauli(logical_x, zero)
     return StabilizerCode(
@@ -519,43 +496,30 @@ class SyndromeTable:
     generator_count: int
     rows: tuple[SyndromeTableRow, ...]
 
-    def row(self, letter: str, qubit: int) -> SyndromeTableRow:
-        for r in self.rows:
-            if r.letter == letter and r.qubit == qubit:
-                return r
-        raise KeyError(f"no row for {letter}{qubit}")
 
-
-def build_syndrome_table(
-    code: StabilizerCode, phases: Sequence[Quaternion] | None = None
-) -> SyndromeTable:
+def build_syndrome_table(code: StabilizerCode) -> SyndromeTable:
     """Syndromes for every single-qubit X/Y/Z error, with phased variants.
 
-    Each row is a letter-level error annotated with its unit-phased
-    spellings; by default the paired unit for the letter (``iX``, ``jY``,
-    ``kZ``).  Passing ``phases`` annotates every row with each listed
-    phase instead.  All variants share the row's syndrome, which is
-    asserted during the build.
+    Each row is a letter-level error annotated with its spelling under the
+    paired unit for the letter (``iX``, ``jY``, ``kZ``).  The variant shares
+    the row's syndrome, which is asserted during the build.
     """
     rows = []
     for qubit in range(1, code.n + 1):
         for letter in _ERROR_LETTERS:
             error = PauliString.single(code.n, qubit, letter)
             syndrome = syndrome_of(error, code)
-            row_phases = tuple(phases) if phases is not None else (UNIT_FOR_LETTER[letter],)
-            variants = []
-            for ph in row_phases:
-                variant = PauliString.single(code.n, qubit, letter, ph)
-                if syndrome_of(variant, code) != syndrome:
-                    raise AssertionError("phased variant changed a syndrome")
-                variants.append(variant.label)
+            phase = UNIT_FOR_LETTER[letter]
+            variant = PauliString.single(code.n, qubit, letter, phase)
+            if syndrome_of(variant, code) != syndrome:
+                raise AssertionError("phased variant changed a syndrome")
             rows.append(
                 SyndromeTableRow(
                     qubit=qubit,
                     letter=letter,
-                    phase=row_phases[0],
+                    phase=phase,
                     error_label=f"{letter}{qubit}",
-                    variants=tuple(variants),
+                    variants=(variant.label,),
                     syndrome=syndrome,
                 )
             )
@@ -641,20 +605,11 @@ def hqubit_expand(label: str) -> str:
         raise ValueError(f"label must be one of 1, i, j, k, got {label!r}") from None
 
 
-def hqubit_contract(bits: str) -> str:
-    for label, expansion in HQUBIT_BASIS_EXPANSION.items():
-        if bits == expansion:
-            return label
-    raise ValueError(f"bits must be one of 00, 01, 10, 11, got {bits!r}")
-
-
 #: Slot-value labellings: which unit each display label stands for.
 #: "0d"/"1d" are the dotted labels.  The prose mapping and the mapping the
 #: printed tables actually use disagree; both ship so neither is guessed.
 MAPPING_TEXT = {"1": "0", "i": "0d", "j": "1", "k": "1d"}
 MAPPING_TABLE = {"1": "0", "i": "1", "j": "0d", "k": "1d"}
-
-_UNIT_BY_NAME = {"1": quat.ONE, "i": quat.I, "j": quat.J, "k": quat.K}
 
 #: Published codeword transformation rows: (codeword label, unit) ->
 #: (sign, transformed first-slot label).
@@ -684,7 +639,7 @@ class CodewordActionRow:
 
 
 def _unit_decompose(q: Quaternion) -> tuple[int, str]:
-    for name, unit in _UNIT_BY_NAME.items():
+    for name, unit in quat.UNIT_BY_NAME.items():
         if q == unit:
             return 1, name
         if q == -unit:
@@ -705,15 +660,15 @@ def codeword_action_table(
     """
     if unit not in ("i", "j", "k"):
         raise ValueError(f"unit must be one of i, j, k, got {unit!r}")
-    if set(mapping) != {"1", "i", "j", "k"}:
+    if set(mapping) != set(quat.UNIT_BY_NAME):
         raise ValueError("mapping must assign labels to exactly 1, i, j, k")
     if len(set(mapping.values())) != 4:
         raise ValueError("mapping labels must be distinct")
     label_to_unit = {label: name for name, label in mapping.items()}
     rows = []
     for codeword in ("0", "1"):
-        slot_value = _UNIT_BY_NAME[label_to_unit[codeword]]
-        sign, product_unit = _unit_decompose(slot_value * _UNIT_BY_NAME[unit])
+        slot_value = quat.UNIT_BY_NAME[label_to_unit[codeword]]
+        sign, product_unit = _unit_decompose(slot_value * quat.UNIT_BY_NAME[unit])
         ref_sign, ref_label = REFERENCE_CODEWORD_ACTION[(codeword, unit)]
         rows.append(
             CodewordActionRow(

@@ -154,12 +154,6 @@ class FitResult:
     p_th_crossing: float | None
     residual: float
 
-    def lambda_at(self, p: float) -> float:
-        """Suppression factor estimate ``p_th / p`` for a distance +2 step."""
-        if p <= 0.0:
-            raise ValueError("p must be positive")
-        return self.p_th / p
-
 
 def closed_form_three_qubit(p: float) -> float:
     """Failure probability of the 3-qubit bit-flip construction: ``3 p^2 (1-p) + p^3``."""
@@ -522,11 +516,19 @@ def sweep_csv(result: SweepResult) -> str:
 
 
 def parse_sweep_csv(text: str) -> SweepResult:
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text))
     expected = SWEEP_CSV_HEADER.split(",")
-    if reader.fieldnames != expected:
-        raise ValueError(f"bad CSV header: expected {expected}, got {reader.fieldnames}")
-    rows = list(reader)
+    header = next(reader, None)
+    if header != expected:
+        raise ValueError(f"bad CSV header: expected {expected}, got {header}")
+    rows = []
+    for fields in filter(None, reader):  # blank lines are skipped
+        if len(fields) != len(expected):
+            raise ValueError(
+                f"CSV line {reader.line_num} has {len(fields)} fields, not {len(expected)}: "
+                f"{','.join(fields)!r}"
+            )
+        rows.append(dict(zip(expected, fields)))
     if not rows:
         raise ValueError("CSV has no data rows")
     points = tuple(

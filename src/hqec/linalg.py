@@ -221,12 +221,6 @@ def real_norm_sq(psi: QVector) -> float:
     return float(np.sum(psi.components * psi.components))
 
 
-def right_scalar_mul(psi: QVector, q: Quaternion) -> QVector:
-    """Scale every amplitude on the right: ``psi_n -> psi_n * q``."""
-    qc = np.array(q.as_tuple())
-    return QVector._wrap(qmul_components(psi.components, qc))
-
-
 def adjoint(a: QMatrix) -> QMatrix:
     """Conjugate transpose: entry ``(r, c)`` becomes ``conj(entry(c, r))``."""
     return QMatrix._wrap(qconj_components(np.swapaxes(a.components, 0, 1)))
@@ -344,17 +338,3 @@ def matrix_to_dict(a: QMatrix) -> dict:
         "cols": a.cols,
         "entries": [[float(v) for v in entry] for entry in a.components.reshape(-1, 4)],
     }
-
-
-def matrix_from_dict(data: dict) -> QMatrix:
-    required = {"rows", "cols", "entries"}
-    if set(data) != required:
-        unexpected = set(data) - required
-        missing = required - set(data)
-        problem = unexpected or missing
-        raise ValueError(f"bad matrix dict keys: {sorted(problem)}")
-    rows, cols = int(data["rows"]), int(data["cols"])
-    entries = np.asarray(data["entries"], dtype=float)
-    if entries.shape != (rows * cols, 4):
-        raise ValueError(f"expected {rows * cols} entries of 4 components, got {entries.shape}")
-    return QMatrix.from_components(entries.reshape(rows, cols, 4))

@@ -76,9 +76,6 @@ class AngleDistribution:
     def draw(self, u: float) -> float:
         return self.theta if self.kind == "fixed" else u * self.theta
 
-    def to_dict(self) -> dict:
-        return {"fixed": self.theta} if self.kind == "fixed" else {"uniform_max": self.theta}
-
     @classmethod
     def from_dict(cls, data: dict) -> "AngleDistribution":
         if not isinstance(data, dict):
@@ -125,17 +122,6 @@ class NoiseModel:
     def with_p(self, p: float) -> "NoiseModel":
         return replace(self, p=p)
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "weights": list(self.pauli_weights),
-            "phase_mode": self.phase_mode,
-            "p_rot": self.p_rot,
-            "axis": list(self.rot_axis.as_tuple()),
-            "angle": self.rot_angle.to_dict(),
-            "rot_mode": self.rot_mode,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseModel":
         allowed = {"p", "weights", "phase_mode", "p_rot", "axis", "angle", "rot_mode"}
@@ -173,10 +159,6 @@ class ErrorEvent:
     pauli: PauliString
     rotations: tuple[RotationError, ...]
     rot_mode: str = "zero"
-
-    @property
-    def is_identity(self) -> bool:
-        return self.pauli.weight == 0 and self.pauli.phase == quat.ONE and not self.rotations
 
 
 def _event_from_draws(model: NoiseModel, n: int, draws: np.ndarray) -> ErrorEvent:
@@ -246,8 +228,9 @@ def _mulhilo(m: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def philox_uniforms(seed: int, trials, count: int) -> np.ndarray:
     """The first ``count`` doubles of each trial's stream, one row per trial.
 
-    Row ``r`` equals ``np.random.Generator(np.random.Philox(key=[seed,
-    trials[r]])).random(count)`` bit for bit: block ``b`` of four words is
+    Row ``r`` equals ``np.random.Generator(np.random.Philox(key=key)).random(count)``
+    bit for bit, with ``key`` the uint64 array ``[seed, trials[r]]`` that
+    :func:`sample_error` builds: block ``b`` of four words is
     Philox4x64-10 of the counter ``(b + 1, 0, 0, 0)`` under that key, and a
     word ``u`` becomes the double ``(u >> 11) * 2**-53``.
     """

@@ -112,10 +112,9 @@ class Quaternion:
 
     def component(self, axis: str) -> float:
         """Read one component; ``axis`` is one of ``"1"``, ``"i"``, ``"j"``, ``"k"``."""
-        try:
-            return {"1": self.w, "i": self.x, "j": self.y, "k": self.z}[axis]
-        except KeyError:
-            raise ValueError(f"axis must be one of '1', 'i', 'j', 'k', got {axis!r}") from None
+        if axis not in UNIT_BY_NAME:
+            raise ValueError(f"axis must be one of '1', 'i', 'j', 'k', got {axis!r}")
+        return self.as_tuple()[list(UNIT_BY_NAME).index(axis)]
 
     def is_unit(self, tol: float = TOLERANCE) -> bool:
         return abs(self.norm_sq() - 1.0) <= tol
@@ -140,6 +139,10 @@ ONE = Quaternion(1.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
+
+#: The units by name, in component order: the unit at position ``c`` is the
+#: one whose component ``c`` is 1, so a name also picks a component column.
+UNIT_BY_NAME = {"1": ONE, "i": I, "j": J, "k": K}
 
 #: The eight unit phases closed under multiplication.
 UNIT_PHASES = (ONE, -ONE, I, -I, J, -J, K, -K)

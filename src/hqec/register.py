@@ -19,19 +19,11 @@ import numpy as np
 
 from . import quaternion as quat
 from .quaternion import Quaternion, exp_axis, format_quaternion
-from .linalg import (
-    MulSide,
-    QMatrix,
-    QVector,
-    entry_products,
-    real_norm_sq,
-)
+from .linalg import MulSide, QMatrix, QVector, entry_products
 
 #: Unit phase paired with each Pauli letter (identity, bit flip, combined
 #: flip, phase flip -> 1, i, j, k).
 UNIT_FOR_LETTER = {"I": quat.ONE, "X": quat.I, "Y": quat.J, "Z": quat.K}
-
-NORMALIZATION_TOL = 1e-10
 
 
 class QRegister:
@@ -78,9 +70,6 @@ class QRegister:
         if len(bits) != self._n or any(b not in "01" for b in bits):
             raise ValueError(f"bad bit string {bits!r}")
         return self._amps[int(bits, 2)]
-
-    def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
-        return abs(real_norm_sq(self._amps) - 1.0) <= tol
 
     def isclose(self, other: "QRegister", tol: float = quat.TOLERANCE) -> bool:
         return self._n == other._n and self._amps.isclose(other._amps, tol)
@@ -230,18 +219,17 @@ def substitute_units(gate: Gate, mapping: dict[str, Quaternion]) -> Gate:
     ``w + x*map(i) + y*map(j) + z*map(k)``; unmapped units stay themselves.
     Substitution targets must be unit quaternions.
     """
-    units = {"i": quat.I, "j": quat.J, "k": quat.K}
+    units = {key: unit for key, unit in quat.UNIT_BY_NAME.items() if key != "1"}
     for key, value in mapping.items():
         if key not in units:
             raise ValueError(f"substitution key must be one of i, j, k, got {key!r}")
         if not value.is_unit():
             raise ValueError(f"substitution target for {key} is not a unit quaternion: {value}")
-    table = {key: mapping.get(key, unit) for key, unit in units.items()}
     comp = gate.matrix.components
     out = np.zeros_like(comp)
     out[..., 0] = comp[..., 0]
-    for idx, key in ((1, "i"), (2, "j"), (3, "k")):
-        target = np.array(table[key].as_tuple())
+    for idx, (key, unit) in enumerate(units.items(), start=1):
+        target = np.array(mapping.get(key, unit).as_tuple())
         out += comp[..., idx : idx + 1] * target
     name = gate.name if not mapping else gate.name + "*"
     return Gate(name, QMatrix.from_components(out), gate.side, gate.arity)
@@ -282,9 +270,6 @@ def measure_qubit(reg: QRegister, qubit: int, rng_seed: int) -> MeasurementOutco
     return MeasurementOutcome(outcome, prob, QRegister.from_components(reg.n, post))
 
 
-_AXIS_COLUMN = {"i": 1, "j": 2, "k": 3}
-
-
 def component_strength(reg: QRegister, qubit: int, axis: str) -> float:
     """Summed squared ``axis`` components over the whole register.
 
@@ -294,9 +279,10 @@ def component_strength(reg: QRegister, qubit: int, axis: str) -> float:
     """
     if not 1 <= qubit <= reg.n:
         raise ValueError(f"qubit {qubit} out of range 1..{reg.n}")
-    if axis not in _AXIS_COLUMN:
+    names = list(quat.UNIT_BY_NAME)
+    if axis not in names[1:]:
         raise ValueError(f"axis must be one of i, j, k, got {axis!r}")
-    col = reg.amps.components[:, _AXIS_COLUMN[axis]]
+    col = reg.amps.components[:, names.index(axis)]
     return float(np.sum(col * col))
 
 

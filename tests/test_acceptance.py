@@ -32,7 +32,6 @@ from hqec.codes import (
     build_syndrome_table,
     get_code,
     stabilizer_expectation_sign,
-    state_based_syndrome,
     syndrome_of,
     verify_codewords,
 )
@@ -53,6 +52,8 @@ from hqec.experiments import (
     run_sweep,
     scaling_model,
 )
+
+from oracles import state_based_syndrome
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

@@ -528,6 +528,12 @@ _BAD_INPUTS = {
                          '{"code": "three", "p": "0.05:0.2:log:3", "noise": 5}',
                          "noise section must be an object"),
     "fit bad header": (["fit", "--in", "IN"], "p,failures\n0.1,1\n", "bad CSV header"),
+    "fit short row": (["fit", "--in", "IN"],
+                      "code_id,p,trials,failures,p_L,stderr,seed\nthree,0.1\n",
+                      "CSV line 2 has 2 fields, not 7: 'three,0.1'"),
+    "fit long row": (["fit", "--in", "IN"],
+                     "code_id,p,trials,failures,p_L,stderr,seed\nthree,0.1,10,1,0.1,0.09,7,8\n",
+                     "CSV line 2 has 8 fields, not 7: 'three,0.1,10,1,0.1,0.09,7,8'"),
 }
 
 

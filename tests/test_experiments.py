@@ -427,7 +427,6 @@ def test_fit_crossing_convention():
     # p_L = (p / p_th)^2 crosses p_L = p at p = p_th^2
     fit = fit_threshold(synthetic_sweep(0.015, 3, (0.001, 0.002, 0.004, 0.008)))
     assert fit.p_th_crossing == pytest.approx(0.015**2, rel=1e-6)
-    assert fit.lambda_at(0.005) == pytest.approx(fit.p_th / 0.005, rel=1e-12)
 
 
 def test_fit_excludes_zero_rows_with_warning():

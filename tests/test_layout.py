@@ -1,6 +1,7 @@
 """Source-layout rules that no single module's tests can see."""
 
 import ast
+import re
 from pathlib import Path
 
 import hqec
@@ -42,3 +43,72 @@ def test_no_unused_imports():
     paths += sorted((REPO / "tests").glob("*.py")) + sorted((REPO / "demos").glob("*.py"))
     offenders = [entry for path in paths for entry in _unused_imports(path)]
     assert offenders == []
+
+
+def _assigned(node: ast.stmt) -> list[str]:
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _definitions(path: Path):
+    """``(label, name, owner)`` for each module-level name and public method or field.
+
+    ``owner`` is the class of a field and ``None`` otherwise.
+    """
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, None
+        for name in _assigned(node):
+            yield name, name, None
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, None
+                for name in _assigned(item):
+                    if not name.startswith("_"):
+                        yield f"{node.name}.{name}", name, node.name
+
+
+def _references(path: Path):
+    """Names ``path`` reads: loaded names and attributes, imports and keywords, and calls."""
+    read, called = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.keyword) and node.arg:
+            read.add(node.arg)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            called.add(node.func.id)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            called.add(node.func.attr)
+    return read, called
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # A field also counts as read when its class is built outside tests,
+    # because positional constructor arguments name no field.
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    callers = modules + sorted((REPO / "demos").glob("*.py"))
+    callers += sorted((REPO / "bench").glob("*.py"))
+    read, called = set(), set()
+    for path in callers:
+        names, calls = _references(path)
+        read |= names
+        called |= calls
+    docs = (REPO / "README.md").read_text() + (REPO / "bench" / "README.md").read_text()
+    unused = [
+        f"{path.stem}.{label}"
+        for path in modules
+        for label, name, owner in _definitions(path)
+        if name not in read
+        and owner not in called
+        and not re.search(rf"\b{re.escape(name)}\b", docs)
+    ]
+    assert unused == []

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hqec import quaternion as quat
 from hqec.quaternion import I_AXIS, J_AXIS, K_AXIS, ImaginaryAxis, Quaternion, exp_axis
-from hqec.linalg import left_mul_matrix, real_norm_sq
+from hqec.linalg import real_norm_sq
 from hqec.register import QRegister, component_strength
 from hqec.codes import (
     PauliString,
@@ -31,10 +32,7 @@ from hqec.noise import (
     slot_cover,
 )
 
-
-def left_scalar_mul(reg, q):
-    """Oracle: every amplitude times ``q`` on the left."""
-    return QRegister.from_components(reg.n, reg.amps.components @ left_mul_matrix(q).T)
+from oracles import left_scalar_mul
 
 
 def bitflip_model(p, p_rot=0.0, **kw):
@@ -120,6 +118,23 @@ def test_philox_uniforms_match_numpy_generator(seed, trials, count):
         assert row.tobytes() == want.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, _MAX),
+    trials=st.lists(st.integers(0, _MAX), min_size=1, max_size=6),
+    count=st.integers(0, 24),
+)
+def test_philox_uniforms_match_numpy_generator_for_any_key(seed, trials, count):
+    got = philox_uniforms(seed, np.array(trials, dtype=np.uint64), count)
+    assert got.shape == (len(trials), count)
+    for row, trial in zip(got, trials):
+        # A uint64 key, as sample_error builds it: numpy reads a plain list
+        # holding a word >= 2**63 as float64 and rounds that word.
+        key = np.array([seed, trial], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(count)
+        assert row.tobytes() == want.tobytes()
+
+
 def test_philox_uniforms_validation():
     with pytest.raises(ValueError):
         philox_uniforms(-1, np.array([0]), 4)
@@ -166,7 +181,7 @@ def test_sample_zero_rates_is_identity():
     model = NoiseModel(p=0.0, p_rot=0.0)
     for trial in range(20):
         event = sample_error(model, 5, seed=1, trial=trial)
-        assert event.is_identity
+        assert event.pauli == PauliString.identity(5) and not event.rotations
 
 
 def test_sample_forced_phased_bitflips():
@@ -284,7 +299,16 @@ def test_noise_model_dict_roundtrip():
         rot_angle=AngleDistribution("uniform", 0.7),
         rot_mode="all",
     )
-    assert NoiseModel.from_dict(model.to_dict()) == model
+    data = {
+        "p": 0.05,
+        "weights": [0.2, 0.3, 0.5],
+        "phase_mode": "table1",
+        "p_rot": 0.1,
+        "axis": [0.0, 1.0, 0.0],
+        "angle": {"uniform_max": 0.7},
+        "rot_mode": "all",
+    }
+    assert NoiseModel.from_dict(data) == model
 
 
 def test_noise_model_dict_validation():

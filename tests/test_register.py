@@ -6,7 +6,7 @@ import pytest
 
 from hqec import quaternion as quat
 from hqec.quaternion import Quaternion, exp_axis
-from hqec.linalg import MulSide, QMatrix, is_unitary, left_mul_matrix, matvec, real_norm_sq
+from hqec.linalg import MulSide, QMatrix, is_unitary, matvec, real_norm_sq
 from hqec.register import (
     Gate,
     QRegister,
@@ -23,13 +23,10 @@ from hqec.register import (
     t_gate,
 )
 
+from oracles import left_scalar_mul
+
 ONE, I, J, K, ZERO = quat.ONE, quat.I, quat.J, quat.K, quat.ZERO
 INV_SQRT2 = 1 / math.sqrt(2)
-
-
-def left_scalar_mul(reg, q):
-    """Oracle: every amplitude times ``q`` on the left."""
-    return QRegister.from_components(reg.n, reg.amps.components @ left_mul_matrix(q).T)
 
 
 def rand_register(rng, n):
@@ -297,7 +294,7 @@ def test_measure_quaternionic_amplitudes():
     reg = QRegister.from_components(1, arr)
     out = measure_qubit(reg, 1, rng_seed=1)
     assert out.probability == pytest.approx(0.5, abs=1e-12)
-    assert out.post_state.is_normalized()
+    assert abs(real_norm_sq(out.post_state.amps) - 1.0) <= 1e-10
 
 
 def test_measure_completeness():
