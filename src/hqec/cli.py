@@ -157,7 +157,7 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(data) - _MC_CONFIG_KEYS
+    unknown = set(data) - set(_MC_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config key: {sorted(unknown)[0]}")
     return data
@@ -225,6 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # The one place a sweep default is written; figure1 overrides four of them.
+# Its keys are the flag names and the keys an ``mc --config`` file may hold.
 _MC_DEFAULTS = {
     "code": None,  # required
     "p": None,  # required
@@ -249,19 +250,12 @@ _FIGURE1_DEFAULTS = {
     "rotations": 0.05,
 }
 
-# Flag name -> config-file key name is the identity; these are the keys a
-# --config JSON may provide for the mc command.
-_MC_CONFIG_KEYS = {*_MC_DEFAULTS, "noise"}
-
 
 def _merge_sweep_parameters(args: argparse.Namespace, defaults: dict) -> dict:
     """Defaults, then the ``mc --config`` file, then the flags given."""
     merged = dict(defaults)
-    noise_section = None
     if getattr(args, "config", None) is not None:
-        file_values = _load_config_file(args.config)
-        noise_section = file_values.pop("noise", None)
-        merged.update(file_values)
+        merged.update(_load_config_file(args.config))
     for key in defaults:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -272,7 +266,6 @@ def _merge_sweep_parameters(args: argparse.Namespace, defaults: dict) -> dict:
         raise ConfigError("missing required parameter: p")
     if merged["out"] is not None and not isinstance(merged["out"], str):
         raise ConfigError(f"out must be a path string, got {merged['out']!r}")
-    merged["noise"] = noise_section
     return merged
 
 
@@ -303,12 +296,7 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
 
 
 def _noise_model(merged: dict) -> NoiseModel:
-    """The noise template: the config's ``noise`` section, else the flat keys."""
-    section = merged["noise"]
-    if section is not None:
-        if not isinstance(section, dict):
-            raise ConfigError("noise section must be an object")
-        return NoiseModel.from_dict({"p": 0.0, **section})
+    """The noise template, at p = 0, from the merged flag keys."""
     weights = merged["weights"]
     if not isinstance(weights, (tuple, list)):
         weights = _parse_weights(str(weights))

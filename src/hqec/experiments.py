@@ -74,7 +74,7 @@ from .noise import (
     slot_cover,
 )
 from .linalg import left_mul_matrix
-from .quaternion import Quaternion
+from .quaternion import TOLERANCE, Quaternion
 
 # Published performance targets, pipeline -> (exponent, p_th), attached
 # to outputs as annotations only.
@@ -188,24 +188,27 @@ def score_event(
 
     Pauli letters are scored algebraically against the decoded correction;
     rotations are scored on the ``|0_L>`` codeword as residual j/k
-    strength after whatever corrections the pipeline performs.
+    strength after whatever corrections the pipeline performs.  An excess
+    at or below :data:`~hqec.quaternion.TOLERANCE` is rounding residue and
+    counts as zero, whatever the threshold.
     """
     outcome = decode(syndrome_of(event.pauli, code), code)
     if outcome.unknown or logical_failure(event.pauli, outcome.correction, code):
         return True
     if not event.rotations:
         return False
+    threshold = max(detection_threshold, TOLERANCE)
     reference = code.codeword_zero
     damaged = apply_rotations(reference, event.rotations, event.rot_mode)
     if quaternionic_detection:
         flagged = {
             flag.qubit
-            for flag in detect_rotations(damaged, reference, detection_threshold, event.rot_mode)
+            for flag in detect_rotations(damaged, reference, threshold, event.rot_mode)
         }
         for rot in event.rotations:
             if rot.qubit in flagged:
                 damaged = correct_rotation(damaged, rot.qubit, rot.axis, rot.angle, event.rot_mode)
-    return jk_excess(damaged, reference) > detection_threshold
+    return jk_excess(damaged, reference) > threshold
 
 
 def run_trial(
@@ -350,8 +353,10 @@ class _RotationChunk:
         Rows whose compared excesses lie within :data:`GUARD` of the
         threshold (per-qubit excesses count for rotated qubits only, since
         a flag on any other corrects nothing) are scored again through
-        :func:`run_trial`.
+        :func:`run_trial`.  Excesses are compared against at least
+        :data:`~hqec.quaternion.TOLERANCE`, as :func:`score_event` does.
         """
+        threshold = max(threshold, TOLERANCE)
         w, v, strengths = self.w, self.v, self.strengths
         near = np.zeros(self.rows.size, dtype=bool)
         if detect:

@@ -76,16 +76,6 @@ class AngleDistribution:
     def draw(self, u: float) -> float:
         return self.theta if self.kind == "fixed" else u * self.theta
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "AngleDistribution":
-        if not isinstance(data, dict):
-            raise ValueError(f"angle must be an object with 'fixed' or 'uniform_max', got {data!r}")
-        if set(data) == {"fixed"}:
-            return cls("fixed", data["fixed"])
-        if set(data) == {"uniform_max"}:
-            return cls("uniform", data["uniform_max"])
-        raise ValueError(f"angle dict must have exactly 'fixed' or 'uniform_max', got {sorted(data)}")
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -121,28 +111,6 @@ class NoiseModel:
 
     def with_p(self, p: float) -> "NoiseModel":
         return replace(self, p=p)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NoiseModel":
-        allowed = {"p", "weights", "phase_mode", "p_rot", "axis", "angle", "rot_mode"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown noise config keys: {sorted(unknown)}")
-        if "p" not in data:
-            raise ValueError("noise config is missing 'p'")
-        kwargs = {key: data[key] for key in ("p", "p_rot", "phase_mode", "rot_mode") if key in data}
-        if "weights" in data:
-            if not isinstance(data["weights"], (list, tuple)):
-                raise ValueError(f"weights must be a list of three numbers, got {data['weights']!r}")
-            kwargs["pauli_weights"] = tuple(data["weights"])
-        if "axis" in data:
-            axis = data["axis"] if isinstance(data["axis"], (list, tuple)) else ()
-            if len(axis) != 3 or not all(map(is_number, axis)):
-                raise ValueError(f"axis must be a list of three numbers, got {data['axis']!r}")
-            kwargs["rot_axis"] = ImaginaryAxis(*axis)
-        if "angle" in data:
-            kwargs["rot_angle"] = AngleDistribution.from_dict(data["angle"])
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

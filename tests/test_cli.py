@@ -119,10 +119,11 @@ def test_help_exits_zero():
 
 def test_config_file_unknown_key_exits_3(tmp_path, capsys):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"code": "three", "p": "0.01:0.1:log:3", "bogus": 1}))
-    code, _, err = run_cli(capsys, "mc", "--config", str(config))
-    assert code == 3
-    assert "bogus" in err
+    for key, value in (("bogus", 1), ("noise", {"p_rot": 0.0, "axis": [0, 0, 1]})):
+        config.write_text(json.dumps({"code": "three", "p": "0.01:0.1:log:3", key: value}))
+        code, _, err = run_cli(capsys, "mc", "--config", str(config))
+        assert code == 3
+        assert f"unknown config key: {key}" in err
 
 
 def test_config_file_provides_values(tmp_path, capsys):
@@ -137,45 +138,33 @@ def test_config_file_provides_values(tmp_path, capsys):
     assert rows[1].startswith("three,0.05,50,")
 
 
+_OVERRIDE_BASE = {"code": "perfect5", "p": "0.05:0.2:log:3", "trials": 200, "seed": 4,
+                  "rotations": 0.2}
+# sweep key -> the file's value, the flag that overrides it
+_OVERRIDES = {
+    "trials": (50, ["--trials", "20"]),
+    "weights": ("1,0,0", ["--weights", "0,0.5,0.5"]),
+    "phase_mode": ("table1", ["--phase-mode", "none"]),
+    "rotations": (0.0, ["--rotations", "0.3"]),
+    "rot_axis": ("i", ["--rot-axis", "0,0,1"]),
+    "rot_angle": ("fixed:0.05", ["--rot-angle", "uniform:1.2"]),
+    "rot_mode": ("all", ["--rot-mode", "zero"]),
+    "threshold": (0.5, ["--threshold", "0"]),
+    "detect": (False, ["--detect"]),
+}
+
+
 def test_flags_override_config(tmp_path, capsys):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"code": "three", "p": "0.05:0.2:log:3", "trials": 50}))
-    code, out, _ = run_cli(capsys, "mc", "--config", str(config), "--trials", "20")
-    assert code == 0
-    assert out.splitlines()[1].split(",")[2] == "20"
-
-
-def test_config_noise_section(tmp_path, capsys):
-    config = tmp_path / "run.json"
-    config.write_text(
-        json.dumps(
-            {
-                "code": "three",
-                "p": "0.05:0.2:log:3",
-                "trials": 30,
-                "noise": {
-                    "p": 0.0,
-                    "weights": [1.0, 0.0, 0.0],
-                    "phase_mode": "table1",
-                    "p_rot": 0.0,
-                    "axis": [0, 0, 1],
-                    "angle": {"fixed": 0.3},
-                },
-            }
-        )
-    )
-    code, out, _ = run_cli(capsys, "mc", "--config", str(config))
-    assert code == 0
-
-
-def test_config_bad_noise_section(tmp_path, capsys):
-    config = tmp_path / "run.json"
-    config.write_text(
-        json.dumps({"code": "three", "p": "0.05:0.2:log:3", "noise": {"p": 0, "nope": 1}})
-    )
-    code, _, err = run_cli(capsys, "mc", "--config", str(config))
-    assert code == 3
-    assert "nope" in err
+    for key, (file_value, flag) in _OVERRIDES.items():
+        config.write_text(json.dumps({**_OVERRIDE_BASE, key: file_value}))
+        flags_only = ["mc", *(arg for k, v in _OVERRIDE_BASE.items() if k != key
+                              for arg in (f"--{k}", str(v))), *flag]
+        # the file's value is one the flag really replaces
+        assert parse_args(["mc", "--config", str(config)]) != parse_args(flags_only), key
+        expected = run_cli(capsys, *flags_only)
+        assert expected[0] == 0, key
+        assert run_cli(capsys, "mc", "--config", str(config), *flag) == expected, key
 
 
 def test_missing_required_parameter_exits_3(tmp_path, capsys):
@@ -223,26 +212,14 @@ _BAD_WEIGHTS = ([math.nan, 1, 1], [math.inf, 0, 0], [True, False, False])
     [
         ("flat", "rotations", True),
         ("flat", "rotations", False),
-        ("noise", "p_rot", True),
-        ("noise", "p", True),
-        ("noise", "p", False),
+        ("flat", "weights", 1.0),
+        ("flat", "phase_mode", True),
+        ("flat", "rot_mode", False),
         *(("flat", "weights", w) for w in _BAD_WEIGHTS),
-        *(("noise", "weights", w) for w in _BAD_WEIGHTS),
-        ("noise", "weights", 1.0),
-        ("noise", "axis", [True, False, False]),
-        ("noise", "axis", 5),
-        ("noise", "axis", [0, 0, None]),
-        ("noise", "angle", {"fixed": True}),
-        ("noise", "angle", 5),
-        ("noise", "angle", {"fixed": None}),
     ],
 )
 def test_config_bool_and_non_finite_noise_values_exit_3(tmp_path, capsys, section, key, value):
-    body = {"code": "three", "p": "0.05:0.2:log:3", "trials": 20}
-    if section == "noise":
-        body["noise"] = {key: value}
-    else:
-        body[key] = value
+    body = {"code": "three", "p": "0.05:0.2:log:3", "trials": 20, key: value}
     config = tmp_path / "run.json"
     config.write_text(json.dumps(body))  # NaN and Infinity as JSON literals
     code, out, err = run_cli(capsys, "mc", "--config", str(config))
@@ -258,18 +235,10 @@ def test_config_bool_and_non_finite_noise_values_exit_3(tmp_path, capsys, sectio
         ("flat", "seed", "3"),
         ("flat", "threshold", "0.02"),
         ("flat", "rotations", "0.1"),
-        ("noise", "p", "0.1"),
-        ("noise", "p_rot", "0.1"),
-        ("noise", "axis", ["0", "0", "1"]),
-        ("noise", "angle", {"fixed": "0.3"}),
     ],
 )
 def test_config_numeric_strings_exit_3(tmp_path, capsys, section, key, value):
-    body = {"code": "three", "p": "0.05:0.2:log:3", "trials": 20}
-    if section == "noise":
-        body["noise"] = {key: value}
-    else:
-        body[key] = value
+    body = {"code": "three", "p": "0.05:0.2:log:3", "trials": 20, key: value}
     config = tmp_path / "run.json"
     config.write_text(json.dumps(body))
     code, out, err = run_cli(capsys, "mc", "--config", str(config))
@@ -291,14 +260,12 @@ def test_config_integer_noise_values_accepted(tmp_path, capsys):
     flags = ("mc", "--code", "three", "--p", "0.05:0.2:log:3", "--trials", "20",
              "--seed", "4", "--weights", "1,0,0")
     expected = run_cli(capsys, *flags)[1]
-    for body in ({"weights": [1, 0, 0], "rotations": 0},
-                 {"noise": {"p": 0, "weights": [1, 0, 0], "p_rot": 0, "axis": [0, 0, 1]}}):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"code": "three", "p": "0.05:0.2:log:3", "trials": 20,
-                                      "seed": 4, **body}))
-        code, out, _ = run_cli(capsys, "mc", "--config", str(config))
-        assert code == 0
-        assert out == expected
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"code": "three", "p": "0.05:0.2:log:3", "trials": 20,
+                                  "seed": 4, "weights": [1, 0, 0], "rotations": 0}))
+    code, out, _ = run_cli(capsys, "mc", "--config", str(config))
+    assert code == 0
+    assert out == expected
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-1"])
@@ -439,8 +406,9 @@ _MC_NOISE_FLAGS = {
     "rotations": ("--phase-mode", "table1", "--rotations", "0.05"),
     "detect": ("--phase-mode", "table1", "--rotations", "0.05", "--detect"),
     # Every rotated trial sits in the guard band and is re-scored one at a
-    # time; at threshold 0 each one fails on a j/k rounding residue, which
-    # is why its bytes equal paper5-rotations.
+    # time; a j/k excess at or below quaternion.TOLERANCE counts as zero, so
+    # at threshold 0 each corrected trial passes and the bytes equal
+    # paper5-detect (and paper5-pauli).
     "guard": ("--rotations", "0.05", "--rot-mode", "all", "--threshold", "0", "--detect"),
     "uniform": ("--rotations", "0.3", "--rot-mode", "all", "--rot-angle", "uniform:3"),
 }
@@ -454,7 +422,7 @@ _MC_GOLDEN_SHA256 = {
     ("perfect5", "pauli"): "2acfb1d42b8a91ed04cb0887a6dbd38ee2e7309f441561268fc7dc4585c84395",
     ("perfect5", "rotations"): "f94230a3f42fb362c64d0432efed1307309e3ce196e2042f6ea6c8449ba3da25",
     ("perfect5", "detect"): "2acfb1d42b8a91ed04cb0887a6dbd38ee2e7309f441561268fc7dc4585c84395",
-    ("paper5", "guard"): "6844484a79502c39b3e690eef50ba7b7093e4c1e97f7b5ec10d0567f6d2e22c7",
+    ("paper5", "guard"): "4009276e0a08af0ca927e245252c667826ff410d997821aaf26c7882ed45201d",
     ("three", "uniform"): "56ecf9e11bbfc7312d281d9e258ea8a76cf8f9182c6742319270f4c6a394ae9c",
 }
 
@@ -526,7 +494,13 @@ _BAD_INPUTS = {
                             "missing required parameter: code"),
     "noise not object": (["mc", "--config", "IN"],
                          '{"code": "three", "p": "0.05:0.2:log:3", "noise": 5}',
-                         "noise section must be an object"),
+                         "unknown config key: noise"),
+    "config rot_axis number": (["mc", "--config", "IN"],
+                               '{"code": "three", "p": "0.05:0.2:log:3", "rot_axis": 5}',
+                               "rot-axis must be i|j|k or x,y,z, got '5'"),
+    "config rot_angle number": (["mc", "--config", "IN"],
+                                '{"code": "three", "p": "0.05:0.2:log:3", "rot_angle": 5}',
+                                "THETA_MAX, got '5'"),
     "fit bad header": (["fit", "--in", "IN"], "p,failures\n0.1,1\n", "bad CSV header"),
     "fit short row": (["fit", "--in", "IN"],
                       "code_id,p,trials,failures,p_L,stderr,seed\nthree,0.1\n",

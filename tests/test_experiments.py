@@ -150,6 +150,19 @@ def test_subthreshold_rotation_passes_both_pipelines():
     assert not score_event(code, event, quaternionic_detection=True)
 
 
+def test_threshold_zero_passes_undone_rotations():
+    # Undoing every rotation leaves a j/k rounding residue of about 1e-17; an
+    # excess at or below quaternion.TOLERANCE counts as zero at any threshold.
+    code = get_code("paper5")
+    rotations = tuple(RotationError(q, K_AXIS, math.pi / 8) for q in (1, 3))
+    event = ErrorEvent(PauliString.identity(5), rotations, "all")
+    reference = code.codeword_zero
+    damaged = apply_rotations(reference, rotations, "all")
+    assert {1, 3} <= {flag.qubit for flag in detect_rotations(damaged, reference, 0.0, "all")}
+    assert not score_event(code, event, quaternionic_detection=True, detection_threshold=0.0)
+    assert score_event(code, event, quaternionic_detection=False, detection_threshold=0.0)
+
+
 # -- sweep machinery -------------------------------------------------------------
 
 def test_sweep_config_validation():

@@ -151,8 +151,8 @@ def test_exp_axis_rejects_non_axis():
         ImaginaryAxis(0.5, 0.5, 0.5)
 
 
-@pytest.mark.parametrize("components", [(True, False, False), ("1", "0", "0")],
-                         ids=["bool", "string"])
+@pytest.mark.parametrize("components", [(True, False, False), ("1", "0", "0"), (None, 0, 1)],
+                         ids=["bool", "string", "none"])
 def test_axis_components_must_be_real_numbers(components):
     with pytest.raises(TypeError, match="axis component x must be a real number"):
         ImaginaryAxis(*components)
