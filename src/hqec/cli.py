@@ -112,28 +112,28 @@ def _parse_p_range(spec: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _parse_axis(spec: str) -> ImaginaryAxis:
+def _parse_axis(spec) -> ImaginaryAxis:
     named = {"i": quat.I_AXIS, "j": quat.J_AXIS, "k": quat.K_AXIS}
-    if spec in named:
+    if isinstance(spec, str) and spec in named:
         return named[spec]
-    parts = spec.split(",")
+    parts = spec.split(",") if isinstance(spec, str) else []
     if len(parts) != 3:
-        raise ConfigError(f"rot-axis must be i|j|k or x,y,z, got {spec!r}")
+        raise ConfigError(f"rot_axis must be i|j|k or x,y,z, got {spec!r}")
     try:
         x, y, z = (float(v) for v in parts)
         return ImaginaryAxis.normalized(x, y, z)
     except ValueError as exc:
-        raise ConfigError(f"bad rot-axis {spec!r}: {exc}") from None
+        raise ConfigError(f"bad rot_axis {spec!r}: {exc}") from None
 
 
-def _parse_angle(spec: str) -> AngleDistribution:
-    parts = spec.split(":")
+def _parse_angle(spec) -> AngleDistribution:
+    parts = spec.split(":") if isinstance(spec, str) else []
     if len(parts) != 2 or parts[0] not in ("fixed", "uniform"):
-        raise ConfigError(f"rot-angle must be fixed:THETA or uniform:THETA_MAX, got {spec!r}")
+        raise ConfigError(f"rot_angle must be fixed:THETA or uniform:THETA_MAX, got {spec!r}")
     try:
         return AngleDistribution(parts[0], float(parts[1]))
     except ValueError as exc:
-        raise ConfigError(f"bad rot-angle {spec!r}: {exc}") from None
+        raise ConfigError(f"bad rot_angle {spec!r}: {exc}") from None
 
 
 def _parse_weights(spec: str) -> tuple[float, float, float]:
@@ -203,8 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--weights", default=None, help="Pauli mixture wx,wy,wz")
     p_mc.add_argument("--phase-mode", dest="phase_mode", default=None, choices=("none", "table1"))
     p_mc.add_argument("--rot-mode", dest="rot_mode", default=None, choices=("zero", "all"))
-    p_mc.add_argument("--detect", action="store_true", default=None,
-                      help="enable quaternionic detection and correction")
+    p_mc.add_argument("--detect", action=argparse.BooleanOptionalAction, default=None,
+                      help="quaternionic detection and correction (default off)")
     p_mc.add_argument("--config", default=None, help="JSON config file; flags override")
     p_mc.add_argument("--out", default=None)
 
@@ -305,8 +305,8 @@ def _noise_model(merged: dict) -> NoiseModel:
         pauli_weights=tuple(weights),
         phase_mode=merged["phase_mode"],
         p_rot=merged["rotations"],
-        rot_axis=_parse_axis(str(merged["rot_axis"])),
-        rot_angle=_parse_angle(str(merged["rot_angle"])),
+        rot_axis=_parse_axis(merged["rot_axis"]),
+        rot_angle=_parse_angle(merged["rot_angle"]),
         rot_mode=merged["rot_mode"],
     )
 

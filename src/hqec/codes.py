@@ -17,6 +17,7 @@ them.  The published rows are reference data only, never decoder truth.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -150,6 +151,13 @@ class StabilizerCode:
     ``t = (d - 1) // 2`` but is not re-derived from the generators, so a
     code whose published parameters overstate its behavior still builds
     (the audits are where the mismatch shows up).
+
+    ``signatures[q - 1, letter]`` (X, Y, Z as 0, 1, 2) has bit ``i < m``
+    set when that letter on qubit ``q`` anticommutes with generator ``i``,
+    and bits ``m``, ``m + 1`` for ``logical_x``, ``logical_z``.  An error's
+    signature is the XOR over its letters, and ``verdicts[signature]`` is
+    True exactly when :func:`decode` finds the syndrome unknown or
+    :func:`logical_failure` holds for its correction.
     """
 
     code_id: str
@@ -162,6 +170,8 @@ class StabilizerCode:
     codeword_zero: QRegister
     codeword_one: QRegister
     _decoder: tuple = field(init=False, repr=False)
+    signatures: np.ndarray = field(init=False, repr=False)
+    verdicts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for ps in (*self.generators, self.logical_x, self.logical_z):
@@ -177,6 +187,8 @@ class StabilizerCode:
                         f"generators {a.word()} and {b.word()} anticommute"
                     )
         object.__setattr__(self, "_decoder", _build_decoder(self))
+        for name, table in zip(("signatures", "verdicts"), _build_scoring(self)):
+            object.__setattr__(self, name, table)
 
     @property
     def t(self) -> int:
@@ -195,11 +207,6 @@ def syndrome_of(e: PauliString, code: StabilizerCode) -> Syndrome:
     return Syndrome(tuple(_symplectic_sign(e.x, e.z, g.x, g.z) for g in code.generators))
 
 
-def _syndrome_index(bits: Sequence[int]) -> int:
-    # Bit i of the index is set when generator i anticommutes.
-    return sum(1 << i for i, bit in enumerate(bits) if bit == -1)
-
-
 def _build_decoder(code: StabilizerCode) -> tuple[tuple[PauliString, ...], ...]:
     # The identity and single-qubit errors matching each syndrome index;
     # empty means unknown.  Enumeration order doubles as the decoder
@@ -211,9 +218,30 @@ def _build_decoder(code: StabilizerCode) -> tuple[tuple[PauliString, ...], ...]:
     ]
     table: list[list[PauliString]] = [[] for _ in range(1 << len(code.generators))]
     for error in errors:
-        bits = [_symplectic_sign(error.x, error.z, g.x, g.z) for g in code.generators]
-        table[_syndrome_index(bits)].append(error)
+        table[_signature(error, code.generators)].append(error)
     return tuple(map(tuple, table))
+
+
+def _signature(e: PauliString, checks: Sequence[PauliString]) -> int:
+    # Bit i is set when ``e`` anticommutes with ``checks[i]``.
+    return sum(1 << i for i, c in enumerate(checks) if _symplectic_sign(e.x, e.z, c.x, c.z) == -1)
+
+
+def _build_scoring(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
+    # The read-only ``signatures`` and ``verdicts`` tables of StabilizerCode.
+    checks = (*code.generators, code.logical_x, code.logical_z)
+    m, logicals = len(code.generators), np.arange(4)
+    signatures = np.array(
+        [[_signature(PauliString.single(code.n, q, letter), checks) for letter in _ERROR_LETTERS]
+         for q in range(1, code.n + 1)],
+        dtype=np.intp,
+    )
+    verdicts = np.ones(4 << m, dtype=bool)
+    for index, candidates in enumerate(code._decoder):
+        if candidates:
+            verdicts[index + (logicals << m)] = logicals != _signature(candidates[0], checks) >> m
+    signatures.flags.writeable = verdicts.flags.writeable = False
+    return signatures, verdicts
 
 
 @dataclass(frozen=True)
@@ -242,7 +270,8 @@ def decode(syndrome: Syndrome, code: StabilizerCode) -> DecodeOutcome:
             f"syndrome length {len(syndrome.bits)} does not match "
             f"{len(code.generators)} generators"
         )
-    candidates = code._decoder[_syndrome_index(syndrome.bits)]
+    # The decoder's index has bit i set when generator i anticommutes (_signature).
+    candidates = code._decoder[sum(1 << i for i, bit in enumerate(syndrome.bits) if bit == -1)]
     if not candidates:
         return DecodeOutcome(None, unknown=True, ambiguous=False, candidates=())
     return DecodeOutcome(
@@ -262,35 +291,6 @@ def logical_failure(error: PauliString, correction: PauliString, code: Stabilize
     return any(
         _symplectic_sign(x, z, logical.x, logical.z) == -1
         for logical in (code.logical_x, code.logical_z)
-    )
-
-
-def _anticommutes(x: np.ndarray, z: np.ndarray, gx: int, gz: int) -> np.ndarray:
-    return (np.bitwise_count((x & gz) ^ (z & gx)) & 1).astype(bool)
-
-
-def pauli_failures(code: StabilizerCode, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Batched decode and score of Pauli errors given as uint64 mask arrays.
-
-    Element ``t`` is True exactly when ``decode(syndrome_of(e, code), code)``
-    is unknown or ``logical_failure(e, correction, code)`` holds for the
-    error ``e`` with masks ``x[t], z[t]``.  The syndrome is read as an
-    integer that indexes arrays taken from the decoder's table of all
-    ``2**m`` syndromes, so the tie-break is the same and unknown syndromes
-    fail.
-    """
-    table = code._decoder
-    unknown = np.array([not candidates for candidates in table])
-    cx = np.array([c[0].x if c else 0 for c in table], dtype=np.uint64)
-    cz = np.array([c[0].z if c else 0 for c in table], dtype=np.uint64)
-    index = np.zeros(np.shape(x), dtype=np.intp)
-    for i, g in enumerate(code.generators):
-        index |= _anticommutes(x, z, g.x, g.z).astype(np.intp) << i
-    rx, rz = x ^ cx[index], z ^ cz[index]
-    return (
-        unknown[index]
-        | _anticommutes(rx, rz, code.logical_x.x, code.logical_x.z)
-        | _anticommutes(rx, rz, code.logical_z.x, code.logical_z.z)
     )
 
 
@@ -470,6 +470,7 @@ _CODE_FACTORIES = {
 CODE_IDS = tuple(_CODE_FACTORIES)
 
 
+@functools.cache  # codes are immutable, so each is built once
 def get_code(code_id: str) -> StabilizerCode:
     try:
         factory = _CODE_FACTORIES[code_id]

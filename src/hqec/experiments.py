@@ -23,8 +23,10 @@ paired configurations share their noise realizations.
 reference.  Sweeps run the batched engine, :func:`count_failures`: it
 draws the uniforms of up to :data:`CHUNK_TRIALS` trials at once and
 scores them at every p of the grid, with counts equal to the per-trial
-loop bit for bit.  The Pauli channel is scored as bitmask arrays.  The
-rotation channel is scored as arrays of damaged ``|0_L>`` states: the
+loop bit for bit, and draws only the words its pipelines read.  Syndrome
+and logical commutation are linear over GF(2) in the error, so the Pauli
+channel XORs the code's per-qubit ``signatures`` and looks the result up
+in its ``verdicts``.  The rotation channel is scored as arrays of damaged ``|0_L>`` states: the
 rotations of an event share one axis, so each slot is the reference slot
 times a product of unit quaternions, and detection and correction are
 per-qubit slot sums and inverse units.  A trial whose compared excesses
@@ -54,11 +56,9 @@ from .codes import (
     decode,
     get_code,
     logical_failure,
-    pauli_failures,
     syndrome_of,
 )
 from .noise import (
-    DRAWS_PER_QUBIT,
     ErrorEvent,
     NoiseModel,
     apply_rotations,
@@ -67,7 +67,7 @@ from .noise import (
     detect_rotations,
     is_number,
     jk_excess,
-    pauli_masks,
+    pauli_letters,
     philox_uniforms,
     rotation_angles,
     sample_error,
@@ -244,7 +244,7 @@ def thread_count() -> int:
 
 
 #: Trials the engine scores per batch; bounds its working set (the draws
-#: take ``32 * n`` bytes per trial) whatever the trial count.
+#: take at most ``32 * n`` bytes per trial) whatever the trial count.
 CHUNK_TRIALS = 8192
 
 #: Half-width of the band around the detection threshold in which the
@@ -265,28 +265,37 @@ def count_failures(
     Entry ``[j][i]`` equals the number of those trials for which
     ``run_trial(code, noise.with_p(p_values[i]), seed, t, detect, threshold)``
     of pipeline ``j`` fails, bit for bit.  The uniforms of a chunk of trials
-    are drawn once for every point and pipeline.  The Pauli channel is scored
-    as mask arrays by :func:`codes.pauli_failures`, shared by pipelines whose
-    Pauli weights agree.  The rotation channel does not depend on ``p``: the
-    chunk's rotated trials are scored once, as arrays of damaged ``|0_L>``
-    states shared by pipelines whose rotation parameters agree, and a trial
-    whose compared excesses lie within :data:`GUARD` of the threshold is
+    are drawn once for every point and pipeline: ``2 * n`` words without
+    rotations, ``3 * n`` when every angle is ``fixed``, else ``4 * n``.  The
+    letters are mapped to signatures once per chunk, shared by pipelines
+    whose Pauli weights agree, and each point XORs the signatures of the
+    qubits hit below its ``p``.  The rotation channel does not depend on
+    ``p``: the chunk's rotated trials are scored once, as arrays of damaged
+    ``|0_L>`` states shared by pipelines whose rotation parameters agree, and
+    a trial whose compared excesses lie within :data:`GUARD` of the threshold is
     scored again through :func:`score_event` with its Pauli part removed.
     """
     if not 0 <= start <= stop <= 2**64:
         raise ValueError(f"need 0 <= start <= stop <= 2**64, got {start}, {stop}")
+    n = code.n
+    angles = {noise.rot_angle.kind for noise, _, _ in pipelines if noise.p_rot > 0.0}
+    width = n * (4 if "uniform" in angles else 3 if angles else 2)
     counts = [[0] * len(p_values) for _ in pipelines]
     for lo in range(start, stop, CHUNK_TRIALS):
         size = min(CHUNK_TRIALS, stop - lo)
         trials = np.uint64(lo) + np.arange(size, dtype=np.uint64)
-        draws = philox_uniforms(seed, trials, DRAWS_PER_QUBIT * code.n)
+        draws = philox_uniforms(seed, trials, width)
+        u_err = draws[:, :n].T  # contiguous, so the XOR below runs along the trials
         pauli: dict = {}
         rotation: dict = {}
         for tally, (noise, detect, threshold) in zip(counts, pipelines):
             weights = noise.pauli_weights
             if weights not in pauli:
+                letters = pauli_letters(noise, draws, n).T
+                signatures = code.signatures.ravel()[letters + 3 * np.arange(n)[:, None]]
                 pauli[weights] = [
-                    pauli_failures(code, *pauli_masks(noise.with_p(p), draws)) for p in p_values
+                    code.verdicts[np.bitwise_xor.reduce(signatures * (u_err < p), axis=0)]
+                    for p in p_values
                 ]
             failed = pauli[weights]
             if noise.p_rot > 0.0:
@@ -316,7 +325,7 @@ class _RotationChunk:
 
     def __init__(self, code, noise, seed, trials, draws) -> None:
         self.code, self.quiet, self.seed, self.trials = code, noise.with_p(0.0), seed, trials
-        self.rows, angles = rotation_angles(noise, draws)
+        self.rows, angles = rotation_angles(noise, draws, code.n)
         self.moved = angles != 0.0
         self.cos, self.sin = np.cos(angles), np.sin(angles)
         self.cover = slot_cover(code.n, noise.rot_mode)

@@ -12,11 +12,12 @@ Sampling is counter-based: the draws of a trial are the first
 integers ``(seed, trial)``, so trials are reproducible in any evaluation
 order and across any degree of parallelism.  :func:`sample_error` draws
 one trial through numpy and is the single-trial oracle;
-:func:`philox_uniforms` computes the same doubles for a whole range of
-trials at once in plain numpy, and :func:`pauli_masks` and
-:func:`rotation_angles` turn those rows into what the batched engine in
-:mod:`hqec.experiments` scores, with the same comparisons as
-:func:`sample_error`.  :func:`slot_cover` is the one rule for which
+:func:`philox_uniforms` computes any prefix of the same doubles for a
+whole range of trials at once in plain numpy, so the batched engine in
+:mod:`hqec.experiments` draws only the blocks of ``n`` it reads (Pauli
+hit, letter, rotation hit, angle), and :func:`pauli_letters` and
+:func:`rotation_angles` turn those rows into what it scores, with the
+same comparisons as :func:`sample_error`.  :func:`slot_cover` is the one rule for which
 amplitude slots a rotation touches, read by the single-trial oracle
 (:func:`apply_rotations`, :func:`detect_rotations`) and by that engine.
 """
@@ -175,22 +176,24 @@ def sample_error(model: NoiseModel, n: int, seed: int, trial: int) -> ErrorEvent
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
-_LOW32 = np.uint64(0xFFFFFFFF)
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
 def _mulhilo(m: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low words of the 128-bit products ``m * b``, from 32-bit halves."""
-    m_lo, m_hi = m & _LOW32, m >> np.uint64(32)
-    b_lo, b_hi = b & _LOW32, b >> np.uint64(32)
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
     # Each partial sum stays below 2**64: (2**32 - 1)**2 + 2 * (2**32 - 1) < 2**64.
+    # In place: part holds the low partial product, b_lo the cross sum, b_hi hi.
     mid = b_hi * m_lo
-    mid += (b_lo * m_lo) >> np.uint64(32)
-    cross = b_lo * m_hi
-    cross += mid & _LOW32
-    hi = b_hi * m_hi
-    hi += mid >> np.uint64(32)
-    hi += cross >> np.uint64(32)
-    return hi, m * b
+    part = b_lo * m_lo
+    mid += np.right_shift(part, _SHIFT32, out=part)
+    b_lo *= m_hi
+    b_lo += np.bitwise_and(mid, _LOW32, out=part)
+    b_hi *= m_hi
+    b_hi += np.right_shift(mid, _SHIFT32, out=mid)
+    b_hi += np.right_shift(b_lo, _SHIFT32, out=b_lo)
+    return b_hi, m * b
 
 
 def philox_uniforms(seed: int, trials, count: int) -> np.ndarray:
@@ -210,11 +213,12 @@ def philox_uniforms(seed: int, trials, count: int) -> np.ndarray:
         raise ValueError("trials must be a 1-d array of integers in [0, 2**64)")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    # Words are (block, trial) arrays, so every step runs along the trials.  The
+    # keys stay arrays: numpy warns when a scalar addition wraps around.
     blocks = -(-count // 4)
-    key0 = np.full((trials.size, 1), seed, dtype=np.uint64)
-    key1 = trials.astype(np.uint64).reshape(-1, 1)
-    zero = np.zeros((trials.size, blocks), dtype=np.uint64)
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64) + zero
+    key0, key1 = np.full(1, seed, dtype=np.uint64), trials.astype(np.uint64)
+    zero = np.zeros((blocks, trials.size), dtype=np.uint64)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[:, None] + zero
     c1, c2, c3 = zero, zero, zero
     for rnd in range(_PHILOX_ROUNDS):
         if rnd:
@@ -222,39 +226,35 @@ def philox_uniforms(seed: int, trials, count: int) -> np.ndarray:
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
-    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(trials.size, 4 * blocks)[:, :count]
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    words = np.stack((c0, c1, c2, c3), axis=1).reshape(4 * blocks, trials.size)[:count]
+    return ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53).T
 
 
-def pauli_masks(model: NoiseModel, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic ``(x, z)`` masks of the Pauli part of each row's event.
+def pauli_letters(model: NoiseModel, draws: np.ndarray, n: int) -> np.ndarray:
+    """Letter of each qubit's Pauli draw, as int8 0, 1, 2 for X, Y, Z.
 
     ``draws`` holds one trial's uniforms per row, as :func:`sample_error`
-    consumes them; each mask is a uint64 with qubit 1 as the most
-    significant bit, and the letter comparisons are the ones
-    :func:`sample_error` makes.
+    consumes them; the letter comparisons are the ones it makes.  Whether
+    the qubit is hit at all is ``draws[:, q - 1] < p``.
     """
-    n = draws.shape[1] // DRAWS_PER_QUBIT
-    if n > 64:
-        raise ValueError(f"masks hold at most 64 qubits, got n={n}")
-    hit = draws[:, 0:n] < model.p
     u_letter = draws[:, n : 2 * n]
     c1 = model.pauli_weights[0]
     c2 = c1 + model.pauli_weights[1]
-    place = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
-    x = (hit & (u_letter < c2)).astype(np.uint64) @ place
-    z = (hit & ~(u_letter < c1)).astype(np.uint64) @ place
-    return x, z
+    # As c1 <= c2, the letter is 2 less one for each bound the draw is below.
+    return 2 - ((u_letter < c1).view(np.int8) + (u_letter < c2).view(np.int8))
 
 
-def rotation_angles(model: NoiseModel, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``draws`` whose event has a rotation, and their angles.
+def rotation_angles(
+    model: NoiseModel, draws: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``draws`` whose event on ``n`` qubits has a rotation, and their angles.
 
     Returns ``(rows, angles)``: ``angles[r, q - 1]`` is the angle of the
     :func:`sample_error` rotation on qubit ``q`` in row ``rows[r]``, and 0.0
     where that qubit is not rotated.  The rotations do not depend on ``p``.
+    A ``fixed`` angle reads the first ``3 * n`` draws of a row, a
+    ``uniform`` one all ``4 * n``.
     """
-    n = draws.shape[1] // DRAWS_PER_QUBIT
     hit = draws[:, 2 * n : 3 * n] < model.p_rot
     rows = np.flatnonzero(hit.any(axis=1))
     hit = hit[rows]

@@ -11,6 +11,7 @@ from hqec import quaternion as quat
 from hqec.linalg import QMatrix, QVector, left_mul_matrix, qmul_components
 from hqec.register import QRegister
 from hqec.codes import PauliString, StabilizerCode, Syndrome, apply_pauli
+from hqec.noise import DRAWS_PER_QUBIT, NoiseModel
 
 
 def left_scalar_mul(reg: QRegister, q: quat.Quaternion) -> QRegister:
@@ -52,3 +53,52 @@ def state_based_syndrome(e: PauliString, code: StabilizerCode, codeword: int = 0
     cw = code.codeword_zero if codeword == 0 else code.codeword_one
     damaged = apply_pauli(e, cw)
     return Syndrome(tuple(measure_stabilizer_eigenvalue(damaged, g) for g in code.generators))
+
+
+def pauli_masks(model: NoiseModel, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symplectic ``(x, z)`` masks of the Pauli part of each row's event.
+
+    ``draws`` holds one trial's ``DRAWS_PER_QUBIT * n`` uniforms per row, as
+    ``noise.sample_error`` consumes them; each mask is a uint64 with qubit 1
+    as the most significant bit, and the letter comparisons are the ones
+    ``sample_error`` makes.
+    """
+    n = draws.shape[1] // DRAWS_PER_QUBIT
+    if n > 64:
+        raise ValueError(f"masks hold at most 64 qubits, got n={n}")
+    hit = draws[:, 0:n] < model.p
+    u_letter = draws[:, n : 2 * n]
+    c1 = model.pauli_weights[0]
+    c2 = c1 + model.pauli_weights[1]
+    place = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
+    x = (hit & (u_letter < c2)).astype(np.uint64) @ place
+    z = (hit & ~(u_letter < c1)).astype(np.uint64) @ place
+    return x, z
+
+
+def _anticommutes(x: np.ndarray, z: np.ndarray, gx: int, gz: int) -> np.ndarray:
+    return (np.bitwise_count((x & gz) ^ (z & gx)) & 1).astype(bool)
+
+
+def pauli_failures(code: StabilizerCode, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Decode and score of Pauli errors given as uint64 mask arrays.
+
+    Element ``t`` is True exactly when ``decode(syndrome_of(e, code), code)``
+    is unknown or ``logical_failure(e, correction, code)`` holds for the
+    error ``e`` with masks ``x[t], z[t]``: the syndrome is computed one
+    generator at a time, and the residual is built from the decoder's own
+    correction and tested against both logicals.
+    """
+    table = code._decoder
+    unknown = np.array([not candidates for candidates in table])
+    cx = np.array([c[0].x if c else 0 for c in table], dtype=np.uint64)
+    cz = np.array([c[0].z if c else 0 for c in table], dtype=np.uint64)
+    index = np.zeros(np.shape(x), dtype=np.intp)
+    for i, g in enumerate(code.generators):
+        index |= _anticommutes(x, z, g.x, g.z).astype(np.intp) << i
+    rx, rz = x ^ cx[index], z ^ cz[index]
+    return (
+        unknown[index]
+        | _anticommutes(rx, rz, code.logical_x.x, code.logical_x.z)
+        | _anticommutes(rx, rz, code.logical_z.x, code.logical_z.z)
+    )

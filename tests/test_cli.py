@@ -58,6 +58,7 @@ def test_parse_args_mc():
 def test_parse_args_reuses_one_parser_without_leaking_flags():
     base = ["mc", "--code", "three", "--p", "0.1:0.2:lin:2"]
     assert parse_args([*base, "--detect"]).parameters["detect"] is True
+    assert parse_args([*base, "--detect", "--no-detect"]).parameters["detect"] is False
     assert parse_args(base).parameters["detect"] is False
     first = parse_args(["figure1", "--out", "a", "--trials", "7", "--rotations", "0.2",
                         "--include-model"]).parameters
@@ -165,6 +166,19 @@ def test_flags_override_config(tmp_path, capsys):
         expected = run_cli(capsys, *flags_only)
         assert expected[0] == 0, key
         assert run_cli(capsys, "mc", "--config", str(config), *flag) == expected, key
+
+
+def test_no_detect_flag_overrides_config_detect(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"code": "three", "p": "0.05:0.2:log:3", "trials": 300,
+                                  "seed": 3, "rotations": 0.3, "detect": True}))
+    flags = ("mc", "--code", "three", "--p", "0.05:0.2:log:3", "--trials", "300",
+             "--seed", "3", "--rotations", "0.3")
+    code, without, err = run_cli(capsys, *flags)
+    assert code == 0, err
+    assert run_cli(capsys, "mc", "--config", str(config), "--no-detect") == (0, without, "")
+    # the file's detection really changes the counts, so the flag is what turned it off
+    assert run_cli(capsys, "mc", "--config", str(config))[1] != without
 
 
 def test_missing_required_parameter_exits_3(tmp_path, capsys):
@@ -298,7 +312,7 @@ def test_non_finite_rot_angle_exits_3(capsys, tmp_path, source):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
-    assert "rot-angle" in err
+    assert "rot_angle" in err
     assert list(out_dir.iterdir()) == []
 
 
@@ -483,8 +497,8 @@ _MC = ["mc", "--code", "three", "--p", "0.05:0.2:log:3", "--trials", "5"]
 # case -> argv (IN is a file holding the text), file text, a fragment of the message
 _BAD_INPUTS = {
     "rot-axis two fields": ([*_MC, "--rot-axis", "1,0"], None, "x,y,z, got '1,0'"),
-    "rot-axis zero": ([*_MC, "--rot-axis", "0,0,0"], None, "bad rot-axis '0,0,0'"),
-    "rot-axis letters": ([*_MC, "--rot-axis", "a,b,c"], None, "bad rot-axis 'a,b,c'"),
+    "rot-axis zero": ([*_MC, "--rot-axis", "0,0,0"], None, "bad rot_axis '0,0,0'"),
+    "rot-axis letters": ([*_MC, "--rot-axis", "a,b,c"], None, "bad rot_axis 'a,b,c'"),
     "rot-angle malformed": ([*_MC, "--rot-angle", "fixed"], None, "THETA_MAX, got 'fixed'"),
     "weights two fields": ([*_MC, "--weights", "1,2"], None, "wx,wy,wz, got '1,2'"),
     "weights letters": ([*_MC, "--weights", "a,b,c"], None, "non-numeric fields: 'a,b,c'"),
@@ -497,10 +511,19 @@ _BAD_INPUTS = {
                          "unknown config key: noise"),
     "config rot_axis number": (["mc", "--config", "IN"],
                                '{"code": "three", "p": "0.05:0.2:log:3", "rot_axis": 5}',
-                               "rot-axis must be i|j|k or x,y,z, got '5'"),
+                               "rot_axis must be i|j|k or x,y,z, got 5"),
     "config rot_angle number": (["mc", "--config", "IN"],
                                 '{"code": "three", "p": "0.05:0.2:log:3", "rot_angle": 5}',
-                                "THETA_MAX, got '5'"),
+                                "rot_angle must be fixed:THETA or uniform:THETA_MAX, got 5"),
+    "config rot_axis list": (["mc", "--config", "IN"],
+                             '{"code": "three", "p": "0.05:0.2:log:3", "rot_axis": [0, 0, 1]}',
+                             "rot_axis must be i|j|k or x,y,z, got [0, 0, 1]"),
+    "config rot_axis zero": (["mc", "--config", "IN"],
+                             '{"code": "three", "p": "0.05:0.2:log:3", "rot_axis": "0,0,0"}',
+                             "bad rot_axis '0,0,0'"),
+    "config rot_angle true": (["mc", "--config", "IN"],
+                              '{"code": "three", "p": "0.05:0.2:log:3", "rot_angle": true}',
+                              "rot_angle must be fixed:THETA or uniform:THETA_MAX, got True"),
     "fit bad header": (["fit", "--in", "IN"], "p,failures\n0.1,1\n", "bad CSV header"),
     "fit short row": (["fit", "--in", "IN"],
                       "code_id,p,trials,failures,p_L,stderr,seed\nthree,0.1\n",

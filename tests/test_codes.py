@@ -26,14 +26,13 @@ from hqec.codes import (
     hqubit_expand,
     logical_failure,
     paper_five_qubit_code,
-    pauli_failures,
     standard_perfect_code,
     syndrome_of,
     three_qubit_code,
     verify_codewords,
 )
 
-from oracles import measure_stabilizer_eigenvalue, state_based_syndrome
+from oracles import measure_stabilizer_eigenvalue, pauli_failures, state_based_syndrome
 
 ONE, I, J, K = quat.ONE, quat.I, quat.J, quat.K
 
@@ -399,6 +398,78 @@ def test_pauli_failures_matches_decoder_on_every_word(code_id):
         outcome = decode(syndrome_of(error, code), code)
         expected.append(outcome.unknown or logical_failure(error, outcome.correction, code))
     assert pauli_failures(code, x, z).tolist() == expected
+
+
+def signature_scores(code, x, z):
+    """Failure verdicts from the code's signature tables for uint64 mask arrays.
+
+    Each error's signature is the XOR of the per-qubit signatures of its
+    letters (X, Y, Z as 0, 1, 2), read one qubit at a time from the masks.
+    """
+    signature = np.zeros(np.shape(x), dtype=np.intp)
+    for q in range(code.n):
+        bit = np.uint64(1 << (code.n - 1 - q))
+        has_x, has_z = (x & bit) != 0, (z & bit) != 0
+        letter = np.where(has_x & has_z, 1, np.where(has_x, 0, 2))
+        signature ^= np.where(has_x | has_z, code.signatures[q, letter], 0)
+    return code.verdicts[signature]
+
+
+@pytest.mark.parametrize("code_id", CODE_IDS)
+def test_signature_scoring_equals_oracle_on_every_word(code_id):
+    code = get_code(code_id)
+    errors = [PauliString(word) for word in itertools.product(LETTERS, repeat=code.n)]
+    x = np.array([e.x for e in errors], dtype=np.uint64)
+    z = np.array([e.z for e in errors], dtype=np.uint64)
+    expected = pauli_failures(code, x, z)
+    assert signature_scores(code, x, z).tolist() == expected.tolist()
+    assert expected.any() and not expected.all()
+
+
+def repetition_code(n: int) -> StabilizerCode:
+    """Bit-flip repetition code on ``n`` qubits: generators Z_q Z_(q+1)."""
+    return StabilizerCode(
+        code_id=f"repetition{n}",
+        n=n,
+        k=1,
+        d=n,
+        generators=tuple(
+            PauliString.from_word("I" * q + "ZZ" + "I" * (n - q - 2)) for q in range(n - 1)
+        ),
+        logical_x=PauliString.from_word("X" * n),
+        logical_z=PauliString.from_word("Z" * n),
+        codeword_zero=QRegister.computational(n, "0" * n),
+        codeword_one=QRegister.computational(n, "1" * n),
+    )
+
+
+def test_signature_scoring_equals_oracle_on_a_twelve_qubit_code():
+    code = repetition_code(12)
+    m = len(code.generators)
+    # the tables grow as n and 2**(m + 2), never as 4**n
+    assert code.signatures.shape == (12, 3)
+    assert code.verdicts.shape == (4 << m,) == (8192,)
+    rng = np.random.default_rng(12)
+    x = rng.integers(0, 2**12, size=5000, dtype=np.uint64)
+    z = rng.integers(0, 2**12, size=5000, dtype=np.uint64)
+    expected = pauli_failures(code, x, z)
+    assert signature_scores(code, x, z).tolist() == expected.tolist()
+    # words the decoder corrects, and words it fails on both occur
+    assert expected.any() and not expected.all()
+    for e in (PauliString.single(12, 7, "X"), PauliString.from_word("X" * 6 + "I" * 6)):
+        outcome = decode(syndrome_of(e, code), code)
+        failed = outcome.unknown or logical_failure(e, outcome.correction, code)
+        x, z = np.array([e.x], np.uint64), np.array([e.z], np.uint64)
+        assert signature_scores(code, x, z).tolist() == [failed]
+
+
+def test_get_code_builds_each_code_once_with_read_only_tables():
+    for code_id in CODE_IDS:
+        code = get_code(code_id)
+        assert get_code(code_id) is code
+        for table in (code.signatures, code.verdicts):
+            with pytest.raises(ValueError):
+                table[0] = table[0]
 
 
 def test_logical_failure_length_validation():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -356,6 +357,41 @@ def test_batched_engine_crosses_the_real_chunk_boundary():
     counts = engine_counts(*args)
     assert counts == oracle_counts(*args)
     assert all(counts)
+
+
+def test_mixed_draw_widths_in_one_engine_call():
+    # Pauli-only, fixed-angle and uniform-angle pipelines read the first 2n,
+    # 3n and 4n draws of a trial; run together, they share the widest.
+    code = _CODES["perfect5"]
+    pipelines = (
+        (NoiseModel(p=0.0, pauli_weights=(0.5, 0.2, 0.3)), False, 0.01),
+        (NoiseModel(p=0.0, phase_mode="table1", p_rot=0.3,
+                    rot_angle=AngleDistribution("fixed", 0.4)), True, 0.01),
+        (NoiseModel(p=0.0, p_rot=0.2, rot_angle=AngleDistribution("uniform", 1.2),
+                    rot_mode="all"), False, 0.0),
+    )
+    p_values, seed, start = (0.05, 0.3), 2**64 - 1, 2**40 + 3
+    stop = start + 2 * 8 + 5
+    with mock.patch.object(experiments, "CHUNK_TRIALS", 8), mock.patch.object(
+        experiments, "philox_uniforms", wraps=experiments.philox_uniforms
+    ) as draws:
+        together = count_failures(code, pipelines, p_values, seed, start, stop)
+        assert {c.args[2] for c in draws.call_args_list} == {4 * code.n}
+        for (noise, detect, threshold), counts, width in zip(pipelines, together, (2, 3, 4)):
+            draws.reset_mock()
+            args = (code, noise, p_values, seed, start, stop, detect, threshold)
+            assert engine_counts(*args) == counts == oracle_counts(*args)
+            assert {c.args[2] for c in draws.call_args_list} == {width * code.n}
+    assert all(all(counts) for counts in together)
+
+
+def test_run_sweep_emits_no_warning():
+    noise = NoiseModel(p=0.0, p_rot=0.05, rot_angle=AngleDistribution("uniform", 1.2))
+    config = SweepConfig("perfect5", noise, (0.001, 0.03), trials=300, seed=2**64 - 1,
+                         quaternionic_detection=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_sweep(config)
 
 
 def oracle_excesses(code, event, detect):

@@ -25,14 +25,14 @@ from hqec.noise import (
     correct_rotation,
     detect_rotations,
     jk_excess,
-    pauli_masks,
+    pauli_letters,
     philox_uniforms,
     rotation_angles,
     sample_error,
     slot_cover,
 )
 
-from oracles import left_scalar_mul
+from oracles import left_scalar_mul, pauli_masks
 
 
 def bitflip_model(p, p_rot=0.0, **kw):
@@ -78,14 +78,17 @@ def test_batch_draws_match_sample_error():
     draws = philox_uniforms(9, np.array(trials, dtype=np.uint64), DRAWS_PER_QUBIT * 4)
     x, z = pauli_masks(model, draws)
     rotated = dict(rotation_events(model, draws))
-    rows, angles = rotation_angles(model, draws)
+    rows, angles = rotation_angles(model, draws, 4)
     assert rows.tolist() == sorted(rotated)
     for row, row_angles in zip(rows, angles):
         by_qubit = {rot.qubit: rot.angle for rot in rotated[row].rotations}
         assert row_angles.tolist() == [by_qubit.get(q, 0.0) for q in range(1, 5)]
+    letters = pauli_letters(model, draws, 4)
     for row, trial in enumerate(trials):
         event = sample_error(model, 4, 9, trial)
         assert (int(x[row]), int(z[row])) == (event.pauli.x, event.pauli.z)
+        for q, letter in enumerate(event.pauli.letters):
+            assert letter in ("I", "XYZ"[letters[row, q]])
         if event.rotations:
             assert rotated[row].rotations == event.rotations
             assert rotated[row].pauli == PauliString.identity(4)
@@ -133,6 +136,28 @@ def test_philox_uniforms_match_numpy_generator_for_any_key(seed, trials, count):
         key = np.array([seed, trial], dtype=np.uint64)
         want = np.random.Generator(np.random.Philox(key=key)).random(count)
         assert row.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [_MAX, _MAX - 1, 2**63, 0])
+def test_philox_prefix_equals_the_full_draw(seed):
+    # The engine draws 2n, 3n or 4n words; each prefix is the start of the full draw.
+    n = 5
+    trials = np.array([_MAX, _MAX - 1, 2**63, 2**32 - 1, 0], dtype=np.uint64)
+    full = philox_uniforms(seed, trials, DRAWS_PER_QUBIT * n)
+    for count in range(DRAWS_PER_QUBIT * n + 1):
+        got = philox_uniforms(seed, trials, count)
+        assert got.shape == (trials.size, count)
+        assert got.tobytes() == full[:, :count].tobytes(), count
+
+
+def test_fixed_angle_rotations_read_the_first_3n_draws():
+    n = 5
+    trials = np.arange(_MAX - 63, _MAX, dtype=np.uint64)
+    model = NoiseModel(p=0.0, p_rot=0.2, rot_angle=AngleDistribution("fixed", 0.7))
+    rows, angles = rotation_angles(model, philox_uniforms(3, trials, DRAWS_PER_QUBIT * n), n)
+    trimmed_rows, trimmed_angles = rotation_angles(model, philox_uniforms(3, trials, 3 * n), n)
+    assert rows.size and rows.tolist() == trimmed_rows.tolist()
+    assert angles.tobytes() == trimmed_angles.tobytes()
 
 
 def test_philox_uniforms_validation():
