@@ -84,10 +84,6 @@ class PauliString:
     def n(self) -> int:
         return len(self.letters)
 
-    @property
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
     def word(self) -> str:
         return "".join(self.letters)
 

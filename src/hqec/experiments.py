@@ -21,12 +21,14 @@ paired configurations share their noise realizations.
 
 :func:`run_trial` and :func:`score_event` score one trial and are the
 reference.  Sweeps run the batched engine, :func:`count_failures`: it
-draws the uniforms of up to :data:`CHUNK_TRIALS` trials at once and
-scores them at every p of the grid, with counts equal to the per-trial
-loop bit for bit, and draws only the words its pipelines read.  Syndrome
-and logical commutation are linear over GF(2) in the error, so the Pauli
+draws the uniforms of a chunk of trials at once (at most
+:data:`CHUNK_TRIALS` trials and :data:`CHUNK_WORDS` words) and scores
+them at every p of the grid, with counts equal to the per-trial loop bit
+for bit, and draws only the words its pipelines read.  Syndrome and
+logical commutation are linear over GF(2) in the error, so the Pauli
 channel XORs the code's per-qubit ``signatures`` and looks the result up
-in its ``verdicts``.  The rotation channel is scored as arrays of damaged ``|0_L>`` states: the
+in its ``verdicts``.  The rotation channel is scored as arrays of damaged
+``|0_L>`` states, over the slots where ``|0_L>`` is nonzero: the
 rotations of an event share one axis, so each slot is the reference slot
 times a product of unit quaternions, and detection and correction are
 per-qubit slot sums and inverse units.  A trial whose compared excesses
@@ -243,9 +245,18 @@ def thread_count() -> int:
     return value
 
 
-#: Trials the engine scores per batch; bounds its working set (the draws
-#: take at most ``32 * n`` bytes per trial) whatever the trial count.
+#: Trials per worker: a sweep starts one pool worker for each full
+#: ``CHUNK_TRIALS`` trials, at most ``HQEC_THREADS``, and no pool for fewer
+#: than two workers; below that, starting the pool costs about as much as
+#: the work it would split.  The engine also scores at most this many
+#: trials per batch.
 CHUNK_TRIALS = 8192
+
+#: Philox words the engine draws per batch, which bounds its working set
+#: whatever the trial count: a batch holds ``CHUNK_WORDS // w`` trials that
+#: read ``w`` words each (3276 Pauli-only perfect5 trials, 2184 with fixed
+#: angles).
+CHUNK_WORDS = 2**15
 
 #: Half-width of the band around the detection threshold in which the
 #: batched rotation scorer defers to :func:`score_event`.  It sums in
@@ -264,7 +275,9 @@ def count_failures(
     triple whose ``noise`` is a template; each point replaces its ``p``.
     Entry ``[j][i]`` equals the number of those trials for which
     ``run_trial(code, noise.with_p(p_values[i]), seed, t, detect, threshold)``
-    of pipeline ``j`` fails, bit for bit.  The uniforms of a chunk of trials
+    of pipeline ``j`` fails, bit for bit.  Trials are scored in chunks of at
+    most :data:`CHUNK_TRIALS` trials and :data:`CHUNK_WORDS` draws, so the
+    working set does not grow with the trial count.  The uniforms of a chunk
     are drawn once for every point and pipeline: ``2 * n`` words without
     rotations, ``3 * n`` when every angle is ``fixed``, else ``4 * n``.  The
     letters are mapped to signatures once per chunk, shared by pipelines
@@ -281,31 +294,40 @@ def count_failures(
     angles = {noise.rot_angle.kind for noise, _, _ in pipelines if noise.p_rot > 0.0}
     width = n * (4 if "uniform" in angles else 3 if angles else 2)
     counts = [[0] * len(p_values) for _ in pipelines]
-    for lo in range(start, stop, CHUNK_TRIALS):
-        size = min(CHUNK_TRIALS, stop - lo)
-        trials = np.uint64(lo) + np.arange(size, dtype=np.uint64)
-        draws = philox_uniforms(seed, trials, width)
-        u_err = draws[:, :n].T  # contiguous, so the XOR below runs along the trials
-        pauli: dict = {}
-        rotation: dict = {}
-        for tally, (noise, detect, threshold) in zip(counts, pipelines):
-            weights = noise.pauli_weights
-            if weights not in pauli:
-                letters = pauli_letters(noise, draws, n).T
-                signatures = code.signatures.ravel()[letters + 3 * np.arange(n)[:, None]]
-                pauli[weights] = [
-                    code.verdicts[np.bitwise_xor.reduce(signatures * (u_err < p), axis=0)]
-                    for p in p_values
-                ]
-            failed = pauli[weights]
-            if noise.p_rot > 0.0:
-                key = (noise.p_rot, noise.rot_axis, noise.rot_angle, noise.rot_mode)
-                if key not in rotation:
-                    rotation[key] = _RotationChunk(code, noise, seed, trials, draws)
-                rotated = rotation[key].failures(detect, threshold)
-                failed = [f | rotated for f in failed]
-            for i, f in enumerate(failed):
-                tally[i] += int(np.count_nonzero(f))
+    step = min(CHUNK_TRIALS, max(1, CHUNK_WORDS // width))
+    for lo in range(start, stop, step):
+        trials = np.uint64(lo) + np.arange(min(step, stop - lo), dtype=np.uint64)
+        chunk = _chunk_failures(code, pipelines, p_values, seed, trials, width)
+        for tally, failures in zip(counts, chunk):
+            tally[:] = map(sum, zip(tally, failures))
+    return counts
+
+
+def _chunk_failures(code, pipelines, p_values, seed, trials, width) -> list[list[int]]:
+    """:func:`count_failures` of one chunk, whose arrays die before the next is drawn."""
+    n = code.n
+    draws = philox_uniforms(seed, trials, width)
+    u_err = draws[:, :n].T  # contiguous, so the XOR below runs along the trials
+    pauli: dict = {}
+    rotation: dict = {}
+    counts = []
+    for noise, detect, threshold in pipelines:
+        weights = noise.pauli_weights
+        if weights not in pauli:
+            letters = pauli_letters(noise, draws, n).T
+            signatures = code.signatures.ravel()[letters + 3 * np.arange(n)[:, None]]
+            pauli[weights] = [
+                code.verdicts[np.bitwise_xor.reduce(signatures * (u_err < p), axis=0)]
+                for p in p_values
+            ]
+        failed = pauli[weights]
+        if noise.p_rot > 0.0:
+            key = (noise.p_rot, noise.rot_axis, noise.rot_angle, noise.rot_mode)
+            if key not in rotation:
+                rotation[key] = _RotationChunk(code, noise, seed, trials, draws)
+            rotated = rotation[key].failures(detect, threshold)
+            failed = [f | rotated for f in failed]
+        counts.append([int(np.count_nonzero(f)) for f in failed])
     return counts
 
 
@@ -318,26 +340,33 @@ class _RotationChunk:
     ``cos(theta) + a sin(theta)`` of the rotations whose slot
     (:func:`noise.slot_cover`) holds it, with ``a`` the axis as a pure
     quaternion.  Units are multiplied, not angles added, so the result
-    stays as accurate as the oracle's for any angle.  The damaged states
-    are built once and scored by each pipeline that shares the rotation
-    parameters.
+    stays as accurate as the oracle's for any angle.  Only the slots where
+    ``|0_L>`` is nonzero are kept, since left multiplication keeps a zero
+    slot at zero, and trials whose angles are equal byte for byte share one
+    damaged state, so each distinct angle row is built once.  The damaged
+    states are scored by each pipeline that shares the rotation parameters.
     """
 
     def __init__(self, code, noise, seed, trials, draws) -> None:
         self.code, self.quiet, self.seed, self.trials = code, noise.with_p(0.0), seed, trials
         self.rows, angles = rotation_angles(noise, draws, code.n)
+        keys = angles.view(np.dtype((np.void, angles.itemsize * code.n))).ravel()
+        _, self.first, self.inverse = np.unique(keys, return_index=True, return_inverse=True)
+        angles = angles[self.first]
         self.moved = angles != 0.0
         self.cos, self.sin = np.cos(angles), np.sin(angles)
-        self.cover = slot_cover(code.n, noise.rot_mode)
+        ref = code.codeword_zero.amps.components
+        support = np.flatnonzero(ref.any(axis=1))
+        ref = ref[support]
+        self.cover = slot_cover(code.n, noise.rot_mode)[:, support]
         axis = noise.rot_axis
         self.axis_norm = axis.x * axis.x + axis.y * axis.y + axis.z * axis.z
-        ref = code.codeword_zero.amps.components
         turned = ref @ left_mul_matrix(Quaternion(0.0, axis.x, axis.y, axis.z)).T
         self.ref_jk, self.turned_jk = ref[:, 2:], turned[:, 2:]
         ref_strengths = self.ref_jk**2
         self.ref_total = ref_strengths.sum(axis=0)
         self.ref_slots = self.cover @ ref_strengths
-        ones = np.ones((self.rows.size, ref.shape[0]))
+        ones = np.ones((angles.shape[0], support.size))
         self.w, self.v = self._multiply(ones, np.zeros_like(ones), self.cos, self.sin)
         self.strengths = self._jk_strengths(self.w, self.v)
 
@@ -350,7 +379,7 @@ class _RotationChunk:
         return w, v
 
     def _jk_strengths(self, w, v) -> np.ndarray:
-        """``(R, 2**n, 2)`` squared j and k components of the damaged slots."""
+        """``(rows, slots, 2)`` squared j and k components of the damaged slots."""
         return (w[..., None] * self.ref_jk + v[..., None] * self.turned_jk) ** 2
 
     def failures(self, detect: bool, threshold: float) -> np.ndarray:
@@ -362,12 +391,13 @@ class _RotationChunk:
         Rows whose compared excesses lie within :data:`GUARD` of the
         threshold (per-qubit excesses count for rotated qubits only, since
         a flag on any other corrects nothing) are scored again through
-        :func:`run_trial`.  Excesses are compared against at least
-        :data:`~hqec.quaternion.TOLERANCE`, as :func:`score_event` does.
+        :func:`run_trial`, once per distinct row.  Excesses are compared
+        against at least :data:`~hqec.quaternion.TOLERANCE`, as
+        :func:`score_event` does.
         """
         threshold = max(threshold, TOLERANCE)
         w, v, strengths = self.w, self.v, self.strengths
-        near = np.zeros(self.rows.size, dtype=bool)
+        near = np.zeros(self.first.size, dtype=bool)
         if detect:
             slots = self.cover @ strengths - self.ref_slots
             flags = (slots > threshold).any(axis=-1)
@@ -380,10 +410,10 @@ class _RotationChunk:
         failed = excess > threshold
         near |= np.abs(excess - threshold) <= GUARD
         for r in np.flatnonzero(near):
-            trial = int(self.trials[self.rows[r]])
+            trial = int(self.trials[self.rows[self.first[r]]])
             failed[r] = run_trial(self.code, self.quiet, self.seed, trial, detect, threshold)
         out = np.zeros(self.trials.size, dtype=bool)
-        out[self.rows] = failed
+        out[self.rows] = failed[self.inverse]
         return out
 
 
@@ -393,9 +423,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     Trial ``t`` at every p point reuses the stream keyed by
     ``(config.seed, t)``, so the counts are reproducible bit for bit
     regardless of ``HQEC_THREADS`` and adjacent points are positively
-    coupled (common random numbers).  With more than one worker, one
-    process pool serves the whole sweep and each worker scores a
-    contiguous range of trials at every point.
+    coupled (common random numbers).  ``HQEC_THREADS`` caps the worker
+    count, and a worker starts only for each full :data:`CHUNK_TRIALS`
+    trials.  With more than one worker, one process pool serves the whole
+    sweep and each worker scores a contiguous range of trials at every
+    point; otherwise the sweep runs in this process.
     """
     return _run_sweeps((config,))[0]
 
@@ -407,9 +439,9 @@ def _run_sweeps(configs: tuple[SweepConfig, ...]) -> list[SweepResult]:
         (c.noise, c.quaternionic_detection, c.detection_threshold) for c in configs
     )
     args = (get_code(head.code_id), pipelines, head.p_values, head.seed)
-    workers = thread_count()
+    workers = min(thread_count(), head.trials // CHUNK_TRIALS)
     parts = None
-    if workers > 1 and head.trials >= 2 * workers:
+    if workers > 1:
         bounds = np.linspace(0, head.trials, workers + 1, dtype=int)
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -180,9 +180,14 @@ _LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
 def _mulhilo(m: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products ``m * b``, from 32-bit halves."""
+    """High and low words of the 128-bit products ``m * b``, from 32-bit halves.
+
+    ``b`` is overwritten: it comes back holding the high words.
+    """
     m_lo, m_hi = m & _LOW32, m >> _SHIFT32
-    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
+    lo = m * b
+    b_lo = b & _LOW32
+    b_hi = np.right_shift(b, _SHIFT32, out=b)
     # Each partial sum stays below 2**64: (2**32 - 1)**2 + 2 * (2**32 - 1) < 2**64.
     # In place: part holds the low partial product, b_lo the cross sum, b_hi hi.
     mid = b_hi * m_lo
@@ -193,7 +198,7 @@ def _mulhilo(m: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b_hi *= m_hi
     b_hi += np.right_shift(mid, _SHIFT32, out=mid)
     b_hi += np.right_shift(b_lo, _SHIFT32, out=b_lo)
-    return b_hi, m * b
+    return b_hi, lo
 
 
 def philox_uniforms(seed: int, trials, count: int) -> np.ndarray:
@@ -217,17 +222,24 @@ def philox_uniforms(seed: int, trials, count: int) -> np.ndarray:
     # keys stay arrays: numpy warns when a scalar addition wraps around.
     blocks = -(-count // 4)
     key0, key1 = np.full(1, seed, dtype=np.uint64), trials.astype(np.uint64)
-    zero = np.zeros((blocks, trials.size), dtype=np.uint64)
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[:, None] + zero
-    c1, c2, c3 = zero, zero, zero
+    c0 = np.repeat(np.arange(1, blocks + 1, dtype=np.uint64)[:, None], trials.size, axis=1)
+    c1 = c3 = np.zeros_like(c0)
+    c2 = np.zeros_like(c0)  # apart from c1 and c3: _mulhilo overwrites c0 and c2
     for rnd in range(_PHILOX_ROUNDS):
         if rnd:
             key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
-    words = np.stack((c0, c1, c2, c3), axis=1).reshape(4 * blocks, trials.size)[:count]
-    return ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53).T
+        hi1 ^= c1 ^ key0  # in place: a round holds no words of the one before it
+        hi0 ^= c3 ^ key1
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+    # Each word array becomes every fourth row of the doubles, in place.
+    out = np.empty((count, trials.size))
+    for i, words in enumerate((c0, c1, c2, c3)):
+        words = words[: len(out[i::4])]
+        words >>= np.uint64(11)
+        np.multiply(words, 2.0**-53, out=out[i::4])
+    return out.T
 
 
 def pauli_letters(model: NoiseModel, draws: np.ndarray, n: int) -> np.ndarray:

@@ -39,6 +39,10 @@ class Quaternion:
     z: float = 0.0
 
     def __post_init__(self) -> None:
+        w, x, y, z = self.w, self.x, self.y, self.z
+        # Four floats with a finite sum are all finite: the common case, checked at once.
+        if type(w) is type(x) is type(y) is type(z) is float and math.isfinite(w + x + y + z):
+            return
         for name in ("w", "x", "y", "z"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -109,12 +113,6 @@ class Quaternion:
         if n == 0.0:
             raise ValueError("zero quaternion has no inverse")
         return Quaternion(self.w / n, -self.x / n, -self.y / n, -self.z / n)
-
-    def component(self, axis: str) -> float:
-        """Read one component; ``axis`` is one of ``"1"``, ``"i"``, ``"j"``, ``"k"``."""
-        if axis not in UNIT_BY_NAME:
-            raise ValueError(f"axis must be one of '1', 'i', 'j', 'k', got {axis!r}")
-        return self.as_tuple()[list(UNIT_BY_NAME).index(axis)]
 
     def is_unit(self, tol: float = TOLERANCE) -> bool:
         return abs(self.norm_sq() - 1.0) <= tol

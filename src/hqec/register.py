@@ -66,11 +66,6 @@ class QRegister:
     def amps(self) -> QVector:
         return self._amps
 
-    def amplitude(self, bits: str) -> Quaternion:
-        if len(bits) != self._n or any(b not in "01" for b in bits):
-            raise ValueError(f"bad bit string {bits!r}")
-        return self._amps[int(bits, 2)]
-
     def isclose(self, other: "QRegister", tol: float = quat.TOLERANCE) -> bool:
         return self._n == other._n and self._amps.isclose(other._amps, tol)
 

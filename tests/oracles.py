@@ -14,6 +14,13 @@ from hqec.codes import PauliString, StabilizerCode, Syndrome, apply_pauli
 from hqec.noise import DRAWS_PER_QUBIT, NoiseModel
 
 
+def amplitude(reg: QRegister, bits: str) -> quat.Quaternion:
+    """The amplitude of the basis state ``bits`` (qubit 1 first)."""
+    if len(bits) != reg.n or any(b not in "01" for b in bits):
+        raise ValueError(f"bad bit string {bits!r}")
+    return reg.amps[int(bits, 2)]
+
+
 def left_scalar_mul(reg: QRegister, q: quat.Quaternion) -> QRegister:
     """Every amplitude times ``q`` on the left."""
     return QRegister.from_components(reg.n, reg.amps.components @ left_mul_matrix(q).T)

@@ -53,7 +53,7 @@ from hqec.experiments import (
     scaling_model,
 )
 
-from oracles import state_based_syndrome
+from oracles import amplitude, state_based_syndrome
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -100,18 +100,18 @@ def test_criterion_2_worked_examples():
     arr[0] = (a, b, 0, 0)
     arr[2] = (c, 0, d, 0)
     out_reg = apply_gate(QRegister.from_components(2, arr), cnot_gate(), [1, 2])
-    assert out_reg.amplitude("00").isclose(Quaternion(a, b, 0, 0), tol=1e-12)
-    assert out_reg.amplitude("11").isclose(Quaternion(0, d, 0, c), tol=1e-12)
+    assert amplitude(out_reg, "00").isclose(Quaternion(a, b, 0, 0), tol=1e-12)
+    assert amplitude(out_reg, "11").isclose(Quaternion(0, d, 0, c), tol=1e-12)
     # benchmark state (1/sqrt2)(|00> - j|11>)
     bell = bell_prepare()
-    assert bell.amplitude("00").isclose(Quaternion(INV_SQRT2), tol=1e-12)
-    assert bell.amplitude("11").isclose(Quaternion(0, 0, -INV_SQRT2, 0), tol=1e-12)
+    assert amplitude(bell, "00").isclose(Quaternion(INV_SQRT2), tol=1e-12)
+    assert amplitude(bell, "11").isclose(Quaternion(0, 0, -INV_SQRT2, 0), tol=1e-12)
     # substitution j = k = -i turns it into (1/sqrt2)(|00> + |11>)
     sub = substitute_units(cnot_gate(), {"j": -quat.I, "k": -quat.I})
     reg = apply_gate(QRegister.computational(2, "00"), hadamard_gate(), [1])
     reg = apply_gate(reg, sub, [1, 2])
-    assert reg.amplitude("00").isclose(Quaternion(INV_SQRT2), tol=1e-12)
-    assert reg.amplitude("11").isclose(Quaternion(INV_SQRT2), tol=1e-12)
+    assert amplitude(reg, "00").isclose(Quaternion(INV_SQRT2), tol=1e-12)
+    assert amplitude(reg, "11").isclose(Quaternion(INV_SQRT2), tol=1e-12)
     _report(2, "worked gate examples exact to 1e-12")
 
 
@@ -295,7 +295,7 @@ def test_criterion_10_rotation_channel_invariants():
         code = get_code(code_id)
         for trial in range(10):
             event = sample_error(model, code.n, seed=56, trial=trial)
-            assert not event.pauli.weight
+            assert set(event.pauli.letters) == {"I"}
             assert syndrome_of(event.pauli, code).trivial
     # and measured on intact codewords the generators still read +1
     for code_id in ("three", "perfect5"):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from hqec import experiments
+from hqec import cli, experiments
 from hqec.quaternion import I_AXIS, J_AXIS, K_AXIS, ImaginaryAxis
 from hqec.codes import CODE_IDS, PauliString, get_code
 from hqec.noise import (
@@ -243,6 +244,8 @@ def test_run_sweep_deterministic():
 
 def test_run_sweep_thread_invariance(monkeypatch):
     config = SweepConfig("three", bitflip_model(), (0.05, 0.1), trials=3000, seed=9)
+    # Small enough that two workers each get a full chunk; fork carries it to them.
+    monkeypatch.setattr(experiments, "CHUNK_TRIALS", 1000)
     monkeypatch.delenv("HQEC_THREADS", raising=False)
     serial = run_sweep(config)
     monkeypatch.setenv("HQEC_THREADS", "2")
@@ -619,6 +622,19 @@ _PAIRS = {
 }
 
 
+def counted_pools(monkeypatch) -> list:
+    """The ``max_workers`` of each process pool the sweeps start from now on."""
+    pools = []
+
+    class CountedPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
+    return pools
+
+
 @pytest.mark.parametrize("threads", [None, "2"])
 @pytest.mark.parametrize("pair", list(_PAIRS))
 def test_figure1_pass_equals_separate_sweeps_and_oracle(monkeypatch, pair, threads):
@@ -628,14 +644,8 @@ def test_figure1_pass_equals_separate_sweeps_and_oracle(monkeypatch, pair, threa
     quat_cfg = SweepConfig(
         noise=q_noise, detection_threshold=q_threshold, quaternionic_detection=True, **base
     )
-    pools = []
-
-    class CountedPool(experiments.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
+    pools = counted_pools(monkeypatch)
+    monkeypatch.setattr(experiments, "CHUNK_TRIALS", 100)  # 300 trials: a pool of two
     if threads is None:
         monkeypatch.delenv("HQEC_THREADS", raising=False)
     else:
@@ -668,9 +678,45 @@ def test_pool_that_cannot_start_falls_back_to_serial(monkeypatch):
             raise OSError("no process support")
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoProcesses)
+    monkeypatch.setattr(experiments, "CHUNK_TRIALS", 100)  # 300 trials: a pool of two
     monkeypatch.setenv("HQEC_THREADS", "2")
     assert (run_sweep(std), figure1_data(std, quat_cfg)) == serial
     assert attempts == [2, 2]
+
+
+def test_pool_starts_only_for_a_full_chunk_per_worker(monkeypatch):
+    chunk = 50
+    base = dict(code_id="perfect5", noise=NoiseModel(p=0.0, p_rot=0.1), p_values=(0.02, 0.1),
+                seed=5, quaternionic_detection=True)
+    short, long = SweepConfig(trials=2 * chunk - 1, **base), SweepConfig(trials=3 * chunk, **base)
+    monkeypatch.delenv("HQEC_THREADS", raising=False)
+    serial = run_sweep(short), run_sweep(long)
+    pools = counted_pools(monkeypatch)
+    monkeypatch.setattr(experiments, "CHUNK_TRIALS", chunk)
+    monkeypatch.setenv("HQEC_THREADS", "2")
+    assert run_sweep(short) == serial[0]
+    assert pools == []
+    monkeypatch.setenv("HQEC_THREADS", "8")
+    assert run_sweep(long) == serial[1]
+    assert pools == [3]
+
+
+def test_engine_working_set_does_not_grow_with_the_trials():
+    # figure1's two pipelines; the bound is fixed in advance, not fitted to a run.
+    params = cli.parse_args(["figure1", "--out", "unused"]).parameters
+    code, noise = get_code(params["code"]), params["noise"]
+    pipelines = ((noise, False, params["threshold"]), (noise, True, params["threshold"]))
+    chunk = min(experiments.CHUNK_TRIALS, experiments.CHUNK_WORDS // (3 * code.n))
+    peaks = []
+    for trials in (chunk, 4 * chunk):
+        count_failures(code, pipelines, params["p_values"], 1, 0, trials)  # warm caches
+        tracemalloc.start()
+        try:
+            count_failures(code, pipelines, params["p_values"], 1, 0, trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_figure1_csv_layout():

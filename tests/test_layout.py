@@ -102,7 +102,10 @@ def test_every_public_name_has_a_caller_outside_tests():
         names, calls = _references(path)
         read |= names
         called |= calls
+    # A name counts as documented only as code (a fenced block or a span in
+    # backticks), so that a plain English word ("weight") does not keep it alive.
     docs = (REPO / "README.md").read_text() + (REPO / "bench" / "README.md").read_text()
+    docs = "\n".join(re.findall(r"```.*?```|`[^`]+`", docs, flags=re.S))
     unused = [
         f"{path.stem}.{label}"
         for path in modules

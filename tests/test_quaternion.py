@@ -130,7 +130,7 @@ def test_exp_axis_closed_form():
 
 def test_exp_axis_component_read():
     q = exp_axis(K_AXIS, math.pi / 3)
-    assert q.component("k") == pytest.approx(math.sin(math.pi / 3), abs=1e-12)
+    assert q.z == pytest.approx(math.sin(math.pi / 3), abs=1e-12)
 
 
 def test_exp_axis_inverse_pairs():
@@ -163,16 +163,6 @@ def test_axis_normalized_rejects_zero():
         ImaginaryAxis.normalized(0, 0, 0)
 
 
-# -- component accessor ------------------------------------------------------
-
-def test_component_reads():
-    q = Quaternion(2, 0, 3, 0)
-    assert q.component("j") == 3.0
-    assert I.component("k") == 0.0
-    with pytest.raises(ValueError):
-        q.component("w")
-
-
 # -- constructors -------------------------------------------------------------
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -186,6 +176,22 @@ def test_constructor_rejects_non_finite(bad):
 def test_constructor_rejects_non_real():
     with pytest.raises(TypeError):
         Quaternion("1")  # type: ignore[arg-type]
+
+
+def test_overflowing_product_raises():
+    with pytest.raises(ValueError, match="component w must be finite"):
+        Quaternion(1e200) * Quaternion(1e200)
+
+
+def test_constructor_checks_components_not_their_sum():
+    # The sum of these finite components overflows; each one is still accepted.
+    assert Quaternion(1e308, 1e308, 0.0, 0.0).as_tuple() == (1e308, 1e308, 0.0, 0.0)
+    with pytest.raises(ValueError, match="component y must be finite"):
+        Quaternion(1.0, 2.0, float("inf"), float("-inf"))
+    with pytest.raises(TypeError, match="component z must be a real number"):
+        Quaternion(1.0, 2.0, 3.0, True)
+    # ints and numpy floats are stored as plain floats
+    assert all(type(c) is float for c in Quaternion(1, np.float64(0.5), 2, 3).as_tuple())
 
 
 # -- randomized algebra properties --------------------------------------------
