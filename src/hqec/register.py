@@ -12,6 +12,7 @@ different because the entries do not commute with the amplitudes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -105,6 +106,22 @@ class Gate:
                 f"got {self.matrix.shape}"
             )
 
+    @functools.cached_property
+    def operator(self) -> np.ndarray:
+        """Read-only real ``(4*2**arity)``-square matrix of the gate.
+
+        Row ``4*c + s``, column ``4*r + t`` holds component ``t`` of
+        ``entry(r, c)`` times the unit ``s`` on the gate's side.  Built on
+        first use; a side that is not a :class:`MulSide` raises and caches
+        nothing.
+        """
+        units = np.eye(4)[None, None]
+        products = entry_products(self.matrix.components[:, :, None, :], units, self.side)
+        size = 4 << self.arity
+        op = products.transpose(1, 2, 0, 3).reshape(size, size)
+        op.flags.writeable = False
+        return op
+
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -175,10 +192,10 @@ def identity_gate() -> Gate:
 def apply_gate(reg: QRegister, gate: Gate, targets: list[int] | tuple[int, ...]) -> QRegister:
     """Apply ``gate`` to 1-based ``targets`` using the gate's multiplication side.
 
-    The amplitudes are viewed as a ``(2,)*n + (4,)`` tensor whose target
-    axes are contracted with the gate matrix, so no ``2**n x 2**n`` matrix
-    is ever built.  The first target is the most significant bit of the
-    gate's row and column index.
+    The amplitudes are viewed as a ``(2,)*n + (4,)`` tensor with the target
+    axes moved last, in order, and multiplied once by :attr:`Gate.operator`,
+    so no ``2**n x 2**n`` matrix is ever built.  The first target is the most
+    significant bit of the gate's row and column index.
     """
     targets = tuple(targets)
     if len(targets) != gate.arity:
@@ -190,11 +207,12 @@ def apply_gate(reg: QRegister, gate: Gate, targets: list[int] | tuple[int, ...])
             raise ValueError(f"target {q} out of range 1..{reg.n}")
     n, a = reg.n, gate.arity
     axes = [q - 1 for q in targets]
-    front = np.moveaxis(reg.amps.components.reshape((2,) * n + (4,)), axes, range(a))
-    amps = front.reshape(1, 2**a, -1, 4)
-    prod = entry_products(gate.matrix.components[:, :, None, :], amps, gate.side)
-    out = np.moveaxis(prod.sum(axis=1).reshape(front.shape), range(a), axes)
-    return QRegister.from_components(n, out.reshape(2**n, 4))
+    perm = [q for q in range(n) if q not in axes] + axes + [n]
+    inverse = sorted(range(n + 1), key=perm.__getitem__)
+    front = reg.amps.components.reshape((2,) * n + (4,)).transpose(perm)
+    out = front.reshape(-1, 4 << a) @ gate.operator
+    return QRegister.from_components(
+        n, out.reshape(front.shape).transpose(inverse).reshape(2**n, 4))
 
 
 def bell_prepare() -> QRegister:

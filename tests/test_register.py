@@ -6,7 +6,7 @@ import pytest
 
 from hqec import quaternion as quat
 from hqec.quaternion import Quaternion, exp_axis
-from hqec.linalg import MulSide, QMatrix, is_unitary, matvec, real_norm_sq
+from hqec.linalg import MulSide, QMatrix, entry_products, is_unitary, matvec, real_norm_sq
 from hqec.register import (
     Gate,
     QRegister,
@@ -16,6 +16,7 @@ from hqec.register import (
     component_strength,
     conditional_flip,
     hadamard_gate,
+    identity_gate,
     measure_qubit,
     pauli_gate,
     phased_pauli_gate,
@@ -177,6 +178,91 @@ def test_apply_gate_peak_memory_is_linear_in_state():
         finally:
             tracemalloc.stop()
         assert peak < 32 * state_bytes, (gate.name, peak / state_bytes)
+
+
+def test_apply_gate_working_set_is_a_few_states():
+    rng = np.random.default_rng(46)
+    reg = rand_register(rng, 12)
+    state_bytes = reg.amps.components.nbytes
+    for gate, targets in ((hadamard_gate(), [6]), (cnot_gate(), [12, 1]), (t_gate(), [12])):
+        gate.operator  # built outside the traced call
+        tracemalloc.start()
+        try:
+            apply_gate(reg, gate, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * state_bytes, (gate.name, peak / state_bytes)
+
+
+def test_apply_gate_overflow_raises_not_finite():
+    big = 1e200
+    gate = Gate("big", QMatrix.from_components(np.full((2, 2, 4), big)), MulSide.LEFT, 1)
+    reg = QRegister.from_components(2, np.full((4, 4), big))
+    # Whether the product warns depends on numpy's build; the error must not.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="components must be finite"):
+            apply_gate(reg, gate, [2])
+
+
+def bench_circuit_steps(n):
+    """The H layer, CNOT chain and T layer the benchmark runs, as (gate, targets)."""
+    h, cnot, t = hadamard_gate(), cnot_gate(), t_gate()
+    return ([(h, [q]) for q in range(1, n + 1)]
+            + [(cnot, [q, q + 1]) for q in range(1, n)]
+            + [(t, [q]) for q in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_bench_circuit_matches_dense_oracle_gate_by_gate(n):
+    reg = QRegister.computational(n, 0)
+    for gate, targets in bench_circuit_steps(n):
+        want = oracle_apply(reg, gate, targets)
+        reg = apply_gate(reg, gate, targets)
+        assert np.allclose(reg.amps.components, want.components, rtol=0, atol=1e-12), (
+            gate.name, targets)
+    out = apply_gate(reg, cnot_gate(), [n, 1])
+    want = oracle_apply(reg, cnot_gate(), [n, 1])
+    assert np.allclose(out.amps.components, want.components, rtol=0, atol=1e-12)
+
+
+# -- the gate's real operator ---------------------------------------------------
+
+LIBRARY_GATES = [hadamard_gate(), cnot_gate(), t_gate(), identity_gate()] + [
+    make(letter) for make in (pauli_gate, phased_pauli_gate) for letter in "XYZ"]
+
+
+def random_gates():
+    rng = np.random.default_rng(47)
+    return [Gate("R", QMatrix.from_components(rng.normal(size=(2**a, 2**a, 4))), side, a)
+            for a in (1, 2, 3) for side in (MulSide.LEFT, MulSide.RIGHT)]
+
+
+@pytest.mark.parametrize("gate", LIBRARY_GATES + random_gates(),
+                         ids=lambda g: f"{g.name}-{g.arity}-{g.side.value}")
+def test_operator_row_is_entry_times_unit_on_the_gates_side(gate):
+    op = gate.operator
+    size = 2**gate.arity
+    assert op.shape == (4 * size, 4 * size)
+    entries = gate.matrix.components
+    for c in range(size):
+        for s, unit in enumerate(np.eye(4)):
+            for r in range(size):
+                want = entry_products(entries[r, c], unit, gate.side)
+                assert np.array_equal(op[4 * c + s, 4 * r:4 * r + 4], want), (r, c, s)
+    assert op.flags.writeable is False
+    with pytest.raises(ValueError):
+        op[0, 0] = 1.0
+    assert gate.operator is op  # built once
+
+
+def test_bad_side_raises_on_every_call_and_caches_nothing():
+    gate = Gate("H", hadamard_gate().matrix, "left", 1)
+    reg = QRegister.computational(1, "0")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="side must be a MulSide"):
+            apply_gate(reg, gate, [1])
+    assert "operator" not in vars(gate)
 
 
 def test_bell_on_far_apart_qubits_of_16():
