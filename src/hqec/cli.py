@@ -376,33 +376,60 @@ def _check_output_paths(config: RunConfig) -> None:
             raise ConfigError(f"output path {path!r} is a directory")
 
 
-@dataclass(frozen=True)
+# name -> factory of each gate the audits cover, in report order
+_AUDIT_GATES = {
+    "H": hadamard_gate,
+    "CNOT": cnot_gate,
+    **{letter: functools.partial(pauli_gate, letter) for letter in "XYZ"},
+    "T": t_gate,
+    **{f"{unit}{letter}": functools.partial(phased_pauli_gate, letter)
+       for unit, letter in zip("ijk", "XYZ")},
+    "I": identity_gate,
+}
+
+
 class _Findings:
-    """What the audit commands report, computed once per command."""
+    """What the audit commands report, each part computed the first time it is read.
 
-    bell: str  # the rendered benchmark state
-    gates: dict[str, tuple[Gate, UnitarityReport, bool]]  # name -> gate, unitarity, aligned
-    codes: dict[str, StabilizerCode]
-    codewords: dict[str, CodewordReport]
-    table2: AuditReport  # paper5 syndrome table against the published rows
-    mappings: tuple[tuple[str, int], ...]  # codeword slot action: name, rows matching
+    One instance serves one command call, so a command computes only the
+    parts its renderer reads, each once, and nothing outlives the call.
+    """
 
+    def __init__(self) -> None:
+        self._gates: dict[str, tuple[Gate, UnitarityReport]] = {}
 
-def _findings() -> _Findings:
-    gates = (hadamard_gate(), cnot_gate(), *map(pauli_gate, "XYZ"), t_gate(),
-             *map(phased_pauli_gate, "XYZ"), identity_gate())
-    codes = {code_id: get_code(code_id) for code_id in CODE_IDS}
-    return _Findings(
-        bell=bell_prepare().render(),
-        gates={g.name: (g, is_unitary(g.matrix), phase_alignment_check(g.matrix)) for g in gates},
-        codes=codes,
-        codewords={code_id: verify_codewords(code) for code_id, code in codes.items()},
-        table2=audit_against_paper(build_syndrome_table(codes["paper5"])),
-        mappings=tuple(
+    def gate(self, name: str) -> tuple[Gate, UnitarityReport]:
+        """The named audit gate and its unitarity report."""
+        if name not in self._gates:
+            gate = _AUDIT_GATES[name]()
+            self._gates[name] = gate, is_unitary(gate.matrix)
+        return self._gates[name]
+
+    @functools.cached_property
+    def bell(self) -> str:
+        """The rendered benchmark state."""
+        return bell_prepare().render()
+
+    @functools.cached_property
+    def codes(self) -> dict[str, StabilizerCode]:
+        return {code_id: get_code(code_id) for code_id in CODE_IDS}
+
+    @functools.cached_property
+    def codewords(self) -> dict[str, CodewordReport]:
+        return {code_id: verify_codewords(code) for code_id, code in self.codes.items()}
+
+    @functools.cached_property
+    def table2(self) -> AuditReport:
+        """The paper5 syndrome table against the published rows."""
+        return audit_against_paper(build_syndrome_table(self.codes["paper5"]))
+
+    @functools.cached_property
+    def mappings(self) -> tuple[tuple[str, int], ...]:
+        """Codeword slot action: mapping name, rows matching the published table."""
+        return tuple(
             (name, codeword_action_diff(mapping)[1])
             for name, mapping in (("table-implied", MAPPING_TABLE), ("prose", MAPPING_TEXT))
-        ),
-    )
+        )
 
 
 def _verdict(passed: bool) -> str:
@@ -418,8 +445,8 @@ def _gate_line(gate: Gate, report: UnitarityReport) -> str:
 
 def _summary_line(f: _Findings) -> str:
     return (
-        f"AUDIT hadamard_unitary={_verdict(f.gates['H'][1].passed)} "
-        f"cnot_unitary={_verdict(f.gates['CNOT'][1].passed)} "
+        f"AUDIT hadamard_unitary={_verdict(f.gate('H')[1].passed)} "
+        f"cnot_unitary={_verdict(f.gate('CNOT')[1].passed)} "
         f"table2_mismatches={f.table2.mismatch_count} "
         f"codeword_check_paper5={_verdict(f.codewords['paper5'].passed)}"
     )
@@ -446,8 +473,7 @@ def _collision_lines(audit: AuditReport) -> list[str]:
 
 
 def _bell_lines(f: _Findings) -> list[str]:
-    gates = (_gate_line(gate, report) for gate, report, _ in (f.gates["H"], f.gates["CNOT"]))
-    return [f"bell state: {f.bell}", *gates]
+    return [f"bell state: {f.bell}", *(_gate_line(*f.gate(name)) for name in ("H", "CNOT"))]
 
 
 def _verify_lines(f: _Findings) -> list[str]:
@@ -476,11 +502,12 @@ def _audit_json_lines(f: _Findings) -> list[str]:
     """Machine-readable audit: gate matrices in the standard serialization
     plus the row-level table diff and codeword verdicts."""
     audit = f.table2
+    gates = {name: f.gate(name) for name in ("H", "CNOT")}
     payload = {
         "gates": {
             name: {"matrix": matrix_to_dict(gate.matrix), "side": gate.side.value,
                    "unitary": report.passed, "max_deviation": report.max_deviation}
-            for name, (gate, report, _) in f.gates.items() if name in ("H", "CNOT")
+            for name, (gate, report) in gates.items()
         },
         "table2": {
             "mismatch_count": audit.mismatch_count,
@@ -502,7 +529,8 @@ def _audit_json_lines(f: _Findings) -> list[str]:
 
 def _report_lines(f: _Findings) -> list[str]:
     lines = ["state and gate benchmark", "-" * 40, f"bell state: {f.bell}"]
-    for gate, report, aligned in f.gates.values():
+    for gate, report in map(f.gate, _AUDIT_GATES):
+        aligned = phase_alignment_check(gate.matrix)
         lines.append(
             f"{_gate_line(gate, report)} phase_aligned={'yes' if aligned else 'no'} "
             f"side={gate.side.value}"
@@ -535,7 +563,7 @@ _RENDERERS = {
 
 def _cmd_findings(config: RunConfig) -> int:
     render = _RENDERERS[config.command, config.parameters.get("format", "text")]
-    _emit("\n".join(render(_findings())) + "\n", config.output_path)
+    _emit("\n".join(render(_Findings())) + "\n", config.output_path)
     return 0
 
 

@@ -292,6 +292,14 @@ def logical_failure(error: PauliString, correction: PauliString, code: Stabilize
 
 # -- state-level application and measurement ----------------------------
 
+def _pauli_scalar(ps: PauliString) -> Quaternion:
+    # The unit that multiplies every amplitude: the phase, times i per Y letter.
+    scalar = ps.phase
+    for _ in range((ps.x & ps.z).bit_count() % 4):
+        scalar = scalar * quat.I
+    return scalar
+
+
 def apply_pauli(ps: PauliString, reg: QRegister) -> QRegister:
     """Apply a phased Pauli string to a register (phase as a left scalar).
 
@@ -301,12 +309,9 @@ def apply_pauli(ps: PauliString, reg: QRegister) -> QRegister:
     """
     if ps.n != reg.n:
         raise ValueError(f"operator length {ps.n} does not match register n={reg.n}")
-    scalar = ps.phase
-    for _ in range((ps.x & ps.z).bit_count() % 4):
-        scalar = scalar * quat.I
     indices = np.arange(reg.dim)
     signs = 1.0 - 2.0 * (np.bitwise_count(indices & ps.z) & 1)
-    rotated = (reg.amps.components @ left_mul_matrix(scalar).T) * signs[:, None]
+    rotated = (reg.amps.components @ left_mul_matrix(_pauli_scalar(ps)).T) * signs[:, None]
     out = np.empty_like(rotated)
     out[indices ^ ps.x] = rotated
     return QRegister.from_components(reg.n, out)
@@ -351,28 +356,31 @@ class CodewordReport:
         return tuple(c.generator for c in self.checks if not (c.fixes_zero and c.fixes_one))
 
 
-def _is_plus_one_eigenvector(ps: PauliString, reg: QRegister) -> bool:
-    return apply_pauli(ps, reg).amps.isclose(reg.amps, quat.TOLERANCE)
-
-
 def verify_codewords(code: StabilizerCode) -> CodewordReport:
-    """Check the generators fix both codewords and the logicals act as declared."""
+    """Check the generators fix both codewords and the logicals act as declared.
+
+    The images of the m generators, logical Z and logical X on both
+    codewords are built in one pass with :func:`apply_pauli`'s arithmetic:
+    amplitude ``j`` of an image is the left-mul matrix of the operator's
+    unit scalar times amplitude ``j ^ x``, signed by the parity of
+    ``(j ^ x) & z``.  A unit's left-mul entries are 0 or +-1, so every
+    product is exact.  Each image is then compared with its target at
+    :data:`quaternion.TOLERANCE`.
+    """
+    ops = (*code.generators, code.logical_z, code.logical_x)
+    zero, one = code.codeword_zero.amps.components, code.codeword_one.amps.components
+    source = np.arange(1 << code.n) ^ np.array([op.x for op in ops])[:, None]
+    signs = 1.0 - 2.0 * (np.bitwise_count(source & np.array([op.z for op in ops])[:, None]) & 1)
+    scalars = np.stack([left_mul_matrix(_pauli_scalar(op)).T for op in ops])[:, None]
+    images = (np.stack((zero[source], one[source]), axis=1) @ scalars) * signs[:, None, :, None]
+    m = len(code.generators)
+    targets = np.stack([(zero, one)] * m + [(zero, -one), (one, zero)])
+    ok = np.all(np.abs(images - targets) <= quat.TOLERANCE, axis=(2, 3))
     checks = tuple(
-        CodewordCheck(
-            generator=g.word(),
-            fixes_zero=_is_plus_one_eigenvector(g, code.codeword_zero),
-            fixes_one=_is_plus_one_eigenvector(g, code.codeword_one),
-        )
-        for g in code.generators
+        CodewordCheck(g.word(), fixes_zero=bool(f0), fixes_one=bool(f1))
+        for g, (f0, f1) in zip(code.generators, ok.tolist())
     )
-    z0 = apply_pauli(code.logical_z, code.codeword_zero)
-    z1 = apply_pauli(code.logical_z, code.codeword_one)
-    minus_one = QRegister.from_components(code.n, -code.codeword_one.amps.components)
-    logical_z_ok = z0.isclose(code.codeword_zero) and z1.isclose(minus_one)
-    x0 = apply_pauli(code.logical_x, code.codeword_zero)
-    x1 = apply_pauli(code.logical_x, code.codeword_one)
-    logical_x_ok = x0.isclose(code.codeword_one) and x1.isclose(code.codeword_zero)
-    return CodewordReport(code.code_id, checks, logical_z_ok, logical_x_ok)
+    return CodewordReport(code.code_id, checks, bool(ok[m].all()), bool(ok[m + 1].all()))
 
 
 # -- shipped codes ---------------------------------------------------------
@@ -497,30 +505,27 @@ class SyndromeTable:
 def build_syndrome_table(code: StabilizerCode) -> SyndromeTable:
     """Syndromes for every single-qubit X/Y/Z error, with phased variants.
 
-    Each row is a letter-level error annotated with its spelling under the
-    paired unit for the letter (``iX``, ``jY``, ``kZ``).  The variant shares
-    the row's syndrome, which is asserted during the build.
+    Each row's syndrome is the low m bits of the error's entry in
+    ``code.signatures``.  The row is annotated with its spelling under the
+    paired unit for the letter (``iX``, ``jY``, ``kZ``); a unit phase never
+    changes a commutation syndrome, so the variant shares the row's.
     """
+    m = len(code.generators)
     rows = []
-    for qubit in range(1, code.n + 1):
-        for letter in _ERROR_LETTERS:
-            error = PauliString.single(code.n, qubit, letter)
-            syndrome = syndrome_of(error, code)
+    for qubit, signatures in enumerate(code.signatures.tolist(), start=1):
+        for letter, signature in zip(_ERROR_LETTERS, signatures):
             phase = UNIT_FOR_LETTER[letter]
-            variant = PauliString.single(code.n, qubit, letter, phase)
-            if syndrome_of(variant, code) != syndrome:
-                raise AssertionError("phased variant changed a syndrome")
             rows.append(
                 SyndromeTableRow(
                     qubit=qubit,
                     letter=letter,
                     phase=phase,
                     error_label=f"{letter}{qubit}",
-                    variants=(variant.label,),
-                    syndrome=syndrome,
+                    variants=(f"{phase_label(phase).lstrip('+')}{letter}{qubit}",),
+                    syndrome=Syndrome(tuple(-1 if signature >> i & 1 else 1 for i in range(m))),
                 )
             )
-    return SyndromeTable(code.code_id, len(code.generators), tuple(rows))
+    return SyndromeTable(code.code_id, m, tuple(rows))
 
 
 #: Published syndrome assignments for the paper5 code, stored verbatim as

@@ -109,8 +109,9 @@ class SweepConfig:
         object.__setattr__(self, "p_values", tuple(map(float, p_values)))
         if any(b <= a for a, b in zip(self.p_values, self.p_values[1:])):
             raise ValueError("p_values must be strictly increasing")
-        if not (is_number(self.trials, numbers.Integral) and self.trials >= 1):
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        # Trials are numbered by 64-bit counters (count_failures).
+        if not (is_number(self.trials, numbers.Integral) and 1 <= self.trials <= 2**64):
+            raise ValueError(f"trials must be an integer in [1, 2**64], got {self.trials!r}")
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", check_counter("seed", self.seed))
         if not isinstance(self.quaternionic_detection, bool):

@@ -83,11 +83,17 @@ class QVector:
         self._c = _freeze(np.array(rows))
 
     @classmethod
-    def from_components(cls, arr: np.ndarray) -> "QVector":
+    def from_components(cls, arr: np.ndarray, *, copy: bool = True) -> "QVector":
+        """Vector of a ``(dim, 4)`` component array, which must be finite.
+
+        With ``copy=False`` a float64 C-contiguous ``arr`` becomes the
+        vector's storage and is made read-only; the caller hands it over and
+        must not write to it through another reference.
+        """
         arr = _validate_components(arr, 2)
         if arr.shape[0] < 1:
             raise ValueError("vector must have at least one amplitude")
-        return cls._wrap(arr.copy())
+        return cls._wrap(arr.copy() if copy else arr)
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "QVector":
@@ -285,8 +291,9 @@ def is_unitary(u: QMatrix, tol: float = TOLERANCE) -> UnitarityReport:
     """
     if u.rows != u.cols:
         raise ValueError(f"unitarity check needs a square matrix, got {u.shape}")
-    m = matmul(u, adjoint(u))
-    delta = m.components - QMatrix.identity(u.rows).components
+    # matmul's arithmetic on the bare arrays, then the identity taken off in place.
+    delta = qmul_components(u.components[:, :, None], adjoint(u).components[None]).sum(axis=1)
+    delta[np.arange(u.rows), np.arange(u.rows), 0] -= 1.0
     norms = np.sqrt(np.sum(delta * delta, axis=-1))
     worst_flat = int(np.argmax(norms))
     worst = (worst_flat // u.cols, worst_flat % u.cols)

@@ -210,9 +210,11 @@ def apply_gate(reg: QRegister, gate: Gate, targets: list[int] | tuple[int, ...])
     perm = [q for q in range(n) if q not in axes] + axes + [n]
     inverse = sorted(range(n + 1), key=perm.__getitem__)
     front = reg.amps.components.reshape((2,) * n + (4,)).transpose(perm)
-    out = front.reshape(-1, 4 << a) @ gate.operator
-    return QRegister.from_components(
-        n, out.reshape(front.shape).transpose(inverse).reshape(2**n, 4))
+    product = front.reshape(-1, 4 << a) @ gate.operator
+    out = product.reshape(front.shape).transpose(inverse).reshape(2**n, 4)
+    del product  # freed before the finiteness check, unless ``out`` is a view of it
+    # ``out`` is new and held nowhere else, so the register takes it without a copy.
+    return QRegister(n, QVector.from_components(out, copy=False))
 
 
 def bell_prepare() -> QRegister:

@@ -9,8 +9,18 @@ import numpy as np
 
 from hqec import quaternion as quat
 from hqec.linalg import QMatrix, QVector, left_mul_matrix, qmul_components
-from hqec.register import QRegister
-from hqec.codes import PauliString, StabilizerCode, Syndrome, apply_pauli
+from hqec.register import UNIT_FOR_LETTER, QRegister
+from hqec.codes import (
+    CodewordCheck,
+    CodewordReport,
+    PauliString,
+    StabilizerCode,
+    Syndrome,
+    SyndromeTable,
+    SyndromeTableRow,
+    apply_pauli,
+    syndrome_of,
+)
 from hqec.noise import DRAWS_PER_QUBIT, NoiseModel
 
 
@@ -109,3 +119,54 @@ def pauli_failures(code: StabilizerCode, x: np.ndarray, z: np.ndarray) -> np.nda
         | _anticommutes(rx, rz, code.logical_x.x, code.logical_x.z)
         | _anticommutes(rx, rz, code.logical_z.x, code.logical_z.z)
     )
+
+
+def _is_plus_one_eigenvector(ps: PauliString, reg: QRegister) -> bool:
+    return apply_pauli(ps, reg).amps.isclose(reg.amps, quat.TOLERANCE)
+
+
+def verify_codewords(code: StabilizerCode) -> CodewordReport:
+    """``codes.verify_codewords`` one operator at a time through ``apply_pauli``."""
+    checks = tuple(
+        CodewordCheck(
+            generator=g.word(),
+            fixes_zero=_is_plus_one_eigenvector(g, code.codeword_zero),
+            fixes_one=_is_plus_one_eigenvector(g, code.codeword_one),
+        )
+        for g in code.generators
+    )
+    z0 = apply_pauli(code.logical_z, code.codeword_zero)
+    z1 = apply_pauli(code.logical_z, code.codeword_one)
+    minus_one = QRegister.from_components(code.n, -code.codeword_one.amps.components)
+    logical_z_ok = z0.isclose(code.codeword_zero) and z1.isclose(minus_one)
+    x0 = apply_pauli(code.logical_x, code.codeword_zero)
+    x1 = apply_pauli(code.logical_x, code.codeword_one)
+    logical_x_ok = x0.isclose(code.codeword_one) and x1.isclose(code.codeword_zero)
+    return CodewordReport(code.code_id, checks, logical_z_ok, logical_x_ok)
+
+
+def build_syndrome_table(code: StabilizerCode) -> SyndromeTable:
+    """``codes.build_syndrome_table`` from ``syndrome_of`` on plain and phased strings.
+
+    Raises ``AssertionError`` if the phased variant's syndrome differs.
+    """
+    rows = []
+    for qubit in range(1, code.n + 1):
+        for letter in ("X", "Y", "Z"):
+            error = PauliString.single(code.n, qubit, letter)
+            syndrome = syndrome_of(error, code)
+            phase = UNIT_FOR_LETTER[letter]
+            variant = PauliString.single(code.n, qubit, letter, phase)
+            if syndrome_of(variant, code) != syndrome:
+                raise AssertionError("phased variant changed a syndrome")
+            rows.append(
+                SyndromeTableRow(
+                    qubit=qubit,
+                    letter=letter,
+                    phase=phase,
+                    error_label=f"{letter}{qubit}",
+                    variants=(variant.label,),
+                    syndrome=syndrome,
+                )
+            )
+    return SyndromeTable(code.code_id, len(code.generators), tuple(rows))

@@ -9,6 +9,15 @@ from unittest import mock
 
 from hqec import cli
 from hqec.cli import ConfigError, main, parse_args, _parse_p_range
+from hqec.codes import CODE_IDS
+from hqec.register import (
+    cnot_gate,
+    hadamard_gate,
+    identity_gate,
+    pauli_gate,
+    phased_pauli_gate,
+    t_gate,
+)
 
 
 def run_cli(capsys, *argv):
@@ -502,6 +511,12 @@ _BAD_INPUTS = {
     "rot-angle malformed": ([*_MC, "--rot-angle", "fixed"], None, "THETA_MAX, got 'fixed'"),
     "weights two fields": ([*_MC, "--weights", "1,2"], None, "wx,wy,wz, got '1,2'"),
     "weights letters": ([*_MC, "--weights", "a,b,c"], None, "non-numeric fields: 'a,b,c'"),
+    "trials above 2**64": ([*_MC, "--trials", "18446744073709551617"], None,
+                           "trials must be an integer in [1, 2**64], got 18446744073709551617"),
+    "config trials above 2**64": (["mc", "--config", "IN"],
+                                  '{"code": "three", "p": "0.05:0.2:log:3", '
+                                  '"trials": 18446744073709551617}',
+                                  "trials must be an integer in [1, 2**64]"),
     "config not JSON": (["mc", "--config", "IN"], "{", "is not valid JSON"),
     "config not object": (["mc", "--config", "IN"], "[1]", "must hold a JSON object"),
     "config without code": (["mc", "--config", "IN"], '{"p": "0.05:0.2:log:3"}',
@@ -546,7 +561,7 @@ def test_bad_input_exits_3_with_a_message_naming_it(capsys, tmp_path, case):
 
 
 def test_internal_error_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_findings", mock.Mock(side_effect=RuntimeError("boom")))
+    monkeypatch.setattr(cli, "_Findings", mock.Mock(side_effect=RuntimeError("boom")))
     assert run_cli(capsys, "verify") == (1, "", "internal error: boom\n")
 
 
@@ -599,7 +614,7 @@ def test_unwritable_output_exits_3_before_any_work(monkeypatch, capsys, tmp_path
     from hqec import experiments
 
     monkeypatch.setattr(experiments, "count_failures", no_work("engine"))
-    monkeypatch.setattr(cli, "_findings", no_work("findings"))
+    monkeypatch.setattr(cli, "_Findings", no_work("findings"))
     monkeypatch.setattr(cli, "build_syndrome_table", no_work("syndrome table"))
     monkeypatch.setattr(cli, "fit_threshold", no_work("fit"))
     sweep = tmp_path / "sweep.csv"
@@ -771,10 +786,30 @@ _AUDIT_CALL_KEYS = {
 }
 
 
-@pytest.mark.parametrize(
-    "argv", [("bell",), ("verify",), ("audit",), ("audit", "--format", "json"), ("report",)],
-    ids=" ".join,
-)
+def _unitarity_calls(*gates):
+    return {("is_unitary", _AUDIT_CALL_KEYS["is_unitary"](gate.matrix)) for gate in gates}
+
+
+_BELL_CALLS = _unitarity_calls(hadamard_gate(), cnot_gate())
+_CODE_CALLS = {
+    *((name, code_id) for code_id in CODE_IDS for name in ("get_code", "verify_codewords")),
+    ("build_syndrome_table", "paper5"),
+    ("audit_against_paper", "paper5"),
+}
+_ALL_GATES = (hadamard_gate(), cnot_gate(), *map(pauli_gate, "XYZ"), t_gate(),
+              *map(phased_pauli_gate, "XYZ"), identity_gate())
+
+# command -> every (name, key) call it makes through hqec.cli: only what it prints
+_AUDIT_CALLS = {
+    ("bell",): _BELL_CALLS,
+    ("verify",): _BELL_CALLS | _CODE_CALLS,
+    ("audit",): _BELL_CALLS | _CODE_CALLS,
+    ("audit", "--format", "json"): _BELL_CALLS | _CODE_CALLS,
+    ("report",): _unitarity_calls(*_ALL_GATES) | _CODE_CALLS,
+}
+
+
+@pytest.mark.parametrize("argv", list(_AUDIT_CALLS), ids=" ".join)
 def test_audit_commands_compute_each_finding_once(monkeypatch, capsys, argv):
     calls = collections.Counter()
 
@@ -790,6 +825,13 @@ def test_audit_commands_compute_each_finding_once(monkeypatch, capsys, argv):
     for name, key in _AUDIT_CALL_KEYS.items():
         monkeypatch.setattr(cli, name, counted(name, key))
     assert run_cli(capsys, *argv)[0] == 0
-    # Every finding goes through the names hqec.cli imports, once per code or gate.
-    assert {name for name, _ in calls} == set(_AUDIT_CALL_KEYS)
+    # Each finding a command prints goes through the names hqec.cli imports,
+    # once per code or gate, and no finding it does not print is computed.
+    assert set(calls) == _AUDIT_CALLS[argv]
     assert max(calls.values()) == 1, calls
+
+
+def test_audit_gates_are_keyed_by_their_names():
+    assert [factory().name for factory in cli._AUDIT_GATES.values()] == list(cli._AUDIT_GATES)
+    # ten distinct matrices, so the report's expected calls name every gate
+    assert len(_unitarity_calls(*_ALL_GATES)) == len(cli._AUDIT_GATES) == 10

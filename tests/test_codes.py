@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -32,6 +33,7 @@ from hqec.codes import (
     verify_codewords,
 )
 
+import oracles
 from oracles import (
     amplitude, measure_stabilizer_eigenvalue, pauli_failures, state_based_syndrome,
 )
@@ -530,6 +532,78 @@ def test_construction_rejects_anticommuting_generators():
             codeword_zero=QRegister.computational(1, "0"),
             codeword_one=QRegister.computational(1, "1"),
         )
+
+
+# -- batched verification and signature-built tables against their references ------
+
+def _random_code(rng, index):
+    """A code of random pairwise-commuting generators with random unit phases.
+
+    Half the codes project a random register onto the generators' joint +1
+    eigenspace (phase-free generators only), so their checks can pass; the
+    rest carry random quaternion codewords.
+    """
+    n = int(rng.integers(1, 7))
+    project = index % 2 == 0
+    phases = [quat.ONE] if project else list(quat.UNIT_PHASES)
+    generators = []
+    for _ in range(2 * n):
+        word = "".join(rng.choice(list(LETTERS), size=n))
+        g = PauliString.from_word(word, phases[rng.integers(len(phases))])
+        if all(commute_sign(g, h) == 1 for h in generators):
+            generators.append(g)
+    logical_x, logical_z = (
+        PauliString.from_word("".join(rng.choice(list(LETTERS), size=n)),
+                              phases[rng.integers(len(phases))])
+        for _ in range(2)
+    )
+    zero = QRegister.from_components(n, rng.normal(size=(2**n, 4)))
+    if project:
+        for g in generators:
+            zero = QRegister.from_components(
+                n, (zero.amps.components + apply_pauli(g, zero).amps.components) / 2.0)
+    one = apply_pauli(logical_x, zero) if project else QRegister.from_components(
+        n, rng.normal(size=(2**n, 4)))
+    return StabilizerCode(f"random{index}", n, 1, 3, tuple(generators), logical_x, logical_z,
+                          zero, one)
+
+
+def _rescaled(code, rng):
+    """``code`` with each codeword times a random unit (-1 among them) on either side."""
+    def transform(reg):
+        unit = quat.UNIT_PHASES[rng.integers(len(quat.UNIT_PHASES))]
+        if rng.integers(2):
+            return QRegister(reg.n, oracles.right_scalar_mul(reg.amps, unit))
+        return oracles.left_scalar_mul(reg, unit)
+
+    return dataclasses.replace(code, code_id=f"{code.code_id}-scaled",
+                               codeword_zero=transform(code.codeword_zero),
+                               codeword_one=transform(code.codeword_one))
+
+
+def _fast_and_reference_codes():
+    rng = np.random.default_rng(2024)
+    shipped = [get_code(code_id) for code_id in CODE_IDS]
+    codes = shipped + [_random_code(rng, index) for index in range(120)]
+    return codes + [_rescaled(code, rng) for code in shipped * 8 + codes[3:40]]
+
+
+def test_verify_codewords_matches_reference_field_for_field():
+    verdicts, checks = set(), set()
+    for code in _fast_and_reference_codes():
+        report = verify_codewords(code)
+        assert report == oracles.verify_codewords(code), code.code_id
+        verdicts.add((report.passed, report.logical_z_ok, report.logical_x_ok))
+        checks |= {(c.fixes_zero, c.fixes_one) for c in report.checks}
+    # both verdicts occur, and every field takes both values
+    assert {passed for passed, _, _ in verdicts} == {True, False}
+    assert {z for _, z, _ in verdicts} == {x for _, _, x in verdicts} == {True, False}
+    assert {f0 for f0, _ in checks} == {f1 for _, f1 in checks} == {True, False}
+
+
+def test_build_syndrome_table_matches_reference_field_for_field():
+    for code in _fast_and_reference_codes():
+        assert build_syndrome_table(code) == oracles.build_syndrome_table(code), code.code_id
 
 
 # -- apply_pauli and eigenvalue measurement ------------------------------------------

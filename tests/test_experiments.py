@@ -198,6 +198,7 @@ def test_sweep_config_validation():
         ("code_id", "five"),
         ("p_values", (True,)),
         ("p_values", ("0.1",)),
+        ("trials", 2**64 + 1),
     ],
 )
 def test_sweep_config_refuses_bad_values(field, value):
@@ -207,6 +208,10 @@ def test_sweep_config_refuses_bad_values(field, value):
                 trials=20, seed=0)
     with pytest.raises(ValueError, match=field):
         SweepConfig(**{**base, field: value})
+
+
+def test_sweep_config_takes_up_to_2_to_the_64_trials():
+    assert SweepConfig("three", bitflip_model(), (0.1,), trials=2**64, seed=0).trials == 2**64
 
 
 def test_sweep_config_normalizes_numpy_and_integer_values():

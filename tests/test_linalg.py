@@ -35,6 +35,17 @@ def rand_matrix(rng, rows, cols):
     return QMatrix.from_components(rng.uniform(-2, 2, size=(rows, cols, 4)))
 
 
+def test_from_components_copies_unless_handed_over():
+    arr = np.random.default_rng(3).uniform(-2, 2, size=(8, 4))
+    copied = QVector.from_components(arr)
+    assert not np.shares_memory(copied.components, arr) and arr.flags.writeable
+    taken = QVector.from_components(arr, copy=False)
+    assert np.shares_memory(taken.components, arr)
+    assert not taken.components.flags.writeable
+    with pytest.raises(ValueError, match="components must be finite"):
+        QVector.from_components(np.full((2, 4), np.inf), copy=False)
+
+
 # -- inner product -----------------------------------------------------------
 
 def test_inner_product_orthonormal_basis():
@@ -203,6 +214,19 @@ def test_is_unitary_hadamard_fails_with_unit_deviation():
 def test_is_unitary_requires_square():
     with pytest.raises(ValueError):
         is_unitary(QMatrix.zeros(2, 3))
+
+
+def test_is_unitary_equals_the_matmul_adjoint_reference_bit_for_bit():
+    rng = np.random.default_rng(16)
+    matrices = [g().matrix for g in (cnot_gate, hadamard_gate, t_gate)]
+    matrices += [rand_matrix(rng, n, n) for n in rng.integers(1, 9, size=300)]
+    for u in matrices:
+        delta = matmul(u, adjoint(u)).components - QMatrix.identity(u.rows).components
+        norms = np.sqrt(np.sum(delta * delta, axis=-1))
+        worst = np.unravel_index(np.argmax(norms), norms.shape)
+        report = is_unitary(u)
+        assert report.max_deviation == float(norms[worst])
+        assert report.worst_entry == tuple(map(int, worst))
 
 
 # -- phase alignment ---------------------------------------------------------------

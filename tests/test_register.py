@@ -195,6 +195,25 @@ def test_apply_gate_working_set_is_a_few_states():
         assert peak <= 5 * state_bytes, (gate.name, peak / state_bytes)
 
 
+def test_apply_gate_keeps_no_copy_of_its_result():
+    # The product and its laid-out result: two state-sized buffers, plus the
+    # finiteness check's boolean mask.
+    rng = np.random.default_rng(47)
+    reg = rand_register(rng, 12)
+    gate = cnot_gate()
+    gate.operator  # built outside the traced call
+    tracemalloc.start()
+    try:
+        out = apply_gate(reg, gate, [12, 1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * reg.amps.components.nbytes, peak / reg.amps.components.nbytes
+    assert not out.amps.components.flags.writeable
+    with pytest.raises(ValueError):
+        out.amps.components[0, 0] = 1.0
+
+
 def test_apply_gate_overflow_raises_not_finite():
     big = 1e200
     gate = Gate("big", QMatrix.from_components(np.full((2, 2, 4), big)), MulSide.LEFT, 1)
