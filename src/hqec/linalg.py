@@ -66,7 +66,7 @@ def _validate_components(arr: np.ndarray, expected_ndim: int) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     if arr.ndim != expected_ndim or arr.shape[-1] != 4:
         raise ValueError(f"expected shape (..., 4) with ndim {expected_ndim}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError("components must be finite")
     return arr
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +127,7 @@ class Gate:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+@functools.cache
 def hadamard_gate() -> Gate:
     """Quaternionic Hadamard ``(1/sqrt2) [[1, i], [i, -1]]``, applied on the LEFT.
 
@@ -141,6 +143,7 @@ def hadamard_gate() -> Gate:
     return Gate("H", m, MulSide.LEFT, 1)
 
 
+@functools.cache
 def cnot_gate() -> Gate:
     """Quaternionic CNOT with unit entries ``1, i, j, k``, applied on the RIGHT."""
     z = quat.ZERO
@@ -155,6 +158,7 @@ def cnot_gate() -> Gate:
     return Gate("CNOT", m, MulSide.RIGHT, 2)
 
 
+@functools.cache
 def t_gate() -> Gate:
     """Non-Clifford phase gate ``diag(1, cos(pi/4) + i sin(pi/4))``."""
     m = QMatrix([[quat.ONE, quat.ZERO], [quat.ZERO, exp_axis(quat.I_AXIS, math.pi / 4)]])
@@ -189,28 +193,40 @@ def identity_gate() -> Gate:
     return pauli_gate("I")
 
 
+@functools.lru_cache(maxsize=1024)
+def _layout(n: int, targets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Tensor shape, axis permutation and its inverse for ``targets`` of ``n`` qubits.
+
+    Raises unless the targets are distinct and in ``1..n``; no exception is
+    cached, so a bad pair raises on every call.
+    """
+    if len(set(targets)) != len(targets):
+        raise ValueError("targets must be distinct")
+    for q in targets:
+        if not 1 <= q <= n:
+            raise ValueError(f"target {q} out of range 1..{n}")
+    axes = [q - 1 for q in targets]
+    perm = [q for q in range(n) if q not in axes] + axes + [n]
+    inverse = sorted(range(n + 1), key=perm.__getitem__)
+    return (2,) * n + (4,), tuple(perm), tuple(inverse)
+
+
 def apply_gate(reg: QRegister, gate: Gate, targets: list[int] | tuple[int, ...]) -> QRegister:
     """Apply ``gate`` to 1-based ``targets`` using the gate's multiplication side.
 
     The amplitudes are viewed as a ``(2,)*n + (4,)`` tensor with the target
     axes moved last, in order, and multiplied once by :attr:`Gate.operator`,
     so no ``2**n x 2**n`` matrix is ever built.  The first target is the most
-    significant bit of the gate's row and column index.
+    significant bit of the gate's row and column index.  The layout and the
+    target checks are computed once per ``(n, targets)`` and then reused.
     """
     targets = tuple(targets)
     if len(targets) != gate.arity:
         raise ValueError(f"gate {gate.name} has arity {gate.arity}, got {len(targets)} targets")
-    if len(set(targets)) != len(targets):
-        raise ValueError("targets must be distinct")
-    for q in targets:
-        if not 1 <= q <= reg.n:
-            raise ValueError(f"target {q} out of range 1..{reg.n}")
-    n, a = reg.n, gate.arity
-    axes = [q - 1 for q in targets]
-    perm = [q for q in range(n) if q not in axes] + axes + [n]
-    inverse = sorted(range(n + 1), key=perm.__getitem__)
-    front = reg.amps.components.reshape((2,) * n + (4,)).transpose(perm)
-    product = front.reshape(-1, 4 << a) @ gate.operator
+    n = reg.n
+    shape, perm, inverse = _layout(n, tuple(map(operator.index, targets)))
+    front = reg.amps.components.reshape(shape).transpose(perm)
+    product = front.reshape(-1, 4 << gate.arity) @ gate.operator
     out = product.reshape(front.shape).transpose(inverse).reshape(2**n, 4)
     del product  # freed before the finiteness check, unless ``out`` is a view of it
     # ``out`` is new and held nowhere else, so the register takes it without a copy.

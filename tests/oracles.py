@@ -9,7 +9,7 @@ import numpy as np
 
 from hqec import quaternion as quat
 from hqec.linalg import QMatrix, QVector, left_mul_matrix, qmul_components
-from hqec.register import UNIT_FOR_LETTER, QRegister
+from hqec.register import UNIT_FOR_LETTER, Gate, QRegister
 from hqec.codes import (
     CodewordCheck,
     CodewordReport,
@@ -34,6 +34,32 @@ def amplitude(reg: QRegister, bits: str) -> quat.Quaternion:
 def left_scalar_mul(reg: QRegister, q: quat.Quaternion) -> QRegister:
     """Every amplitude times ``q`` on the left."""
     return QRegister.from_components(reg.n, reg.amps.components @ left_mul_matrix(q).T)
+
+
+def uncached_apply_gate(reg: QRegister, gate: Gate, targets) -> QRegister:
+    """``register.apply_gate`` with its layout and target checks worked out on every call.
+
+    The same transpose and the same single matmul by ``gate.operator``, so
+    its amplitudes must equal the library's bit for bit.
+    """
+    targets = tuple(targets)
+    if len(targets) != gate.arity:
+        raise ValueError(f"gate {gate.name} has arity {gate.arity}, got {len(targets)} targets")
+    if len(set(targets)) != len(targets):
+        raise ValueError("targets must be distinct")
+    for q in targets:
+        if not 1 <= q <= reg.n:
+            raise ValueError(f"target {q} out of range 1..{reg.n}")
+    n, a = reg.n, gate.arity
+    axes = [q - 1 for q in targets]
+    perm = [q for q in range(n) if q not in axes] + axes + [n]
+    inverse = sorted(range(n + 1), key=perm.__getitem__)
+    front = reg.amps.components.reshape((2,) * n + (4,)).transpose(perm)
+    product = front.reshape(-1, 4 << a) @ gate.operator
+    out = product.reshape(front.shape).transpose(inverse).reshape(2**n, 4)
+    del product  # freed before the finiteness check, unless ``out`` is a view of it
+    # ``out`` is new and held nowhere else, so the register takes it without a copy.
+    return QRegister(n, QVector.from_components(out, copy=False))
 
 
 def right_scalar_mul(psi: QVector, q: quat.Quaternion) -> QVector:

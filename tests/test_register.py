@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hqec import quaternion as quat
+from hqec import register
 from hqec.quaternion import Quaternion, exp_axis
 from hqec.linalg import MulSide, QMatrix, entry_products, is_unitary, matvec, real_norm_sq
 from hqec.register import (
@@ -24,7 +25,7 @@ from hqec.register import (
     t_gate,
 )
 
-from oracles import amplitude, left_scalar_mul
+from oracles import amplitude, left_scalar_mul, uncached_apply_gate
 
 ONE, I, J, K, ZERO = quat.ONE, quat.I, quat.J, quat.K, quat.ZERO
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -295,6 +296,99 @@ def test_bell_on_far_apart_qubits_of_16():
     assert tuple(comp[far]) == (0.0, 0.0, -INV_SQRT2, 0.0)
     rest = np.delete(comp, [0, far], axis=0)
     assert not np.any(rest)
+
+
+# -- the layout cache ---------------------------------------------------------
+
+def layout_keys(rng):
+    """Distinct ``(n, targets)`` pairs: random ones plus reversed and far-apart pairs."""
+    keys = {(n, pair) for n in (2, 5, 8) for pair in ((n, 1), (1, n), (2, 1), (n, n - 1))}
+    while len(keys) < 72:
+        n = int(rng.integers(1, 9))
+        arity = int(rng.integers(1, min(n, 3) + 1))
+        keys.add((n, tuple(int(q) for q in rng.permutation(np.arange(1, n + 1))[:arity])))
+    return sorted(keys)
+
+
+def test_apply_gate_equals_the_uncached_oracle_bit_for_bit_cold_and_warm():
+    rng = np.random.default_rng(53)
+    keys = layout_keys(rng)
+    calls = [key for key in keys for _ in range(int(rng.integers(2, 4)))]
+    rng.shuffle(calls)
+    sides = set()
+    register._layout.cache_clear()
+    for n, targets in calls:
+        arity = len(targets)
+        side = (MulSide.LEFT, MulSide.RIGHT)[int(rng.integers(2))]
+        sides.add(side)
+        entries = rng.normal(size=(2**arity, 2**arity, 4))
+        gate = Gate("R", QMatrix.from_components(entries), side, arity)
+        reg = QRegister.from_components(n, rng.normal(size=(2**n, 4)))
+        out = apply_gate(reg, gate, list(targets))
+        want = uncached_apply_gate(reg, gate, targets)
+        assert np.array_equal(out.amps.components, want.amps.components), (n, targets, side)
+    info = register._layout.cache_info()
+    assert (info.misses, info.hits) == (len(keys), len(calls) - len(keys))
+    assert sides == {MulSide.LEFT, MulSide.RIGHT}
+
+
+def raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "gate, bad, good, error",
+    [
+        (hadamard_gate(), [1, 2], (cnot_gate(), [1, 2]),
+         (ValueError, "gate H has arity 1, got 2 targets")),
+        (cnot_gate(), [2, 2], (cnot_gate(), [2, 3]), (ValueError, "targets must be distinct")),
+        (hadamard_gate(), [4], (hadamard_gate(), [3]), (ValueError, "target 4 out of range 1..3")),
+        (cnot_gate(), [0, 1], (cnot_gate(), [3, 1]), (ValueError, "target 0 out of range 1..3")),
+        (hadamard_gate(), [1.0], (hadamard_gate(), [1]),
+         (TypeError, "'float' object cannot be interpreted as an integer")),
+        (cnot_gate(), (1, 2.0), (cnot_gate(), (1, 2)),
+         (TypeError, "'float' object cannot be interpreted as an integer")),
+    ],
+    ids=["arity", "repeated", "above-range", "below-range", "float", "float-in-pair"],
+)
+def test_bad_targets_raise_the_same_on_a_fresh_and_a_warm_cache(gate, bad, good, error):
+    reg = QRegister.computational(3, 0)
+    register._layout.cache_clear()
+    assert raised(lambda: apply_gate(reg, gate, bad)) == error
+    assert raised(lambda: apply_gate(reg, gate, bad)) == error  # no exception is cached
+    apply_gate(reg, *good)
+    assert raised(lambda: apply_gate(reg, gate, bad)) == error
+
+
+def test_bool_and_numpy_integer_targets_give_the_amplitudes_of_plain_ints():
+    reg = rand_register(np.random.default_rng(54), 3)
+    cases = [(hadamard_gate(), [True], [1]),
+             (cnot_gate(), [np.int64(3), True], [3, 1]),
+             (t_gate(), (np.int64(2),), [2])]
+    for odd_first in (True, False):
+        register._layout.cache_clear()
+        for gate, odd, plain in cases:
+            order = (odd, plain) if odd_first else (plain, odd)
+            a, b = (apply_gate(reg, gate, targets).amps.components for targets in order)
+            assert np.array_equal(a, b), (gate.name, odd)
+
+
+@pytest.mark.parametrize("factory", [hadamard_gate, cnot_gate, t_gate])
+def test_gate_factory_returns_one_gate_and_builds_its_operator_once(factory, monkeypatch):
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return entry_products(*args, **kwargs)
+
+    factory.cache_clear()
+    monkeypatch.setattr(register, "entry_products", counted)
+    gate = factory()
+    assert all(factory() is gate for _ in range(3))
+    assert all(factory().operator is gate.operator for _ in range(3))
+    assert len(builds) == 1
 
 
 # -- Bell benchmark -------------------------------------------------------------
