@@ -27,20 +27,27 @@ them at every p of the grid, with counts equal to the per-trial loop bit
 for bit, and draws only the words its pipelines read.  Syndrome and
 logical commutation are linear over GF(2) in the error, so the Pauli
 channel XORs the code's per-qubit ``signatures`` and looks the result up
-in its ``verdicts``.  The rotation channel is scored as arrays of damaged
-``|0_L>`` states, over the slots where ``|0_L>`` is nonzero: the
-rotations of an event share one axis, so each slot is the reference slot
-times a product of unit quaternions, and detection and correction are
-per-qubit slot sums and inverse units.  A trial whose compared excesses
-lie within :data:`GUARD` of the threshold, where the other summation
-order could flip the verdict, is scored by :func:`score_event` instead.
-:func:`figure1_data` scores both pipelines in one pass of the engine, so
-they share the draws, the Pauli failures and the damaged states.
+in its ``verdicts``, for only the trials with an error at the largest p.
+The rotation channel is scored as arrays of damaged ``|0_L>`` states,
+over the slots where ``|0_L>`` is nonzero: the rotations of an event
+share one axis, so each slot is the reference slot times a product of
+unit quaternions, and detection and correction are per-qubit slot sums
+and inverse units.  With a ``fixed`` angle a trial's verdict depends only
+on which qubits it rotates, so :func:`rotation_verdicts` scores all
+``2**n`` subsets once per process and a chunk looks its trials up; with
+a ``uniform`` angle, or while ``2**n`` exceeds :data:`CHUNK_TRIALS`, each
+chunk scores its own rotated trials.  A subset or trial whose compared
+excesses lie within :data:`GUARD` of the threshold, where the other
+summation order could flip the verdict, is scored by :func:`score_event`
+instead.  :func:`figure1_data` scores both pipelines in one pass of the
+engine, so they share the draws, the Pauli failures and the subset
+indices or damaged states.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -54,6 +61,7 @@ import numpy as np
 
 from .codes import (
     CODE_IDS,
+    PauliString,
     StabilizerCode,
     decode,
     get_code,
@@ -63,6 +71,7 @@ from .codes import (
 from .noise import (
     ErrorEvent,
     NoiseModel,
+    RotationError,
     apply_rotations,
     check_counter,
     correct_rotation,
@@ -76,7 +85,7 @@ from .noise import (
     slot_cover,
 )
 from .linalg import left_mul_matrix
-from .quaternion import TOLERANCE, Quaternion
+from .quaternion import TOLERANCE, ImaginaryAxis, Quaternion
 
 # Published performance targets, pipeline -> (exponent, p_th), attached
 # to outputs as annotations only.
@@ -255,8 +264,8 @@ CHUNK_TRIALS = 8192
 
 #: Philox words the engine draws per batch, which bounds its working set
 #: whatever the trial count: a batch holds ``CHUNK_WORDS // w`` trials that
-#: read ``w`` words each (3276 Pauli-only perfect5 trials, 2184 with fixed
-#: angles).
+#: read at most ``w`` words each (3276 Pauli-only perfect5 trials, 2184
+#: with fixed angles).
 CHUNK_WORDS = 2**15
 
 #: Half-width of the band around the detection threshold in which the
@@ -279,26 +288,32 @@ def count_failures(
     of pipeline ``j`` fails, bit for bit.  Trials are scored in chunks of at
     most :data:`CHUNK_TRIALS` trials and :data:`CHUNK_WORDS` draws, so the
     working set does not grow with the trial count.  The uniforms of a chunk
-    are drawn once for every point and pipeline: ``2 * n`` words without
-    rotations, ``3 * n`` when every angle is ``fixed``, else ``4 * n``.  The
-    letters are mapped to signatures once per chunk, shared by pipelines
-    whose Pauli weights agree, and each point XORs the signatures of the
-    qubits hit below its ``p``.  The rotation channel does not depend on
-    ``p``: the chunk's rotated trials are scored once, as arrays of damaged
-    ``|0_L>`` states shared by pipelines whose rotation parameters agree, and
-    a trial whose compared excesses lie within :data:`GUARD` of the threshold is
-    scored again through :func:`score_event` with its Pauli part removed.
+    are drawn once for every point and pipeline.  With rotations that is
+    ``3 * n`` words per trial when every angle is ``fixed``, else ``4 * n``.
+    Without them it is the ``n`` hit words of every trial, then the ``n``
+    letter words of only the trials hit below the largest ``p``.  Only those
+    trials can fail on the Pauli channel: their letters are mapped to
+    signatures once per chunk, shared by pipelines whose Pauli weights
+    agree, and each point XORs the signatures of the qubits hit below its
+    ``p``.  The rotation channel does not depend on ``p``.  With a ``fixed``
+    angle, and while ``2**n`` is at most :data:`CHUNK_TRIALS`, a trial's
+    verdict is read from :func:`rotation_verdicts` by the set of qubits it
+    rotates.  Otherwise the chunk's rotated trials are scored once, as
+    arrays of damaged ``|0_L>`` states shared by pipelines whose rotation
+    parameters agree, and a trial whose compared excesses lie within
+    :data:`GUARD` of the threshold is scored again through
+    :func:`run_trial` with its Pauli part removed.
     """
     if not 0 <= start <= stop <= 2**64:
         raise ValueError(f"need 0 <= start <= stop <= 2**64, got {start}, {stop}")
     n = code.n
     angles = {noise.rot_angle.kind for noise, _, _ in pipelines if noise.p_rot > 0.0}
-    width = n * (4 if "uniform" in angles else 3 if angles else 2)
+    words = n * (4 if "uniform" in angles else 3 if angles else 2)  # the most a trial reads
     counts = [[0] * len(p_values) for _ in pipelines]
-    step = min(CHUNK_TRIALS, max(1, CHUNK_WORDS // width))
+    step = min(CHUNK_TRIALS, max(1, CHUNK_WORDS // words))
     for lo in range(start, stop, step):
         trials = np.uint64(lo) + np.arange(min(step, stop - lo), dtype=np.uint64)
-        chunk = _chunk_failures(code, pipelines, p_values, seed, trials, width)
+        chunk = _chunk_failures(code, pipelines, p_values, seed, trials, words if angles else n)
         for tally, failures in zip(counts, chunk):
             tally[:] = map(sum, zip(tally, failures))
     return counts
@@ -308,14 +323,22 @@ def _chunk_failures(code, pipelines, p_values, seed, trials, width) -> list[list
     """:func:`count_failures` of one chunk, whose arrays die before the next is drawn."""
     n = code.n
     draws = philox_uniforms(seed, trials, width)
+    # Only the trials with a Pauli error at the largest p need letters and XORs.
     u_err = draws[:, :n].T  # contiguous, so the XOR below runs along the trials
+    hit = np.flatnonzero((u_err < max(p_values)).any(axis=0))
+    u_err = u_err[:, hit]
+    if width == n:  # Pauli only: the letters are drawn for those trials alone
+        u_letter = philox_uniforms(seed, trials[hit], 2 * n, start=n)
+    else:
+        u_letter = draws[hit, n : 2 * n]
     pauli: dict = {}
-    rotation: dict = {}
+    subsets: dict = {}
+    sampled: dict = {}
     counts = []
     for noise, detect, threshold in pipelines:
         weights = noise.pauli_weights
         if weights not in pauli:
-            letters = pauli_letters(noise, draws, n).T
+            letters = pauli_letters(noise, u_letter).T
             signatures = code.signatures.ravel()[letters + 3 * np.arange(n)[:, None]]
             pauli[weights] = [
                 code.verdicts[np.bitwise_xor.reduce(signatures * (u_err < p), axis=0)]
@@ -323,44 +346,78 @@ def _chunk_failures(code, pipelines, p_values, seed, trials, width) -> list[list
             ]
         failed = pauli[weights]
         if noise.p_rot > 0.0:
-            key = (noise.p_rot, noise.rot_axis, noise.rot_angle, noise.rot_mode)
-            if key not in rotation:
-                rotation[key] = _RotationChunk(code, noise, seed, trials, draws)
-            rotated = rotation[key].failures(detect, threshold)
-            failed = [f | rotated for f in failed]
-        counts.append([int(np.count_nonzero(f)) for f in failed])
+            if noise.rot_angle.kind == "fixed" and 2**n <= CHUNK_TRIALS:
+                if noise.p_rot not in subsets:
+                    turned = draws[:, 2 * n : 3 * n] < noise.p_rot
+                    subsets[noise.p_rot] = turned @ (1 << np.arange(n))
+                table = rotation_verdicts(code, noise.rot_axis, noise.rot_angle.theta,
+                                          noise.rot_mode, detect, threshold)
+                rotated = table[subsets[noise.p_rot]]
+            else:
+                key = (noise.p_rot, noise.rot_axis, noise.rot_angle, noise.rot_mode)
+                if key not in sampled:
+                    sampled[key] = _SampledRotations(code, noise, seed, trials, draws)
+                rotated = sampled[key].failures(detect, threshold)
+            # a trial without a Pauli error fails on its rotations alone
+            with_pauli = rotated[hit]
+            alone = int(np.count_nonzero(rotated)) - int(np.count_nonzero(with_pauli))
+            counts.append([int(np.count_nonzero(f | with_pauli)) + alone for f in failed])
+        else:
+            counts.append([int(np.count_nonzero(f)) for f in failed])
     return counts
 
 
-class _RotationChunk:
-    """The rotation channel of one chunk of trials, scored as arrays.
+@functools.lru_cache(maxsize=256)
+def rotation_verdicts(
+    code: StabilizerCode, axis: ImaginaryAxis, angle: float, mode: str,
+    detect: bool, threshold: float,
+) -> np.ndarray:
+    """Rotation-channel verdict of every set of rotated qubits, at one fixed angle.
 
-    All rotations of an event turn about ``noise.rot_axis``, so they
-    commute.  Each slot of the damaged ``|0_L>`` is therefore the reference
-    slot multiplied on the left by ``w + v a``, the product of the units
+    Entry ``s`` of this read-only bool array of ``2**code.n`` entries is
+    :func:`score_event` of the event with no Pauli part and, on each qubit
+    ``q`` with bit ``q - 1`` of ``s`` set, a rotation by ``angle`` about
+    ``axis`` in slot mode ``mode``: the event :func:`~hqec.noise.sample_error`
+    gives at ``p = 0`` when exactly those qubits are rotated.  The subsets
+    are scored as arrays, and one whose compared excesses lie within
+    :data:`GUARD` of the threshold is scored through :func:`score_event`.
+    """
+    n = code.n
+    rotated = (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
+
+    def rescore(s: int) -> bool:
+        rotations = tuple(RotationError(q + 1, axis, angle) for q in range(n) if s >> q & 1)
+        event = ErrorEvent(PauliString.identity(n), rotations, mode)
+        return score_event(code, event, detect, threshold)
+
+    scorer = _RotationScorer(code, axis, mode, np.where(rotated, angle, 0.0))
+    verdicts = scorer.failures(detect, threshold, rescore)
+    verdicts.flags.writeable = False
+    return verdicts
+
+
+class _RotationScorer:
+    """The rotation channel of distinct rows of per-qubit angles, scored as arrays.
+
+    All rotations of an event turn about one axis, so they commute.  Each
+    slot of the damaged ``|0_L>`` is therefore the reference slot multiplied
+    on the left by ``w + v a``, the product of the units
     ``cos(theta) + a sin(theta)`` of the rotations whose slot
     (:func:`noise.slot_cover`) holds it, with ``a`` the axis as a pure
     quaternion.  Units are multiplied, not angles added, so the result
     stays as accurate as the oracle's for any angle.  Only the slots where
     ``|0_L>`` is nonzero are kept, since left multiplication keeps a zero
-    slot at zero, and trials whose angles are equal byte for byte share one
-    damaged state, so each distinct angle row is built once.  The damaged
-    states are scored by each pipeline that shares the rotation parameters.
+    slot at zero.  The damaged states are built once and scored for each
+    ``(detect, threshold)`` asked of them.
     """
 
-    def __init__(self, code, noise, seed, trials, draws) -> None:
-        self.code, self.quiet, self.seed, self.trials = code, noise.with_p(0.0), seed, trials
-        self.rows, angles = rotation_angles(noise, draws, code.n)
-        keys = angles.view(np.dtype((np.void, angles.itemsize * code.n))).ravel()
-        _, self.first, self.inverse = np.unique(keys, return_index=True, return_inverse=True)
-        angles = angles[self.first]
+    def __init__(self, code, axis, mode, angles) -> None:
         self.moved = angles != 0.0
         self.cos, self.sin = np.cos(angles), np.sin(angles)
         ref = code.codeword_zero.amps.components
         support = np.flatnonzero(ref.any(axis=1))
         ref = ref[support]
-        self.cover = slot_cover(code.n, noise.rot_mode)[:, support]
-        axis = noise.rot_axis
+        self.cover = slot_cover(code.n, mode)[:, support]
         self.axis_norm = axis.x * axis.x + axis.y * axis.y + axis.z * axis.z
         turned = ref @ left_mul_matrix(Quaternion(0.0, axis.x, axis.y, axis.z)).T
         self.ref_jk, self.turned_jk = ref[:, 2:], turned[:, 2:]
@@ -383,22 +440,21 @@ class _RotationChunk:
         """``(rows, slots, 2)`` squared j and k components of the damaged slots."""
         return (w[..., None] * self.ref_jk + v[..., None] * self.turned_jk) ** 2
 
-    def failures(self, detect: bool, threshold: float) -> np.ndarray:
-        """Rotation-channel verdict of each trial, as :func:`score_event` gives it.
+    def failures(self, detect: bool, threshold: float, rescore) -> np.ndarray:
+        """Rotation-channel verdict of each row, as :func:`score_event` gives it.
 
         With detection, a qubit is flagged when its slot j or k strength
         exceeds the reference's by more than ``threshold``, and the
         rotations of flagged qubits are undone by their inverse units.
-        Rows whose compared excesses lie within :data:`GUARD` of the
-        threshold (per-qubit excesses count for rotated qubits only, since
-        a flag on any other corrects nothing) are scored again through
-        :func:`run_trial`, once per distinct row.  Excesses are compared
-        against at least :data:`~hqec.quaternion.TOLERANCE`, as
-        :func:`score_event` does.
+        Row ``r`` is scored as ``rescore(r)`` instead when its compared
+        excesses lie within :data:`GUARD` of the threshold (per-qubit
+        excesses count for rotated qubits only, since a flag on any other
+        corrects nothing).  Excesses are compared against at least
+        :data:`~hqec.quaternion.TOLERANCE`, as :func:`score_event` does.
         """
         threshold = max(threshold, TOLERANCE)
         w, v, strengths = self.w, self.v, self.strengths
-        near = np.zeros(self.first.size, dtype=bool)
+        near = np.zeros(self.moved.shape[0], dtype=bool)
         if detect:
             slots = self.cover @ strengths - self.ref_slots
             flags = (slots > threshold).any(axis=-1)
@@ -411,10 +467,33 @@ class _RotationChunk:
         failed = excess > threshold
         near |= np.abs(excess - threshold) <= GUARD
         for r in np.flatnonzero(near):
+            failed[r] = rescore(int(r))
+        return failed
+
+
+class _SampledRotations:
+    """The rotation channel of one chunk of trials whose angles are drawn.
+
+    Trials whose angles are equal byte for byte share one damaged state, so
+    each distinct angle row is built once; a row near the threshold is
+    scored again through :func:`run_trial` on its first trial.
+    """
+
+    def __init__(self, code, noise, seed, trials, draws) -> None:
+        self.code, self.quiet, self.seed, self.trials = code, noise.with_p(0.0), seed, trials
+        self.rows, angles = rotation_angles(noise, draws, code.n)
+        keys = angles.view(np.dtype((np.void, angles.itemsize * code.n))).ravel()
+        _, self.first, self.inverse = np.unique(keys, return_index=True, return_inverse=True)
+        self.scorer = _RotationScorer(code, noise.rot_axis, noise.rot_mode, angles[self.first])
+
+    def failures(self, detect: bool, threshold: float) -> np.ndarray:
+        """Rotation-channel verdict of each trial of the chunk."""
+        def rescore(r: int) -> bool:
             trial = int(self.trials[self.rows[self.first[r]]])
-            failed[r] = run_trial(self.code, self.quiet, self.seed, trial, detect, threshold)
+            return run_trial(self.code, self.quiet, self.seed, trial, detect, threshold)
+
         out = np.zeros(self.trials.size, dtype=bool)
-        out[self.rows] = failed[self.inverse]
+        out[self.rows] = self.scorer.failures(detect, threshold, rescore)[self.inverse]
         return out
 
 

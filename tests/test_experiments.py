@@ -10,6 +10,8 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from test_codes import repetition_code
+
 from hqec import cli, experiments
 from hqec.quaternion import I_AXIS, J_AXIS, K_AXIS, ImaginaryAxis
 from hqec.codes import CODE_IDS, PauliString, get_code
@@ -35,6 +37,7 @@ from hqec.experiments import (
     fit_json,
     fit_threshold,
     parse_sweep_csv,
+    rotation_verdicts,
     run_sweep,
     run_trial,
     scaling_model,
@@ -368,9 +371,12 @@ def test_batched_engine_crosses_the_real_chunk_boundary():
 
 
 def test_mixed_draw_widths_in_one_engine_call():
-    # Pauli-only, fixed-angle and uniform-angle pipelines read the first 2n,
-    # 3n and 4n draws of a trial; run together, they share the widest.
+    # Fixed-angle and uniform-angle pipelines draw words [0, 3n) and [0, 4n)
+    # of every trial, and run together with any other they share the widest.
+    # A Pauli-only pipeline draws words [0, n) of every trial, then words
+    # [n, 2n) of only the trials hit below its largest p.
     code = _CODES["perfect5"]
+    n = code.n
     pipelines = (
         (NoiseModel(p=0.0, pauli_weights=(0.5, 0.2, 0.3)), False, 0.01),
         (NoiseModel(p=0.0, phase_mode="table1", p_rot=0.3,
@@ -380,17 +386,33 @@ def test_mixed_draw_widths_in_one_engine_call():
     )
     p_values, seed, start = (0.05, 0.3), 2**64 - 1, 2**40 + 3
     stop = start + 2 * 8 + 5
+    chunks = [list(range(lo, min(lo + 8, stop))) for lo in range(start, stop, 8)]
+
+    def hit(trial):
+        key = np.array([seed, trial], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key)).random(n).min() < max(p_values)
+
+    def plan(calls):
+        return [(c.args[1].tolist(), c.args[2], c.kwargs.get("start", 0)) for c in calls]
+
     with mock.patch.object(experiments, "CHUNK_TRIALS", 8), mock.patch.object(
         experiments, "philox_uniforms", wraps=experiments.philox_uniforms
     ) as draws:
         together = count_failures(code, pipelines, p_values, seed, start, stop)
-        assert {c.args[2] for c in draws.call_args_list} == {4 * code.n}
-        for (noise, detect, threshold), counts, width in zip(pipelines, together, (2, 3, 4)):
+        assert plan(draws.call_args_list) == [(trials, 4 * n, 0) for trials in chunks]
+        for (noise, detect, threshold), counts, width in zip(pipelines, together, (1, 3, 4)):
             draws.reset_mock()
             args = (code, noise, p_values, seed, start, stop, detect, threshold)
             assert engine_counts(*args) == counts == oracle_counts(*args)
-            assert {c.args[2] for c in draws.call_args_list} == {width * code.n}
+            expected = []
+            for trials in chunks:
+                expected.append((trials, width * n, 0))
+                if width == 1:
+                    expected.append(([t for t in trials if hit(t)], 2 * n, n))
+            assert plan(draws.call_args_list) == expected
     assert all(all(counts) for counts in together)
+    # the letters are drawn for some trials of the range, not all
+    assert 0 < sum(map(hit, range(start, stop))) < stop - start
 
 
 def test_run_sweep_emits_no_warning():
@@ -441,11 +463,66 @@ def test_engine_threshold_on_an_oracle_excess(rot_mode, angle):
                 value for event in events if event.rotations
                 for value in oracle_excesses(code, event, detect)
             ]
-            with mock.patch.object(experiments, "run_trial", wraps=run_trial) as fallback:
+            # Every rescore, through run_trial or a fixed-angle verdict table,
+            # calls score_event; clearing the tables makes each one score here.
+            rotation_verdicts.cache_clear()
+            with mock.patch.object(experiments, "score_event", wraps=score_event) as fallback:
                 for threshold in sorted({x for x, _ in values}):
                     args = (code, noise, (0.0,), seed, 0, len(events), detect, threshold)
                     assert engine_counts(*args) == oracle_counts(*args), (axis, detect, threshold)
             assert fallback.call_count >= len({x for x, matters in values if matters})
+
+
+def subset_event(code, axis, angle, mode, subset):
+    """The p = 0 event that rotates each qubit q with bit q - 1 of ``subset`` set."""
+    rotations = tuple(
+        RotationError(q, axis, angle) for q in range(1, code.n + 1) if subset >> (q - 1) & 1
+    )
+    return ErrorEvent(PauliString.identity(code.n), rotations, mode)
+
+
+def twelve_qubit_subsets():
+    """The empty and full sets, each single qubit, and ten more drawn once."""
+    singles = [1 << q for q in range(12)]
+    drawn = np.random.default_rng(12).integers(1, 2**12 - 1, size=10).tolist()
+    return [0, 2**12 - 1, *singles, *drawn]
+
+
+@pytest.mark.parametrize("code_id", [*CODE_IDS, "repetition12"])
+def test_rotation_verdicts_equal_score_event_on_every_subset(code_id):
+    # Thresholds 0, 0.01 and, for the three codes, every value the oracle
+    # compares with one (each puts some subset in the guard band).  Scoring
+    # one 12-qubit event takes milliseconds, so that code is checked on a
+    # fixed set of subsets at 0.01 only: at 0, hundreds of its subsets lie
+    # in the guard band (eight turns by pi/8 leave no excess), and the table
+    # would score each of them through score_event.
+    if code_id == "repetition12":
+        code, subsets = repetition_code(12), twelve_qubit_subsets()
+    else:
+        code = _CODES[code_id]
+        subsets = range(2**code.n)
+    angle = math.pi / 8
+    for axis, mode, detect in itertools.product(
+        (K_AXIS, ImaginaryAxis.normalized(1, 2, 3)), ("zero", "all"), (False, True)
+    ):
+        events = [subset_event(code, axis, angle, mode, s) for s in subsets]
+        thresholds = {0.01}
+        if code_id != "repetition12":
+            thresholds.add(0.0)
+            thresholds |= {
+                x for event in events if event.rotations
+                for x, _ in oracle_excesses(code, event, detect)
+            }
+        for threshold in sorted(thresholds):
+            table = rotation_verdicts(code, axis, angle, mode, detect, threshold)
+            assert table.shape == (2**code.n,) and table.dtype == bool
+            want = [score_event(code, event, detect, threshold) for event in events]
+            assert table[list(subsets)].tolist() == want, (axis, mode, detect, threshold)
+    # the cache hands out one read-only array per key
+    table = rotation_verdicts(code, K_AXIS, angle, "zero", True, 0.01)
+    assert rotation_verdicts(code, K_AXIS, angle, "zero", True, 0.01) is table
+    with pytest.raises(ValueError):
+        table[0] = True
 
 
 def test_count_failures_range_validation():
