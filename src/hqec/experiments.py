@@ -27,21 +27,22 @@ them at every p of the grid, with counts equal to the per-trial loop bit
 for bit, and draws only the words its pipelines read.  Syndrome and
 logical commutation are linear over GF(2) in the error, so the Pauli
 channel XORs the code's per-qubit ``signatures`` and looks the result up
-in its ``verdicts``, for only the trials with an error at the largest p.
-The rotation channel is scored as arrays of damaged ``|0_L>`` states,
-over the slots where ``|0_L>`` is nonzero: the rotations of an event
-share one axis, so each slot is the reference slot times a product of
-unit quaternions, and detection and correction are per-qubit slot sums
-and inverse units.  With a ``fixed`` angle a trial's verdict depends only
-on which qubits it rotates, so :func:`rotation_verdicts` scores all
-``2**n`` subsets once per process and a chunk looks its trials up; with
-a ``uniform`` angle, or while ``2**n`` exceeds :data:`CHUNK_TRIALS`, each
-chunk scores its own rotated trials.  A subset or trial whose compared
-excesses lie within :data:`GUARD` of the threshold, where the other
-summation order could flip the verdict, is scored by :func:`score_event`
-instead.  :func:`figure1_data` scores both pipelines in one pass of the
-engine, so they share the draws, the Pauli failures and the subset
-indices or damaged states.
+in its ``verdicts``, for only the trials with an error at the largest p
+while those are at most half of a chunk.  The rotation channel is scored
+as arrays of damaged ``|0_L>`` states, over the slots where ``|0_L>`` is
+nonzero: the rotations of an event share one axis, so each slot is the
+reference slot times a product of unit quaternions, and detection and
+correction are per-qubit slot sums and inverse units.  With a ``fixed``
+angle a trial's verdict depends only on which qubits it rotates, so
+:func:`rotation_verdicts` scores all ``2**n`` subsets once per process
+and a chunk looks its trials up; with a ``uniform`` angle, or while
+``2**n`` exceeds the ``CHUNK_WORDS // (3 * n)`` trials of a fixed-angle
+chunk, each chunk scores its own rotated trials.  A subset or trial whose
+compared excesses lie within :data:`GUARD` of the threshold, where the
+other summation order could flip the verdict, is scored by
+:func:`score_event` instead.  :func:`figure1_data` scores both pipelines
+in one pass of the engine, so they share the draws, the Pauli failures
+and the subset indices or damaged states.
 """
 
 from __future__ import annotations
@@ -264,8 +265,9 @@ CHUNK_TRIALS = 8192
 
 #: Philox words the engine draws per batch, which bounds its working set
 #: whatever the trial count: a batch holds ``CHUNK_WORDS // w`` trials that
-#: read at most ``w`` words each (3276 Pauli-only perfect5 trials, 2184
-#: with fixed angles).
+#: read ``w`` words each (3276 Pauli-only perfect5 trials, 2184 with fixed
+#: angles).  It also bounds :func:`rotation_verdicts`, which the engine uses
+#: only while its ``2**n`` rows fit in a fixed-angle batch.
 CHUNK_WORDS = 2**15
 
 #: Half-width of the band around the detection threshold in which the
@@ -288,32 +290,32 @@ def count_failures(
     of pipeline ``j`` fails, bit for bit.  Trials are scored in chunks of at
     most :data:`CHUNK_TRIALS` trials and :data:`CHUNK_WORDS` draws, so the
     working set does not grow with the trial count.  The uniforms of a chunk
-    are drawn once for every point and pipeline.  With rotations that is
-    ``3 * n`` words per trial when every angle is ``fixed``, else ``4 * n``.
-    Without them it is the ``n`` hit words of every trial, then the ``n``
-    letter words of only the trials hit below the largest ``p``.  Only those
-    trials can fail on the Pauli channel: their letters are mapped to
-    signatures once per chunk, shared by pipelines whose Pauli weights
-    agree, and each point XORs the signatures of the qubits hit below its
-    ``p``.  The rotation channel does not depend on ``p``.  With a ``fixed``
-    angle, and while ``2**n`` is at most :data:`CHUNK_TRIALS`, a trial's
-    verdict is read from :func:`rotation_verdicts` by the set of qubits it
-    rotates.  Otherwise the chunk's rotated trials are scored once, as
-    arrays of damaged ``|0_L>`` states shared by pipelines whose rotation
-    parameters agree, and a trial whose compared excesses lie within
-    :data:`GUARD` of the threshold is scored again through
-    :func:`run_trial` with its Pauli part removed.
+    are drawn once for every point and pipeline: ``2 * n`` words without
+    rotations, ``3 * n`` when every angle is ``fixed``, else ``4 * n``.
+    Only the trials hit below the largest ``p`` can fail on the Pauli
+    channel, so while they are at most half of the chunk only they are
+    scored on it.  The letters are mapped to signatures once per chunk,
+    shared by pipelines whose Pauli weights agree, and each point XORs the
+    signatures of the qubits hit below its ``p``.  The rotation channel
+    does not depend on ``p``.  With a ``fixed`` angle, and while ``2**n`` is
+    at most ``CHUNK_WORDS // (3 * n)``, a trial's verdict is read from
+    :func:`rotation_verdicts` by the set of qubits it rotates.  Otherwise
+    the chunk's rotated trials are scored once, as arrays of damaged
+    ``|0_L>`` states shared by pipelines whose rotation parameters agree,
+    and a trial whose compared excesses lie within :data:`GUARD` of the
+    threshold is scored again through :func:`run_trial` with its Pauli part
+    removed.
     """
     if not 0 <= start <= stop <= 2**64:
         raise ValueError(f"need 0 <= start <= stop <= 2**64, got {start}, {stop}")
     n = code.n
     angles = {noise.rot_angle.kind for noise, _, _ in pipelines if noise.p_rot > 0.0}
-    words = n * (4 if "uniform" in angles else 3 if angles else 2)  # the most a trial reads
+    width = n * (4 if "uniform" in angles else 3 if angles else 2)
     counts = [[0] * len(p_values) for _ in pipelines]
-    step = min(CHUNK_TRIALS, max(1, CHUNK_WORDS // words))
+    step = min(CHUNK_TRIALS, max(1, CHUNK_WORDS // width))
     for lo in range(start, stop, step):
         trials = np.uint64(lo) + np.arange(min(step, stop - lo), dtype=np.uint64)
-        chunk = _chunk_failures(code, pipelines, p_values, seed, trials, words if angles else n)
+        chunk = _chunk_failures(code, pipelines, p_values, seed, trials, width)
         for tally, failures in zip(counts, chunk):
             tally[:] = map(sum, zip(tally, failures))
     return counts
@@ -324,13 +326,15 @@ def _chunk_failures(code, pipelines, p_values, seed, trials, width) -> list[list
     n = code.n
     draws = philox_uniforms(seed, trials, width)
     # Only the trials with a Pauli error at the largest p need letters and XORs.
+    # Picking them out costs a copy, which pays only while at most half are hit.
     u_err = draws[:, :n].T  # contiguous, so the XOR below runs along the trials
-    hit = np.flatnonzero((u_err < max(p_values)).any(axis=0))
-    u_err = u_err[:, hit]
-    if width == n:  # Pauli only: the letters are drawn for those trials alone
-        u_letter = philox_uniforms(seed, trials[hit], 2 * n, start=n)
-    else:
-        u_letter = draws[hit, n : 2 * n]
+    hit = (u_err < max(p_values)).any(axis=0)
+    few = 2 * np.count_nonzero(hit) <= trials.size
+
+    def pick(per_trial: np.ndarray) -> np.ndarray:
+        return per_trial.compress(hit, axis=-1) if few else per_trial
+
+    u_err = pick(u_err)
     pauli: dict = {}
     subsets: dict = {}
     sampled: dict = {}
@@ -338,7 +342,7 @@ def _chunk_failures(code, pipelines, p_values, seed, trials, width) -> list[list
     for noise, detect, threshold in pipelines:
         weights = noise.pauli_weights
         if weights not in pauli:
-            letters = pauli_letters(noise, u_letter).T
+            letters = pick(pauli_letters(noise, draws, n).T)
             signatures = code.signatures.ravel()[letters + 3 * np.arange(n)[:, None]]
             pauli[weights] = [
                 code.verdicts[np.bitwise_xor.reduce(signatures * (u_err < p), axis=0)]
@@ -346,7 +350,7 @@ def _chunk_failures(code, pipelines, p_values, seed, trials, width) -> list[list
             ]
         failed = pauli[weights]
         if noise.p_rot > 0.0:
-            if noise.rot_angle.kind == "fixed" and 2**n <= CHUNK_TRIALS:
+            if noise.rot_angle.kind == "fixed" and 2**n <= CHUNK_WORDS // (3 * n):
                 if noise.p_rot not in subsets:
                     turned = draws[:, 2 * n : 3 * n] < noise.p_rot
                     subsets[noise.p_rot] = turned @ (1 << np.arange(n))
@@ -359,7 +363,7 @@ def _chunk_failures(code, pipelines, p_values, seed, trials, width) -> list[list
                     sampled[key] = _SampledRotations(code, noise, seed, trials, draws)
                 rotated = sampled[key].failures(detect, threshold)
             # a trial without a Pauli error fails on its rotations alone
-            with_pauli = rotated[hit]
+            with_pauli = pick(rotated)
             alone = int(np.count_nonzero(rotated)) - int(np.count_nonzero(with_pauli))
             counts.append([int(np.count_nonzero(f | with_pauli)) + alone for f in failed])
         else:

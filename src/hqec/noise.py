@@ -12,13 +12,12 @@ Sampling is counter-based: the draws of a trial are the first
 integers ``(seed, trial)``, so trials are reproducible in any evaluation
 order and across any degree of parallelism.  :func:`sample_error` draws
 one trial through numpy and is the single-trial oracle;
-:func:`philox_uniforms` computes words ``start .. count - 1`` of the same
-doubles for a whole range of trials at once in plain numpy, so the
-batched engine in :mod:`hqec.experiments` draws only the blocks of ``n``
-it reads (Pauli hit, letter, rotation hit, angle), for only the trials
-that read them, and :func:`pauli_letters` and :func:`rotation_angles`
-turn those rows into what it scores, with the same comparisons as
-:func:`sample_error`.  :func:`slot_cover` is the one rule for which
+:func:`philox_uniforms` computes any prefix of the same doubles for a
+whole range of trials at once in plain numpy, so the batched engine in
+:mod:`hqec.experiments` draws only the blocks of ``n`` it reads (Pauli
+hit, letter, rotation hit, angle), and :func:`pauli_letters` and
+:func:`rotation_angles` turn those rows into what it scores, with the
+same comparisons as :func:`sample_error`.  :func:`slot_cover` is the one rule for which
 amplitude slots a rotation touches, read by the single-trial oracle
 (:func:`apply_rotations`, :func:`detect_rotations`) and by that engine.
 """
@@ -174,57 +173,42 @@ def sample_error(model: NoiseModel, n: int, seed: int, trial: int) -> ErrorEvent
 
 
 # Philox4x64-10 (Salmon et al., SC'11) with numpy's constants and layout.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
-def _u64(value) -> np.ndarray:
-    return np.array(value, dtype=np.uint64)
-
-
-# Constants are arrays, so no ufunc call below converts a scalar.  The two
-# multiplier lanes of a round share one call: lane 0 holds the words that
-# meet M0 (counter word 0), lane 1 those that meet M1 (counter word 2).
-_M, _W = _u64(_PHILOX_M).reshape(2, 1, 1), _u64(_PHILOX_W).reshape(2, 1, 1)
-_LOW32, _SHIFT32, _SHIFT11 = _u64(0xFFFFFFFF), _u64(32), _u64(11)
-_M_LO, _M_HI = _M & _LOW32, _M >> _SHIFT32
-_TO_DOUBLE = np.array(2.0**-53)
-
-
-def _mulhilo(m, m_lo, m_hi, b, lo, t1, t2, t3) -> None:
+def _mulhilo(m: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low words of the 128-bit products ``m * b``, from 32-bit halves.
 
-    ``b`` comes back holding the high words and ``lo`` the low ones; ``t1``
-    to ``t3`` are scratch of ``b``'s shape.  Each partial sum stays below
-    2**64: (2**32 - 1)**2 + 2 * (2**32 - 1) < 2**64.
+    ``b`` is overwritten: it comes back holding the high words.
     """
-    np.multiply(b, m, out=lo)
-    np.bitwise_and(b, _LOW32, out=t1)  # b_lo
-    np.right_shift(b, _SHIFT32, out=b)  # b_hi
-    np.multiply(t1, m_lo, out=t2)
-    np.right_shift(t2, _SHIFT32, out=t2)
-    np.multiply(b, m_lo, out=t3)
-    np.add(t3, t2, out=t3)  # mid = b_hi * m_lo + (b_lo * m_lo >> 32)
-    np.multiply(t1, m_hi, out=t1)
-    np.bitwise_and(t3, _LOW32, out=t2)
-    np.add(t1, t2, out=t1)  # cross = b_lo * m_hi + (mid & low32)
-    np.multiply(b, m_hi, out=b)
-    np.right_shift(t3, _SHIFT32, out=t3)
-    np.add(b, t3, out=b)
-    np.right_shift(t1, _SHIFT32, out=t1)
-    np.add(b, t1, out=b)
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    lo = m * b
+    b_lo = b & _LOW32
+    b_hi = np.right_shift(b, _SHIFT32, out=b)
+    # Each partial sum stays below 2**64: (2**32 - 1)**2 + 2 * (2**32 - 1) < 2**64.
+    # In place: part holds the low partial product, b_lo the cross sum, b_hi hi.
+    mid = b_hi * m_lo
+    part = b_lo * m_lo
+    mid += np.right_shift(part, _SHIFT32, out=part)
+    b_lo *= m_hi
+    b_lo += np.bitwise_and(mid, _LOW32, out=part)
+    b_hi *= m_hi
+    b_hi += np.right_shift(mid, _SHIFT32, out=mid)
+    b_hi += np.right_shift(b_lo, _SHIFT32, out=b_lo)
+    return b_hi, lo
 
 
-def philox_uniforms(seed: int, trials, count: int, start: int = 0) -> np.ndarray:
-    """Doubles ``start .. count - 1`` of each trial's stream, one row per trial.
+def philox_uniforms(seed: int, trials, count: int) -> np.ndarray:
+    """The first ``count`` doubles of each trial's stream, one row per trial.
 
-    Row ``r`` equals ``np.random.Generator(np.random.Philox(key=key)).random(count)[start:]``
+    Row ``r`` equals ``np.random.Generator(np.random.Philox(key=key)).random(count)``
     bit for bit, with ``key`` the uint64 array ``[seed, trials[r]]`` that
     :func:`sample_error` builds: block ``b`` of four words is
     Philox4x64-10 of the counter ``(b + 1, 0, 0, 0)`` under that key, and a
-    word ``u`` becomes the double ``(u >> 11) * 2**-53``.  Only the blocks
-    holding the asked words are computed.
+    word ``u`` becomes the double ``(u >> 11) * 2**-53``.
     """
     seed = check_counter("seed", seed)
     trials = np.asarray(trials)
@@ -234,51 +218,38 @@ def philox_uniforms(seed: int, trials, count: int, start: int = 0) -> np.ndarray
         raise ValueError("trials must be a 1-d array of integers in [0, 2**64)")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if not 0 <= start <= count:
-        raise ValueError(f"start must be in [0, count], got {start}")
-    first, stop = start // 4, -(-count // 4)
-    # Round 1 and the lane-0 product of round 2 see only the block counter
-    # and the seed (the counter's words 1 to 3 are zero), so they are Python
-    # integers.  After round 1, word 0 is the seed, word 1 is zero, word 2 is
-    # hi(M0 * counter) ^ trial and word 3 is lo(M0 * counter).
-    products = [_PHILOX_M[0] * (b + 1) for b in range(first, stop)]
-    high, low = _u64([p >> 64 for p in products])[:, None], _u64([p % 2**64 for p in products])
-    seed_hi, seed_lo = divmod(_PHILOX_M[0] * seed, 2**64)
-    # x holds words 0 and 2, y words 1 and 3, as (lane, block, trial) arrays
-    # that the rounds update in place.  The keys are arrays too: numpy warns
-    # when a scalar addition wraps around, not when an array one does.
-    x, y, lo, t1, t2, t3 = np.empty((6, 2, stop - first, trials.size), dtype=np.uint64)
-    key = np.empty((2, 1, trials.size), dtype=np.uint64)
-    key[0], key[1, 0] = seed, trials
-    np.bitwise_xor(high, key[1], out=x[1])
-    np.add(key, _W, out=key)  # round 2
-    _mulhilo(_M[1], _M_LO[1], _M_HI[1], x[1], y[0], t1[0], t2[0], t3[0])
-    np.bitwise_xor(x[1], key[0], out=x[0])
-    np.bitwise_xor((low ^ _u64(seed_hi))[:, None], key[1], out=x[1])
-    y[1] = seed_lo
-    for _ in range(_PHILOX_ROUNDS - 2):
-        np.add(key, _W, out=key)
-        _mulhilo(_M, _M_LO, _M_HI, x, lo, t1, t2, t3)
-        np.bitwise_xor(x[1], y[0], out=y[0])
-        np.bitwise_xor(x[0], y[1], out=y[1])
-        np.bitwise_xor(y, key, out=y)
-        x, y, lo = y, lo[::-1], x  # lane 1's low word is the next word 1
-    out = np.empty((stop - first, 4, trials.size))
-    np.right_shift(x, _SHIFT11, out=x)
-    np.right_shift(y, _SHIFT11, out=y)
-    np.multiply(x, _TO_DOUBLE, out=out[:, 0::2].swapaxes(0, 1))
-    np.multiply(y, _TO_DOUBLE, out=out[:, 1::2].swapaxes(0, 1))
-    return out.reshape(4 * (stop - first), trials.size)[start - 4 * first : count - 4 * first].T
+    # Words are (block, trial) arrays, so every step runs along the trials.  The
+    # keys stay arrays: numpy warns when a scalar addition wraps around.
+    blocks = -(-count // 4)
+    key0, key1 = np.full(1, seed, dtype=np.uint64), trials.astype(np.uint64)
+    c0 = np.repeat(np.arange(1, blocks + 1, dtype=np.uint64)[:, None], trials.size, axis=1)
+    c1 = c3 = np.zeros_like(c0)
+    c2 = np.zeros_like(c0)  # apart from c1 and c3: _mulhilo overwrites c0 and c2
+    for rnd in range(_PHILOX_ROUNDS):
+        if rnd:
+            key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        hi1 ^= c1 ^ key0  # in place: a round holds no words of the one before it
+        hi0 ^= c3 ^ key1
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+    # Each word array becomes every fourth row of the doubles, in place.
+    out = np.empty((count, trials.size))
+    for i, words in enumerate((c0, c1, c2, c3)):
+        words = words[: len(out[i::4])]
+        words >>= np.uint64(11)
+        np.multiply(words, 2.0**-53, out=out[i::4])
+    return out.T
 
 
-def pauli_letters(model: NoiseModel, u_letter: np.ndarray) -> np.ndarray:
-    """Letter of each Pauli letter draw, as int8 0, 1, 2 for X, Y, Z.
+def pauli_letters(model: NoiseModel, draws: np.ndarray, n: int) -> np.ndarray:
+    """Letter of each qubit's Pauli draw, as int8 0, 1, 2 for X, Y, Z.
 
-    ``u_letter`` holds one trial's letter uniforms per row, draws ``n ..
-    2n - 1`` of its stream, one column per qubit; the comparisons are the
-    ones :func:`sample_error` makes.  Whether qubit ``q`` is hit at all is
-    draw ``q - 1`` below ``p``.
+    ``draws`` holds one trial's uniforms per row, as :func:`sample_error`
+    consumes them; the letter comparisons are the ones it makes.  Whether
+    the qubit is hit at all is ``draws[:, q - 1] < p``.
     """
+    u_letter = draws[:, n : 2 * n]
     c1 = model.pauli_weights[0]
     c2 = c1 + model.pauli_weights[1]
     # As c1 <= c2, the letter is 2 less one for each bound the draw is below.

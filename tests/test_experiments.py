@@ -371,12 +371,9 @@ def test_batched_engine_crosses_the_real_chunk_boundary():
 
 
 def test_mixed_draw_widths_in_one_engine_call():
-    # Fixed-angle and uniform-angle pipelines draw words [0, 3n) and [0, 4n)
-    # of every trial, and run together with any other they share the widest.
-    # A Pauli-only pipeline draws words [0, n) of every trial, then words
-    # [n, 2n) of only the trials hit below its largest p.
+    # Pauli-only, fixed-angle and uniform-angle pipelines read the first 2n,
+    # 3n and 4n draws of a trial; run together, they share the widest.
     code = _CODES["perfect5"]
-    n = code.n
     pipelines = (
         (NoiseModel(p=0.0, pauli_weights=(0.5, 0.2, 0.3)), False, 0.01),
         (NoiseModel(p=0.0, phase_mode="table1", p_rot=0.3,
@@ -386,33 +383,17 @@ def test_mixed_draw_widths_in_one_engine_call():
     )
     p_values, seed, start = (0.05, 0.3), 2**64 - 1, 2**40 + 3
     stop = start + 2 * 8 + 5
-    chunks = [list(range(lo, min(lo + 8, stop))) for lo in range(start, stop, 8)]
-
-    def hit(trial):
-        key = np.array([seed, trial], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key)).random(n).min() < max(p_values)
-
-    def plan(calls):
-        return [(c.args[1].tolist(), c.args[2], c.kwargs.get("start", 0)) for c in calls]
-
     with mock.patch.object(experiments, "CHUNK_TRIALS", 8), mock.patch.object(
         experiments, "philox_uniforms", wraps=experiments.philox_uniforms
     ) as draws:
         together = count_failures(code, pipelines, p_values, seed, start, stop)
-        assert plan(draws.call_args_list) == [(trials, 4 * n, 0) for trials in chunks]
-        for (noise, detect, threshold), counts, width in zip(pipelines, together, (1, 3, 4)):
+        assert {c.args[2] for c in draws.call_args_list} == {4 * code.n}
+        for (noise, detect, threshold), counts, width in zip(pipelines, together, (2, 3, 4)):
             draws.reset_mock()
             args = (code, noise, p_values, seed, start, stop, detect, threshold)
             assert engine_counts(*args) == counts == oracle_counts(*args)
-            expected = []
-            for trials in chunks:
-                expected.append((trials, width * n, 0))
-                if width == 1:
-                    expected.append(([t for t in trials if hit(t)], 2 * n, n))
-            assert plan(draws.call_args_list) == expected
+            assert {c.args[2] for c in draws.call_args_list} == {width * code.n}
     assert all(all(counts) for counts in together)
-    # the letters are drawn for some trials of the range, not all
-    assert 0 < sum(map(hit, range(start, stop))) < stop - start
 
 
 def test_run_sweep_emits_no_warning():

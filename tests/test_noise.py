@@ -83,7 +83,7 @@ def test_batch_draws_match_sample_error():
     for row, row_angles in zip(rows, angles):
         by_qubit = {rot.qubit: rot.angle for rot in rotated[row].rotations}
         assert row_angles.tolist() == [by_qubit.get(q, 0.0) for q in range(1, 5)]
-    letters = pauli_letters(model, draws[:, 4:8])
+    letters = pauli_letters(model, draws, 4)
     for row, trial in enumerate(trials):
         event = sample_error(model, 4, 9, trial)
         assert (int(x[row]), int(z[row])) == (event.pauli.x, event.pauli.z)
@@ -110,7 +110,6 @@ _MAX = 2**64 - 1
         (2**63, [_MAX, 0, 12345], 8),
         (0x0123456789ABCDEF, [0xFEDCBA9876543210], 40),
         (7, [3], 0),
-        (5, [], 7),  # the engine's letter draw when no trial is hit
     ],
 )
 def test_philox_uniforms_match_numpy_generator(seed, trials, count):
@@ -129,20 +128,14 @@ def test_philox_uniforms_match_numpy_generator(seed, trials, count):
     count=st.integers(0, 24),
 )
 def test_philox_uniforms_match_numpy_generator_for_any_key(seed, trials, count):
-    trials = np.array(trials, dtype=np.uint64)
-    # A uint64 key, as sample_error builds it: numpy reads a plain list
-    # holding a word >= 2**63 as float64 and rounds that word.
-    wants = [
-        np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
-        .random(count)
-        for trial in trials
-    ]
-    assert philox_uniforms(seed, trials, count).shape == (trials.size, count)
-    for start in range(count + 1):
-        got = philox_uniforms(seed, trials, count, start)
-        assert got.shape == (trials.size, count - start)
-        for row, want in zip(got, wants):
-            assert row.tobytes() == want[start:].tobytes(), start
+    got = philox_uniforms(seed, np.array(trials, dtype=np.uint64), count)
+    assert got.shape == (len(trials), count)
+    for row, trial in zip(got, trials):
+        # A uint64 key, as sample_error builds it: numpy reads a plain list
+        # holding a word >= 2**63 as float64 and rounds that word.
+        key = np.array([seed, trial], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(count)
+        assert row.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", [_MAX, _MAX - 1, 2**63, 0])
@@ -178,9 +171,6 @@ def test_philox_uniforms_validation():
         philox_uniforms(0, np.array([0.5]), 4)
     with pytest.raises(ValueError):
         philox_uniforms(0, np.array([0]), -1)
-    for start in (-1, 5, 2**64):
-        with pytest.raises(ValueError, match="start"):
-            philox_uniforms(0, np.array([0]), 4, start)
 
 
 def test_sample_error_seed_bounds():
