@@ -30,24 +30,17 @@ from .linalg import (
     adjoint,
     inner_product,
     is_unitary,
-    matmul,
-    matrix_exp,
     matvec,
     phase_alignment_check,
     real_norm_sq,
-    tensor,
 )
 from .register import (
     Gate,
-    MeasurementOutcome,
     QRegister,
     apply_gate,
     bell_prepare,
     cnot_gate,
-    component_strength,
-    conditional_flip,
     hadamard_gate,
-    measure_qubit,
     pauli_gate,
     phased_pauli_gate,
     substitute_units,

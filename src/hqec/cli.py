@@ -340,9 +340,13 @@ def _emit(text: str, output_path: str | None) -> None:
         _write_file(output_path, text)
 
 
+def _temporary_path(path: str) -> str:
+    return f"{path}.{os.getpid()}.tmp"
+
+
 def _write_file(path: str, text: str) -> None:
     """Write ``text`` whole: to a temporary file beside ``path``, then renamed onto it."""
-    temporary = f"{path}.{os.getpid()}.tmp"
+    temporary = _temporary_path(path)
     try:
         with open(temporary, "x", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -374,6 +378,14 @@ def _check_output_paths(config: RunConfig) -> None:
             raise ConfigError(f"output directory {directory!r} is not writable")
         if os.path.isdir(path):
             raise ConfigError(f"output path {path!r} is a directory")
+        # A name the file system refuses (too long, a null byte) passes the
+        # checks above, so the write's temporary file is made and removed here.
+        temporary = _temporary_path(path)
+        try:
+            open(temporary, "x").close()
+            os.remove(temporary)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot write output path {path!r}: {exc}") from None
 
 
 # name -> factory of each gate the audits cover, in report order
@@ -535,6 +547,7 @@ def _report_lines(f: _Findings) -> list[str]:
             f"{_gate_line(gate, report)} phase_aligned={'yes' if aligned else 'no'} "
             f"side={gate.side.value}"
         )
+    # Kept word for word (the report bytes are frozen), though the library has no conditional flip.
     lines.append("note: the conditional-flip operation is non-linear and therefore "
                  "excluded from the unitary audit")
     lines += ["", "codes", "-" * 40]

@@ -13,7 +13,6 @@ Norms are real, taken from the scalar part of ``<psi|psi>``.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -109,12 +108,6 @@ class QVector:
         arr[index, 0] = 1.0
         return cls._wrap(arr)
 
-    @classmethod
-    def zeros(cls, dim: int) -> "QVector":
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        return cls._wrap(np.zeros((dim, 4)))
-
     @property
     def dim(self) -> int:
         return self._c.shape[0]
@@ -165,16 +158,6 @@ class QMatrix:
         m = object.__new__(cls)
         m._c = _freeze(arr)
         return m
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        arr = np.zeros((n, n, 4))
-        arr[np.arange(n), np.arange(n), 0] = 1.0
-        return cls._wrap(arr)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls._wrap(np.zeros((rows, cols, 4)))
 
     @property
     def rows(self) -> int:
@@ -257,22 +240,6 @@ def matvec(a: QMatrix, psi: QVector, side: MulSide) -> QVector:
     return QVector._wrap(prod.sum(axis=1))
 
 
-def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Matrix product with entrywise left-to-right quaternion multiplication."""
-    if a.cols != b.rows:
-        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    prod = qmul_components(a.components[:, :, None, :], b.components[None, :, :, :])
-    return QMatrix._wrap(prod.sum(axis=1))
-
-
-def tensor(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Kronecker product with quaternion entries, A-index major."""
-    prod = qmul_components(
-        a.components[:, None, :, None, :], b.components[None, :, None, :, :]
-    )
-    return QMatrix._wrap(prod.reshape(a.rows * b.rows, a.cols * b.cols, 4))
-
-
 @dataclass(frozen=True)
 class UnitarityReport:
     """Result of checking ``U @ adjoint(U) == I`` entrywise."""
@@ -291,7 +258,8 @@ def is_unitary(u: QMatrix, tol: float = TOLERANCE) -> UnitarityReport:
     """
     if u.rows != u.cols:
         raise ValueError(f"unitarity check needs a square matrix, got {u.shape}")
-    # matmul's arithmetic on the bare arrays, then the identity taken off in place.
+    # The left-to-right product with the adjoint on the bare arrays, then the
+    # identity taken off in place.
     delta = qmul_components(u.components[:, :, None], adjoint(u).components[None]).sum(axis=1)
     delta[np.arange(u.rows), np.arange(u.rows), 0] -= 1.0
     norms = np.sqrt(np.sum(delta * delta, axis=-1))
@@ -306,34 +274,6 @@ def phase_alignment_check(u: QMatrix, tol: float = TOLERANCE) -> bool:
     if u.rows != u.cols:
         raise ValueError(f"phase alignment check needs a square matrix, got {u.shape}")
     return bool(np.max(np.abs(u.components[..., 2:4]), initial=0.0) <= tol)
-
-
-def _frobenius(arr: np.ndarray) -> float:
-    return math.sqrt(float(np.sum(arr * arr)))
-
-
-def matrix_exp(a: QMatrix, terms: int) -> tuple[QMatrix, float]:
-    """Truncated exponential series ``sum_{m=0}^{terms} A**m / m!``.
-
-    Returns the partial sum together with an upper-bound estimate of the
-    dropped tail (geometric bound in the Frobenius norm; ``inf`` when the
-    bound does not contract).  Powers use left-to-right multiplication.
-    """
-    if a.rows != a.cols:
-        raise ValueError(f"matrix exponential needs a square matrix, got {a.shape}")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    acc = QMatrix.identity(a.rows).components.copy()
-    term = QMatrix.identity(a.rows)
-    for m in range(1, terms + 1):
-        term = QMatrix._wrap(matmul(term, a).components / m)
-        acc += term.components
-    ratio = _frobenius(a.components) / (terms + 1)
-    if ratio < 1.0:
-        residual = _frobenius(term.components) * ratio / (1.0 - ratio)
-    else:
-        residual = math.inf
-    return QMatrix._wrap(acc), residual
 
 
 # -- JSON-friendly serialization ----------------------------------------

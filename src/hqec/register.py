@@ -264,77 +264,3 @@ def substitute_units(gate: Gate, mapping: dict[str, Quaternion]) -> Gate:
         out += comp[..., idx : idx + 1] * target
     name = gate.name if not mapping else gate.name + "*"
     return Gate(name, QMatrix.from_components(out), gate.side, gate.arity)
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """Sampled computational-basis measurement of one qubit."""
-
-    bit: int
-    probability: float
-    post_state: QRegister
-
-
-def measure_qubit(reg: QRegister, qubit: int, rng_seed: int) -> MeasurementOutcome:
-    """Measure one qubit; probabilities come from real amplitude norms.
-
-    ``P(b)`` sums ``norm_sq`` of every amplitude whose basis state has bit
-    ``b`` at ``qubit``; the post state is the surviving block rescaled by
-    the real factor ``1/sqrt(P)``.  Sampling is driven entirely by
-    ``rng_seed``.
-    """
-    if not 1 <= qubit <= reg.n:
-        raise ValueError(f"qubit {qubit} out of range 1..{reg.n}")
-    comp = reg.amps.components
-    weights = np.sum(comp * comp, axis=1)
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ValueError("cannot measure a zero-norm register")
-    bits = (np.arange(reg.dim) >> (reg.n - qubit)) & 1
-    p0 = float(weights[bits == 0].sum()) / total
-    rng = np.random.default_rng(rng_seed)
-    outcome = 0 if rng.random() < p0 else 1
-    prob = p0 if outcome == 0 else 1.0 - p0
-    post = comp.copy()
-    post[bits != outcome] = 0.0
-    post /= math.sqrt(prob * total)
-    return MeasurementOutcome(outcome, prob, QRegister.from_components(reg.n, post))
-
-
-def component_strength(reg: QRegister, qubit: int, axis: str) -> float:
-    """Summed squared ``axis`` components over the whole register.
-
-    The per-qubit argument is bookkeeping only: no per-qubit partial trace
-    is attempted, so the sum runs over every amplitude.  For a single
-    qubit whose amplitude has j component ``c`` this returns ``c**2``.
-    """
-    if not 1 <= qubit <= reg.n:
-        raise ValueError(f"qubit {qubit} out of range 1..{reg.n}")
-    names = list(quat.UNIT_BY_NAME)
-    if axis not in names[1:]:
-        raise ValueError(f"axis must be one of i, j, k, got {axis!r}")
-    col = reg.amps.components[:, names.index(axis)]
-    return float(np.sum(col * col))
-
-
-def conditional_flip(reg: QRegister, control: int, target: int) -> QRegister:
-    """Deterministic non-linear conditional flip.
-
-    Sums the real parts of the amplitudes in the control qubit's ``|1>``
-    block; when that overlap is nonzero (beyond the library tolerance) an
-    X is applied to the target, otherwise the state is returned unchanged.
-    Not a linear map, so it is never reported as a unitary gate.
-    """
-    if control == target:
-        raise ValueError("control and target must be distinct")
-    for q in (control, target):
-        if not 1 <= q <= reg.n:
-            raise ValueError(f"qubit {q} out of range 1..{reg.n}")
-    comp = reg.amps.components
-    indices = np.arange(reg.dim)
-    control_one = ((indices >> (reg.n - control)) & 1) == 1
-    overlap = float(comp[control_one, 0].sum())
-    if abs(overlap) <= quat.TOLERANCE:
-        return reg
-    flipped = comp[indices ^ (1 << (reg.n - target))]
-    return QRegister.from_components(reg.n, flipped)

@@ -62,9 +62,40 @@ def uncached_apply_gate(reg: QRegister, gate: Gate, targets) -> QRegister:
     return QRegister(n, QVector.from_components(out, copy=False))
 
 
+def component_strength(reg: QRegister, qubit: int, axis: str) -> float:
+    """Summed squared ``axis`` components over the whole register.
+
+    The per-qubit argument is bookkeeping only: no per-qubit partial trace
+    is attempted, so the sum runs over every amplitude.  For a single
+    qubit whose amplitude has j component ``c`` this returns ``c**2``.
+    """
+    if not 1 <= qubit <= reg.n:
+        raise ValueError(f"qubit {qubit} out of range 1..{reg.n}")
+    names = list(quat.UNIT_BY_NAME)
+    if axis not in names[1:]:
+        raise ValueError(f"axis must be one of i, j, k, got {axis!r}")
+    col = reg.amps.components[:, names.index(axis)]
+    return float(np.sum(col * col))
+
+
 def right_scalar_mul(psi: QVector, q: quat.Quaternion) -> QVector:
     """Every amplitude times ``q`` on the right: ``psi_n -> psi_n * q``."""
     return QVector.from_components(qmul_components(psi.components, np.array(q.as_tuple())))
+
+
+def identity_matrix(n: int) -> QMatrix:
+    """The ``n x n`` identity with quaternion entries."""
+    arr = np.zeros((n, n, 4))
+    arr[np.arange(n), np.arange(n), 0] = 1.0
+    return QMatrix.from_components(arr)
+
+
+def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
+    """Matrix product with entrywise left-to-right quaternion multiplication."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
+    prod = qmul_components(a.components[:, :, None, :], b.components[None, :, :, :])
+    return QMatrix.from_components(prod.sum(axis=1))
 
 
 def matrix_from_dict(data: dict) -> QMatrix:

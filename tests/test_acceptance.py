@@ -17,7 +17,7 @@ import numpy as np
 
 from hqec import quaternion as quat
 from hqec.quaternion import Quaternion
-from hqec.linalg import MulSide, QVector, adjoint, is_unitary, matmul, matvec, real_norm_sq
+from hqec.linalg import MulSide, QVector, adjoint, is_unitary, matvec, real_norm_sq
 from hqec.register import (
     QRegister,
     apply_gate,
@@ -53,7 +53,7 @@ from hqec.experiments import (
     scaling_model,
 )
 
-from oracles import amplitude, state_based_syndrome
+from oracles import amplitude, matmul, state_based_syndrome
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from unittest import mock
 
@@ -336,6 +337,41 @@ def test_config_valid_detection_values_accepted(tmp_path, capsys):
     assert run_cli(capsys, *flags)[1] == out
 
 
+# Values of every JSON kind a config key might hold by mistake.
+_FUZZ_VALUES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from([2**64 - 1, 2**64, 2**64 + 1, 2**70, -(2**63), 1e308, -1e308]),  # huge
+    st.sampled_from([5e-324, -5e-324, 1e-300, -0.0]),  # tiny
+    st.integers(-3, 30) | st.floats(-2, 2),
+    st.sampled_from(["", " ", "nan", "-inf", "1e999", "0.1:0.2", ":::", "0.1:0.2:log:x",
+                     "fixed:", "uniform:nan", "fixed:1:2", "1,2", "a,b,c", "0,0,0", "\x00",
+                     "k,", "perfect5 ", "\u00e9", "a/b/c"]),
+    st.text(max_size=6),
+    st.lists(st.none() | st.booleans() | st.integers(-2, 2) | st.floats(), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 2) | st.text(max_size=3), max_size=2),
+)
+
+_FUZZ_TRIALS_CAP = 20
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.dictionaries(st.sampled_from(sorted(cli._MC_DEFAULTS)), _FUZZ_VALUES,
+                       min_size=1, max_size=4))
+def test_fuzzed_config_file_exits_0_or_3(tmp_path, monkeypatch, capsys, fuzzed):
+    monkeypatch.chdir(tmp_path)  # a fuzzed ``out`` that is valid lands here
+    body = {"code": "three", "p": "0.05:0.2:log:3", "trials": _FUZZ_TRIALS_CAP, **fuzzed}
+    trials = body["trials"]
+    if type(trials) is int and _FUZZ_TRIALS_CAP < trials <= 2**64:
+        body["trials"] = _FUZZ_TRIALS_CAP  # valid, but too many to run here
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(body))
+    code, _, err = run_cli(capsys, "mc", "--config", str(config))
+    assert code in (0, 3), (body, err)
+
+
 # -- subcommand outputs ----------------------------------------------------------
 
 def test_bell_output(capsys):
@@ -573,7 +609,8 @@ def test_comma_triple_rot_axis_equals_named_axis(capsys):
     assert run_cli(capsys, *argv, "0,0,2") == (0, named, "")
 
 
-@pytest.mark.parametrize("out", [5, True, ""], ids=["int", "bool", "empty"])
+@pytest.mark.parametrize("out", [5, True, "", "a\x00b", "a" * 300],
+                         ids=["int", "bool", "empty", "null byte", "long name"])
 def test_bad_config_out_exits_3_before_any_work(monkeypatch, capsys, tmp_path, out):
     from hqec import experiments
 

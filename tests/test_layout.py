@@ -1,7 +1,6 @@
 """Source-layout rules that no single module's tests can see."""
 
 import ast
-import re
 from pathlib import Path
 
 import hqec
@@ -92,8 +91,13 @@ def _references(path: Path):
 
 
 def test_every_public_name_has_a_caller_outside_tests():
-    # A field also counts as read when its class is built outside tests,
-    # because positional constructor arguments name no field.
+    # Only code in src/, demos/ and bench/ counts as a caller; a mention in
+    # a README keeps no name alive. A field also counts as read when its
+    # class is built outside tests, because positional constructor
+    # arguments name no field. Names are matched bare, not by owner, so a
+    # method is kept alive by any caller of the same name: ``np.zeros`` or
+    # ``PauliString.identity`` would hide an unused ``QMatrix.zeros`` or
+    # ``QMatrix.identity``.
     modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     callers = modules + sorted((REPO / "demos").glob("*.py"))
     callers += sorted((REPO / "bench").glob("*.py"))
@@ -102,16 +106,10 @@ def test_every_public_name_has_a_caller_outside_tests():
         names, calls = _references(path)
         read |= names
         called |= calls
-    # A name counts as documented only as code (a fenced block or a span in
-    # backticks), so that a plain English word ("weight") does not keep it alive.
-    docs = (REPO / "README.md").read_text() + (REPO / "bench" / "README.md").read_text()
-    docs = "\n".join(re.findall(r"```.*?```|`[^`]+`", docs, flags=re.S))
     unused = [
         f"{path.stem}.{label}"
         for path in modules
         for label, name, owner in _definitions(path)
-        if name not in read
-        and owner not in called
-        and not re.search(rf"\b{re.escape(name)}\b", docs)
+        if name not in read and owner not in called
     ]
     assert unused == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hqec import quaternion as quat
-from hqec.quaternion import Quaternion, exp_axis
+from hqec.quaternion import Quaternion
 from hqec.linalg import (
     MulSide,
     QMatrix,
@@ -12,17 +12,14 @@ from hqec.linalg import (
     adjoint,
     inner_product,
     is_unitary,
-    matmul,
-    matrix_exp,
     matrix_to_dict,
     matvec,
     phase_alignment_check,
     real_norm_sq,
-    tensor,
 )
 from hqec.register import cnot_gate, hadamard_gate, t_gate
 
-from oracles import matrix_from_dict, right_scalar_mul
+from oracles import identity_matrix, matmul, matrix_from_dict, right_scalar_mul
 
 ONE, I, J, K, ZERO = quat.ONE, quat.I, quat.J, quat.K, quat.ZERO
 
@@ -82,7 +79,7 @@ def test_real_norm_sq_values():
     inv = 1 / math.sqrt(2)
     psi = QVector([inv * ONE, inv * I])
     assert real_norm_sq(psi) == pytest.approx(1.0, abs=1e-12)
-    assert real_norm_sq(QVector.zeros(3)) == 0.0
+    assert real_norm_sq(QVector.from_components(np.zeros((3, 4)))) == 0.0
     assert real_norm_sq(QVector([Quaternion(1, 1, 0, 0), Quaternion(0, 0, 1, 1)])) == 4.0
 
 
@@ -162,7 +159,7 @@ def test_matvec_hadamard_worked_example():
 def test_matvec_identity_both_sides():
     rng = np.random.default_rng(27)
     psi = rand_vector(rng, 4)
-    eye = QMatrix.identity(4)
+    eye = identity_matrix(4)
     assert matvec(eye, psi, MulSide.LEFT).isclose(psi)
     assert matvec(eye, psi, MulSide.RIGHT).isclose(psi)
 
@@ -186,7 +183,7 @@ def test_matvec_side_distinction_witness():
 
 def test_matvec_shape_mismatch():
     with pytest.raises(ValueError):
-        matvec(QMatrix.identity(2), QVector.basis(4, 0), MulSide.LEFT)
+        matvec(identity_matrix(2), QVector.basis(4, 0), MulSide.LEFT)
 
 
 # -- unitarity ------------------------------------------------------------------
@@ -198,7 +195,7 @@ def test_is_unitary_cnot_passes():
 
 
 def test_is_unitary_identity():
-    assert is_unitary(QMatrix.identity(3)).passed
+    assert is_unitary(identity_matrix(3)).passed
 
 
 def test_is_unitary_hadamard_fails_with_unit_deviation():
@@ -213,7 +210,7 @@ def test_is_unitary_hadamard_fails_with_unit_deviation():
 
 def test_is_unitary_requires_square():
     with pytest.raises(ValueError):
-        is_unitary(QMatrix.zeros(2, 3))
+        is_unitary(QMatrix.from_components(np.zeros((2, 3, 4))))
 
 
 def test_is_unitary_equals_the_matmul_adjoint_reference_bit_for_bit():
@@ -221,7 +218,7 @@ def test_is_unitary_equals_the_matmul_adjoint_reference_bit_for_bit():
     matrices = [g().matrix for g in (cnot_gate, hadamard_gate, t_gate)]
     matrices += [rand_matrix(rng, n, n) for n in rng.integers(1, 9, size=300)]
     for u in matrices:
-        delta = matmul(u, adjoint(u)).components - QMatrix.identity(u.rows).components
+        delta = matmul(u, adjoint(u)).components - identity_matrix(u.rows).components
         norms = np.sqrt(np.sum(delta * delta, axis=-1))
         worst = np.unravel_index(np.argmax(norms), norms.shape)
         report = is_unitary(u)
@@ -233,95 +230,8 @@ def test_is_unitary_equals_the_matmul_adjoint_reference_bit_for_bit():
 
 def test_phase_alignment():
     assert phase_alignment_check(t_gate().matrix)
-    assert phase_alignment_check(QMatrix.identity(2))
+    assert phase_alignment_check(identity_matrix(2))
     assert not phase_alignment_check(cnot_gate().matrix)
-
-
-# -- matrix exponential --------------------------------------------------------------
-
-def test_matrix_exp_zero():
-    exp_m, residual = matrix_exp(QMatrix.zeros(2, 2), terms=5)
-    assert exp_m.isclose(QMatrix.identity(2))
-    assert residual <= 1e-12
-
-
-def test_matrix_exp_diagonal_j():
-    a = QMatrix([[Quaternion(0, 0, math.pi / 2, 0), ZERO], [ZERO, ZERO]])
-    exp_m, _ = matrix_exp(a, terms=20)
-    expected = QMatrix([[J, ZERO], [ZERO, ONE]])
-    assert exp_m.isclose(expected, tol=1e-10)
-
-
-def test_matrix_exp_scalar_i():
-    theta = 0.9
-    a = QMatrix.from_components(np.array([[(0, -theta, 0, 0), (0, 0, 0, 0)],
-                                          [(0, 0, 0, 0), (0, -theta, 0, 0)]], dtype=float))
-    exp_m, residual = matrix_exp(a, terms=20)
-    expected_entry = Quaternion(math.cos(theta), -math.sin(theta), 0, 0)
-    assert exp_m.entry(0, 0).isclose(expected_entry, tol=1e-10)
-    assert exp_m.entry(1, 1).isclose(expected_entry, tol=1e-10)
-    assert exp_m.entry(0, 1).isclose(ZERO, tol=1e-12)
-    assert residual < 1e-10
-
-
-def test_matrix_exp_matches_exp_axis():
-    theta = 1.1
-    a = QMatrix([[Quaternion(0, 0, 0, theta)]])
-    exp_m, _ = matrix_exp(a, terms=25)
-    assert exp_m.entry(0, 0).isclose(exp_axis(quat.K_AXIS, theta), tol=1e-12)
-
-
-def test_matrix_exp_validation():
-    with pytest.raises(ValueError):
-        matrix_exp(QMatrix.zeros(2, 3), terms=3)
-    with pytest.raises(ValueError):
-        matrix_exp(QMatrix.identity(2), terms=0)
-
-
-# -- tensor product ----------------------------------------------------------------
-
-def test_tensor_identities():
-    eye2 = QMatrix.identity(2)
-    assert tensor(eye2, eye2).isclose(QMatrix.identity(4))
-
-
-def test_tensor_hadamard_on_00():
-    h_on_first = tensor(hadamard_gate().matrix, QMatrix.identity(2))
-    out = matvec(h_on_first, QVector.basis(4, 0), MulSide.LEFT)
-    inv = 1 / math.sqrt(2)
-    assert out[0].isclose(inv * ONE, tol=1e-12)
-    assert out[2].isclose(inv * I, tol=1e-12)
-    assert out[1] == ZERO and out[3] == ZERO
-
-
-def test_tensor_diagonal_units():
-    a = QMatrix([[ONE, ZERO], [ZERO, I]])
-    b = QMatrix([[ONE, ZERO], [ZERO, J]])
-    out = tensor(a, b)
-    assert out.entry(0, 0) == ONE
-    assert out.entry(1, 1) == J
-    assert out.entry(2, 2) == I
-    assert out.entry(3, 3) == K  # i*j
-
-
-def test_tensor_matvec_compatibility_real_entries():
-    rng = np.random.default_rng(29)
-    for _ in range(20):
-        a_real = np.zeros((2, 2, 4))
-        b_real = np.zeros((2, 2, 4))
-        a_real[..., 0] = rng.uniform(-1, 1, size=(2, 2))
-        b_real[..., 0] = rng.uniform(-1, 1, size=(2, 2))
-        a, b = QMatrix.from_components(a_real), QMatrix.from_components(b_real)
-        u, v = rand_vector(rng, 2), rand_vector(rng, 2)
-        uv = QVector.from_components(
-            np.stack([q.as_tuple() for q in (u[0] * v[0], u[0] * v[1], u[1] * v[0], u[1] * v[1])])
-        )
-        lhs = matvec(tensor(a, b), uv, MulSide.LEFT)
-        au, bv = matvec(a, u, MulSide.LEFT), matvec(b, v, MulSide.LEFT)
-        rhs = QVector(
-            [au[0] * bv[0], au[0] * bv[1], au[1] * bv[0], au[1] * bv[1]]
-        )
-        assert lhs.isclose(rhs, tol=1e-9)
 
 
 # -- serialization ----------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hqec import quaternion as quat
 from hqec.quaternion import I_AXIS, K_AXIS, ImaginaryAxis, Quaternion, exp_axis
 from hqec.linalg import real_norm_sq
-from hqec.register import QRegister, component_strength
+from hqec.register import QRegister
 from hqec.codes import (
     PauliString,
     get_code,
@@ -32,7 +32,7 @@ from hqec.noise import (
     slot_cover,
 )
 
-from oracles import amplitude, left_scalar_mul, pauli_masks
+from oracles import amplitude, component_strength, left_scalar_mul, pauli_masks
 
 
 def bitflip_model(p, p_rot=0.0, **kw):

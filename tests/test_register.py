@@ -6,7 +6,7 @@ import pytest
 
 from hqec import quaternion as quat
 from hqec import register
-from hqec.quaternion import Quaternion, exp_axis
+from hqec.quaternion import Quaternion
 from hqec.linalg import MulSide, QMatrix, entry_products, is_unitary, matvec, real_norm_sq
 from hqec.register import (
     Gate,
@@ -14,11 +14,8 @@ from hqec.register import (
     apply_gate,
     bell_prepare,
     cnot_gate,
-    component_strength,
-    conditional_flip,
     hadamard_gate,
     identity_gate,
-    measure_qubit,
     pauli_gate,
     phased_pauli_gate,
     substitute_units,
@@ -462,112 +459,3 @@ def test_phased_x_equals_x_then_left_i():
     via_gate = apply_gate(reg, phased_pauli_gate("X"), [1])
     via_scalar = left_scalar_mul(apply_gate(reg, pauli_gate("X"), [1]), I)
     assert via_gate.amps.isclose(via_scalar.amps, tol=0.0)
-
-
-# -- measurement -----------------------------------------------------------------
-
-def test_measure_deterministic_zero():
-    out = measure_qubit(QRegister.computational(1, "0"), 1, rng_seed=5)
-    assert out.bit == 0
-    assert out.probability == 1.0
-    assert amplitude(out.post_state, "0") == ONE
-
-
-def test_measure_balanced_superposition():
-    arr = np.zeros((2, 4))
-    arr[0, 0] = INV_SQRT2
-    arr[1, 1] = INV_SQRT2
-    reg = QRegister.from_components(1, arr)
-    zeros = sum(
-        measure_qubit(reg, 1, rng_seed=s).bit == 0 for s in range(400)
-    )
-    assert 140 < zeros < 260  # p = 0.5 within generous bounds
-    out = measure_qubit(reg, 1, rng_seed=0)
-    assert out.probability == pytest.approx(0.5, abs=1e-12)
-
-
-def test_measure_quaternionic_amplitudes():
-    arr = np.zeros((2, 4))
-    arr[0] = (0.5, 0, 0.5, 0)  # (1+j)/2
-    arr[1] = (0.5, 0, 0, 0.5)  # (1+k)/2
-    reg = QRegister.from_components(1, arr)
-    out = measure_qubit(reg, 1, rng_seed=1)
-    assert out.probability == pytest.approx(0.5, abs=1e-12)
-    assert abs(real_norm_sq(out.post_state.amps) - 1.0) <= 1e-10
-
-
-def test_measure_completeness():
-    rng = np.random.default_rng(35)
-    for _ in range(20):
-        reg = rand_register(rng, 3)
-        comp = reg.amps.components
-        bits = (np.arange(8) >> 1) & 1  # qubit 2
-        p0 = float(np.sum(comp[bits == 0] ** 2))
-        p1 = float(np.sum(comp[bits == 1] ** 2))
-        assert p0 + p1 == pytest.approx(1.0, abs=1e-10)
-
-
-def test_measure_seed_determinism():
-    rng = np.random.default_rng(36)
-    reg = rand_register(rng, 2)
-    a = measure_qubit(reg, 1, rng_seed=123)
-    b = measure_qubit(reg, 1, rng_seed=123)
-    assert a.bit == b.bit and a.probability == b.probability
-
-
-def test_measure_rejects_zero_register():
-    reg = QRegister(1, __import__("hqec.linalg", fromlist=["QVector"]).QVector.zeros(2))
-    with pytest.raises(ValueError):
-        measure_qubit(reg, 1, rng_seed=0)
-
-
-# -- component strength -------------------------------------------------------------
-
-def test_component_strength_values():
-    arr = np.zeros((2, 4))
-    arr[0, 2] = 1.0  # j|0>
-    reg = QRegister.from_components(1, arr)
-    assert component_strength(reg, 1, "j") == 1.0
-    assert component_strength(reg, 1, "k") == 0.0
-
-
-def test_component_strength_after_rotation():
-    theta = 0.8
-    reg = left_scalar_mul(QRegister.computational(1, "0"), exp_axis(quat.K_AXIS, theta))
-    assert component_strength(reg, 1, "k") == pytest.approx(math.sin(theta) ** 2, abs=1e-12)
-
-
-def test_component_strength_validation():
-    reg = QRegister.computational(1, "0")
-    with pytest.raises(ValueError):
-        component_strength(reg, 2, "j")
-    with pytest.raises(ValueError):
-        component_strength(reg, 1, "w")
-
-
-# -- conditional flip --------------------------------------------------------------
-
-def test_conditional_flip_triggers_on_real_overlap():
-    reg = QRegister.computational(2, "10")
-    out = conditional_flip(reg, control=1, target=2)
-    assert amplitude(out, "11") == ONE
-
-
-def test_conditional_flip_ignores_zero_control():
-    reg = QRegister.computational(2, "00")
-    out = conditional_flip(reg, control=1, target=2)
-    assert out.amps.isclose(reg.amps, tol=0.0)
-
-
-def test_conditional_flip_ignores_imaginary_overlap():
-    arr = np.zeros((4, 4))
-    arr[2, 2] = 1.0  # j|10>: zero real part on the control-1 block
-    reg = QRegister.from_components(2, arr)
-    out = conditional_flip(reg, control=1, target=2)
-    assert out.amps.isclose(reg.amps, tol=0.0)
-
-
-def test_conditional_flip_validation():
-    reg = QRegister.computational(2, "00")
-    with pytest.raises(ValueError):
-        conditional_flip(reg, 1, 1)
