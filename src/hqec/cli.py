@@ -26,6 +26,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import quaternion as quat
 from .quaternion import ImaginaryAxis
@@ -54,19 +55,9 @@ from .codes import (
     get_code,
     verify_codewords,
 )
-from .noise import AngleDistribution, NoiseModel
-from .experiments import (
-    SweepConfig,
-    figure1_csv,
-    figure1_data,
-    figure1_fits_json,
-    fit_json,
-    fit_threshold,
-    parse_sweep_csv,
-    run_sweep,
-    sweep_csv,
-    thread_count,
-)
+if TYPE_CHECKING:  # the sweep stack loads only on the mc, fit and figure1 paths
+    from .experiments import SweepConfig
+    from .noise import AngleDistribution, NoiseModel
 
 DEFAULT_SEED = 0
 
@@ -127,6 +118,8 @@ def _parse_axis(spec) -> ImaginaryAxis:
 
 
 def _parse_angle(spec) -> AngleDistribution:
+    from .noise import AngleDistribution
+
     parts = spec.split(":") if isinstance(spec, str) else []
     if len(parts) != 2 or parts[0] not in ("fixed", "uniform"):
         raise ConfigError(f"rot_angle must be fixed:THETA or uniform:THETA_MAX, got {spec!r}")
@@ -280,8 +273,10 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     command = args.command
 
     if command in ("mc", "figure1"):
+        from . import experiments
+
         try:
-            thread_count()  # run_sweep reads HQEC_THREADS again; checked here for exit 3
+            experiments.thread_count()  # run_sweep reads HQEC_THREADS again; checked for exit 3
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         defaults = _FIGURE1_DEFAULTS if command == "figure1" else _MC_DEFAULTS
@@ -297,6 +292,8 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
 
 def _noise_model(merged: dict) -> NoiseModel:
     """The noise template, at p = 0, from the merged flag keys."""
+    from .noise import NoiseModel
+
     weights = merged["weights"]
     if not isinstance(weights, (tuple, list)):
         weights = _parse_weights(str(weights))
@@ -614,6 +611,8 @@ def _cmd_syndrome_table(config: RunConfig) -> int:
 
 
 def _sweep_config(params: dict, detect: bool) -> SweepConfig:
+    from .experiments import SweepConfig
+
     return SweepConfig(
         code_id=params["code"],
         noise=params["noise"],
@@ -626,32 +625,38 @@ def _sweep_config(params: dict, detect: bool) -> SweepConfig:
 
 
 def _cmd_mc(config: RunConfig) -> int:
+    from . import experiments
+
     sweep = _sweep_config(config.parameters, config.parameters["detect"])
-    _emit(sweep_csv(run_sweep(sweep)), config.output_path)
+    _emit(experiments.sweep_csv(experiments.run_sweep(sweep)), config.output_path)
     return 0
 
 
 def _cmd_fit(config: RunConfig) -> int:
+    from . import experiments
+
     try:
         with open(config.parameters["input"], "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read input CSV: {exc}") from None
     try:
-        result = parse_sweep_csv(text)
-        fit = fit_threshold(result)
+        fit = experiments.fit_threshold(experiments.parse_sweep_csv(text))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _emit(fit_json(fit) + "\n", config.output_path)
+    _emit(experiments.fit_json(fit) + "\n", config.output_path)
     return 0
 
 
 def _cmd_figure1(config: RunConfig) -> int:
+    from . import experiments
+
     params = config.parameters
-    data = figure1_data(_sweep_config(params, False), _sweep_config(params, True))
+    data = experiments.figure1_data(_sweep_config(params, False), _sweep_config(params, True))
     csv_path, json_path = _figure1_paths(config.output_path)
-    _write_file(csv_path, figure1_csv(data, include_model_curves=params["include_model"]))
-    _write_file(json_path, figure1_fits_json(data) + "\n")
+    csv_text = experiments.figure1_csv(data, include_model_curves=params["include_model"])
+    _write_file(csv_path, csv_text)
+    _write_file(json_path, experiments.figure1_fits_json(data) + "\n")
     sys.stdout.write(f"wrote {csv_path}\nwrote {json_path}\n")
     return 0
 

@@ -55,7 +55,6 @@ import math
 import numbers
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -526,6 +525,8 @@ def _run_sweeps(configs: tuple[SweepConfig, ...]) -> list[SweepResult]:
     workers = min(thread_count(), head.trials // CHUNK_TRIALS)
     parts = None
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
+
         bounds = np.linspace(0, head.trials, workers + 1, dtype=int)
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -645,33 +646,49 @@ def sweep_csv(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _unfit_field(pt: SweepPoint) -> str | None:
+    """The first field of a parsed CSV point that no sweep could have written."""
+    if not 0.0 < pt.p < 1.0:  # a comparison with NaN is false
+        return "p, not in (0, 1)"
+    if pt.trials < 1:
+        return "trials, below 1"
+    if not 0 <= pt.failures <= pt.trials:
+        return "failures, not in [0, trials]"
+    if not 0.0 <= pt.p_L <= 1.0:
+        return "p_L, not in [0, 1]"
+    if not math.isfinite(pt.stderr):
+        return "stderr, not finite"
+    return None
+
+
 def parse_sweep_csv(text: str) -> SweepResult:
+    """The sweep a ``sweep_csv`` text holds; ``ValueError`` names the first bad line."""
     reader = csv.reader(io.StringIO(text))
     expected = SWEEP_CSV_HEADER.split(",")
     header = next(reader, None)
     if header != expected:
         raise ValueError(f"bad CSV header: expected {expected}, got {header}")
-    rows = []
+    points, first = [], None
     for fields in filter(None, reader):  # blank lines are skipped
+        where = f"CSV line {reader.line_num}"
         if len(fields) != len(expected):
             raise ValueError(
-                f"CSV line {reader.line_num} has {len(fields)} fields, not {len(expected)}: "
-                f"{','.join(fields)!r}"
+                f"{where} has {len(fields)} fields, not {len(expected)}: {','.join(fields)!r}"
             )
-        rows.append(dict(zip(expected, fields)))
-    if not rows:
+        r = dict(zip(expected, fields))
+        try:
+            pt = SweepPoint(p=float(r["p"]), failures=int(r["failures"]), trials=int(r["trials"]),
+                            p_L=float(r["p_L"]), stderr=float(r["stderr"]))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        bad = _unfit_field(pt)
+        if bad is not None:
+            raise ValueError(f"{where} has a bad {bad}: {','.join(fields)!r}")
+        points.append(pt)
+        first = first or r
+    if first is None:
         raise ValueError("CSV has no data rows")
-    points = tuple(
-        SweepPoint(
-            p=float(r["p"]),
-            failures=int(r["failures"]),
-            trials=int(r["trials"]),
-            p_L=float(r["p_L"]),
-            stderr=float(r["stderr"]),
-        )
-        for r in rows
-    )
-    return SweepResult(rows[0]["code_id"], int(rows[0]["seed"]), points)
+    return SweepResult(first["code_id"], int(first["seed"]), tuple(points))
 
 
 def _fit_payload(fit: FitResult | None) -> dict | None:

@@ -372,6 +372,32 @@ def test_fuzzed_config_file_exits_0_or_3(tmp_path, monkeypatch, capsys, fuzzed):
     assert code in (0, 3), (body, err)
 
 
+# The fuzzed sweep flags of each command, and the text of every value class above.
+_FUZZ_FLAGS = {
+    "mc": ("--p", "--weights", "--rot-axis", "--rot-angle", "--rotations", "--threshold", "--out"),
+    "figure1": ("--p", "--rot-axis", "--rot-angle", "--rotations", "--threshold", "--out"),
+}
+_FUZZ_TEXT = _FUZZ_VALUES.map(str) | _FUZZ_VALUES.map(json.dumps)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(_FUZZ_FLAGS)), st.integers(-1, 3), st.data())
+def test_fuzzed_sweep_flags_exit_0_2_or_3(tmp_path, monkeypatch, capsys, command, trials, data):
+    monkeypatch.chdir(tmp_path)  # a fuzzed ``--out`` that is valid lands here
+    flags = data.draw(st.dictionaries(st.sampled_from(_FUZZ_FLAGS[command]), _FUZZ_TEXT,
+                                      min_size=1, max_size=4))
+    argv = [command, "--trials", str(trials)]
+    argv += ["--code", "three", "--p", "0.05:0.2:log:3"] if command == "mc" else ["--out", "f"]
+    # ``--flag=value`` hands argparse a value that starts with "-" as it is
+    argv += [f"{flag}={text}" for flag, text in flags.items()]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refused the command line
+        code = exc.code
+    assert code in (0, 2, 3), (argv, capsys.readouterr().err)
+
+
 # -- subcommand outputs ----------------------------------------------------------
 
 def test_bell_output(capsys):
@@ -584,6 +610,30 @@ _BAD_INPUTS = {
                      "CSV line 2 has 8 fields, not 7: 'three,0.1,10,1,0.1,0.09,7,8'"),
 }
 
+# A header, two good rows and one row that no sweep writes; the fit must refuse it.
+_FIT_HEAD = ("code_id,p,trials,failures,p_L,stderr,seed\n"
+             "three,0.01,100,1,0.01,0.00995,0\nthree,0.02,100,4,0.04,0.0196,0\n")
+_BAD_FIT_ROWS = {
+    "p_L inf": ("three,0.05,100,9,inf,0.0286,0", " has a bad p_L, not in [0, 1]"),
+    "p_L nan": ("three,0.05,100,9,nan,0.0286,0", " has a bad p_L, not in [0, 1]"),
+    "p_L above 1": ("three,0.05,100,9,1.5,0.0286,0", " has a bad p_L, not in [0, 1]"),
+    "p nan": ("three,nan,100,9,0.09,0.0286,0", " has a bad p, not in (0, 1)"),
+    "p negative": ("three,-1,100,9,0.09,0.0286,0", " has a bad p, not in (0, 1)"),
+    "p one": ("three,1,100,9,0.09,0.0286,0", " has a bad p, not in (0, 1)"),
+    "trials zero": ("three,0.05,0,0,0.09,0.0286,0", " has a bad trials, below 1"),
+    "failures negative": ("three,0.05,100,-1,0.09,0.0286,0",
+                          " has a bad failures, not in [0, trials]"),
+    "failures above trials": ("three,0.05,100,101,0.09,0.0286,0",
+                              " has a bad failures, not in [0, trials]"),
+    "stderr inf": ("three,0.05,100,9,0.09,inf,0", " has a bad stderr, not finite"),
+    "stderr nan": ("three,0.05,100,9,0.09,nan,0", " has a bad stderr, not finite"),
+    "trials not integer": ("three,0.05,1e2,9,0.09,0.0286,0", ": invalid literal for int()"),
+}
+_BAD_INPUTS.update({
+    f"fit {case}": (["fit", "--in", "IN"], f"{_FIT_HEAD}{row}\n", f"CSV line 4{fragment}")
+    for case, (row, fragment) in _BAD_FIT_ROWS.items()
+})
+
 
 @pytest.mark.parametrize("case", list(_BAD_INPUTS))
 def test_bad_input_exits_3_with_a_message_naming_it(capsys, tmp_path, case):
@@ -653,7 +703,7 @@ def test_unwritable_output_exits_3_before_any_work(monkeypatch, capsys, tmp_path
     monkeypatch.setattr(experiments, "count_failures", no_work("engine"))
     monkeypatch.setattr(cli, "_Findings", no_work("findings"))
     monkeypatch.setattr(cli, "build_syndrome_table", no_work("syndrome table"))
-    monkeypatch.setattr(cli, "fit_threshold", no_work("fit"))
+    monkeypatch.setattr(experiments, "fit_threshold", no_work("fit"))
     sweep = tmp_path / "sweep.csv"
     sweep.write_text("code_id,p,trials,failures,p_L,stderr,seed\nthree,0.1,10,1,0.1,0.09,0\n")
     argv = [str(sweep) if arg == "IN" else arg for arg in argv]

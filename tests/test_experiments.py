@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import tracemalloc
@@ -689,12 +690,13 @@ def counted_pools(monkeypatch) -> list:
     """The ``max_workers`` of each process pool the sweeps start from now on."""
     pools = []
 
-    class CountedPool(experiments.ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
+    # _run_sweeps imports the pool class from here when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     return pools
 
 
@@ -740,7 +742,7 @@ def test_pool_that_cannot_start_falls_back_to_serial(monkeypatch):
             attempts.append(kwargs.get("max_workers"))
             raise OSError("no process support")
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoProcesses)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoProcesses)
     monkeypatch.setattr(experiments, "CHUNK_TRIALS", 100)  # 300 trials: a pool of two
     monkeypatch.setenv("HQEC_THREADS", "2")
     assert (run_sweep(std), figure1_data(std, quat_cfg)) == serial
