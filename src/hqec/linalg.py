@@ -57,7 +57,7 @@ def left_mul_matrix(q: Quaternion) -> np.ndarray:
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=float)
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -65,6 +65,10 @@ def _validate_components(arr: np.ndarray, expected_ndim: int) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     if arr.ndim != expected_ndim or arr.shape[-1] != 4:
         raise ValueError(f"expected shape (..., 4) with ndim {expected_ndim}, got {arr.shape}")
+    return _finite(arr)
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
     if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError("components must be finite")
     return arr
@@ -82,23 +86,23 @@ class QVector:
         self._c = _freeze(np.array(rows))
 
     @classmethod
-    def from_components(cls, arr: np.ndarray, *, copy: bool = True) -> "QVector":
-        """Vector of a ``(dim, 4)`` component array, which must be finite.
-
-        With ``copy=False`` a float64 C-contiguous ``arr`` becomes the
-        vector's storage and is made read-only; the caller hands it over and
-        must not write to it through another reference.
-        """
+    def from_components(cls, arr: np.ndarray) -> "QVector":
+        """Vector of a copy of a ``(dim, 4)`` component array, which must be finite."""
         arr = _validate_components(arr, 2)
         if arr.shape[0] < 1:
             raise ValueError("vector must have at least one amplitude")
-        return cls._wrap(arr.copy() if copy else arr)
+        return cls._wrap(arr.copy())
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "QVector":
         v = object.__new__(cls)
         v._c = _freeze(arr)
         return v
+
+    @classmethod
+    def _take(cls, arr: np.ndarray) -> "QVector":
+        """Vector that takes over a new float64 ``(dim, 4)`` ``arr``; only finiteness is checked."""
+        return cls._wrap(_finite(arr))
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "QVector":

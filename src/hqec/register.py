@@ -56,6 +56,13 @@ class QRegister:
     def from_components(cls, n: int, arr: np.ndarray) -> "QRegister":
         return cls(n, QVector.from_components(arr))
 
+    @classmethod
+    def _take(cls, n: int, arr: np.ndarray) -> "QRegister":
+        """Register that takes over a new ``(2**n, 4)`` ``arr``; only finiteness is checked."""
+        reg = object.__new__(cls)
+        reg._n, reg._amps = n, QVector._take(arr)
+        return reg
+
     @property
     def n(self) -> int:
         return self._n
@@ -193,44 +200,53 @@ def identity_gate() -> Gate:
     return pauli_gate("I")
 
 
-@functools.lru_cache(maxsize=1024)
-def _layout(n: int, targets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Tensor shape, axis permutation and its inverse for ``targets`` of ``n`` qubits.
+#: Byte budget of the layout cache, oldest out first; a layout holds 16 B per row.
+_LAYOUT_CACHE_BYTES = 1 << 24
+_layouts: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _layout(n: int, targets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Cached row order with the ``targets`` bits last, in order, and its inverse.
 
     Raises unless the targets are distinct and in ``1..n``; no exception is
-    cached, so a bad pair raises on every call.
+    cached.  The arrays stay writeable: ``take`` copies read-only indices.
     """
+    cached = _layouts.get((n, targets))
+    if cached is not None:
+        return cached
     if len(set(targets)) != len(targets):
         raise ValueError("targets must be distinct")
     for q in targets:
         if not 1 <= q <= n:
             raise ValueError(f"target {q} out of range 1..{n}")
     axes = [q - 1 for q in targets]
-    perm = [q for q in range(n) if q not in axes] + axes + [n]
-    inverse = sorted(range(n + 1), key=perm.__getitem__)
-    return (2,) * n + (4,), tuple(perm), tuple(inverse)
+    perm = [q for q in range(n) if q not in axes] + axes
+    order = np.arange(1 << n).reshape((2,) * n).transpose(perm).ravel()
+    layout = order, np.argsort(order)
+    if 2 * order.nbytes <= _LAYOUT_CACHE_BYTES:
+        while 2 * sum(o.nbytes for o, _ in (layout, *_layouts.values())) > _LAYOUT_CACHE_BYTES:
+            del _layouts[next(iter(_layouts))]
+        _layouts[n, targets] = layout
+    return layout
 
 
 def apply_gate(reg: QRegister, gate: Gate, targets: list[int] | tuple[int, ...]) -> QRegister:
     """Apply ``gate`` to 1-based ``targets`` using the gate's multiplication side.
 
-    The amplitudes are viewed as a ``(2,)*n + (4,)`` tensor with the target
-    axes moved last, in order, and multiplied once by :attr:`Gate.operator`,
-    so no ``2**n x 2**n`` matrix is ever built.  The first target is the most
-    significant bit of the gate's row and column index.  The layout and the
-    target checks are computed once per ``(n, targets)`` and then reused.
+    The amplitude rows are gathered with the target bits last, in order, so
+    each ``2**arity`` rows make one row multiplied by :attr:`Gate.operator`,
+    and the product's rows are gathered back; no ``2**n x 2**n`` matrix is
+    built.  The first target is the most significant bit of the gate's row
+    and column index.  Row orders and target checks are cached per layout.
     """
-    targets = tuple(targets)
     if len(targets) != gate.arity:
         raise ValueError(f"gate {gate.name} has arity {gate.arity}, got {len(targets)} targets")
     n = reg.n
-    shape, perm, inverse = _layout(n, tuple(map(operator.index, targets)))
-    front = reg.amps.components.reshape(shape).transpose(perm)
-    product = front.reshape(-1, 4 << gate.arity) @ gate.operator
-    out = product.reshape(front.shape).transpose(inverse).reshape(2**n, 4)
-    del product  # freed before the finiteness check, unless ``out`` is a view of it
-    # ``out`` is new and held nowhere else, so the register takes it without a copy.
-    return QRegister(n, QVector.from_components(out, copy=False))
+    order, back = _layout(n, tuple(map(operator.index, targets)))
+    # The gathered rows are a temporary, so at most two state-sized arrays live at once.
+    width = 4 << gate.arity
+    product = reg.amps.components.take(order, axis=0).reshape(-1, width).dot(gate.operator)
+    return QRegister._take(n, product.reshape(-1, 4).take(back, axis=0))
 
 
 def bell_prepare() -> QRegister:

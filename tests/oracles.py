@@ -39,8 +39,9 @@ def left_scalar_mul(reg: QRegister, q: quat.Quaternion) -> QRegister:
 def uncached_apply_gate(reg: QRegister, gate: Gate, targets) -> QRegister:
     """``register.apply_gate`` with its layout and target checks worked out on every call.
 
-    The same transpose and the same single matmul by ``gate.operator``, so
-    its amplitudes must equal the library's bit for bit.
+    The same row order, reached by a transpose instead of a row gather, and
+    the same single product by ``gate.operator``, so its amplitudes must
+    equal the library's bit for bit.
     """
     targets = tuple(targets)
     if len(targets) != gate.arity:
@@ -57,9 +58,7 @@ def uncached_apply_gate(reg: QRegister, gate: Gate, targets) -> QRegister:
     front = reg.amps.components.reshape((2,) * n + (4,)).transpose(perm)
     product = front.reshape(-1, 4 << a) @ gate.operator
     out = product.reshape(front.shape).transpose(inverse).reshape(2**n, 4)
-    del product  # freed before the finiteness check, unless ``out`` is a view of it
-    # ``out`` is new and held nowhere else, so the register takes it without a copy.
-    return QRegister(n, QVector.from_components(out, copy=False))
+    return QRegister(n, QVector.from_components(out))
 
 
 def component_strength(reg: QRegister, qubit: int, axis: str) -> float:

@@ -182,6 +182,7 @@ def test_apply_gate_working_set_is_a_few_states():
     rng = np.random.default_rng(46)
     reg = rand_register(rng, 12)
     state_bytes = reg.amps.components.nbytes
+    register._layouts.clear()  # each call below builds its layout
     for gate, targets in ((hadamard_gate(), [6]), (cnot_gate(), [12, 1]), (t_gate(), [12])):
         gate.operator  # built outside the traced call
         tracemalloc.start()
@@ -194,12 +195,13 @@ def test_apply_gate_working_set_is_a_few_states():
 
 
 def test_apply_gate_keeps_no_copy_of_its_result():
-    # The product and its laid-out result: two state-sized buffers, plus the
+    # The product and its gathered result: two state-sized buffers, plus the
     # finiteness check's boolean mask.
     rng = np.random.default_rng(47)
     reg = rand_register(rng, 12)
     gate = cnot_gate()
     gate.operator  # built outside the traced call
+    register._layout(12, (12, 1))  # so is the layout, half a state of row indices
     tracemalloc.start()
     try:
         out = apply_gate(reg, gate, [12, 1])
@@ -298,10 +300,15 @@ def test_bell_on_far_apart_qubits_of_16():
 # -- the layout cache ---------------------------------------------------------
 
 def layout_keys(rng):
-    """Distinct ``(n, targets)`` pairs: random ones plus reversed and far-apart pairs."""
-    keys = {(n, pair) for n in (2, 5, 8) for pair in ((n, 1), (1, n), (2, 1), (n, n - 1))}
-    while len(keys) < 72:
-        n = int(rng.integers(1, 9))
+    """Distinct ``(n, targets)`` pairs up to 12 qubits.
+
+    Random ones, reversed and far-apart pairs, and identity layouts, whose
+    targets are already the last qubits in order.
+    """
+    keys = {(n, pair) for n in (2, 5, 8, 12) for pair in ((n, 1), (1, n), (2, 1), (n, n - 1))}
+    keys |= {(n, tuple(range(n - a + 1, n + 1))) for n in (3, 7, 12) for a in (1, 2, 3)}
+    while len(keys) < 96:
+        n = int(rng.integers(1, 13))
         arity = int(rng.integers(1, min(n, 3) + 1))
         keys.add((n, tuple(int(q) for q in rng.permutation(np.arange(1, n + 1))[:arity])))
     return sorted(keys)
@@ -312,8 +319,8 @@ def test_apply_gate_equals_the_uncached_oracle_bit_for_bit_cold_and_warm():
     keys = layout_keys(rng)
     calls = [key for key in keys for _ in range(int(rng.integers(2, 4)))]
     rng.shuffle(calls)
-    sides = set()
-    register._layout.cache_clear()
+    sides, built = set(), {}
+    register._layouts.clear()
     for n, targets in calls:
         arity = len(targets)
         side = (MulSide.LEFT, MulSide.RIGHT)[int(rng.integers(2))]
@@ -324,9 +331,36 @@ def test_apply_gate_equals_the_uncached_oracle_bit_for_bit_cold_and_warm():
         out = apply_gate(reg, gate, list(targets))
         want = uncached_apply_gate(reg, gate, targets)
         assert np.array_equal(out.amps.components, want.amps.components), (n, targets, side)
-    info = register._layout.cache_info()
-    assert (info.misses, info.hits) == (len(keys), len(calls) - len(keys))
+        layout = register._layouts[n, targets]
+        assert built.setdefault((n, targets), layout) is layout  # built once, then reused
+    assert len(built) == len(register._layouts) == len(keys)
     assert sides == {MulSide.LEFT, MulSide.RIGHT}
+    assert {len(targets) for _, targets in keys} == {1, 2, 3}
+    assert max(n for n, _ in keys) == 12
+
+
+def test_layout_cache_holds_16_bytes_a_row_within_its_byte_budget(monkeypatch):
+    assert register._LAYOUT_CACHE_BYTES == 1 << 24
+    register._layouts.clear()
+    for n in (3, 10):
+        order, back = register._layout(n, (1,))
+        assert order.dtype == back.dtype == np.intp
+        assert order.nbytes + back.nbytes == 16 * 2**n
+        assert order.flags.writeable and back.flags.writeable  # take copies read-only ones
+        assert np.array_equal(order[back], np.arange(2**n))
+    # Three 10-qubit layouts fit the budget; each new one drops the oldest.
+    monkeypatch.setattr(register, "_LAYOUT_CACHE_BYTES", 3 * 16 * 2**10)
+    register._layouts.clear()
+    for q in range(1, 6):
+        register._layout(10, (q,))
+        assert sum(o.nbytes + b.nbytes for o, b in register._layouts.values()) <= 3 * 16 * 2**10
+    assert list(register._layouts) == [(10, (3,)), (10, (4,)), (10, (5,))]
+    register._layout(3, (1,))
+    assert list(register._layouts) == [(10, (4,)), (10, (5,)), (3, (1,))]
+    # A layout larger than the whole budget is built but neither cached nor evicting.
+    order, back = register._layout(12, (2, 7))
+    assert order.nbytes + back.nbytes == 16 * 2**12
+    assert list(register._layouts) == [(10, (4,)), (10, (5,)), (3, (1,))]
 
 
 def raised(call):
@@ -352,7 +386,7 @@ def raised(call):
 )
 def test_bad_targets_raise_the_same_on_a_fresh_and_a_warm_cache(gate, bad, good, error):
     reg = QRegister.computational(3, 0)
-    register._layout.cache_clear()
+    register._layouts.clear()
     assert raised(lambda: apply_gate(reg, gate, bad)) == error
     assert raised(lambda: apply_gate(reg, gate, bad)) == error  # no exception is cached
     apply_gate(reg, *good)
@@ -365,7 +399,7 @@ def test_bool_and_numpy_integer_targets_give_the_amplitudes_of_plain_ints():
              (cnot_gate(), [np.int64(3), True], [3, 1]),
              (t_gate(), (np.int64(2),), [2])]
     for odd_first in (True, False):
-        register._layout.cache_clear()
+        register._layouts.clear()
         for gate, odd, plain in cases:
             order = (odd, plain) if odd_first else (plain, odd)
             a, b = (apply_gate(reg, gate, targets).amps.components for targets in order)
