@@ -25,7 +25,9 @@ import numpy as np
 
 from . import quaternion as quat
 from .quaternion import Quaternion, phase_label
-from .linalg import QVector, inner_product, left_mul_matrix, real_norm_sq
+from .linalg import (
+    HAMILTON_INDEX, HAMILTON_SIGNS, QVector, inner_product, left_mul_matrix, real_norm_sq,
+)
 from .register import UNIT_FOR_LETTER, QRegister
 
 LETTERS = ("I", "X", "Y", "Z")
@@ -130,9 +132,16 @@ class Syndrome:
             if bit not in (-1, 1):
                 raise ValueError(f"syndrome bits must be +1 or -1, got {bit}")
 
+    @classmethod
+    def _of(cls, bits: tuple[int, ...]) -> "Syndrome":
+        # For a tuple that holds only +1 and -1 by construction: nothing is checked.
+        syndrome = object.__new__(cls)
+        object.__setattr__(syndrome, "bits", bits)
+        return syndrome
+
     @property
     def trivial(self) -> bool:
-        return all(bit == 1 for bit in self.bits)
+        return -1 not in self.bits
 
     def __str__(self) -> str:
         return "(" + ",".join(f"{b:+d}" for b in self.bits) + ")"
@@ -359,28 +368,31 @@ class CodewordReport:
 def verify_codewords(code: StabilizerCode) -> CodewordReport:
     """Check the generators fix both codewords and the logicals act as declared.
 
-    The images of the m generators, logical Z and logical X on both
-    codewords are built in one pass with :func:`apply_pauli`'s arithmetic:
-    amplitude ``j`` of an image is the left-mul matrix of the operator's
-    unit scalar times amplitude ``j ^ x``, signed by the parity of
-    ``(j ^ x) & z``.  A unit's left-mul entries are 0 or +-1, so every
-    product is exact.  Each image is then compared with its target at
-    :data:`quaternion.TOLERANCE`.
+    A generator must map each codeword onto itself, logical Z |0> and -|1>
+    onto |0> and |1>, and logical X |1> and |0> onto |0> and |1>.  As in
+    :func:`apply_pauli`, amplitude ``j`` of an image is the source's
+    amplitude ``j ^ x``, negated for odd parity of ``(j ^ x) & z``, times
+    the unit scalar ``u`` on the left, which moves component ``t ^ u`` to
+    ``t`` with a sign.  So all images are one exact gather from the stacked
+    ``(|0>, |1>, -|0>, -|1>)`` times one sign array, each compared with its
+    codeword at :data:`quaternion.TOLERANCE`.
     """
     ops = (*code.generators, code.logical_z, code.logical_x)
     zero, one = code.codeword_zero.amps.components, code.codeword_one.amps.components
+    signed, m = np.stack((zero, one, -zero, -one)), len(code.generators)
     source = np.arange(1 << code.n) ^ np.array([op.x for op in ops])[:, None]
-    signs = 1.0 - 2.0 * (np.bitwise_count(source & np.array([op.z for op in ops])[:, None]) & 1)
-    scalars = np.stack([left_mul_matrix(_pauli_scalar(op)).T for op in ops])[:, None]
-    images = (np.stack((zero[source], one[source]), axis=1) @ scalars) * signs[:, None, :, None]
-    m = len(code.generators)
-    targets = np.stack([(zero, one)] * m + [(zero, -one), (one, zero)])
-    ok = np.all(np.abs(images - targets) <= quat.TOLERANCE, axis=(2, 3))
+    negate = (np.bitwise_count(source & np.array([op.z for op in ops])[:, None]) & 1) << 1
+    units = np.array([_pauli_scalar(op).as_tuple() for op in ops])
+    # The row of ``signed`` each op maps onto codeword c; row ^ 2 negates it.
+    rows = np.array([(0, 1)] * m + [(0, 3), (1, 0)])[:, :, None, None] ^ negate[:, None, :, None]
+    perm = HAMILTON_INDEX[units.nonzero()[1]][:, None, None]
+    images = signed[rows, source[:, None, :, None], perm] * (units @ HAMILTON_SIGNS)[:, None, None]
+    ok = (np.abs(images - signed[:2]) <= quat.TOLERANCE).all(axis=(2, 3))
     checks = tuple(
-        CodewordCheck(g.word(), fixes_zero=bool(f0), fixes_one=bool(f1))
+        CodewordCheck(g.word(), fixes_zero=f0, fixes_one=f1)
         for g, (f0, f1) in zip(code.generators, ok.tolist())
     )
-    return CodewordReport(code.code_id, checks, bool(ok[m].all()), bool(ok[m + 1].all()))
+    return CodewordReport(code.code_id, checks, all(ok[m].tolist()), all(ok[m + 1].tolist()))
 
 
 # -- shipped codes ---------------------------------------------------------
@@ -511,21 +523,16 @@ def build_syndrome_table(code: StabilizerCode) -> SyndromeTable:
     changes a commutation syndrome, so the variant shares the row's.
     """
     m = len(code.generators)
-    rows = []
-    for qubit, signatures in enumerate(code.signatures.tolist(), start=1):
-        for letter, signature in zip(_ERROR_LETTERS, signatures):
-            phase = UNIT_FOR_LETTER[letter]
-            rows.append(
-                SyndromeTableRow(
-                    qubit=qubit,
-                    letter=letter,
-                    phase=phase,
-                    error_label=f"{letter}{qubit}",
-                    variants=(f"{phase_label(phase).lstrip('+')}{letter}{qubit}",),
-                    syndrome=Syndrome(tuple(-1 if signature >> i & 1 else 1 for i in range(m))),
-                )
-            )
-    return SyndromeTable(code.code_id, m, tuple(rows))
+    # Bit i of a signature set means generator i reads -1.
+    bits = (1 - 2 * (code.signatures[..., None] >> np.arange(m) & 1)).tolist()
+    prefixes = [phase_label(UNIT_FOR_LETTER[letter]).lstrip("+") for letter in _ERROR_LETTERS]
+    rows = tuple(
+        SyndromeTableRow(qubit, letter, UNIT_FOR_LETTER[letter], f"{letter}{qubit}",
+                         (f"{prefix}{letter}{qubit}",), Syndrome._of(tuple(syndrome)))
+        for qubit, letters in enumerate(bits, start=1)
+        for letter, prefix, syndrome in zip(_ERROR_LETTERS, prefixes, letters)
+    )
+    return SyndromeTable(code.code_id, m, rows)
 
 
 #: Published syndrome assignments for the paper5 code, stored verbatim as
@@ -581,7 +588,7 @@ def audit_against_paper(table: SyndromeTable) -> AuditReport:
     trivial = []
     for row in table.rows:
         reference = Syndrome(REFERENCE_TABLE2[(row.letter, row.qubit)])
-        match = row.syndrome == reference
+        match = row.syndrome.bits == reference.bits
         mismatches += not match
         rows.append(AuditRow(row.error_label, row.syndrome, reference, match))
         by_syndrome.setdefault(row.syndrome.bits, []).append(row.error_label)

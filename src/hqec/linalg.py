@@ -21,6 +21,10 @@ import numpy as np
 from .quaternion import TOLERANCE, Quaternion
 
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+# Component t of the Hamilton product a * b is the sum over u = 0..3, in order,
+# of HAMILTON_SIGNS[u, t] * a[u] * b[t ^ u]; HAMILTON_INDEX[u, t] is t ^ u.
+HAMILTON_INDEX = np.arange(4) ^ np.arange(4)[:, None]
+HAMILTON_SIGNS = np.array([[1, 1, 1, 1], [-1, 1, -1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1]], float)
 
 
 def qmul_components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -258,19 +262,23 @@ def is_unitary(u: QMatrix, tol: float = TOLERANCE) -> UnitarityReport:
     """Check ``U * U+ == I`` (left entry-multiplication throughout).
 
     The report carries the largest entrywise quaternion-norm deviation
-    from the identity and the offending entry index.
+    from the identity and the offending entry index.  The residual equals
+    :func:`qmul_components` summed over k bit for bit: term ``[u, r, k, c, t]``
+    is ``U[r, k, u]`` times the adjoint's signed component ``t ^ u`` at
+    ``(k, c)``, and the terms are added over u in that order, then over k.
     """
     if u.rows != u.cols:
         raise ValueError(f"unitarity check needs a square matrix, got {u.shape}")
-    # The left-to-right product with the adjoint on the bare arrays, then the
-    # identity taken off in place.
-    delta = qmul_components(u.components[:, :, None], adjoint(u).components[None]).sum(axis=1)
-    delta[np.arange(u.rows), np.arange(u.rows), 0] -= 1.0
-    norms = np.sqrt(np.sum(delta * delta, axis=-1))
-    worst_flat = int(np.argmax(norms))
-    worst = (worst_flat // u.cols, worst_flat % u.cols)
+    signed = adjoint(u).components[:, :, HAMILTON_INDEX] * HAMILTON_SIGNS
+    # C order keeps each term contiguous, so the k sum runs in row order.
+    left = u.components.transpose(2, 0, 1)[:, :, :, None, None]
+    terms = np.multiply(left, signed.transpose(2, 0, 1, 3)[:, None], order="C")
+    delta = (terms[0] + terms[1] + terms[2] + terms[3]).sum(axis=1).reshape(-1, 4)
+    delta[:: u.rows + 1, 0] -= 1.0
+    norms = np.sqrt(np.add.reduce(delta * delta, axis=-1))
+    worst = int(norms.argmax())
     max_dev = float(norms[worst])
-    return UnitarityReport(passed=max_dev <= tol, max_deviation=max_dev, worst_entry=worst, tol=tol)
+    return UnitarityReport(max_dev <= tol, max_dev, divmod(worst, u.rows), tol)
 
 
 def phase_alignment_check(u: QMatrix, tol: float = TOLERANCE) -> bool:

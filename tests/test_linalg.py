@@ -17,7 +17,14 @@ from hqec.linalg import (
     phase_alignment_check,
     real_norm_sq,
 )
-from hqec.register import cnot_gate, hadamard_gate, t_gate
+from hqec.register import (
+    cnot_gate,
+    hadamard_gate,
+    identity_gate,
+    pauli_gate,
+    phased_pauli_gate,
+    t_gate,
+)
 
 from oracles import identity_matrix, matmul, matrix_from_dict, right_scalar_mul
 
@@ -224,6 +231,54 @@ def test_is_unitary_equals_the_matmul_adjoint_reference_bit_for_bit():
         report = is_unitary(u)
         assert report.max_deviation == float(norms[worst])
         assert report.worst_entry == tuple(map(int, worst))
+
+
+def _audit_gates():
+    """The ten gates the audit commands check, from their public factories."""
+    return [
+        hadamard_gate(), cnot_gate(), *(pauli_gate(letter) for letter in "XYZ"), t_gate(),
+        *(phased_pauli_gate(letter) for letter in "XYZ"), identity_gate(),
+    ]
+
+
+def _reference_unitarity(u):
+    """Largest deviation of the written-out ``U * U+`` from I, and its entry."""
+    delta = matmul(u, adjoint(u)).components - identity_matrix(u.rows).components
+    norms = np.sqrt(np.sum(delta * delta, axis=-1))
+    worst = np.unravel_index(np.argmax(norms), norms.shape)
+    return float(norms[worst]), tuple(map(int, worst))
+
+
+def _sparse_unit_matrix(rng, n):
+    """An ``n x n`` matrix of signed units and zeros; every zero component has a random sign."""
+    arr = rng.choice(np.array([0.0, -0.0]), size=(n, n, 4))
+    rows, cols = np.nonzero(rng.random((n, n)) < 0.5)
+    arr[rows, cols, rng.integers(4, size=rows.size)] = rng.choice([1.0, -1.0], size=rows.size)
+    return QMatrix.from_components(arr)
+
+
+def test_is_unitary_equals_the_reference_on_gates_tiny_and_sparse_unit_matrices():
+    rng = np.random.default_rng(22)
+    matrices = [gate.matrix for gate in _audit_gates()]
+    matrices += [rand_matrix(rng, 1, 1) for _ in range(50)]
+    matrices += [_sparse_unit_matrix(rng, n) for n in rng.integers(1, 7, size=300)]
+    for u in matrices:
+        report = is_unitary(u)
+        max_dev, worst = _reference_unitarity(u)
+        assert repr(report.max_deviation) == repr(max_dev)
+        assert report.worst_entry == worst
+
+
+def test_is_unitary_pins_the_audit_gates_deviation_and_worst_entry():
+    unitary = ("CNOT", "X", "Y", "Z", "T", "iX", "jY", "kZ", "I")
+    expected = {name: ("0.0", (0, 0)) for name in unitary}
+    expected["H"] = ("0.9999999999999998", (0, 1))
+    pinned = {}
+    for gate in _audit_gates():
+        report = is_unitary(gate.matrix)
+        pinned[gate.name] = (repr(report.max_deviation), report.worst_entry)
+        assert report.passed == (gate.name != "H"), gate.name
+    assert pinned == expected
 
 
 # -- phase alignment ---------------------------------------------------------------
