@@ -41,7 +41,7 @@ _EXPORTS = {
     ), "noise"),
     **dict.fromkeys((
         "FitResult", "SweepConfig", "SweepResult", "closed_form_three_qubit", "figure1_data",
-        "fit_threshold", "run_sweep", "run_trial", "scaling_model", "suppression_factor",
+        "fit_threshold", "run_sweep", "scaling_model", "suppression_factor",
     ), "experiments"),
 }
 

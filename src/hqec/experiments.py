@@ -19,7 +19,7 @@ Sweeps derive every trial from ``(seed, trial)`` alone, which makes the
 results independent of the parallelism degree (``HQEC_THREADS``) and lets
 paired configurations share their noise realizations.
 
-:func:`run_trial` and :func:`score_event` score one trial and are the
+:func:`score_event` scores the sampled event of one trial and is the
 reference.  Sweeps run the batched engine, :func:`count_failures`: it
 draws the uniforms of a chunk of trials at once (at most
 :data:`CHUNK_TRIALS` trials and :data:`CHUNK_WORDS` words) and scores
@@ -34,15 +34,14 @@ nonzero: the rotations of an event share one axis, so each slot is the
 reference slot times a product of unit quaternions, and detection and
 correction are per-qubit slot sums and inverse units.  With a ``fixed``
 angle a trial's verdict depends only on which qubits it rotates, so
-:func:`rotation_verdicts` scores all ``2**n`` subsets once per process
-and a chunk looks its trials up; with a ``uniform`` angle, or while
-``2**n`` exceeds the ``CHUNK_WORDS // (3 * n)`` trials of a fixed-angle
-chunk, each chunk scores its own rotated trials.  A subset or trial whose
-compared excesses lie within :data:`GUARD` of the threshold, where the
-other summation order could flip the verdict, is scored by
-:func:`score_event` instead.  :func:`figure1_data` scores both pipelines
-in one pass of the engine, so they share the draws, the Pauli failures
-and the subset indices or damaged states.
+:func:`rotation_verdicts` keeps a per-process memo of the ``2**n``
+subsets and scores only those a chunk brings that it has not seen; with
+a ``uniform`` angle each chunk scores its own rotated trials.  A subset
+or trial whose compared excesses lie within :data:`GUARD` of the
+threshold, where the other summation order could flip the verdict, is
+scored by :func:`score_event` instead.  :func:`figure1_data` scores both
+pipelines in one pass of the engine, so they share the draws, the Pauli
+failures and the subset indices or damaged states.
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ from .noise import (
     pauli_letters,
     philox_uniforms,
     rotation_angles,
-    sample_error,
     slot_cover,
 )
 from .linalg import left_mul_matrix
@@ -223,19 +221,6 @@ def score_event(
     return jk_excess(damaged, reference) > threshold
 
 
-def run_trial(
-    code: StabilizerCode,
-    noise: NoiseModel,
-    seed: int,
-    trial: int,
-    quaternionic_detection: bool = False,
-    detection_threshold: float = DEFAULT_DETECTION_THRESHOLD,
-) -> bool:
-    """Sample the event for ``(seed, trial)`` and score it; True means failure."""
-    event = sample_error(noise, code.n, seed, trial)
-    return score_event(code, event, quaternionic_detection, detection_threshold)
-
-
 def thread_count() -> int:
     """Worker count from ``HQEC_THREADS``: unset means 1, 0 means every CPU.
 
@@ -265,8 +250,8 @@ CHUNK_TRIALS = 8192
 #: Philox words the engine draws per batch, which bounds its working set
 #: whatever the trial count: a batch holds ``CHUNK_WORDS // w`` trials that
 #: read ``w`` words each (3276 Pauli-only perfect5 trials, 2184 with fixed
-#: angles).  It also bounds :func:`rotation_verdicts`, which the engine uses
-#: only while its ``2**n`` rows fit in a fixed-angle batch.
+#: angles).  It also bounds the rows :func:`rotation_verdicts` scores at
+#: once, which are the distinct unseen subsets of one batch.
 CHUNK_WORDS = 2**15
 
 #: Half-width of the band around the detection threshold in which the
@@ -284,11 +269,12 @@ def count_failures(
 
     The batched trial engine.  A pipeline is a ``(noise, detect, threshold)``
     triple whose ``noise`` is a template; each point replaces its ``p``.
-    Entry ``[j][i]`` equals the number of those trials for which
-    ``run_trial(code, noise.with_p(p_values[i]), seed, t, detect, threshold)``
-    of pipeline ``j`` fails, bit for bit.  Trials are scored in chunks of at
-    most :data:`CHUNK_TRIALS` trials and :data:`CHUNK_WORDS` draws, so the
-    working set does not grow with the trial count.  The uniforms of a chunk
+    Entry ``[j][i]`` equals the number of those trials ``t`` whose event
+    :func:`~hqec.noise.sample_error` draws for ``(seed, t)`` from pipeline
+    ``j``'s noise at ``p_values[i]`` fails :func:`score_event` with its
+    ``detect`` and ``threshold``, bit for bit.  Trials are scored in chunks
+    of at most :data:`CHUNK_TRIALS` trials and :data:`CHUNK_WORDS` draws, so
+    the working set does not grow with the trials.  The uniforms of a chunk
     are drawn once for every point and pipeline: ``2 * n`` words without
     rotations, ``3 * n`` when every angle is ``fixed``, else ``4 * n``.
     Only the trials hit below the largest ``p`` can fail on the Pauli
@@ -296,14 +282,13 @@ def count_failures(
     scored on it.  The letters are mapped to signatures once per chunk,
     shared by pipelines whose Pauli weights agree, and each point XORs the
     signatures of the qubits hit below its ``p``.  The rotation channel
-    does not depend on ``p``.  With a ``fixed`` angle, and while ``2**n`` is
-    at most ``CHUNK_WORDS // (3 * n)``, a trial's verdict is read from
-    :func:`rotation_verdicts` by the set of qubits it rotates.  Otherwise
-    the chunk's rotated trials are scored once, as arrays of damaged
-    ``|0_L>`` states shared by pipelines whose rotation parameters agree,
-    and a trial whose compared excesses lie within :data:`GUARD` of the
-    threshold is scored again through :func:`run_trial` with its Pauli part
-    removed.
+    does not depend on ``p``.  With a ``fixed`` angle a trial's verdict is
+    read from :func:`rotation_verdicts` by the set of qubits it rotates.
+    With a ``uniform`` one the chunk's rotated trials are scored once, as
+    arrays of damaged ``|0_L>`` states shared by pipelines whose rotation
+    parameters agree, and a trial whose compared excesses lie within
+    :data:`GUARD` of the threshold is scored again through
+    :func:`score_event` with its Pauli part removed.
     """
     if not 0 <= start <= stop <= 2**64:
         raise ValueError(f"need 0 <= start <= stop <= 2**64, got {start}, {stop}")
@@ -349,17 +334,17 @@ def _chunk_failures(code, pipelines, p_values, seed, trials, width) -> list[list
             ]
         failed = pauli[weights]
         if noise.p_rot > 0.0:
-            if noise.rot_angle.kind == "fixed" and 2**n <= CHUNK_WORDS // (3 * n):
+            if noise.rot_angle.kind == "fixed":
                 if noise.p_rot not in subsets:
                     turned = draws[:, 2 * n : 3 * n] < noise.p_rot
                     subsets[noise.p_rot] = turned @ (1 << np.arange(n))
-                table = rotation_verdicts(code, noise.rot_axis, noise.rot_angle.theta,
-                                          noise.rot_mode, detect, threshold)
-                rotated = table[subsets[noise.p_rot]]
+                rotated = rotation_verdicts(code, noise.rot_axis, noise.rot_angle.theta,
+                                            noise.rot_mode, detect, threshold,
+                                            subsets[noise.p_rot])
             else:
                 key = (noise.p_rot, noise.rot_axis, noise.rot_angle, noise.rot_mode)
                 if key not in sampled:
-                    sampled[key] = _SampledRotations(code, noise, seed, trials, draws)
+                    sampled[key] = _SampledRotations(code, noise, draws)
                 rotated = sampled[key].failures(detect, threshold)
             # a trial without a Pauli error fails on its rotations alone
             with_pauli = pick(rotated)
@@ -371,32 +356,37 @@ def _chunk_failures(code, pipelines, p_values, seed, trials, width) -> list[list
 
 
 @functools.lru_cache(maxsize=256)
+def _verdict_memo(code, axis, angle, mode, detect, threshold) -> np.ndarray:
+    """The :func:`rotation_verdicts` memo of one key: an int8 per subset, -1 until scored."""
+    return np.full(2**code.n, -1, dtype=np.int8)
+
+
 def rotation_verdicts(
     code: StabilizerCode, axis: ImaginaryAxis, angle: float, mode: str,
-    detect: bool, threshold: float,
+    detect: bool, threshold: float, subsets: np.ndarray,
 ) -> np.ndarray:
-    """Rotation-channel verdict of every set of rotated qubits, at one fixed angle.
+    """Rotation-channel verdict of each subset of rotated qubits, at one fixed angle.
 
-    Entry ``s`` of this read-only bool array of ``2**code.n`` entries is
-    :func:`score_event` of the event with no Pauli part and, on each qubit
-    ``q`` with bit ``q - 1`` of ``s`` set, a rotation by ``angle`` about
-    ``axis`` in slot mode ``mode``: the event :func:`~hqec.noise.sample_error`
-    gives at ``p = 0`` when exactly those qubits are rotated.  The subsets
-    are scored as arrays, and one whose compared excesses lie within
-    :data:`GUARD` of the threshold is scored through :func:`score_event`.
+    Entry ``r`` of the bool array returned is :func:`score_event` of the
+    event with no Pauli part and, on each qubit ``q`` with bit ``q - 1`` of
+    ``subsets[r]`` set, a rotation by ``angle`` about ``axis`` in slot mode
+    ``mode``: the event :func:`~hqec.noise.sample_error` gives at ``p = 0``
+    when exactly those qubits are rotated.  The verdicts are filled in on
+    demand in a per-process memo of ``2**code.n`` bytes for each set of the
+    other arguments (1/32 of the ``codeword_zero`` the code holds): the
+    distinct subsets it does not know yet are scored once, as arrays.
     """
-    n = code.n
-    rotated = (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
-
-    def rescore(s: int) -> bool:
-        rotations = tuple(RotationError(q + 1, axis, angle) for q in range(n) if s >> q & 1)
-        event = ErrorEvent(PauliString.identity(n), rotations, mode)
-        return score_event(code, event, detect, threshold)
-
-    scorer = _RotationScorer(code, axis, mode, np.where(rotated, angle, 0.0))
-    verdicts = scorer.failures(detect, threshold, rescore)
-    verdicts.flags.writeable = False
-    return verdicts
+    memo = _verdict_memo(code, axis, angle, mode, detect, threshold)
+    verdicts = memo[subsets]
+    unknown = verdicts < 0
+    if unknown.any():
+        # a set, since np.unique imports numpy.ma (about 1 MB) on its first call
+        new = np.array(sorted(set(subsets[unknown].tolist())))
+        rotated = (new[:, None] >> np.arange(code.n)) & 1 == 1
+        scorer = _RotationScorer(code, axis, mode, np.where(rotated, angle, 0.0))
+        memo[new] = scorer.failures(detect, threshold)
+        verdicts = memo[subsets]
+    return verdicts.view(bool)
 
 
 class _RotationScorer:
@@ -411,10 +401,12 @@ class _RotationScorer:
     stays as accurate as the oracle's for any angle.  Only the slots where
     ``|0_L>`` is nonzero are kept, since left multiplication keeps a zero
     slot at zero.  The damaged states are built once and scored for each
-    ``(detect, threshold)`` asked of them.
+    ``(detect, threshold)`` asked of them; a row near the threshold is
+    scored by :func:`score_event` on the event its angles describe.
     """
 
     def __init__(self, code, axis, mode, angles) -> None:
+        self.code, self.axis, self.mode, self.angles = code, axis, mode, angles
         self.moved = angles != 0.0
         self.cos, self.sin = np.cos(angles), np.sin(angles)
         ref = code.codeword_zero.amps.components
@@ -443,17 +435,18 @@ class _RotationScorer:
         """``(rows, slots, 2)`` squared j and k components of the damaged slots."""
         return (w[..., None] * self.ref_jk + v[..., None] * self.turned_jk) ** 2
 
-    def failures(self, detect: bool, threshold: float, rescore) -> np.ndarray:
+    def failures(self, detect: bool, threshold: float) -> np.ndarray:
         """Rotation-channel verdict of each row, as :func:`score_event` gives it.
 
         With detection, a qubit is flagged when its slot j or k strength
         exceeds the reference's by more than ``threshold``, and the
         rotations of flagged qubits are undone by their inverse units.
-        Row ``r`` is scored as ``rescore(r)`` instead when its compared
-        excesses lie within :data:`GUARD` of the threshold (per-qubit
-        excesses count for rotated qubits only, since a flag on any other
-        corrects nothing).  Excesses are compared against at least
-        :data:`~hqec.quaternion.TOLERANCE`, as :func:`score_event` does.
+        Row ``r`` is scored through :func:`score_event` instead when its
+        compared excesses lie within :data:`GUARD` of the threshold
+        (per-qubit excesses count for rotated qubits only, since a flag on
+        any other corrects nothing).  Excesses are compared against at
+        least :data:`~hqec.quaternion.TOLERANCE`, as :func:`score_event`
+        does.
         """
         threshold = max(threshold, TOLERANCE)
         w, v, strengths = self.w, self.v, self.strengths
@@ -470,33 +463,31 @@ class _RotationScorer:
         failed = excess > threshold
         near |= np.abs(excess - threshold) <= GUARD
         for r in np.flatnonzero(near):
-            failed[r] = rescore(int(r))
+            rotations = tuple(RotationError(q + 1, self.axis, float(angle))
+                              for q, angle in enumerate(self.angles[r]) if angle != 0.0)
+            event = ErrorEvent(PauliString.identity(self.code.n), rotations, self.mode)
+            failed[r] = score_event(self.code, event, detect, threshold)
         return failed
 
 
 class _SampledRotations:
-    """The rotation channel of one chunk of trials whose angles are drawn.
+    """The rotation channel of one chunk of trials whose angles are drawn uniformly.
 
     Trials whose angles are equal byte for byte share one damaged state, so
-    each distinct angle row is built once; a row near the threshold is
-    scored again through :func:`run_trial` on its first trial.
+    each distinct angle row is built and scored once.
     """
 
-    def __init__(self, code, noise, seed, trials, draws) -> None:
-        self.code, self.quiet, self.seed, self.trials = code, noise.with_p(0.0), seed, trials
+    def __init__(self, code, noise, draws) -> None:
+        self.trials = draws.shape[0]
         self.rows, angles = rotation_angles(noise, draws, code.n)
         keys = angles.view(np.dtype((np.void, angles.itemsize * code.n))).ravel()
-        _, self.first, self.inverse = np.unique(keys, return_index=True, return_inverse=True)
-        self.scorer = _RotationScorer(code, noise.rot_axis, noise.rot_mode, angles[self.first])
+        _, first, self.inverse = np.unique(keys, return_index=True, return_inverse=True)
+        self.scorer = _RotationScorer(code, noise.rot_axis, noise.rot_mode, angles[first])
 
     def failures(self, detect: bool, threshold: float) -> np.ndarray:
         """Rotation-channel verdict of each trial of the chunk."""
-        def rescore(r: int) -> bool:
-            trial = int(self.trials[self.rows[self.first[r]]])
-            return run_trial(self.code, self.quiet, self.seed, trial, detect, threshold)
-
-        out = np.zeros(self.trials.size, dtype=bool)
-        out[self.rows] = self.scorer.failures(detect, threshold, rescore)[self.inverse]
+        out = np.zeros(self.trials, dtype=bool)
+        out[self.rows] = self.scorer.failures(detect, threshold)[self.inverse]
         return out
 
 

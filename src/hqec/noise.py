@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,9 +109,6 @@ class NoiseModel:
             raise ValueError(f"phase_mode must be one of {PHASE_MODES}, got {self.phase_mode!r}")
         if self.rot_mode not in ROT_MODES:
             raise ValueError(f"rot_mode must be one of {ROT_MODES}, got {self.rot_mode!r}")
-
-    def with_p(self, p: float) -> "NoiseModel":
-        return replace(self, p=p)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 Each one takes the plain route to its answer (a dense product, an exact
 eigenvalue read off a state) rather than the library's fast path, so a
 test that sets the two side by side checks the library independently.
+:func:`repetition_code` builds a code larger than the shipped three for
+the tests to run both on.
 """
 
 import numpy as np
@@ -126,6 +128,23 @@ def state_based_syndrome(e: PauliString, code: StabilizerCode, codeword: int = 0
     cw = code.codeword_zero if codeword == 0 else code.codeword_one
     damaged = apply_pauli(e, cw)
     return Syndrome(tuple(measure_stabilizer_eigenvalue(damaged, g) for g in code.generators))
+
+
+def repetition_code(n: int) -> StabilizerCode:
+    """Bit-flip repetition code on ``n`` qubits: generators Z_q Z_(q+1)."""
+    return StabilizerCode(
+        code_id=f"repetition{n}",
+        n=n,
+        k=1,
+        d=n,
+        generators=tuple(
+            PauliString.from_word("I" * q + "ZZ" + "I" * (n - q - 2)) for q in range(n - 1)
+        ),
+        logical_x=PauliString.from_word("X" * n),
+        logical_z=PauliString.from_word("Z" * n),
+        codeword_zero=QRegister.computational(n, "0" * n),
+        codeword_one=QRegister.computational(n, "1" * n),
+    )
 
 
 def pauli_masks(model: NoiseModel, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

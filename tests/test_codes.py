@@ -35,7 +35,8 @@ from hqec.codes import (
 
 import oracles
 from oracles import (
-    amplitude, measure_stabilizer_eigenvalue, pauli_failures, state_based_syndrome,
+    amplitude, measure_stabilizer_eigenvalue, pauli_failures, repetition_code,
+    state_based_syndrome,
 )
 
 ONE, I, J, K = quat.ONE, quat.I, quat.J, quat.K
@@ -423,23 +424,6 @@ def test_signature_scoring_equals_oracle_on_every_word(code_id):
     expected = pauli_failures(code, x, z)
     assert signature_scores(code, x, z).tolist() == expected.tolist()
     assert expected.any() and not expected.all()
-
-
-def repetition_code(n: int) -> StabilizerCode:
-    """Bit-flip repetition code on ``n`` qubits: generators Z_q Z_(q+1)."""
-    return StabilizerCode(
-        code_id=f"repetition{n}",
-        n=n,
-        k=1,
-        d=n,
-        generators=tuple(
-            PauliString.from_word("I" * q + "ZZ" + "I" * (n - q - 2)) for q in range(n - 1)
-        ),
-        logical_x=PauliString.from_word("X" * n),
-        logical_z=PauliString.from_word("Z" * n),
-        codeword_zero=QRegister.computational(n, "0" * n),
-        codeword_one=QRegister.computational(n, "1" * n),
-    )
 
 
 def test_signature_scoring_equals_oracle_on_a_twelve_qubit_code():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -11,11 +12,12 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from test_codes import repetition_code
+from oracles import repetition_code
 
 from hqec import cli, experiments
 from hqec.quaternion import I_AXIS, J_AXIS, K_AXIS, ImaginaryAxis
 from hqec.codes import CODE_IDS, PauliString, get_code
+from hqec.register import QRegister
 from hqec.noise import (
     AngleDistribution,
     ErrorEvent,
@@ -40,7 +42,6 @@ from hqec.experiments import (
     parse_sweep_csv,
     rotation_verdicts,
     run_sweep,
-    run_trial,
     scaling_model,
     score_event,
     suppression_factor,
@@ -100,7 +101,7 @@ def test_suppression_factor():
 def test_zero_noise_trial_never_fails():
     code = get_code("perfect5")
     model = NoiseModel(p=0.0)
-    assert not any(run_trial(code, model, seed=1, trial=t) for t in range(50))
+    assert not any(score_event(code, sample_error(model, 5, seed=1, trial=t)) for t in range(50))
 
 
 def test_injected_single_error_is_corrected():
@@ -293,13 +294,15 @@ def test_run_sweep_rejects_unknown_code():
 # -- batched engine against the per-trial oracle --------------------------------
 
 _CODES = {code_id: get_code(code_id) for code_id in CODE_IDS}
+_REPETITION12 = repetition_code(12)
 
 
 def oracle_counts(code, noise, p_values, seed, start, stop, detect, threshold):
     """Per-point failure counts from ``sample_error`` and ``score_event``, one trial at a time."""
     return [
         sum(
-            score_event(code, sample_error(noise.with_p(p), code.n, seed, t), detect, threshold)
+            score_event(code, sample_error(dataclasses.replace(noise, p=p), code.n, seed, t),
+                        detect, threshold)
             for t in range(start, stop)
         )
         for p in p_values
@@ -313,7 +316,8 @@ def engine_counts(code, noise, p_values, seed, start, stop, detect=False, thresh
 
 @st.composite
 def engine_cases(draw):
-    code = _CODES[draw(st.sampled_from(CODE_IDS))]
+    code_id = draw(st.sampled_from([*CODE_IDS, "repetition12"]))
+    code = _REPETITION12 if code_id == "repetition12" else _CODES[code_id]
     raw = draw(st.tuples(*[st.integers(0, 4)] * 3).filter(any))
     weights = tuple(w / sum(raw) for w in raw)
     p_values = draw(
@@ -336,7 +340,8 @@ def engine_cases(draw):
         rot_angle=angle,
         rot_mode=draw(st.sampled_from(["zero", "all"])),
     )
-    length = draw(st.integers(1, 20))
+    # a 12-qubit trial takes the oracle milliseconds, so that code gets a short range
+    length = draw(st.integers(1, 3 if code.n > 10 else 20))
     start = draw(st.one_of(st.integers(1, 10**6), st.just(2**64 - length)))
     return dict(
         code=code,
@@ -445,9 +450,9 @@ def test_engine_threshold_on_an_oracle_excess(rot_mode, angle):
                 value for event in events if event.rotations
                 for value in oracle_excesses(code, event, detect)
             ]
-            # Every rescore, through run_trial or a fixed-angle verdict table,
-            # calls score_event; clearing the tables makes each one score here.
-            rotation_verdicts.cache_clear()
+            # Every rescore calls score_event; clearing the fixed-angle verdict
+            # memos makes each one score here.
+            experiments._verdict_memo.cache_clear()
             with mock.patch.object(experiments, "score_event", wraps=score_event) as fallback:
                 for threshold in sorted({x for x, _ in values}):
                     args = (code, noise, (0.0,), seed, 0, len(events), detect, threshold)
@@ -475,36 +480,39 @@ def test_rotation_verdicts_equal_score_event_on_every_subset(code_id):
     # Thresholds 0, 0.01 and, for the three codes, every value the oracle
     # compares with one (each puts some subset in the guard band).  Scoring
     # one 12-qubit event takes milliseconds, so that code is checked on a
-    # fixed set of subsets at 0.01 only: at 0, hundreds of its subsets lie
-    # in the guard band (eight turns by pi/8 leave no excess), and the table
-    # would score each of them through score_event.
+    # fixed set of subsets.
     if code_id == "repetition12":
-        code, subsets = repetition_code(12), twelve_qubit_subsets()
+        code, subsets = _REPETITION12, twelve_qubit_subsets()
     else:
         code = _CODES[code_id]
-        subsets = range(2**code.n)
+        subsets = list(range(2**code.n))
     angle = math.pi / 8
+    experiments._verdict_memo.cache_clear()
     for axis, mode, detect in itertools.product(
         (K_AXIS, ImaginaryAxis.normalized(1, 2, 3)), ("zero", "all"), (False, True)
     ):
         events = [subset_event(code, axis, angle, mode, s) for s in subsets]
-        thresholds = {0.01}
+        thresholds = {0.0, 0.01}
         if code_id != "repetition12":
-            thresholds.add(0.0)
             thresholds |= {
                 x for event in events if event.rotations
                 for x, _ in oracle_excesses(code, event, detect)
             }
         for threshold in sorted(thresholds):
-            table = rotation_verdicts(code, axis, angle, mode, detect, threshold)
-            assert table.shape == (2**code.n,) and table.dtype == bool
+            verdicts = rotation_verdicts(code, axis, angle, mode, detect, threshold,
+                                         np.array(subsets))
+            assert verdicts.dtype == bool
             want = [score_event(code, event, detect, threshold) for event in events]
-            assert table[list(subsets)].tolist() == want, (axis, mode, detect, threshold)
-    # the cache hands out one read-only array per key
-    table = rotation_verdicts(code, K_AXIS, angle, "zero", True, 0.01)
-    assert rotation_verdicts(code, K_AXIS, angle, "zero", True, 0.01) is table
-    with pytest.raises(ValueError):
-        table[0] = True
+            assert verdicts.tolist() == want, (axis, mode, detect, threshold)
+    # a second call over subsets the memo knows scores none of them again
+    with mock.patch.object(experiments, "_RotationScorer",
+                           wraps=experiments._RotationScorer) as scorer:
+        again = rotation_verdicts(code, K_AXIS, angle, "zero", True, 0.01, np.array(subsets))
+    assert scorer.call_count == 0
+    assert again.tolist() == [
+        score_event(code, subset_event(code, K_AXIS, angle, "zero", s), True, 0.01)
+        for s in subsets
+    ]
 
 
 def test_count_failures_range_validation():
@@ -782,6 +790,25 @@ def test_engine_working_set_does_not_grow_with_the_trials():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_fixed_angle_working_set_on_a_full_support_ten_qubit_code():
+    # A random |0_L> is nonzero on all 2**10 slots, the widest support a
+    # rotation can damage.  The bound is fixed in advance, not fitted to a
+    # run: scoring all 2**10 subsets at once over every slot would peak near
+    # 90 MiB.
+    rng = np.random.default_rng(10)
+    zero = rng.normal(size=(2**10, 4))
+    zero = QRegister.from_components(10, zero / np.linalg.norm(zero))
+    code = dataclasses.replace(repetition_code(10), codeword_zero=zero)
+    noise = NoiseModel(p=0.0, p_rot=0.05, rot_mode="all")
+    tracemalloc.start()
+    try:
+        count_failures(code, ((noise, True, 0.01),), (0.01,), 1, 0, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_figure1_csv_layout():
