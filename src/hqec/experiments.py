@@ -32,16 +32,18 @@ while those are at most half of a chunk.  The rotation channel is scored
 as arrays of damaged ``|0_L>`` states, over the slots where ``|0_L>`` is
 nonzero: the rotations of an event share one axis, so each slot is the
 reference slot times a product of unit quaternions, and detection and
-correction are per-qubit slot sums and inverse units.  With a ``fixed``
-angle a trial's verdict depends only on which qubits it rotates, so
+correction are per-qubit slot sums and inverse units.  For either angle
+law a chunk takes its rotated trials and their angles from
+:func:`~hqec.noise.rotation_angles`.  With a ``fixed`` angle a trial's
+verdict depends only on which qubits it turns by a nonzero angle, so
 :func:`rotation_verdicts` keeps a per-process memo of the ``2**n``
 subsets and scores only those a chunk brings that it has not seen; with
-a ``uniform`` angle each chunk scores its own rotated trials.  A subset
-or trial whose compared excesses lie within :data:`GUARD` of the
-threshold, where the other summation order could flip the verdict, is
-scored by :func:`score_event` instead.  :func:`figure1_data` scores both
-pipelines in one pass of the engine, so they share the draws, the Pauli
-failures and the subset indices or damaged states.
+a ``uniform`` angle each chunk scores the angle rows of its rotated
+trials.  A subset or row whose compared excesses lie within
+:data:`GUARD` of the threshold, where the other summation order could
+flip the verdict, is scored by :func:`score_event` instead.
+:func:`figure1_data` scores both pipelines in one pass of the engine, so
+they share the draws, the Pauli failures and the rotation scoring.
 """
 
 from __future__ import annotations
@@ -282,13 +284,15 @@ def count_failures(
     scored on it.  The letters are mapped to signatures once per chunk,
     shared by pipelines whose Pauli weights agree, and each point XORs the
     signatures of the qubits hit below its ``p``.  The rotation channel
-    does not depend on ``p``.  With a ``fixed`` angle a trial's verdict is
-    read from :func:`rotation_verdicts` by the set of qubits it rotates.
-    With a ``uniform`` one the chunk's rotated trials are scored once, as
-    arrays of damaged ``|0_L>`` states shared by pipelines whose rotation
-    parameters agree, and a trial whose compared excesses lie within
-    :data:`GUARD` of the threshold is scored again through
-    :func:`score_event` with its Pauli part removed.
+    does not depend on ``p``: the chunk's rotated trials and their angles
+    come from :func:`~hqec.noise.rotation_angles` once for each set of
+    rotation parameters, shared by the pipelines that agree on it.  With
+    a ``fixed`` angle a trial's verdict is read from
+    :func:`rotation_verdicts` by the set of qubits its nonzero angles
+    turn.  With a ``uniform`` one the angle rows are scored by one
+    :class:`_RotationScorer`, and a row whose compared excesses lie
+    within :data:`GUARD` of the threshold is scored again through
+    :func:`score_event` with no Pauli part.
     """
     if not 0 <= start <= stop <= 2**64:
         raise ValueError(f"need 0 <= start <= stop <= 2**64, got {start}, {stop}")
@@ -320,8 +324,7 @@ def _chunk_failures(code, pipelines, p_values, seed, trials, width) -> list[list
 
     u_err = pick(u_err)
     pauli: dict = {}
-    subsets: dict = {}
-    sampled: dict = {}
+    rotations: dict = {}
     counts = []
     for noise, detect, threshold in pipelines:
         weights = noise.pauli_weights
@@ -334,18 +337,20 @@ def _chunk_failures(code, pipelines, p_values, seed, trials, width) -> list[list
             ]
         failed = pauli[weights]
         if noise.p_rot > 0.0:
-            if noise.rot_angle.kind == "fixed":
-                if noise.p_rot not in subsets:
-                    turned = draws[:, 2 * n : 3 * n] < noise.p_rot
-                    subsets[noise.p_rot] = turned @ (1 << np.arange(n))
-                rotated = rotation_verdicts(code, noise.rot_axis, noise.rot_angle.theta,
-                                            noise.rot_mode, detect, threshold,
-                                            subsets[noise.p_rot])
-            else:
-                key = (noise.p_rot, noise.rot_axis, noise.rot_angle, noise.rot_mode)
-                if key not in sampled:
-                    sampled[key] = _SampledRotations(code, noise, draws)
-                rotated = sampled[key].failures(detect, threshold)
+            key = (noise.p_rot, noise.rot_axis, noise.rot_angle, noise.rot_mode)
+            if key not in rotations:
+                rows, angles = rotation_angles(noise, draws, n)
+                if noise.rot_angle.kind == "fixed":
+                    # a zero angle is the identity unit: subset 0, which passes
+                    score = functools.partial(
+                        rotation_verdicts, code, noise.rot_axis, noise.rot_angle.theta,
+                        noise.rot_mode, subsets=(angles != 0.0) @ (1 << np.arange(n)))
+                else:
+                    score = _RotationScorer(code, noise.rot_axis, noise.rot_mode, angles).failures
+                rotations[key] = rows, score
+            rows, score = rotations[key]
+            rotated = np.zeros(trials.size, dtype=bool)
+            rotated[rows] = score(detect, threshold)
             # a trial without a Pauli error fails on its rotations alone
             with_pauli = pick(rotated)
             alone = int(np.count_nonzero(rotated)) - int(np.count_nonzero(with_pauli))
@@ -390,7 +395,7 @@ def rotation_verdicts(
 
 
 class _RotationScorer:
-    """The rotation channel of distinct rows of per-qubit angles, scored as arrays.
+    """The rotation channel of rows of per-qubit angles, scored as arrays.
 
     All rotations of an event turn about one axis, so they commute.  Each
     slot of the damaged ``|0_L>`` is therefore the reference slot multiplied
@@ -468,27 +473,6 @@ class _RotationScorer:
             event = ErrorEvent(PauliString.identity(self.code.n), rotations, self.mode)
             failed[r] = score_event(self.code, event, detect, threshold)
         return failed
-
-
-class _SampledRotations:
-    """The rotation channel of one chunk of trials whose angles are drawn uniformly.
-
-    Trials whose angles are equal byte for byte share one damaged state, so
-    each distinct angle row is built and scored once.
-    """
-
-    def __init__(self, code, noise, draws) -> None:
-        self.trials = draws.shape[0]
-        self.rows, angles = rotation_angles(noise, draws, code.n)
-        keys = angles.view(np.dtype((np.void, angles.itemsize * code.n))).ravel()
-        _, first, self.inverse = np.unique(keys, return_index=True, return_inverse=True)
-        self.scorer = _RotationScorer(code, noise.rot_axis, noise.rot_mode, angles[first])
-
-    def failures(self, detect: bool, threshold: float) -> np.ndarray:
-        """Rotation-channel verdict of each trial of the chunk."""
-        out = np.zeros(self.trials, dtype=bool)
-        out[self.rows] = self.scorer.failures(detect, threshold)[self.inverse]
-        return out
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:

@@ -262,7 +262,8 @@ def rotation_angles(
     :func:`sample_error` rotation on qubit ``q`` in row ``rows[r]``, and 0.0
     where that qubit is not rotated.  The rotations do not depend on ``p``.
     A ``fixed`` angle reads the first ``3 * n`` draws of a row, a
-    ``uniform`` one all ``4 * n``.
+    ``uniform`` one all ``4 * n``.  This is the batched engine's one rule
+    for which trials rotate which qubits by what, under either angle law.
     """
     hit = draws[:, 2 * n : 3 * n] < model.p_rot
     rows = np.flatnonzero(hit.any(axis=1))

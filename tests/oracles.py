@@ -3,8 +3,8 @@
 Each one takes the plain route to its answer (a dense product, an exact
 eigenvalue read off a state) rather than the library's fast path, so a
 test that sets the two side by side checks the library independently.
-:func:`repetition_code` builds a code larger than the shipped three for
-the tests to run both on.
+:func:`repetition_code` and :func:`random_code` build codes other than
+the shipped three for the tests to run both on.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from hqec import quaternion as quat
 from hqec.linalg import QMatrix, QVector, left_mul_matrix, qmul_components
 from hqec.register import UNIT_FOR_LETTER, Gate, QRegister
 from hqec.codes import (
+    LETTERS,
     CodewordCheck,
     CodewordReport,
     PauliString,
@@ -21,6 +22,7 @@ from hqec.codes import (
     SyndromeTable,
     SyndromeTableRow,
     apply_pauli,
+    commute_sign,
     syndrome_of,
 )
 from hqec.noise import DRAWS_PER_QUBIT, NoiseModel
@@ -145,6 +147,38 @@ def repetition_code(n: int) -> StabilizerCode:
         codeword_zero=QRegister.computational(n, "0" * n),
         codeword_one=QRegister.computational(n, "1" * n),
     )
+
+
+def random_code(rng: np.random.Generator, index: int, sizes: range = range(1, 7)) -> StabilizerCode:
+    """A code of random pairwise-commuting generators on ``n`` in ``sizes`` qubits.
+
+    An even ``index`` projects a random register onto the generators' joint
+    +1 eigenspace (phase-free generators only), so its checks can pass; an
+    odd one carries random unit phases and random quaternion codewords.
+    """
+    n = int(rng.integers(sizes.start, sizes.stop))
+    project = index % 2 == 0
+    phases = [quat.ONE] if project else list(quat.UNIT_PHASES)
+    generators = []
+    for _ in range(2 * n):
+        word = "".join(rng.choice(list(LETTERS), size=n))
+        g = PauliString.from_word(word, phases[rng.integers(len(phases))])
+        if all(commute_sign(g, h) == 1 for h in generators):
+            generators.append(g)
+    logical_x, logical_z = (
+        PauliString.from_word("".join(rng.choice(list(LETTERS), size=n)),
+                              phases[rng.integers(len(phases))])
+        for _ in range(2)
+    )
+    zero = QRegister.from_components(n, rng.normal(size=(2**n, 4)))
+    if project:
+        for g in generators:
+            zero = QRegister.from_components(
+                n, (zero.amps.components + apply_pauli(g, zero).amps.components) / 2.0)
+    one = apply_pauli(logical_x, zero) if project else QRegister.from_components(
+        n, rng.normal(size=(2**n, 4)))
+    return StabilizerCode(f"random{index}", n, 1, 3, tuple(generators), logical_x, logical_z,
+                          zero, one)
 
 
 def pauli_masks(model: NoiseModel, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -520,38 +520,6 @@ def test_construction_rejects_anticommuting_generators():
 
 # -- batched verification and signature-built tables against their references ------
 
-def _random_code(rng, index):
-    """A code of random pairwise-commuting generators with random unit phases.
-
-    Half the codes project a random register onto the generators' joint +1
-    eigenspace (phase-free generators only), so their checks can pass; the
-    rest carry random quaternion codewords.
-    """
-    n = int(rng.integers(1, 7))
-    project = index % 2 == 0
-    phases = [quat.ONE] if project else list(quat.UNIT_PHASES)
-    generators = []
-    for _ in range(2 * n):
-        word = "".join(rng.choice(list(LETTERS), size=n))
-        g = PauliString.from_word(word, phases[rng.integers(len(phases))])
-        if all(commute_sign(g, h) == 1 for h in generators):
-            generators.append(g)
-    logical_x, logical_z = (
-        PauliString.from_word("".join(rng.choice(list(LETTERS), size=n)),
-                              phases[rng.integers(len(phases))])
-        for _ in range(2)
-    )
-    zero = QRegister.from_components(n, rng.normal(size=(2**n, 4)))
-    if project:
-        for g in generators:
-            zero = QRegister.from_components(
-                n, (zero.amps.components + apply_pauli(g, zero).amps.components) / 2.0)
-    one = apply_pauli(logical_x, zero) if project else QRegister.from_components(
-        n, rng.normal(size=(2**n, 4)))
-    return StabilizerCode(f"random{index}", n, 1, 3, tuple(generators), logical_x, logical_z,
-                          zero, one)
-
-
 def _rescaled(code, rng):
     """``code`` with each codeword times a random unit (-1 among them) on either side."""
     def transform(reg):
@@ -568,7 +536,7 @@ def _rescaled(code, rng):
 def _fast_and_reference_codes():
     rng = np.random.default_rng(2024)
     shipped = [get_code(code_id) for code_id in CODE_IDS]
-    codes = shipped + [_random_code(rng, index) for index in range(120)]
+    codes = shipped + [oracles.random_code(rng, index) for index in range(120)]
     return codes + [_rescaled(code, rng) for code in shipped * 8 + codes[3:40]]
 
 

@@ -12,7 +12,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import repetition_code
+from oracles import random_code, repetition_code
 
 from hqec import cli, experiments
 from hqec.quaternion import I_AXIS, J_AXIS, K_AXIS, ImaginaryAxis
@@ -314,10 +314,17 @@ def engine_counts(code, noise, p_values, seed, start, stop, detect=False, thresh
     return count_failures(code, ((noise, detect, threshold),), p_values, seed, start, stop)[0]
 
 
+def _random_engine_code(seed):
+    """A random code on 1 to 10 qubits; an even ``seed`` projects its ``|0_L>``."""
+    return random_code(np.random.default_rng(seed), seed, range(1, 11))
+
+
 @st.composite
 def engine_cases(draw):
-    code_id = draw(st.sampled_from([*CODE_IDS, "repetition12"]))
-    code = _REPETITION12 if code_id == "repetition12" else _CODES[code_id]
+    code = draw(st.one_of(
+        st.sampled_from([*_CODES.values(), _REPETITION12]),
+        st.integers(0, 2**32 - 1).map(_random_engine_code),
+    ))
     raw = draw(st.tuples(*[st.integers(0, 4)] * 3).filter(any))
     weights = tuple(w / sum(raw) for w in raw)
     p_values = draw(
@@ -329,7 +336,8 @@ def engine_cases(draw):
     )
     angle = AngleDistribution(
         draw(st.sampled_from(["fixed", "uniform"])),
-        draw(st.sampled_from([math.pi / 8, 0.05, 1.2, -0.7])),
+        # a zero angle rotates nothing, yet its qubit was hit
+        draw(st.sampled_from([math.pi / 8, 0.05, 1.2, -0.7, 0.0, -0.0])),
     )
     noise = NoiseModel(
         p=0.0,
@@ -340,8 +348,8 @@ def engine_cases(draw):
         rot_angle=angle,
         rot_mode=draw(st.sampled_from(["zero", "all"])),
     )
-    # a 12-qubit trial takes the oracle milliseconds, so that code gets a short range
-    length = draw(st.integers(1, 3 if code.n > 10 else 20))
+    # a trial on more than 7 qubits takes the oracle milliseconds, so those get a short range
+    length = draw(st.integers(1, 3 if code.n > 7 else 20))
     start = draw(st.one_of(st.integers(1, 10**6), st.just(2**64 - length)))
     return dict(
         code=code,
