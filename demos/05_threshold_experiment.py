@@ -70,10 +70,7 @@ base = dict(
     trials=5_000,
     seed=42,
 )
-data = figure1_data(
-    SweepConfig(quaternionic_detection=False, **base),
-    SweepConfig(quaternionic_detection=True, **base),
-)
+data = figure1_data(SweepConfig(**base))
 print("  p        baseline    detecting")
 for std_pt, q_pt in zip(data.standard.points, data.quaternionic.points):
     print(f"  {std_pt.p:<8} {std_pt.p_L:<11.5f} {q_pt.p_L:.5f}")

@@ -56,7 +56,6 @@ from .codes import (
     verify_codewords,
 )
 if TYPE_CHECKING:  # the sweep stack loads only on the mc, fit and figure1 paths
-    from .experiments import SweepConfig
     from .noise import AngleDistribution, NoiseModel
 
 DEFAULT_SEED = 0
@@ -309,25 +308,26 @@ def _noise_model(merged: dict) -> NoiseModel:
 
 
 def _validate_sweep(merged: dict) -> dict:
-    """Parse ``merged`` into sweep parameters and check them by building the sweep.
+    """The fields of the :class:`SweepConfig` that ``merged`` describes, once it is built.
 
     The value rules are :class:`SweepConfig`'s and :class:`NoiseModel`'s;
     a value they refuse raises :class:`ConfigError` here, before any work.
     """
+    from .experiments import SweepConfig
+
     try:
-        params = {
-            "code": merged["code"],
-            "p_values": _parse_p_range(str(merged["p"])),
-            "trials": merged["trials"],
-            "seed": merged["seed"],
-            "noise": _noise_model(merged),
-            "detect": merged["detect"],
-            "threshold": merged["threshold"],
-        }
-        _sweep_config(params, params["detect"])
+        sweep = SweepConfig(
+            code_id=merged["code"],
+            p_values=_parse_p_range(str(merged["p"])),
+            noise=_noise_model(merged),
+            trials=merged["trials"],
+            seed=merged["seed"],
+            quaternionic_detection=merged["detect"],
+            detection_threshold=merged["threshold"],
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return params
+    return dict(vars(sweep))
 
 
 def _emit(text: str, output_path: str | None) -> None:
@@ -610,24 +610,10 @@ def _cmd_syndrome_table(config: RunConfig) -> int:
     return 0
 
 
-def _sweep_config(params: dict, detect: bool) -> SweepConfig:
-    from .experiments import SweepConfig
-
-    return SweepConfig(
-        code_id=params["code"],
-        noise=params["noise"],
-        p_values=params["p_values"],
-        trials=params["trials"],
-        seed=params["seed"],
-        quaternionic_detection=detect,
-        detection_threshold=params["threshold"],
-    )
-
-
 def _cmd_mc(config: RunConfig) -> int:
     from . import experiments
 
-    sweep = _sweep_config(config.parameters, config.parameters["detect"])
+    sweep = experiments.SweepConfig(**config.parameters)
     _emit(experiments.sweep_csv(experiments.run_sweep(sweep)), config.output_path)
     return 0
 
@@ -651,10 +637,11 @@ def _cmd_fit(config: RunConfig) -> int:
 def _cmd_figure1(config: RunConfig) -> int:
     from . import experiments
 
-    params = config.parameters
-    data = experiments.figure1_data(_sweep_config(params, False), _sweep_config(params, True))
+    params = dict(config.parameters)
+    include_model = params.pop("include_model")
+    data = experiments.figure1_data(experiments.SweepConfig(**params))
     csv_path, json_path = _figure1_paths(config.output_path)
-    csv_text = experiments.figure1_csv(data, include_model_curves=params["include_model"])
+    csv_text = experiments.figure1_csv(data, include_model_curves=include_model)
     _write_file(csv_path, csv_text)
     _write_file(json_path, experiments.figure1_fits_json(data) + "\n")
     sys.stdout.write(f"wrote {csv_path}\nwrote {json_path}\n")

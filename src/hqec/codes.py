@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -191,8 +191,7 @@ class StabilizerCode:
                     raise ValueError(
                         f"generators {a.word()} and {b.word()} anticommute"
                     )
-        object.__setattr__(self, "_decoder", _build_decoder(self))
-        for name, table in zip(("signatures", "verdicts"), _build_scoring(self)):
+        for name, table in zip(("_decoder", "signatures", "verdicts"), _build_tables(self)):
             object.__setattr__(self, name, table)
 
     @property
@@ -212,41 +211,34 @@ def syndrome_of(e: PauliString, code: StabilizerCode) -> Syndrome:
     return Syndrome(tuple(_symplectic_sign(e.x, e.z, g.x, g.z) for g in code.generators))
 
 
-def _build_decoder(code: StabilizerCode) -> tuple[tuple[PauliString, ...], ...]:
-    # The identity and single-qubit errors matching each syndrome index;
-    # empty means unknown.  Enumeration order doubles as the decoder
-    # tie-break: weight, then qubit index, then X < Y < Z.
-    errors = [PauliString.identity(code.n)] + [
-        PauliString.single(code.n, qubit, letter)
-        for qubit in range(1, code.n + 1)
-        for letter in _ERROR_LETTERS
-    ]
-    table: list[list[PauliString]] = [[] for _ in range(1 << len(code.generators))]
-    for error in errors:
-        table[_signature(error, code.generators)].append(error)
-    return tuple(map(tuple, table))
-
-
-def _signature(e: PauliString, checks: Sequence[PauliString]) -> int:
-    # Bit i is set when ``e`` anticommutes with ``checks[i]``.
-    return sum(1 << i for i, c in enumerate(checks) if _symplectic_sign(e.x, e.z, c.x, c.z) == -1)
-
-
-def _build_scoring(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
-    # The read-only ``signatures`` and ``verdicts`` tables of StabilizerCode.
+def _build_tables(code: StabilizerCode) -> tuple[tuple, np.ndarray, np.ndarray]:
+    # The decoder and the read-only ``signatures`` and ``verdicts`` tables of
+    # StabilizerCode.  The decoder holds, for each syndrome index, the
+    # identity and single-qubit errors matching it; empty means unknown.
+    # Enumeration order doubles as the decoder tie-break: weight, then qubit
+    # index, then X < Y < Z.  X on a qubit anticommutes with a check whose z
+    # bit there is set, Z with its x bit, and Y with their XOR.
     checks = (*code.generators, code.logical_x, code.logical_z)
     m, logicals = len(code.generators), np.arange(4)
-    signatures = np.array(
-        [[_signature(PauliString.single(code.n, q, letter), checks) for letter in _ERROR_LETTERS]
-         for q in range(1, code.n + 1)],
-        dtype=np.intp,
-    )
+    masks = np.array([(c.x, c.z) for c in checks])
+    # column q - 1 holds qubit q, whose mask bit is n - q (qubit 1 is the most significant)
+    x, z = (masks[:, k, None] >> np.arange(code.n - 1, -1, -1) & 1 for k in (0, 1))
+    weights = 1 << np.arange(len(checks), dtype=np.intp)
+    signatures = np.stack([weights @ bits for bits in (z, x ^ z, x)], axis=1)
+    singles = [(PauliString.identity(code.n), 0)] + [
+        (PauliString.single(code.n, q + 1, letter), signature)
+        for q, row in enumerate(signatures.tolist())
+        for letter, signature in zip(_ERROR_LETTERS, row)
+    ]
+    decoder: list[list[PauliString]] = [[] for _ in range(1 << m)]
     verdicts = np.ones(4 << m, dtype=bool)
-    for index, candidates in enumerate(code._decoder):
-        if candidates:
-            verdicts[index + (logicals << m)] = logicals != _signature(candidates[0], checks) >> m
+    for error, signature in singles:
+        index = signature & ((1 << m) - 1)
+        if not decoder[index]:
+            verdicts[index + (logicals << m)] = logicals != signature >> m
+        decoder[index].append(error)
     signatures.flags.writeable = verdicts.flags.writeable = False
-    return signatures, verdicts
+    return tuple(map(tuple, decoder)), signatures, verdicts
 
 
 @dataclass(frozen=True)
@@ -275,7 +267,7 @@ def decode(syndrome: Syndrome, code: StabilizerCode) -> DecodeOutcome:
             f"syndrome length {len(syndrome.bits)} does not match "
             f"{len(code.generators)} generators"
         )
-    # The decoder's index has bit i set when generator i anticommutes (_signature).
+    # The decoder's index has bit i set when generator i anticommutes (_build_tables).
     candidates = code._decoder[sum(1 << i for i, bit in enumerate(syndrome.bits) if bit == -1)]
     if not candidates:
         return DecodeOutcome(None, unknown=True, ambiguous=False, candidates=())

@@ -1,4 +1,4 @@
-"""Monte Carlo logical-error-rate estimation, scaling fits, and paired sweeps.
+"""Monte Carlo logical-error-rate estimation, scaling fits, and the figure 1 pair.
 
 A trial samples one error event, decodes the commutation syndrome, and
 scores failure on two independent channels:
@@ -9,41 +9,43 @@ scores failure on two independent channels:
   the letters decide.
 * Rotation channel: when the event carries rotations, they are applied to
   the ``|0_L>`` codeword and the register fails when its j/k strength
-  excess stays above the detection threshold.  A pipeline with
-  quaternionic detection enabled first locates flagged qubits and undoes
+  excess stays above the detection threshold.  With quaternionic
+  detection enabled the scoring first locates flagged qubits and undoes
   their rotations with the sampled parameters (oracle correction); the
-  baseline pipeline never corrects, so with shared seeds its failure set
-  contains the detecting pipeline's by construction.
+  standard decoder never corrects, so on the same trials its failure set
+  contains the detecting one's by construction.
 
 Sweeps derive every trial from ``(seed, trial)`` alone, which makes the
 results independent of the parallelism degree (``HQEC_THREADS``) and lets
-paired configurations share their noise realizations.
+one pass score the same realizations with detection off and on.
 
 :func:`score_event` scores the sampled event of one trial and is the
 reference.  Sweeps run the batched engine, :func:`count_failures`: it
 draws the uniforms of a chunk of trials at once (at most
 :data:`CHUNK_TRIALS` trials and :data:`CHUNK_WORDS` words) and scores
-them at every p of the grid, with counts equal to the per-trial loop bit
-for bit, and draws only the words its pipelines read.  Syndrome and
-logical commutation are linear over GF(2) in the error, so the Pauli
-channel XORs the code's per-qubit ``signatures`` and looks the result up
-in its ``verdicts``, for only the trials with an error at the largest p
-while those are at most half of a chunk.  The rotation channel is scored
-as arrays of damaged ``|0_L>`` states, over the slots where ``|0_L>`` is
-nonzero: the rotations of an event share one axis, so each slot is the
-reference slot times a product of unit quaternions, and detection and
-correction are per-qubit slot sums and inverse units.  For either angle
-law a chunk takes its rotated trials and their angles from
-:func:`~hqec.noise.rotation_angles`.  With a ``fixed`` angle a trial's
-verdict depends only on which qubits it turns by a nonzero angle, so
+them at every p of the grid and for every ``(detect, threshold)`` scoring,
+with counts equal to the per-trial loop bit for bit, and draws only the
+words its noise reads.  Syndrome and logical commutation are linear over
+GF(2) in the error, so the Pauli channel XORs the code's per-qubit
+``signatures`` and looks the result up in its ``verdicts``, for only the
+trials with an error at the largest p while those are at most half of a
+chunk.  The rotation channel is scored as arrays of damaged ``|0_L>``
+states, over the slots where ``|0_L>`` is nonzero: the rotations of an
+event share one axis, so each slot is the reference slot times a product
+of unit quaternions, and detection and correction are per-qubit slot
+sums and inverse units.  For either angle law a chunk takes its rotated
+trials and their angles from :func:`~hqec.noise.rotation_angles`, once
+for all its scorings.  With a ``fixed`` angle a trial's verdict depends
+only on which qubits it turns by a nonzero angle, so
 :func:`rotation_verdicts` keeps a per-process memo of the ``2**n``
 subsets and scores only those a chunk brings that it has not seen; with
 a ``uniform`` angle each chunk scores the angle rows of its rotated
 trials.  A subset or row whose compared excesses lie within
 :data:`GUARD` of the threshold, where the other summation order could
 flip the verdict, is scored by :func:`score_event` instead.
-:func:`figure1_data` scores both pipelines in one pass of the engine, so
-they share the draws, the Pauli failures and the rotation scoring.
+:func:`figure1_data` scores one sweep with detection off and on in one
+pass of the engine, so the two pipelines share the draws, the Pauli
+failures and the rotation scoring.
 """
 
 from __future__ import annotations
@@ -264,52 +266,47 @@ GUARD = 1e-9
 
 
 def count_failures(
-    code: StabilizerCode, pipelines: tuple[tuple[NoiseModel, bool, float], ...],
+    code: StabilizerCode, noise: NoiseModel, scorings: tuple[tuple[bool, float], ...],
     p_values: tuple[float, ...], seed: int, start: int, stop: int,
 ) -> list[list[int]]:
-    """Failures among trials ``start .. stop - 1`` at each p of ``p_values``, per pipeline.
+    """Failures among trials ``start .. stop - 1`` at each p of ``p_values``, per scoring.
 
-    The batched trial engine.  A pipeline is a ``(noise, detect, threshold)``
-    triple whose ``noise`` is a template; each point replaces its ``p``.
-    Entry ``[j][i]`` equals the number of those trials ``t`` whose event
-    :func:`~hqec.noise.sample_error` draws for ``(seed, t)`` from pipeline
-    ``j``'s noise at ``p_values[i]`` fails :func:`score_event` with its
-    ``detect`` and ``threshold``, bit for bit.  Trials are scored in chunks
-    of at most :data:`CHUNK_TRIALS` trials and :data:`CHUNK_WORDS` draws, so
-    the working set does not grow with the trials.  The uniforms of a chunk
-    are drawn once for every point and pipeline: ``2 * n`` words without
-    rotations, ``3 * n`` when every angle is ``fixed``, else ``4 * n``.
-    Only the trials hit below the largest ``p`` can fail on the Pauli
-    channel, so while they are at most half of the chunk only they are
-    scored on it.  The letters are mapped to signatures once per chunk,
-    shared by pipelines whose Pauli weights agree, and each point XORs the
+    The batched trial engine.  ``noise`` is a template; each point
+    replaces its ``p``.  A scoring is a ``(detect, threshold)`` pair, and
+    entry ``[j][i]`` equals the number of those trials ``t`` whose event
+    :func:`~hqec.noise.sample_error` draws for ``(seed, t)`` at
+    ``p_values[i]`` fails :func:`score_event` with scoring ``j``, bit for
+    bit.  Trials are scored in chunks of at most :data:`CHUNK_TRIALS`
+    trials and :data:`CHUNK_WORDS` draws, so the working set does not grow
+    with the trials.  The uniforms of a chunk are drawn once for every
+    point and scoring: ``2 * n`` words without rotations, ``3 * n`` with a
+    ``fixed`` angle, ``4 * n`` with a ``uniform`` one.  Only the trials hit
+    below the largest ``p`` can fail on the Pauli channel, so while they
+    are at most half of the chunk only they are scored on it.  The letters
+    are mapped to signatures once per chunk, and each point XORs the
     signatures of the qubits hit below its ``p``.  The rotation channel
     does not depend on ``p``: the chunk's rotated trials and their angles
-    come from :func:`~hqec.noise.rotation_angles` once for each set of
-    rotation parameters, shared by the pipelines that agree on it.  With
-    a ``fixed`` angle a trial's verdict is read from
-    :func:`rotation_verdicts` by the set of qubits its nonzero angles
-    turn.  With a ``uniform`` one the angle rows are scored by one
-    :class:`_RotationScorer`, and a row whose compared excesses lie
-    within :data:`GUARD` of the threshold is scored again through
-    :func:`score_event` with no Pauli part.
+    come from :func:`~hqec.noise.rotation_angles` once.  With a ``fixed``
+    angle a trial's verdict is read from :func:`rotation_verdicts` by the
+    set of qubits its nonzero angles turn.  With a ``uniform`` one the
+    angle rows are scored by one :class:`_RotationScorer`, and a row whose
+    compared excesses lie within :data:`GUARD` of the threshold is scored
+    again through :func:`score_event` with no Pauli part.
     """
     if not 0 <= start <= stop <= 2**64:
         raise ValueError(f"need 0 <= start <= stop <= 2**64, got {start}, {stop}")
-    n = code.n
-    angles = {noise.rot_angle.kind for noise, _, _ in pipelines if noise.p_rot > 0.0}
-    width = n * (4 if "uniform" in angles else 3 if angles else 2)
-    counts = [[0] * len(p_values) for _ in pipelines]
+    width = code.n * (2 if noise.p_rot == 0.0 else 3 if noise.rot_angle.kind == "fixed" else 4)
+    counts = [[0] * len(p_values) for _ in scorings]
     step = min(CHUNK_TRIALS, max(1, CHUNK_WORDS // width))
     for lo in range(start, stop, step):
         trials = np.uint64(lo) + np.arange(min(step, stop - lo), dtype=np.uint64)
-        chunk = _chunk_failures(code, pipelines, p_values, seed, trials, width)
+        chunk = _chunk_failures(code, noise, scorings, p_values, seed, trials, width)
         for tally, failures in zip(counts, chunk):
             tally[:] = map(sum, zip(tally, failures))
     return counts
 
 
-def _chunk_failures(code, pipelines, p_values, seed, trials, width) -> list[list[int]]:
+def _chunk_failures(code, noise, scorings, p_values, seed, trials, width) -> list[list[int]]:
     """:func:`count_failures` of one chunk, whose arrays die before the next is drawn."""
     n = code.n
     draws = philox_uniforms(seed, trials, width)
@@ -323,40 +320,28 @@ def _chunk_failures(code, pipelines, p_values, seed, trials, width) -> list[list
         return per_trial.compress(hit, axis=-1) if few else per_trial
 
     u_err = pick(u_err)
-    pauli: dict = {}
-    rotations: dict = {}
+    letters = pick(pauli_letters(noise, draws, n).T)
+    signatures = code.signatures.ravel()[letters + 3 * np.arange(n)[:, None]]
+    failed = [code.verdicts[np.bitwise_xor.reduce(signatures * (u_err < p), axis=0)]
+              for p in p_values]
+    if noise.p_rot == 0.0:
+        return [[int(np.count_nonzero(f)) for f in failed]] * len(scorings)
+    rows, angles = rotation_angles(noise, draws, n)
+    if noise.rot_angle.kind == "fixed":
+        # a zero angle is the identity unit: subset 0, which passes
+        score = functools.partial(
+            rotation_verdicts, code, noise.rot_axis, noise.rot_angle.theta, noise.rot_mode,
+            subsets=(angles != 0.0) @ (1 << np.arange(n)))
+    else:
+        score = _RotationScorer(code, noise.rot_axis, noise.rot_mode, angles).failures
     counts = []
-    for noise, detect, threshold in pipelines:
-        weights = noise.pauli_weights
-        if weights not in pauli:
-            letters = pick(pauli_letters(noise, draws, n).T)
-            signatures = code.signatures.ravel()[letters + 3 * np.arange(n)[:, None]]
-            pauli[weights] = [
-                code.verdicts[np.bitwise_xor.reduce(signatures * (u_err < p), axis=0)]
-                for p in p_values
-            ]
-        failed = pauli[weights]
-        if noise.p_rot > 0.0:
-            key = (noise.p_rot, noise.rot_axis, noise.rot_angle, noise.rot_mode)
-            if key not in rotations:
-                rows, angles = rotation_angles(noise, draws, n)
-                if noise.rot_angle.kind == "fixed":
-                    # a zero angle is the identity unit: subset 0, which passes
-                    score = functools.partial(
-                        rotation_verdicts, code, noise.rot_axis, noise.rot_angle.theta,
-                        noise.rot_mode, subsets=(angles != 0.0) @ (1 << np.arange(n)))
-                else:
-                    score = _RotationScorer(code, noise.rot_axis, noise.rot_mode, angles).failures
-                rotations[key] = rows, score
-            rows, score = rotations[key]
-            rotated = np.zeros(trials.size, dtype=bool)
-            rotated[rows] = score(detect, threshold)
-            # a trial without a Pauli error fails on its rotations alone
-            with_pauli = pick(rotated)
-            alone = int(np.count_nonzero(rotated)) - int(np.count_nonzero(with_pauli))
-            counts.append([int(np.count_nonzero(f | with_pauli)) + alone for f in failed])
-        else:
-            counts.append([int(np.count_nonzero(f)) for f in failed])
+    for detect, threshold in scorings:
+        rotated = np.zeros(trials.size, dtype=bool)
+        rotated[rows] = score(detect, threshold)
+        # a trial without a Pauli error fails on its rotations alone
+        with_pauli = pick(rotated)
+        alone = int(np.count_nonzero(rotated)) - int(np.count_nonzero(with_pauli))
+        counts.append([int(np.count_nonzero(f | with_pauli)) + alone for f in failed])
     return counts
 
 
@@ -487,22 +472,19 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     sweep and each worker scores a contiguous range of trials at every
     point; otherwise the sweep runs in this process.
     """
-    return _run_sweeps((config,))[0]
+    return _run_sweeps(config, (config.quaternionic_detection,))[0]
 
 
-def _run_sweeps(configs: tuple[SweepConfig, ...]) -> list[SweepResult]:
-    """One engine pass for configs that share code, grid, trials and seed."""
-    head = configs[0]
-    pipelines = tuple(
-        (c.noise, c.quaternionic_detection, c.detection_threshold) for c in configs
-    )
-    args = (get_code(head.code_id), pipelines, head.p_values, head.seed)
-    workers = min(thread_count(), head.trials // CHUNK_TRIALS)
+def _run_sweeps(config: SweepConfig, detects: tuple[bool, ...]) -> list[SweepResult]:
+    """One engine pass over ``config``'s trials, scored with each of ``detects``."""
+    scorings = tuple((detect, config.detection_threshold) for detect in detects)
+    args = (get_code(config.code_id), config.noise, scorings, config.p_values, config.seed)
+    workers = min(thread_count(), config.trials // CHUNK_TRIALS)
     parts = None
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
 
-        bounds = np.linspace(0, head.trials, workers + 1, dtype=int)
+        bounds = np.linspace(0, config.trials, workers + 1, dtype=int)
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
@@ -515,9 +497,9 @@ def _run_sweeps(configs: tuple[SweepConfig, ...]) -> list[SweepResult]:
             # identical counts either way because trials are keyed individually.
             pass
     if parts is None:
-        parts = [count_failures(*args, 0, head.trials)]
+        parts = [count_failures(*args, 0, config.trials)]
     results = []
-    for config, tallies in zip(configs, zip(*parts)):
+    for tallies in zip(*parts):
         points = []
         for p, count in zip(config.p_values, map(sum, zip(*tallies))):
             p_l = count / config.trials
@@ -569,24 +551,17 @@ class Figure1Data:
     quaternionic_fit: FitResult | None
 
 
-def figure1_data(
-    standard_config: SweepConfig, quaternionic_config: SweepConfig
-) -> Figure1Data:
-    """Run a paired comparison of the two decoding pipelines.
+def figure1_data(config: SweepConfig) -> Figure1Data:
+    """Score one sweep with the standard decoder and with quaternionic detection.
 
-    Code, grid, trials and seed must be shared so the pipelines see the
-    same realizations; the noise and the threshold may differ.  Both
-    sweeps run in one engine pass (one process pool when ``HQEC_THREADS``
-    asks for workers), with the counts two :func:`run_sweep` calls give.
+    Both pipelines score the same realizations in one engine pass (one
+    process pool when ``HQEC_THREADS`` asks for workers), with the counts
+    :func:`run_sweep` gives with ``quaternionic_detection`` off and on.
+    ``config`` names the standard pipeline, so it must have detection off.
     """
-    if standard_config.quaternionic_detection:
-        raise ValueError("standard_config must have quaternionic_detection disabled")
-    if not quaternionic_config.quaternionic_detection:
-        raise ValueError("quaternionic_config must have quaternionic_detection enabled")
-    for attr in ("code_id", "p_values", "trials", "seed"):
-        if getattr(standard_config, attr) != getattr(quaternionic_config, attr):
-            raise ValueError(f"paired configs must share {attr}")
-    standard, quaternionic = _run_sweeps((standard_config, quaternionic_config))
+    if config.quaternionic_detection:
+        raise ValueError("figure1_data needs a config with quaternionic_detection disabled")
+    standard, quaternionic = _run_sweeps(config, (False, True))
 
     def _try_fit(result: SweepResult) -> FitResult | None:
         try:

@@ -227,10 +227,7 @@ def test_criterion_8_exponent_recovery_and_quaternionic_substitutes():
         trials=20_000,
         seed=99,
     )
-    data = figure1_data(
-        SweepConfig(quaternionic_detection=False, **base),
-        SweepConfig(quaternionic_detection=True, **base),
-    )
+    data = figure1_data(SweepConfig(**base))
     strict = 0
     for std_pt, q_pt in zip(data.standard.points, data.quaternionic.points):
         assert q_pt.p_L <= std_pt.p_L

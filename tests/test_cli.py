@@ -67,9 +67,10 @@ def test_parse_args_mc():
 
 def test_parse_args_reuses_one_parser_without_leaking_flags():
     base = ["mc", "--code", "three", "--p", "0.1:0.2:lin:2"]
-    assert parse_args([*base, "--detect"]).parameters["detect"] is True
-    assert parse_args([*base, "--detect", "--no-detect"]).parameters["detect"] is False
-    assert parse_args(base).parameters["detect"] is False
+    detect = "quaternionic_detection"
+    assert parse_args([*base, "--detect"]).parameters[detect] is True
+    assert parse_args([*base, "--detect", "--no-detect"]).parameters[detect] is False
+    assert parse_args(base).parameters[detect] is False
     first = parse_args(["figure1", "--out", "a", "--trials", "7", "--rotations", "0.2",
                         "--include-model"]).parameters
     second = parse_args(["figure1", "--out", "b"])
@@ -86,7 +87,7 @@ def test_mc_and_figure1_parse_shared_flags_alike(tmp_path):
               "--threshold", "0.03"]
     mc = parse_args(["mc", *shared]).parameters
     figure1 = parse_args(["figure1", "--out", str(tmp_path / "fig"), *shared]).parameters
-    for key in ("noise", "p_values", "trials", "seed", "threshold"):
+    for key in ("noise", "p_values", "trials", "seed", "detection_threshold"):
         assert mc[key] == figure1[key], key
     assert mc["noise"].p_rot == 0.2
     assert mc["noise"].rot_angle.kind == "uniform"

@@ -310,8 +310,8 @@ def oracle_counts(code, noise, p_values, seed, start, stop, detect, threshold):
 
 
 def engine_counts(code, noise, p_values, seed, start, stop, detect=False, threshold=0.01):
-    """The engine's counts for the one pipeline ``(noise, detect, threshold)``."""
-    return count_failures(code, ((noise, detect, threshold),), p_values, seed, start, stop)[0]
+    """The engine's counts for the one scoring ``(detect, threshold)``."""
+    return count_failures(code, noise, ((detect, threshold),), p_values, seed, start, stop)[0]
 
 
 def _random_engine_code(seed):
@@ -358,8 +358,9 @@ def engine_cases(draw):
         seed=draw(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**64 - 1]))),
         start=start,
         stop=start + length,
-        detect=draw(st.booleans()),
-        threshold=draw(st.sampled_from([0.0, 0.01, 0.2])),
+        scorings=tuple(draw(st.lists(
+            st.tuples(st.booleans(), st.sampled_from([0.0, 0.01, 0.2])), min_size=1, max_size=2,
+        ))),
         chunk=draw(st.integers(1, 8)),
     )
 
@@ -368,10 +369,11 @@ def engine_cases(draw):
 @given(engine_cases())
 def test_batched_engine_equals_per_trial_oracle(case):
     args = (case["code"], case["noise"], case["p_values"], case["seed"],
-            case["start"], case["stop"], case["detect"], case["threshold"])
+            case["start"], case["stop"])
     # A small chunk puts chunk boundaries inside every drawn range.
     with mock.patch.object(experiments, "CHUNK_TRIALS", case["chunk"]):
-        assert engine_counts(*args) == oracle_counts(*args)
+        counts = count_failures(case["code"], case["noise"], case["scorings"], *args[2:])
+    assert counts == [oracle_counts(*args, *scoring) for scoring in case["scorings"]]
 
 
 def test_batched_engine_crosses_the_real_chunk_boundary():
@@ -384,29 +386,32 @@ def test_batched_engine_crosses_the_real_chunk_boundary():
     assert all(counts)
 
 
-def test_mixed_draw_widths_in_one_engine_call():
-    # Pauli-only, fixed-angle and uniform-angle pipelines read the first 2n,
-    # 3n and 4n draws of a trial; run together, they share the widest.
-    code = _CODES["perfect5"]
-    pipelines = (
-        (NoiseModel(p=0.0, pauli_weights=(0.5, 0.2, 0.3)), False, 0.01),
+@pytest.mark.parametrize(
+    "noise, width",
+    [
+        (NoiseModel(p=0.0, pauli_weights=(0.5, 0.2, 0.3)), 2),
         (NoiseModel(p=0.0, phase_mode="table1", p_rot=0.3,
-                    rot_angle=AngleDistribution("fixed", 0.4)), True, 0.01),
+                    rot_angle=AngleDistribution("fixed", 0.4)), 3),
         (NoiseModel(p=0.0, p_rot=0.2, rot_angle=AngleDistribution("uniform", 1.2),
-                    rot_mode="all"), False, 0.0),
-    )
+                    rot_mode="all"), 4),
+    ],
+    ids=["pauli", "fixed", "uniform"],
+)
+def test_one_draw_per_chunk_at_the_noise_width(noise, width):
+    # Pauli-only, fixed-angle and uniform-angle noise read the first 2n, 3n
+    # and 4n draws of a trial; every scoring of one call shares them.
+    code = _CODES["perfect5"]
+    scorings = ((False, 0.01), (True, 0.01), (True, 0.0))
     p_values, seed, start = (0.05, 0.3), 2**64 - 1, 2**40 + 3
     stop = start + 2 * 8 + 5
     with mock.patch.object(experiments, "CHUNK_TRIALS", 8), mock.patch.object(
         experiments, "philox_uniforms", wraps=experiments.philox_uniforms
     ) as draws:
-        together = count_failures(code, pipelines, p_values, seed, start, stop)
-        assert {c.args[2] for c in draws.call_args_list} == {4 * code.n}
-        for (noise, detect, threshold), counts, width in zip(pipelines, together, (2, 3, 4)):
-            draws.reset_mock()
-            args = (code, noise, p_values, seed, start, stop, detect, threshold)
-            assert engine_counts(*args) == counts == oracle_counts(*args)
-            assert {c.args[2] for c in draws.call_args_list} == {width * code.n}
+        together = count_failures(code, noise, scorings, p_values, seed, start, stop)
+    assert [c.args[2] for c in draws.call_args_list] == [width * code.n] * 3  # 8 + 8 + 5 trials
+    for (detect, threshold), counts in zip(scorings, together):
+        args = (code, noise, p_values, seed, start, stop, detect, threshold)
+        assert engine_counts(*args) == counts == oracle_counts(*args)
     assert all(all(counts) for counts in together)
 
 
@@ -618,25 +623,11 @@ def test_parse_sweep_csv_rejects_bad_header():
 
 # -- paired sweeps ------------------------------------------------------------------
 
-def test_figure1_pair_validation():
-    base = dict(
-        code_id="perfect5",
-        noise=NoiseModel(p=0.0),
-        p_values=(0.01, 0.02),
-        trials=100,
-        seed=0,
-    )
-    std = SweepConfig(quaternionic_detection=False, **base)
-    quat_cfg = SweepConfig(quaternionic_detection=True, **base)
-    with pytest.raises(ValueError):
-        figure1_data(quat_cfg, quat_cfg)
-    with pytest.raises(ValueError):
-        figure1_data(std, std)
-    other = SweepConfig(
-        quaternionic_detection=True, **{**base, "trials": 200}
-    )
-    with pytest.raises(ValueError):
-        figure1_data(std, other)
+def test_figure1_refuses_a_detecting_config():
+    config = SweepConfig("perfect5", NoiseModel(p=0.0), (0.01, 0.02), trials=100, seed=0,
+                         quaternionic_detection=True)
+    with pytest.raises(ValueError, match="quaternionic_detection"):
+        figure1_data(config)
 
 
 def test_figure1_rotation_free_curves_coincide():
@@ -647,10 +638,7 @@ def test_figure1_rotation_free_curves_coincide():
         trials=2000,
         seed=21,
     )
-    data = figure1_data(
-        SweepConfig(quaternionic_detection=False, **base),
-        SweepConfig(quaternionic_detection=True, **base),
-    )
+    data = figure1_data(SweepConfig(**base))
     assert data.standard.points == data.quaternionic.points
 
 
@@ -665,10 +653,7 @@ def test_figure1_rotation_noise_orders_pipelines():
         trials=3000,
         seed=8,
     )
-    data = figure1_data(
-        SweepConfig(quaternionic_detection=False, **base),
-        SweepConfig(quaternionic_detection=True, **base),
-    )
+    data = figure1_data(SweepConfig(**base))
     strict = 0
     for std_pt, q_pt in zip(data.standard.points, data.quaternionic.points):
         assert q_pt.failures <= std_pt.failures
@@ -677,13 +662,13 @@ def test_figure1_rotation_noise_orders_pipelines():
 
 
 _PAIRS = {
-    # same noise, so the pass shares the Pauli failures and the damaged states
+    # two configs that share a noise and differ in the threshold
     "shared-noise": (
         "perfect5",
         (NoiseModel(p=0.0, p_rot=0.2), 0.01),
         (NoiseModel(p=0.0, p_rot=0.2), 0.05),
     ),
-    # nothing shared but the draws
+    # two configs with different uniform-angle noises
     "different-noise": (
         "paper5",
         (NoiseModel(p=0.0, p_rot=0.1, rot_angle=AngleDistribution("uniform", 1.2)), 0.2),
@@ -719,38 +704,32 @@ def counted_pools(monkeypatch) -> list:
 @pytest.mark.parametrize("threads", [None, "2"])
 @pytest.mark.parametrize("pair", list(_PAIRS))
 def test_figure1_pass_equals_separate_sweeps_and_oracle(monkeypatch, pair, threads):
-    code_id, (std_noise, std_threshold), (q_noise, q_threshold) = _PAIRS[pair]
-    base = dict(code_id=code_id, p_values=(0.02, 0.1), trials=300, seed=17)
-    std = SweepConfig(noise=std_noise, detection_threshold=std_threshold, **base)
-    quat_cfg = SweepConfig(
-        noise=q_noise, detection_threshold=q_threshold, quaternionic_detection=True, **base
-    )
+    code_id, *noises = _PAIRS[pair]
     pools = counted_pools(monkeypatch)
     monkeypatch.setattr(experiments, "CHUNK_TRIALS", 100)  # 300 trials: a pool of two
     if threads is None:
         monkeypatch.delenv("HQEC_THREADS", raising=False)
     else:
         monkeypatch.setenv("HQEC_THREADS", threads)
-    data = figure1_data(std, quat_cfg)
-    assert pools == ([] if threads is None else [2])  # one pass, one pool
-    assert data.standard == run_sweep(std)
-    assert data.quaternionic == run_sweep(quat_cfg)
-    code = _CODES[code_id]
-    for config, result in ((std, data.standard), (quat_cfg, data.quaternionic)):
-        want = oracle_counts(
-            code, config.noise, config.p_values, config.seed, 0, config.trials,
-            config.quaternionic_detection, config.detection_threshold,
-        )
-        assert [pt.failures for pt in result.points] == want
+    for noise, threshold in noises:
+        config = SweepConfig(code_id, noise, (0.02, 0.1), trials=300, seed=17,
+                             detection_threshold=threshold)
+        pools.clear()
+        data = figure1_data(config)
+        assert pools == ([] if threads is None else [2])  # one pass, one pool
+        for detect, result in ((False, data.standard), (True, data.quaternionic)):
+            assert result == run_sweep(dataclasses.replace(config, quaternionic_detection=detect))
+            want = oracle_counts(_CODES[code_id], noise, config.p_values, config.seed, 0,
+                                 config.trials, detect, threshold)
+            assert [pt.failures for pt in result.points] == want
 
 
 def test_pool_that_cannot_start_falls_back_to_serial(monkeypatch):
     base = dict(code_id="perfect5", noise=NoiseModel(p=0.0, p_rot=0.1), p_values=(0.02, 0.1),
                 trials=300, seed=5)
     std = SweepConfig(**base)
-    quat_cfg = SweepConfig(quaternionic_detection=True, **base)
     monkeypatch.delenv("HQEC_THREADS", raising=False)
-    serial = (run_sweep(std), figure1_data(std, quat_cfg))
+    serial = (run_sweep(std), figure1_data(std))
     attempts = []
 
     class NoProcesses:
@@ -761,7 +740,7 @@ def test_pool_that_cannot_start_falls_back_to_serial(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoProcesses)
     monkeypatch.setattr(experiments, "CHUNK_TRIALS", 100)  # 300 trials: a pool of two
     monkeypatch.setenv("HQEC_THREADS", "2")
-    assert (run_sweep(std), figure1_data(std, quat_cfg)) == serial
+    assert (run_sweep(std), figure1_data(std)) == serial
     assert attempts == [2, 2]
 
 
@@ -785,15 +764,16 @@ def test_pool_starts_only_for_a_full_chunk_per_worker(monkeypatch):
 def test_engine_working_set_does_not_grow_with_the_trials():
     # figure1's two pipelines; the bound is fixed in advance, not fitted to a run.
     params = cli.parse_args(["figure1", "--out", "unused"]).parameters
-    code, noise = get_code(params["code"]), params["noise"]
-    pipelines = ((noise, False, params["threshold"]), (noise, True, params["threshold"]))
+    code, noise = get_code(params["code_id"]), params["noise"]
+    threshold = params["detection_threshold"]
+    args = (code, noise, ((False, threshold), (True, threshold)), params["p_values"], 1, 0)
     chunk = min(experiments.CHUNK_TRIALS, experiments.CHUNK_WORDS // (3 * code.n))
     peaks = []
     for trials in (chunk, 4 * chunk):
-        count_failures(code, pipelines, params["p_values"], 1, 0, trials)  # warm caches
+        count_failures(*args, trials)  # warm caches
         tracemalloc.start()
         try:
-            count_failures(code, pipelines, params["p_values"], 1, 0, trials)
+            count_failures(*args, trials)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -812,7 +792,7 @@ def test_fixed_angle_working_set_on_a_full_support_ten_qubit_code():
     noise = NoiseModel(p=0.0, p_rot=0.05, rot_mode="all")
     tracemalloc.start()
     try:
-        count_failures(code, ((noise, True, 0.01),), (0.01,), 1, 0, 3000)
+        count_failures(code, noise, ((True, 0.01),), (0.01,), 1, 0, 3000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -827,10 +807,7 @@ def test_figure1_csv_layout():
         trials=500,
         seed=4,
     )
-    data = figure1_data(
-        SweepConfig(quaternionic_detection=False, **base),
-        SweepConfig(quaternionic_detection=True, **base),
-    )
+    data = figure1_data(SweepConfig(**base))
     text = figure1_csv(data, include_model_curves=True)
     lines = text.splitlines()
     assert lines[0] == (
