@@ -31,18 +31,19 @@ GF(2) in the error, so the Pauli channel XORs the code's per-qubit
 trials with an error at the largest p while those are at most half of a
 chunk.  The rotation channel is scored as arrays of damaged ``|0_L>``
 states, over the slots where ``|0_L>`` is nonzero: the rotations of an
-event share one axis, so each slot is the reference slot times a product
-of unit quaternions, and detection and correction are per-qubit slot
-sums and inverse units.  For either angle law a chunk takes its rotated
-trials and their angles from :func:`~hqec.noise.rotation_angles`, once
-for all its scorings.  With a ``fixed`` angle a trial's verdict depends
-only on which qubits it turns by a nonzero angle, so
-:func:`rotation_verdicts` keeps a per-process memo of the ``2**n``
-subsets and scores only those a chunk brings that it has not seen; with
-a ``uniform`` angle each chunk scores the angle rows of its rotated
-trials.  A subset or row whose compared excesses lie within
-:data:`GUARD` of the threshold, where the other summation order could
-flip the verdict, is scored by :func:`score_event` instead.
+event share one axis, so each slot is the reference slot times the unit
+of its angle sum; detection is per-qubit slot sums, and correction
+leaves the flagged angles out of the sum.  For either angle law a chunk
+takes its rotated trials and their angles from
+:func:`~hqec.noise.rotation_angles`, once for all its scorings.  With a
+``fixed`` angle a trial's verdict depends only on which qubits it turns
+by a nonzero angle, so :func:`rotation_verdicts` keeps a per-process
+memo of the ``2**n`` subsets and scores only those a chunk brings that
+it has not seen; with a ``uniform`` angle each chunk scores the angle
+rows of its rotated trials.  A subset or row whose compared excesses lie
+within :data:`GUARD` of the threshold (more for huge angles), where the
+oracle's order of operations could flip the verdict, is scored by
+:func:`score_event` instead.
 :func:`figure1_data` scores one sweep with detection off and on in one
 pass of the engine, so the two pipelines share the draws, the Pauli
 failures and the rotation scoring.
@@ -259,9 +260,9 @@ CHUNK_TRIALS = 8192
 CHUNK_WORDS = 2**15
 
 #: Half-width of the band around the detection threshold in which the
-#: batched rotation scorer defers to :func:`score_event`.  It sums in
-#: another order than that oracle, so a comparison this close to the
-#: threshold could go the other way there.
+#: batched rotation scorer defers to :func:`score_event`.  It adds angles
+#: where that oracle multiplies units, and sums in another order, so a
+#: comparison this close to the threshold could go the other way there.
 GUARD = 1e-9
 
 
@@ -290,8 +291,8 @@ def count_failures(
     angle a trial's verdict is read from :func:`rotation_verdicts` by the
     set of qubits its nonzero angles turn.  With a ``uniform`` one the
     angle rows are scored by one :class:`_RotationScorer`, and a row whose
-    compared excesses lie within :data:`GUARD` of the threshold is scored
-    again through :func:`score_event` with no Pauli part.
+    compared excesses lie within its band (:data:`GUARD`, more for huge
+    angles) of the threshold is rescored through :func:`score_event`.
     """
     if not 0 <= start <= stop <= 2**64:
         raise ValueError(f"need 0 <= start <= stop <= 2**64, got {start}, {stop}")
@@ -382,76 +383,67 @@ def rotation_verdicts(
 class _RotationScorer:
     """The rotation channel of rows of per-qubit angles, scored as arrays.
 
-    All rotations of an event turn about one axis, so they commute.  Each
-    slot of the damaged ``|0_L>`` is therefore the reference slot multiplied
-    on the left by ``w + v a``, the product of the units
-    ``cos(theta) + a sin(theta)`` of the rotations whose slot
-    (:func:`noise.slot_cover`) holds it, with ``a`` the axis as a pure
-    quaternion.  Units are multiplied, not angles added, so the result
-    stays as accurate as the oracle's for any angle.  Only the slots where
-    ``|0_L>`` is nonzero are kept, since left multiplication keeps a zero
-    slot at zero.  The damaged states are built once and scored for each
-    ``(detect, threshold)`` asked of them; a row near the threshold is
-    scored by :func:`score_event` on the event its angles describe.
+    All rotations of an event turn about one axis ``a``, so their units
+    ``cos(theta) + a sin(theta)`` commute: each slot of the damaged
+    ``|0_L>`` is the reference slot times ``cos(phi) + a sin(phi)`` on the
+    left, with ``phi = angles @ cover`` the sum of the angles whose slot
+    (:func:`noise.slot_cover`) holds it.  That is as accurate as the
+    oracle's product of units.  A sum of at most n angles is off by at most
+    ``n * eps * sum(|theta|)``, below 1e-12 for n <= 20 angles below 2 pi.
+    :class:`~hqec.quaternion.ImaginaryAxis` holds ``|a|**2`` within
+    ``TOLERANCE`` of 1, so a product of k units differs in norm squared
+    from ``cos(phi) + a sin(phi)`` by at most about ``k * 1e-12``.  A
+    strength moves at most twice as far as ``phi``, so both gaps lie far
+    inside :data:`GUARD` = 1e-9 for any n whose ``2**n`` state fits in
+    memory; ``band`` widens it by the sum's bound for huge angles.  Only
+    the slots where ``|0_L>`` is nonzero are kept, since left
+    multiplication keeps a zero slot at zero.  The states are built once
+    and scored for each ``(detect, threshold)``.
     """
 
     def __init__(self, code, axis, mode, angles) -> None:
         self.code, self.axis, self.mode, self.angles = code, axis, mode, angles
-        self.moved = angles != 0.0
-        self.cos, self.sin = np.cos(angles), np.sin(angles)
         ref = code.codeword_zero.amps.components
         support = np.flatnonzero(ref.any(axis=1))
         ref = ref[support]
         self.cover = slot_cover(code.n, mode)[:, support]
-        self.axis_norm = axis.x * axis.x + axis.y * axis.y + axis.z * axis.z
         turned = ref @ left_mul_matrix(Quaternion(0.0, axis.x, axis.y, axis.z)).T
         self.ref_jk, self.turned_jk = ref[:, 2:], turned[:, 2:]
         ref_strengths = self.ref_jk**2
         self.ref_total = ref_strengths.sum(axis=0)
         self.ref_slots = self.cover @ ref_strengths
-        ones = np.ones((angles.shape[0], support.size))
-        self.w, self.v = self._multiply(ones, np.zeros_like(ones), self.cos, self.sin)
-        self.strengths = self._jk_strengths(self.w, self.v)
+        self.strengths = self._jk_strengths(angles @ self.cover)
+        self.band = GUARD + 2 * code.n * np.finfo(float).eps * np.abs(angles).sum(axis=1)
 
-    def _multiply(self, w, v, cos, sin):
-        """``w + v a`` times the unit ``cos + a sin`` of each qubit over its slots."""
-        for q, slots in enumerate(self.cover):
-            c = np.where(slots, cos[:, q, None], 1.0)
-            s = np.where(slots, sin[:, q, None], 0.0)
-            w, v = w * c - self.axis_norm * (v * s), w * s + v * c
-        return w, v
-
-    def _jk_strengths(self, w, v) -> np.ndarray:
-        """``(rows, slots, 2)`` squared j and k components of the damaged slots."""
-        return (w[..., None] * self.ref_jk + v[..., None] * self.turned_jk) ** 2
+    def _jk_strengths(self, phi) -> np.ndarray:
+        """``(rows, slots, 2)`` squared j and k components of the slots turned by ``phi``."""
+        phi = phi[..., None]
+        return (np.cos(phi) * self.ref_jk + np.sin(phi) * self.turned_jk) ** 2
 
     def failures(self, detect: bool, threshold: float) -> np.ndarray:
         """Rotation-channel verdict of each row, as :func:`score_event` gives it.
 
         With detection, a qubit is flagged when its slot j or k strength
         exceeds the reference's by more than ``threshold``, and the
-        rotations of flagged qubits are undone by their inverse units.
+        rotations of flagged qubits are undone by leaving their angles out.
         Row ``r`` is scored through :func:`score_event` instead when its
-        compared excesses lie within :data:`GUARD` of the threshold
+        compared excesses lie within ``band[r]`` of the threshold
         (per-qubit excesses count for rotated qubits only, since a flag on
         any other corrects nothing).  Excesses are compared against at
         least :data:`~hqec.quaternion.TOLERANCE`, as :func:`score_event`
         does.
         """
         threshold = max(threshold, TOLERANCE)
-        w, v, strengths = self.w, self.v, self.strengths
-        near = np.zeros(self.moved.shape[0], dtype=bool)
+        strengths, near = self.strengths, False
         if detect:
             slots = self.cover @ strengths - self.ref_slots
             flags = (slots > threshold).any(axis=-1)
-            near = ((np.abs(slots - threshold) <= GUARD).any(axis=-1) & self.moved).any(axis=-1)
-            w, v = self._multiply(
-                w, v, np.where(flags, self.cos, 1.0), np.where(flags, -self.sin, 0.0)
-            )
-            strengths = self._jk_strengths(w, v)
+            near = np.abs(slots - threshold) <= self.band[:, None, None]
+            near = (near.any(axis=-1) & (self.angles != 0.0)).any(axis=-1)
+            strengths = self._jk_strengths(np.where(flags, 0.0, self.angles) @ self.cover)
         excess = (strengths.sum(axis=1) - self.ref_total).max(axis=-1)
         failed = excess > threshold
-        near |= np.abs(excess - threshold) <= GUARD
+        near |= np.abs(excess - threshold) <= self.band
         for r in np.flatnonzero(near):
             rotations = tuple(RotationError(q + 1, self.axis, float(angle))
                               for q, angle in enumerate(self.angles[r]) if angle != 0.0)

@@ -26,6 +26,7 @@ from hqec.noise import (
     apply_rotations,
     detect_rotations,
     jk_excess,
+    philox_uniforms,
     sample_error,
 )
 from hqec.experiments import (
@@ -441,6 +442,12 @@ def oracle_excesses(code, event, detect):
     return values
 
 
+# Two axes at the edge of ImaginaryAxis's tolerance, |a|**2 - 1 about +-9e-13:
+# there a product of units and the unit of the angle sum differ the most.
+_AXES = (K_AXIS, ImaginaryAxis.normalized(1, 2, 3),
+         ImaginaryAxis(math.sqrt(1 + 9e-13), 0, 0), ImaginaryAxis(0, math.sqrt(1 - 9e-13), 0))
+
+
 @pytest.mark.parametrize("rot_mode", ["zero", "all"])
 @pytest.mark.parametrize(
     "angle",
@@ -448,14 +455,17 @@ def oracle_excesses(code, event, detect):
         AngleDistribution("fixed", math.pi / 8),
         AngleDistribution("uniform", 1.2),
         AngleDistribution("uniform", -0.7),
+        AngleDistribution("uniform", 1e10),
     ],
-    ids=["fixed", "uniform", "uniform-negative"],
+    ids=["fixed", "uniform", "uniform-negative", "uniform-huge"],
 )
 def test_engine_threshold_on_an_oracle_excess(rot_mode, angle):
     # A threshold equal to a value the oracle compares sits inside the guard
     # band, so the batched scorer must defer to score_event for that trial.
+    # Angles near 1e10 put about 1e-6 of rounding in an angle sum, far more
+    # than GUARD, so there the band must widen with the angles.
     code, seed = _CODES["perfect5"], 41
-    for axis in (K_AXIS, ImaginaryAxis.normalized(1, 2, 3)):
+    for axis in _AXES:
         noise = NoiseModel(p=0.0, p_rot=0.3, rot_axis=axis, rot_angle=angle, rot_mode=rot_mode)
         events = [sample_error(noise, code.n, seed, t) for t in range(6)]
         for detect in (False, True):
@@ -501,9 +511,7 @@ def test_rotation_verdicts_equal_score_event_on_every_subset(code_id):
         subsets = list(range(2**code.n))
     angle = math.pi / 8
     experiments._verdict_memo.cache_clear()
-    for axis, mode, detect in itertools.product(
-        (K_AXIS, ImaginaryAxis.normalized(1, 2, 3)), ("zero", "all"), (False, True)
-    ):
+    for axis, mode, detect in itertools.product(_AXES, ("zero", "all"), (False, True)):
         events = [subset_event(code, axis, angle, mode, s) for s in subsets]
         thresholds = {0.0, 0.01}
         if code_id != "repetition12":
@@ -526,6 +534,49 @@ def test_rotation_verdicts_equal_score_event_on_every_subset(code_id):
         score_event(code, subset_event(code, K_AXIS, angle, "zero", s), True, 0.01)
         for s in subsets
     ]
+
+
+def noise_with_bound(bound, u):
+    """``(noise, p)`` whose ``bound`` (p, letter bound c1 or c2, or p_rot) equals ``u``.
+
+    Every qubit is hit with a letter when a letter bound is tied, and
+    nothing is rotated unless p_rot is.
+    """
+    if bound == "p":
+        return NoiseModel(p=0.0), u
+    if bound == "c1":
+        return NoiseModel(p=0.0, pauli_weights=(u, (1 - u) / 2, (1 - u) / 2)), 1.0
+    if bound == "c2":  # c1 = u / 2 and c1 + w[1] = u, both exact
+        return NoiseModel(p=0.0, pauli_weights=(u / 2, u / 2, 1 - u)), 1.0
+    return NoiseModel(p=0.0, p_rot=u), 0.0
+
+
+@pytest.mark.parametrize(
+    "bound, trial, qubit", [("p", 0, 2), ("c1", 0, 0), ("c2", 1, 0), ("p_rot", 0, 3)]
+)
+def test_a_bound_equal_to_a_drawn_uniform_is_compared_as_the_oracle_does(bound, trial, qubit):
+    # sample_error compares each uniform strictly with p, c1, c2 and p_rot.
+    # Set to the draw of one trial and qubit (0-based), the bound leaves that
+    # qubit unhit, on the next letter, or unrotated, and the trial's verdict
+    # differs from the one at the next double up; the engine must agree at both.
+    code, seed, trials = _CODES["perfect5"], 3, 16
+    n = code.n
+    draws = philox_uniforms(seed, np.arange(trials), 4 * n)
+    block = {"p": 0, "c1": 1, "c2": 1, "p_rot": 2}[bound]
+    tie = float(draws[trial, block * n + qubit])
+    c1, w1 = noise_with_bound(bound, tie)[0].pauli_weights[:2]
+    assert bound != "c1" or c1 == tie
+    assert bound != "c2" or c1 + w1 == tie
+    verdicts = []
+    for value in (tie, float(np.nextafter(tie, 1.0))):
+        noise, p = noise_with_bound(bound, value)
+        event = sample_error(dataclasses.replace(noise, p=p), n, seed, trial)
+        verdicts.append(score_event(code, event))
+        scorings = ((False, 0.01), (True, 0.01))
+        counts = count_failures(code, noise, scorings, (p,), seed, 0, trials)
+        assert counts == [oracle_counts(code, noise, (p,), seed, 0, trials, *scoring)
+                          for scoring in scorings], (bound, value)
+    assert verdicts[0] != verdicts[1]
 
 
 def test_count_failures_range_validation():
