@@ -639,15 +639,6 @@ class CodewordActionRow:
         return (self.sign, self.label) == (self.reference_sign, self.reference_label)
 
 
-def _unit_decompose(q: Quaternion) -> tuple[int, str]:
-    for name, unit in quat.UNIT_BY_NAME.items():
-        if q == unit:
-            return 1, name
-        if q == -unit:
-            return -1, name
-    raise ValueError(f"{q} is not a signed unit")
-
-
 def codeword_action_table(
     unit: str, mapping: Mapping[str, str]
 ) -> tuple[CodewordActionRow, ...]:
@@ -655,7 +646,8 @@ def codeword_action_table(
 
     ``mapping`` assigns distinct display labels to the slot values 1, i,
     j, k; the codeword rows are the preimages of labels "0" and "1".  The
-    product is re-expressed as a signed mapped label, with the published
+    product of units a and b is ``HAMILTON_SIGNS[a, a ^ b]`` times unit
+    ``a ^ b``, re-expressed as a signed mapped label, with the published
     rows attached for diffing and the two-bit expansion of the product
     unit included.
     """
@@ -665,11 +657,13 @@ def codeword_action_table(
         raise ValueError("mapping must assign labels to exactly 1, i, j, k")
     if len(set(mapping.values())) != 4:
         raise ValueError("mapping labels must be distinct")
-    label_to_unit = {label: name for name, label in mapping.items()}
+    names = list(quat.UNIT_BY_NAME)
+    label_to_unit = {label: names.index(name) for name, label in mapping.items()}
+    b = names.index(unit)
     rows = []
     for codeword in ("0", "1"):
-        slot_value = quat.UNIT_BY_NAME[label_to_unit[codeword]]
-        sign, product_unit = _unit_decompose(slot_value * quat.UNIT_BY_NAME[unit])
+        a = label_to_unit[codeword]
+        sign, product_unit = int(HAMILTON_SIGNS[a, a ^ b]), names[a ^ b]
         ref_sign, ref_label = REFERENCE_CODEWORD_ACTION[(codeword, unit)]
         rows.append(
             CodewordActionRow(

@@ -525,11 +525,10 @@ def fit_threshold(result: SweepResult) -> FitResult:
     if slope == 0.0:
         raise ValueError("degenerate fit: zero slope")
     residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    p_th = float(np.exp(-intercept / slope))
-    if abs(slope - 1.0) > 1e-9:
-        crossing = float(np.exp(-intercept / (slope - 1.0)))
-    else:
-        crossing = None
+    # A nearly flat line puts either threshold past the largest double: inf.
+    with np.errstate(over="ignore"):
+        p_th = float(np.exp(-intercept / slope))
+        crossing = float(np.exp(-intercept / (slope - 1.0))) if abs(slope - 1.0) > 1e-9 else None
     return FitResult(exponent=float(slope), p_th=p_th, p_th_crossing=crossing, residual=residual)
 
 

@@ -8,6 +8,10 @@ or from the right; :class:`MulSide` makes that choice explicit and
 
 The inner product is right-linear: ``<phi|psi * q> == <phi|psi> * q``.
 Norms are real, taken from the scalar part of ``<psi|psi>``.
+
+``HAMILTON_INDEX`` and ``HAMILTON_SIGNS`` are the one array definition of
+the Hamilton product: :func:`qmul_components`, :func:`left_mul_matrix`,
+:func:`is_unitary` and the codeword checks in ``hqec.codes`` all read it.
 """
 
 from __future__ import annotations
@@ -21,25 +25,18 @@ import numpy as np
 from .quaternion import TOLERANCE, Quaternion
 
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
-# Component t of the Hamilton product a * b is the sum over u = 0..3, in order,
-# of HAMILTON_SIGNS[u, t] * a[u] * b[t ^ u]; HAMILTON_INDEX[u, t] is t ^ u.
+# The one array definition of the Hamilton product: component t of a * b is the
+# sum over u = 0..3, in order, of a[u] * b[t ^ u] * HAMILTON_SIGNS[u, t], and
+# HAMILTON_INDEX[u, t] is t ^ u.  So units a and b multiply to unit a ^ b
+# with sign HAMILTON_SIGNS[a, a ^ b].
 HAMILTON_INDEX = np.arange(4) ^ np.arange(4)[:, None]
 HAMILTON_SIGNS = np.array([[1, 1, 1, 1], [-1, 1, -1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1]], float)
 
 
 def qmul_components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Broadcasted Hamilton product of ``(..., 4)`` component arrays."""
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        (
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ),
-        axis=-1,
-    )
+    terms = a[..., :, None] * b[..., HAMILTON_INDEX] * HAMILTON_SIGNS
+    return terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :] + terms[..., 3, :]
 
 
 def qconj_components(a: np.ndarray) -> np.ndarray:
@@ -47,16 +44,9 @@ def qconj_components(a: np.ndarray) -> np.ndarray:
 
 
 def left_mul_matrix(q: Quaternion) -> np.ndarray:
-    """4x4 real matrix L with ``L @ v == components of q * v``."""
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return np.array(
-        [
-            [w, -x, -y, -z],
-            [x, w, -z, y],
-            [y, z, w, -x],
-            [z, -y, x, w],
-        ]
-    )
+    """4x4 real matrix L with ``L @ v == components of q * v``; ``L[t, t ^ u]`` is signed q[u]."""
+    terms = HAMILTON_SIGNS * np.array(q.as_tuple())[:, None]
+    return terms[HAMILTON_INDEX, np.arange(4)[:, None]]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

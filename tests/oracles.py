@@ -3,6 +3,9 @@
 Each one takes the plain route to its answer (a dense product, an exact
 eigenvalue read off a state) rather than the library's fast path, so a
 test that sets the two side by side checks the library independently.
+:func:`hamilton_product` and :func:`left_mul_literal` write the Hamilton
+product out term by term, apart from the sign table ``hqec.linalg``
+computes it from.
 :func:`repetition_code` and :func:`random_code` build codes other than
 the shipped three for the tests to run both on.
 """
@@ -10,7 +13,7 @@ the shipped three for the tests to run both on.
 import numpy as np
 
 from hqec import quaternion as quat
-from hqec.linalg import QMatrix, QVector, left_mul_matrix, qmul_components
+from hqec.linalg import QMatrix, QVector
 from hqec.register import UNIT_FOR_LETTER, Gate, QRegister
 from hqec.codes import (
     LETTERS,
@@ -28,6 +31,34 @@ from hqec.codes import (
 from hqec.noise import DRAWS_PER_QUBIT, NoiseModel
 
 
+def hamilton_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Broadcasted Hamilton product of ``(..., 4)`` component arrays, term by term."""
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack(
+        (
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ),
+        axis=-1,
+    )
+
+
+def left_mul_literal(q: quat.Quaternion) -> np.ndarray:
+    """The 4x4 real matrix L with ``L @ v == components of q * v``, written out."""
+    w, x, y, z = q.w, q.x, q.y, q.z
+    return np.array(
+        [
+            [w, -x, -y, -z],
+            [x, w, -z, y],
+            [y, z, w, -x],
+            [z, -y, x, w],
+        ]
+    )
+
+
 def amplitude(reg: QRegister, bits: str) -> quat.Quaternion:
     """The amplitude of the basis state ``bits`` (qubit 1 first)."""
     if len(bits) != reg.n or any(b not in "01" for b in bits):
@@ -37,7 +68,7 @@ def amplitude(reg: QRegister, bits: str) -> quat.Quaternion:
 
 def left_scalar_mul(reg: QRegister, q: quat.Quaternion) -> QRegister:
     """Every amplitude times ``q`` on the left."""
-    return QRegister.from_components(reg.n, reg.amps.components @ left_mul_matrix(q).T)
+    return QRegister.from_components(reg.n, reg.amps.components @ left_mul_literal(q).T)
 
 
 def uncached_apply_gate(reg: QRegister, gate: Gate, targets) -> QRegister:
@@ -83,7 +114,7 @@ def component_strength(reg: QRegister, qubit: int, axis: str) -> float:
 
 def right_scalar_mul(psi: QVector, q: quat.Quaternion) -> QVector:
     """Every amplitude times ``q`` on the right: ``psi_n -> psi_n * q``."""
-    return QVector.from_components(qmul_components(psi.components, np.array(q.as_tuple())))
+    return QVector.from_components(hamilton_product(psi.components, np.array(q.as_tuple())))
 
 
 def identity_matrix(n: int) -> QMatrix:
@@ -97,7 +128,7 @@ def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     """Matrix product with entrywise left-to-right quaternion multiplication."""
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    prod = qmul_components(a.components[:, :, None, :], b.components[None, :, :, :])
+    prod = hamilton_product(a.components[:, :, None, :], b.components[None, :, :, :])
     return QMatrix.from_components(prod.sum(axis=1))
 
 

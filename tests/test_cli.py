@@ -2,6 +2,7 @@ import collections
 import hashlib
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -552,6 +553,25 @@ def test_mc_detect_flag(capsys):
 def test_fit_missing_file_exits_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "fit", "--in", str(tmp_path / "absent.csv"))
     assert code == 3
+
+
+def test_fit_of_a_nearly_flat_curve_exits_0_with_warnings_as_errors(capsys, tmp_path):
+    # exp(-intercept / slope) overflows for this slope; the threshold reads inf.
+    path = tmp_path / "flat.csv"
+    path.write_text(
+        "code_id,p,trials,failures,p_L,stderr,seed\n"
+        "three,0.01,10000,5000,0.5,0.005,0\n"
+        "three,0.02,10000,5001,0.5001,0.005,0\n"
+        "three,0.03,10000,5002,0.5002,0.005,0\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "fit", "--in", str(path))
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"slope": 0.0003558915261085902, "p_th_intercept": Infinity, '
+        '"p_th_crossing": 0.5006905546074932, "residual": 2.439674985694883e-05}\n'
+    )
 
 
 @pytest.mark.parametrize("command", ["fit --in", "mc --config"])

@@ -621,6 +621,18 @@ def test_codeword_action_j_sign_diff():
     assert not one_row.match
 
 
+def test_codeword_action_rows_equal_quaternion_products_under_every_mapping():
+    names = list(quat.UNIT_BY_NAME)
+    for labels in itertools.permutations(["0", "1", "0d", "1d"]):
+        mapping = dict(zip(names, labels))
+        unit_of = {label: quat.UNIT_BY_NAME[name] for name, label in mapping.items()}
+        for unit in ("i", "j", "k"):
+            for row in codeword_action_table(unit, mapping):
+                product = unit_of[row.codeword] * quat.UNIT_BY_NAME[unit]
+                assert product == unit_of[row.label] * float(row.sign)
+                assert row.expanded == hqubit_expand(names[labels.index(row.label)])
+
+
 def test_codeword_action_match_counts():
     _, table_matches = codeword_action_diff(MAPPING_TABLE)
     _, text_matches = codeword_action_diff(MAPPING_TEXT)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,15 +7,18 @@ import pytest
 from hqec import quaternion as quat
 from hqec.quaternion import Quaternion
 from hqec.linalg import (
+    HAMILTON_SIGNS,
     MulSide,
     QMatrix,
     QVector,
     adjoint,
     inner_product,
     is_unitary,
+    left_mul_matrix,
     matrix_to_dict,
     matvec,
     phase_alignment_check,
+    qmul_components,
     real_norm_sq,
 )
 from hqec.register import (
@@ -26,7 +30,14 @@ from hqec.register import (
     t_gate,
 )
 
-from oracles import identity_matrix, matmul, matrix_from_dict, right_scalar_mul
+from oracles import (
+    hamilton_product,
+    identity_matrix,
+    left_mul_literal,
+    matmul,
+    matrix_from_dict,
+    right_scalar_mul,
+)
 
 ONE, I, J, K, ZERO = quat.ONE, quat.I, quat.J, quat.K, quat.ZERO
 
@@ -96,6 +107,37 @@ def test_positivity():
         v = rand_vector(rng, 3)
         if np.any(v.components):
             assert real_norm_sq(v) > 0.0
+
+
+# -- the Hamilton product ------------------------------------------------------
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e150, 1e-12])
+def test_qmul_components_equals_the_written_out_product_bit_for_bit(scale):
+    rng = np.random.default_rng(31)
+    shapes = [((50, 4), (50, 4)), ((3, 1, 4), (1, 5, 4)), ((4,), (7, 4)), ((2, 3, 4), (4,))]
+    for shape_a, shape_b in shapes:
+        a, b = rng.normal(size=shape_a) * scale, rng.normal(size=shape_b) * scale
+        for arr in (a, b):
+            draw = rng.random(arr.shape)
+            arr[draw < 0.2] = 0.0
+            arr[draw > 0.9] = -0.0
+        got, want = qmul_components(a, b), hamilton_product(a, b)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_left_mul_matrix_equals_the_written_out_matrix_bit_for_bit():
+    rng = np.random.default_rng(37)
+    randoms = [Quaternion(*rng.normal(size=4)) for _ in range(2000)]
+    for q in randoms + list(quat.UNIT_PHASES) + [Quaternion(0.0, -0.0, 0.0, -0.0)]:
+        got, want = left_mul_matrix(q), left_mul_literal(q)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_the_sign_table_gives_all_sixteen_unit_products():
+    units = list(quat.UNIT_BY_NAME.values())
+    for a, b in itertools.product(range(4), repeat=2):
+        assert units[a] * units[b] == units[a ^ b] * float(HAMILTON_SIGNS[a, a ^ b])
 
 
 # -- right scalar multiplication --------------------------------------------------
