@@ -17,7 +17,8 @@ scores failure on two independent channels:
 
 Sweeps derive every trial from ``(seed, trial)`` alone, which makes the
 results independent of the parallelism degree (``HQEC_THREADS``) and lets
-one pass score the same realizations with detection off and on.
+one pass of :func:`figure1_data` score the same realizations with
+detection off and on, sharing the draws, Pauli failures and rotation states.
 
 :func:`score_event` scores the sampled event of one trial and is the
 reference.  Sweeps run the batched engine, :func:`count_failures`: it
@@ -41,12 +42,8 @@ by a nonzero angle, so :func:`rotation_verdicts` keeps a per-process
 memo of the ``2**n`` subsets and scores only those a chunk brings that
 it has not seen; with a ``uniform`` angle each chunk scores the angle
 rows of its rotated trials.  A subset or row whose compared excesses lie
-within :data:`GUARD` of the threshold (more for huge angles), where the
-oracle's order of operations could flip the verdict, is scored by
-:func:`score_event` instead.
-:func:`figure1_data` scores one sweep with detection off and on in one
-pass of the engine, so the two pipelines share the draws, the Pauli
-failures and the rotation scoring.
+within its rounding bound of the threshold, where the oracle's order of
+operations could flip the verdict, is scored by :func:`score_event` instead.
 """
 
 from __future__ import annotations
@@ -259,12 +256,6 @@ CHUNK_TRIALS = 8192
 #: once, which are the distinct unseen subsets of one batch.
 CHUNK_WORDS = 2**15
 
-#: Half-width of the band around the detection threshold in which the
-#: batched rotation scorer defers to :func:`score_event`.  It adds angles
-#: where that oracle multiplies units, and sums in another order, so a
-#: comparison this close to the threshold could go the other way there.
-GUARD = 1e-9
-
 
 def count_failures(
     code: StabilizerCode, noise: NoiseModel, scorings: tuple[tuple[bool, float], ...],
@@ -281,18 +272,8 @@ def count_failures(
     trials and :data:`CHUNK_WORDS` draws, so the working set does not grow
     with the trials.  The uniforms of a chunk are drawn once for every
     point and scoring: ``2 * n`` words without rotations, ``3 * n`` with a
-    ``fixed`` angle, ``4 * n`` with a ``uniform`` one.  Only the trials hit
-    below the largest ``p`` can fail on the Pauli channel, so while they
-    are at most half of the chunk only they are scored on it.  The letters
-    are mapped to signatures once per chunk, and each point XORs the
-    signatures of the qubits hit below its ``p``.  The rotation channel
-    does not depend on ``p``: the chunk's rotated trials and their angles
-    come from :func:`~hqec.noise.rotation_angles` once.  With a ``fixed``
-    angle a trial's verdict is read from :func:`rotation_verdicts` by the
-    set of qubits its nonzero angles turn.  With a ``uniform`` one the
-    angle rows are scored by one :class:`_RotationScorer`, and a row whose
-    compared excesses lie within its band (:data:`GUARD`, more for huge
-    angles) of the threshold is rescored through :func:`score_event`.
+    ``fixed`` angle, ``4 * n`` with a ``uniform`` one.  The module
+    docstring says how each channel is scored.
     """
     if not 0 <= start <= stop <= 2**64:
         raise ValueError(f"need 0 <= start <= stop <= 2**64, got {start}, {stop}")
@@ -387,18 +368,28 @@ class _RotationScorer:
     ``cos(theta) + a sin(theta)`` commute: each slot of the damaged
     ``|0_L>`` is the reference slot times ``cos(phi) + a sin(phi)`` on the
     left, with ``phi = angles @ cover`` the sum of the angles whose slot
-    (:func:`noise.slot_cover`) holds it.  That is as accurate as the
-    oracle's product of units.  A sum of at most n angles is off by at most
-    ``n * eps * sum(|theta|)``, below 1e-12 for n <= 20 angles below 2 pi.
-    :class:`~hqec.quaternion.ImaginaryAxis` holds ``|a|**2`` within
-    ``TOLERANCE`` of 1, so a product of k units differs in norm squared
-    from ``cos(phi) + a sin(phi)`` by at most about ``k * 1e-12``.  A
-    strength moves at most twice as far as ``phi``, so both gaps lie far
-    inside :data:`GUARD` = 1e-9 for any n whose ``2**n`` state fits in
-    memory; ``band`` widens it by the sum's bound for huge angles.  Only
-    the slots where ``|0_L>`` is nonzero are kept, since left
-    multiplication keeps a zero slot at zero.  The states are built once
-    and scored for each ``(detect, threshold)``.
+    (:func:`noise.slot_cover`) holds it.  Only the slots where ``|0_L>`` is
+    nonzero are kept, since left multiplication keeps a zero slot at zero.
+    The states are built once and scored for each ``(detect, threshold)``.
+
+    ``band[r]`` bounds the gap between an excess of row ``r`` and the one
+    :func:`score_event` compares (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3; ``u = eps / 2``).  The row has k nonzero
+    angles, S = sum |theta|; the N kept slots weigh W = sum |ref|**2; and
+    ``|a|**2 = 1 + delta``.  Against exact ``(cos(phi) + a sin(phi)) ref``,
+    a slot here is off by ``e <= (n S + 12) u`` times |ref|: the angle sum
+    (gamma_{n-1} S), cos and sin (1 ulp, as numpy's accuracy tests hold
+    them), ``a ref`` (gamma_3), ``cos ref + sin a ref`` (gamma_2).  The
+    oracle's is off by ``e <= 2 k (12 u + |delta|)``: at most 2 k units
+    (rotations, corrections), each 4 u off from cos and sin, 2 gamma_4 from
+    its product, and |delta| from ``u(s) u(t) = u(s + t) - delta sin s sin t``.
+    A strength moves by (2 + e) e |ref|**2, and each side sums N squares
+    twice (gamma_N W) and subtracts once (u W): to first order W (n eps S +
+    (2 N + 13) eps + 4 k (6 eps + |delta|)), or (2 N + 1) eps W if k = 0.
+    ``band`` is W (4 n eps S + 4 (N + n) eps + 4 k (8 eps + |delta|)); the
+    slack covers the squared e, the 3 u in the computed ``delta``, and any
+    S: past ``n eps S = 2`` the band passes 8 W, while excesses here lie in
+    [-W, 4 W] and the oracle's in [-W, W].
     """
 
     def __init__(self, code, axis, mode, angles) -> None:
@@ -413,7 +404,9 @@ class _RotationScorer:
         self.ref_total = ref_strengths.sum(axis=0)
         self.ref_slots = self.cover @ ref_strengths
         self.strengths = self._jk_strengths(angles @ self.cover)
-        self.band = GUARD + 2 * code.n * np.finfo(float).eps * np.abs(angles).sum(axis=1)
+        eps, delta = np.finfo(float).eps, abs(axis.x**2 + axis.y**2 + axis.z**2 - 1.0)
+        self.band = 4 * eps * float(np.sum(ref**2)) * (code.n * (np.abs(angles).sum(axis=1) + 1)
+            + support.size + np.count_nonzero(angles, axis=1) * (8 + delta / eps))
 
     def _jk_strengths(self, phi) -> np.ndarray:
         """``(rows, slots, 2)`` squared j and k components of the slots turned by ``phi``."""
@@ -599,6 +592,8 @@ def _unfit_field(pt: SweepPoint) -> str | None:
         return "p_L, not in [0, 1]"
     if not math.isfinite(pt.stderr):
         return "stderr, not finite"
+    if _g12(pt.failures / pt.trials) != _g12(pt.p_L):
+        return "p_L, not failures / trials"
     return None
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 # Library-wide absolute comparison tolerance for unit-scale data.
@@ -187,7 +188,11 @@ class ImaginaryAxis:
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "ImaginaryAxis":
-        n = math.sqrt(x * x + y * y + z * z)
+        squares, m = x * x + y * y + z * z, max(abs(x), abs(y), abs(z))
+        if 0.0 < m < math.inf and not sys.float_info.min <= squares < math.inf:
+            x, y, z = x / m, y / m, z / m  # squares that under- or overflow, rescaled
+            squares = x * x + y * y + z * z
+        n = math.sqrt(squares)
         if n == 0.0:
             raise ValueError("cannot normalize the zero direction")
         return cls(x / n, y / n, z / n)

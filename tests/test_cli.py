@@ -492,9 +492,8 @@ _MC_NOISE_FLAGS = {
     "pauli": (),
     "rotations": ("--phase-mode", "table1", "--rotations", "0.05"),
     "detect": ("--phase-mode", "table1", "--rotations", "0.05", "--detect"),
-    # Every rotated trial sits in the guard band and is re-scored one at a
-    # time; a j/k excess at or below quaternion.TOLERANCE counts as zero, so
-    # at threshold 0 each corrected trial passes and the bytes equal
+    # A j/k excess at or below quaternion.TOLERANCE counts as zero, so at
+    # threshold 0 each corrected trial passes and the bytes equal
     # paper5-detect (and paper5-pauli).
     "guard": ("--rotations", "0.05", "--rot-mode", "all", "--threshold", "0", "--detect"),
     "uniform": ("--rotations", "0.3", "--rot-mode", "all", "--rot-angle", "uniform:3"),
@@ -649,6 +648,8 @@ _BAD_FIT_ROWS = {
     "stderr inf": ("three,0.05,100,9,0.09,inf,0", " has a bad stderr, not finite"),
     "stderr nan": ("three,0.05,100,9,0.09,nan,0", " has a bad stderr, not finite"),
     "trials not integer": ("three,0.05,1e2,9,0.09,0.0286,0", ": invalid literal for int()"),
+    "p_L not failures / trials": ("three,0.05,100,9,0.5,0.0286,0",
+                                  " has a bad p_L, not failures / trials"),
 }
 _BAD_INPUTS.update({
     f"fit {case}": (["fit", "--in", "IN"], f"{_FIT_HEAD}{row}\n", f"CSV line 4{fragment}")
@@ -678,6 +679,16 @@ def test_comma_triple_rot_axis_equals_named_axis(capsys):
     code, named, err = run_cli(capsys, *argv, "k")
     assert code == 0, err
     assert run_cli(capsys, *argv, "0,0,2") == (0, named, "")
+
+
+@pytest.mark.parametrize("extreme, plain", [("1e200,1e200,0", "1,1,0"), ("1e-200,0,0", "i")])
+def test_rot_axis_past_the_double_range_equals_its_direction(capsys, extreme, plain):
+    # Squares that overflow or underflow are rescaled, not refused.
+    argv = ["mc", "--code", "perfect5", "--p", "0.01:0.1:log:3", "--trials", "500",
+            "--rotations", "0.2", "--rot-angle", "uniform:1.2", "--detect", "--rot-axis"]
+    code, plain_out, err = run_cli(capsys, *argv, plain)
+    assert code == 0, err
+    assert run_cli(capsys, *argv, extreme) == (0, plain_out, "")
 
 
 @pytest.mark.parametrize("out", [5, True, "", "a\x00b", "a" * 300],

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import random_code, repetition_code
 
 from hqec import cli, experiments
-from hqec.quaternion import I_AXIS, J_AXIS, K_AXIS, ImaginaryAxis
+from hqec.quaternion import I_AXIS, J_AXIS, K_AXIS, TOLERANCE, ImaginaryAxis
 from hqec.codes import CODE_IDS, PauliString, get_code
 from hqec.register import QRegister
 from hqec.noise import (
@@ -460,10 +460,12 @@ _AXES = (K_AXIS, ImaginaryAxis.normalized(1, 2, 3),
     ids=["fixed", "uniform", "uniform-negative", "uniform-huge"],
 )
 def test_engine_threshold_on_an_oracle_excess(rot_mode, angle):
-    # A threshold equal to a value the oracle compares sits inside the guard
-    # band, so the batched scorer must defer to score_event for that trial.
-    # Angles near 1e10 put about 1e-6 of rounding in an angle sum, far more
-    # than GUARD, so there the band must widen with the angles.
+    # A threshold equal to a value the oracle compares sits inside the
+    # scorer's rounding band, so the batched scorer must defer to score_event
+    # for that trial.  Angles near 1e10 put about 1e-6 of rounding in an
+    # angle sum, so there the band must widen with the angles.  A value below
+    # TOLERANCE is not compared as itself: the threshold is raised to
+    # TOLERANCE, which the band need not reach.
     code, seed = _CODES["perfect5"], 41
     for axis in _AXES:
         noise = NoiseModel(p=0.0, p_rot=0.3, rot_axis=axis, rot_angle=angle, rot_mode=rot_mode)
@@ -480,7 +482,43 @@ def test_engine_threshold_on_an_oracle_excess(rot_mode, angle):
                 for threshold in sorted({x for x, _ in values}):
                     args = (code, noise, (0.0,), seed, 0, len(events), detect, threshold)
                     assert engine_counts(*args) == oracle_counts(*args), (axis, detect, threshold)
-            assert fallback.call_count >= len({x for x, matters in values if matters})
+            assert fallback.call_count >= len(
+                {x for x, matters in values if matters and x >= TOLERANCE})
+
+
+def normalized_repetition_code(n):
+    """The repetition code on ``n`` qubits with a random normalized ``|0_L>``, nonzero everywhere."""
+    zero = np.random.default_rng(n).normal(size=(2**n, 4))
+    return dataclasses.replace(repetition_code(n), codeword_zero=QRegister.from_components(
+        n, zero / np.linalg.norm(zero)))
+
+
+@pytest.mark.parametrize("rot_mode", ["zero", "all"])
+@pytest.mark.parametrize(
+    "angle", [AngleDistribution("uniform", 0.8), AngleDistribution("fixed", math.pi / 8)],
+    ids=["uniform", "fixed"])
+@pytest.mark.parametrize("code_id", ["perfect5", *(f"repetition{n}" for n in range(6, 11))])
+def test_threshold_zero_rescores_no_corrected_row(code_id, angle, rot_mode):
+    # At threshold 0 an excess is compared with TOLERANCE = 1e-12, and a row
+    # whose flagged rotations are all undone has an excess of exactly 0.  The
+    # band must be narrower than 1e-12 there, or every corrected row goes
+    # through score_event.  The bound, no rescore at all, was fixed before
+    # the first run from the band's size: with W = 1 it is 4 eps (n S + N +
+    # n + 8 k), below 1e-12 on perfect5 (N = 16) for every row, and on
+    # repetition10 (N = 1024) for every row with k <= 5 rotations, which
+    # leaves out about 3e-6 of the trials at p_rot = 0.05.
+    if code_id == "perfect5":
+        code = _CODES[code_id]
+    else:
+        code = normalized_repetition_code(int(code_id.removeprefix("repetition")))
+    noise = NoiseModel(p=0.0, p_rot=0.05, rot_axis=ImaginaryAxis.normalized(1, 2, 3),
+                       rot_angle=angle, rot_mode=rot_mode)
+    experiments._verdict_memo.cache_clear()
+    with mock.patch.object(experiments, "score_event", wraps=score_event) as fallback:
+        without, corrected = count_failures(
+            code, noise, ((False, 0.0), (True, 0.0)), (0.0,), 7, 0, 2000)
+    assert fallback.call_count == 0
+    assert corrected[0] < without[0]  # detection undid some failing rows
 
 
 def subset_event(code, axis, angle, mode, subset):
@@ -501,7 +539,7 @@ def twelve_qubit_subsets():
 @pytest.mark.parametrize("code_id", [*CODE_IDS, "repetition12"])
 def test_rotation_verdicts_equal_score_event_on_every_subset(code_id):
     # Thresholds 0, 0.01 and, for the three codes, every value the oracle
-    # compares with one (each puts some subset in the guard band).  Scoring
+    # compares with one (each puts some subset in the rounding band).  Scoring
     # one 12-qubit event takes milliseconds, so that code is checked on a
     # fixed set of subsets.
     if code_id == "repetition12":
@@ -836,10 +874,7 @@ def test_fixed_angle_working_set_on_a_full_support_ten_qubit_code():
     # rotation can damage.  The bound is fixed in advance, not fitted to a
     # run: scoring all 2**10 subsets at once over every slot would peak near
     # 90 MiB.
-    rng = np.random.default_rng(10)
-    zero = rng.normal(size=(2**10, 4))
-    zero = QRegister.from_components(10, zero / np.linalg.norm(zero))
-    code = dataclasses.replace(repetition_code(10), codeword_zero=zero)
+    code = normalized_repetition_code(10)
     noise = NoiseModel(p=0.0, p_rot=0.05, rot_mode="all")
     tracemalloc.start()
     try:

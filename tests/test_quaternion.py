@@ -163,6 +163,19 @@ def test_axis_normalized_rejects_zero():
         ImaginaryAxis.normalized(0, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "direction, axis",
+    [((1e200, 1e200, 0.0), (1.0, 1.0, 0.0)), ((-1e300, 0.0, 2e300), (-1.0, 0.0, 2.0)),
+     ((1e-200, 0.0, 0.0), (1.0, 0.0, 0.0)), ((1e-160, 0.0, 0.0), (1.0, 0.0, 0.0)),
+     ((5e-324, -5e-324, 0.0), (1.0, -1.0, 0.0))],
+    ids=["overflow", "overflow-negative", "underflow", "subnormal-square", "subnormal"])
+def test_axis_normalized_rescales_squares_past_the_double_range(direction, axis):
+    # The squares overflow to inf or fall below the smallest normal double,
+    # so the direction is first divided by its largest component; then it
+    # normalizes to the axis of that plain direction, bit for bit.
+    assert ImaginaryAxis.normalized(*direction) == ImaginaryAxis.normalized(*axis)
+
+
 # -- constructors -------------------------------------------------------------
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
