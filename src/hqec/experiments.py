@@ -223,8 +223,15 @@ def score_event(
     return jk_excess(damaged, reference) > threshold
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the system reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def thread_count() -> int:
-    """Worker count from ``HQEC_THREADS``: unset means 1, 0 means every CPU.
+    """Worker count from ``HQEC_THREADS``: unset means 1, 0 means every usable CPU.
 
     Raises ValueError for a value that is not a nonnegative integer.
     """
@@ -238,15 +245,15 @@ def thread_count() -> int:
     if value < 0:
         raise ValueError(f"HQEC_THREADS must be >= 0, got {value}")
     if value == 0:
-        return os.cpu_count() or 1
+        return usable_cpus()
     return value
 
 
 #: Trials per worker: a sweep starts one pool worker for each full
-#: ``CHUNK_TRIALS`` trials, at most ``HQEC_THREADS``, and no pool for fewer
-#: than two workers; below that, starting the pool costs about as much as
-#: the work it would split.  The engine also scores at most this many
-#: trials per batch.
+#: ``CHUNK_TRIALS`` trials, at most ``HQEC_THREADS`` and the usable CPUs,
+#: and no pool for fewer than two workers; below that, starting the pool
+#: costs about as much as the work it would split.  The engine also scores
+#: at most this many trials per batch.
 CHUNK_TRIALS = 8192
 
 #: Philox words the engine draws per batch, which bounds its working set
@@ -451,11 +458,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     Trial ``t`` at every p point reuses the stream keyed by
     ``(config.seed, t)``, so the counts are reproducible bit for bit
     regardless of ``HQEC_THREADS`` and adjacent points are positively
-    coupled (common random numbers).  ``HQEC_THREADS`` caps the worker
-    count, and a worker starts only for each full :data:`CHUNK_TRIALS`
-    trials.  With more than one worker, one process pool serves the whole
-    sweep and each worker scores a contiguous range of trials at every
-    point; otherwise the sweep runs in this process.
+    coupled (common random numbers).  ``HQEC_THREADS`` and the usable
+    CPUs cap the worker count, and a worker starts only for each full
+    :data:`CHUNK_TRIALS` trials.  With more than one worker, one process
+    pool serves the whole sweep and each worker scores a contiguous range
+    of trials at every point; otherwise the sweep runs in this process.
     """
     return _run_sweeps(config, (config.quaternionic_detection,))[0]
 
@@ -464,7 +471,7 @@ def _run_sweeps(config: SweepConfig, detects: tuple[bool, ...]) -> list[SweepRes
     """One engine pass over ``config``'s trials, scored with each of ``detects``."""
     scorings = tuple((detect, config.detection_threshold) for detect in detects)
     args = (get_code(config.code_id), config.noise, scorings, config.p_values, config.seed)
-    workers = min(thread_count(), config.trials // CHUNK_TRIALS)
+    workers = min(thread_count(), usable_cpus(), config.trials // CHUNK_TRIALS)
     parts = None
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts

@@ -13,7 +13,8 @@ integers ``(seed, trial)``, so trials are reproducible in any evaluation
 order and across any degree of parallelism.  :func:`sample_error` draws
 one trial through numpy and is the single-trial oracle;
 :func:`philox_uniforms` computes any prefix of the same doubles for a
-whole range of trials at once in plain numpy, so the batched engine in
+whole range of trials at once in plain numpy, its first two rounds folded
+into per-block constants, so the batched engine in
 :mod:`hqec.experiments` draws only the blocks of ``n`` it reads (Pauli
 hit, letter, rotation hit, angle), and :func:`pauli_letters` and
 :func:`rotation_angles` turn those rows into what it scores, with the
@@ -24,6 +25,7 @@ amplitude slots a rotation touches, read by the single-trial oracle
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -170,18 +172,24 @@ def sample_error(model: NoiseModel, n: int, seed: int, trial: int) -> ErrorEvent
 
 
 # Philox4x64-10 (Salmon et al., SC'11) with numpy's constants and layout.
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# Operands are 0-d uint64 arrays: a ufunc takes one faster than an np.uint64.
+_u64 = functools.partial(np.array, dtype=np.uint64)
+_LOW32, _SHIFT32, _SHIFT11 = _u64(0xFFFFFFFF), _u64(32), _u64(11)
+#: Each multiplier with its low and high 32-bit halves, as :func:`_mulhilo` reads it.
+_MULTIPLIERS = tuple((_u64(m), _u64(m & 0xFFFFFFFF), _u64(m >> 32)) for m in _PHILOX_M)
+_W1 = _u64(_PHILOX_W[1])
 
 
-def _mulhilo(m: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mulhilo(multiplier: tuple[np.ndarray, ...], b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low words of the 128-bit products ``m * b``, from 32-bit halves.
 
-    ``b`` is overwritten: it comes back holding the high words.
+    ``multiplier`` is an entry of :data:`_MULTIPLIERS`.  ``b`` is
+    overwritten: it comes back holding the high words.
     """
-    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    m, m_lo, m_hi = multiplier
     lo = m * b
     b_lo = b & _LOW32
     b_hi = np.right_shift(b, _SHIFT32, out=b)
@@ -206,6 +214,11 @@ def philox_uniforms(seed: int, trials, count: int) -> np.ndarray:
     :func:`sample_error` builds: block ``b`` of four words is
     Philox4x64-10 of the counter ``(b + 1, 0, 0, 0)`` under that key, and a
     word ``u`` becomes the double ``(u >> 11) * 2**-53``.
+
+    Rounds 1 and 2 are folded, as they multiply one trial word between
+    them: round 1 maps ``(b + 1, 0, 0, 0)`` to ``(seed, 0, hi ^ t, lo)``,
+    with ``t`` the trial and ``(hi, lo)`` the words of ``M0 * (b + 1)`` in
+    Python integers, and round 2 takes one array product, ``M1 * (hi ^ t)``.
     """
     seed = check_counter("seed", seed)
     trials = np.asarray(trials)
@@ -215,18 +228,23 @@ def philox_uniforms(seed: int, trials, count: int) -> np.ndarray:
         raise ValueError("trials must be a 1-d array of integers in [0, 2**64)")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    # Words are (block, trial) arrays, so every step runs along the trials.  The
-    # keys stay arrays: numpy warns when a scalar addition wraps around.
+    # Words are (block, trial) arrays, so every step runs along the trials.  Keys
+    # wrap in Python integers or arrays: numpy warns when a scalar addition wraps.
     blocks = -(-count // 4)
-    key0, key1 = np.full(1, seed, dtype=np.uint64), trials.astype(np.uint64)
-    c0 = np.repeat(np.arange(1, blocks + 1, dtype=np.uint64)[:, None], trials.size, axis=1)
-    c1 = c3 = np.zeros_like(c0)
-    c2 = np.zeros_like(c0)  # apart from c1 and c3: _mulhilo overwrites c0 and c2
-    for rnd in range(_PHILOX_ROUNDS):
-        if rnd:
-            key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+    key1 = trials.astype(np.uint64)
+    # With (h, l) the words of M0 * seed, round 2 gives
+    # (hi(M1 * c2) ^ (seed + W0), lo(M1 * c2), lo ^ h ^ (t + W1), l).
+    h, l = divmod(_PHILOX_M[0] * seed, 2**64)
+    products = (divmod(_PHILOX_M[0] * (b + 1), 2**64) for b in range(blocks))
+    column = np.array([(hi, lo ^ h) for hi, lo in products], dtype=np.uint64).reshape(blocks, 2)
+    c0, c1 = _mulhilo(_MULTIPLIERS[1], column[:, :1] ^ key1)
+    key1 = key1 + _W1
+    c0 ^= _u64((seed + _PHILOX_W[0]) % 2**64)
+    c2, c3 = column[:, 1:] ^ key1, _u64(l)
+    for rnd in range(2, _PHILOX_ROUNDS):
+        key0, key1 = _u64((seed + rnd * _PHILOX_W[0]) % 2**64), key1 + _W1
+        hi0, lo0 = _mulhilo(_MULTIPLIERS[0], c0)
+        hi1, lo1 = _mulhilo(_MULTIPLIERS[1], c2)
         hi1 ^= c1 ^ key0  # in place: a round holds no words of the one before it
         hi0 ^= c3 ^ key1
         c0, c1, c2, c3 = hi1, lo1, hi0, lo0
@@ -234,7 +252,7 @@ def philox_uniforms(seed: int, trials, count: int) -> np.ndarray:
     out = np.empty((count, trials.size))
     for i, words in enumerate((c0, c1, c2, c3)):
         words = words[: len(out[i::4])]
-        words >>= np.uint64(11)
+        words >>= _SHIFT11
         np.multiply(words, 2.0**-53, out=out[i::4])
     return out.T
 

@@ -796,6 +796,7 @@ def test_figure1_pass_equals_separate_sweeps_and_oracle(monkeypatch, pair, threa
     code_id, *noises = _PAIRS[pair]
     pools = counted_pools(monkeypatch)
     monkeypatch.setattr(experiments, "CHUNK_TRIALS", 100)  # 300 trials: a pool of two
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 8)
     if threads is None:
         monkeypatch.delenv("HQEC_THREADS", raising=False)
     else:
@@ -828,6 +829,7 @@ def test_pool_that_cannot_start_falls_back_to_serial(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoProcesses)
     monkeypatch.setattr(experiments, "CHUNK_TRIALS", 100)  # 300 trials: a pool of two
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 8)
     monkeypatch.setenv("HQEC_THREADS", "2")
     assert (run_sweep(std), figure1_data(std)) == serial
     assert attempts == [2, 2]
@@ -842,12 +844,28 @@ def test_pool_starts_only_for_a_full_chunk_per_worker(monkeypatch):
     serial = run_sweep(short), run_sweep(long)
     pools = counted_pools(monkeypatch)
     monkeypatch.setattr(experiments, "CHUNK_TRIALS", chunk)
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 8)
     monkeypatch.setenv("HQEC_THREADS", "2")
     assert run_sweep(short) == serial[0]
     assert pools == []
     monkeypatch.setenv("HQEC_THREADS", "8")
     assert run_sweep(long) == serial[1]
     assert pools == [3]
+
+
+def test_pool_takes_no_more_workers_than_usable_cpus(monkeypatch):
+    config = SweepConfig("perfect5", NoiseModel(p=0.0, p_rot=0.1), (0.02, 0.1), trials=400,
+                         seed=5, quaternionic_detection=True)
+    monkeypatch.delenv("HQEC_THREADS", raising=False)
+    serial = run_sweep(config)
+    pools = counted_pools(monkeypatch)
+    monkeypatch.setattr(experiments, "CHUNK_TRIALS", 50)  # 400 trials: up to eight workers
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+    monkeypatch.setenv("HQEC_THREADS", "8")
+    assert run_sweep(config) == serial
+    assert pools == [2]
+    monkeypatch.setenv("HQEC_THREADS", "0")
+    assert experiments.thread_count() == 2
 
 
 def test_engine_working_set_does_not_grow_with_the_trials():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,7 @@ _MAX = 2**64 - 1
         (2**63, [_MAX, 0, 12345], 8),
         (0x0123456789ABCDEF, [0xFEDCBA9876543210], 40),
         (7, [3], 0),
+        (7, [], 5),
     ],
 )
 def test_philox_uniforms_match_numpy_generator(seed, trials, count):
@@ -119,6 +121,31 @@ def test_philox_uniforms_match_numpy_generator(seed, trials, count):
         key = np.array([seed, trial], dtype=np.uint64)
         want = np.random.Generator(np.random.Philox(key=key)).random(count)
         assert row.tobytes() == want.tobytes()
+
+
+def numpy_rows(seed, trials, count):
+    """Each trial's first ``count`` doubles from numpy's own Philox, one row per trial."""
+    rows = [np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
+            .random(count) for t in trials]
+    return np.array(rows).reshape(len(trials), count)
+
+
+def test_philox_uniforms_match_numpy_generator_on_a_full_chunk():
+    # One engine batch of fixed-angle perfect5 trials, at the top of both key words.
+    trials = _MAX - np.arange(2183, -1, -1, dtype=np.uint64)
+    got = philox_uniforms(_MAX, trials, 15)
+    assert got.tobytes() == numpy_rows(_MAX, trials, 15).tobytes()
+
+
+@pytest.mark.parametrize("seed", [_MAX, _MAX - 1, 2**64 - 0x9E3779B97F4A7C15, 2**63, 0])
+def test_philox_key_wraps_emit_no_warning(seed):
+    # Each round adds a constant to both keys modulo 2**64; round 2's seed word
+    # wraps to 0 for the third seed.
+    trials = np.array([_MAX, _MAX - 1, 2**64 - 0xBB67AE8584CAA73B, 2**63, 0], dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = philox_uniforms(seed, trials, 13)
+    assert got.tobytes() == numpy_rows(seed, trials, 13).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
