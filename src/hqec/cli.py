@@ -59,6 +59,9 @@ if TYPE_CHECKING:  # the sweep stack loads only on the mc, fit and figure1 paths
     from .noise import AngleDistribution, NoiseModel
 
 DEFAULT_SEED = 0
+#: ``--phase-mode`` values.  The option is checked and dropped: a unit phase
+#: on a Pauli cannot flip a commutator, so no verdict depends on it.
+_PHASE_MODES = ("none", "table1")
 
 
 class ConfigError(Exception):
@@ -193,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("mc", help="Monte Carlo logical-error-rate sweep")
     _add_sweep_flags(p_mc)
     p_mc.add_argument("--weights", default=None, help="Pauli mixture wx,wy,wz")
-    p_mc.add_argument("--phase-mode", dest="phase_mode", default=None, choices=("none", "table1"))
+    p_mc.add_argument("--phase-mode", dest="phase_mode", default=None, choices=_PHASE_MODES)
     p_mc.add_argument("--rot-mode", dest="rot_mode", default=None, choices=("zero", "all"))
     p_mc.add_argument("--detect", action=argparse.BooleanOptionalAction, default=None,
                       help="quaternionic detection and correction (default off)")
@@ -293,13 +296,15 @@ def _noise_model(merged: dict) -> NoiseModel:
     """The noise template, at p = 0, from the merged flag keys."""
     from .noise import NoiseModel
 
+    phase_mode = merged["phase_mode"]
+    if phase_mode not in _PHASE_MODES:
+        raise ConfigError(f"phase_mode must be one of {_PHASE_MODES}, got {phase_mode!r}")
     weights = merged["weights"]
     if not isinstance(weights, (tuple, list)):
         weights = _parse_weights(str(weights))
     return NoiseModel(
         p=0.0,
         pauli_weights=tuple(weights),
-        phase_mode=merged["phase_mode"],
         p_rot=merged["rotations"],
         rot_axis=_parse_axis(merged["rot_axis"]),
         rot_angle=_parse_angle(merged["rot_angle"]),

@@ -194,11 +194,6 @@ class StabilizerCode:
         for name, table in zip(("_decoder", "signatures", "verdicts"), _build_tables(self)):
             object.__setattr__(self, name, table)
 
-    @property
-    def t(self) -> int:
-        """Correctable error count ``(d - 1) // 2`` for the declared distance."""
-        return (self.d - 1) // 2
-
 
 def syndrome_of(e: PauliString, code: StabilizerCode) -> Syndrome:
     """Commutation syndrome of ``e`` against the code's generators.

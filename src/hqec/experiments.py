@@ -587,8 +587,17 @@ def sweep_csv(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _unfit_field(pt: SweepPoint) -> str | None:
-    """The first field of a parsed CSV point that no sweep could have written."""
+def _unfit_field(pt: SweepPoint, key: tuple[str, int], first: tuple[str, int]) -> str | None:
+    """The first field of a parsed CSV row that no sweep could have written.
+
+    ``key`` is the row's ``(code_id, seed)``, which every row of a sweep
+    shares with its first row, ``first``.
+    """
+    if key[0] not in CODE_IDS:
+        return f"code_id, not one of {', '.join(CODE_IDS)}"
+    for name, value, first_value in zip(("code_id", "seed"), key, first):
+        if value != first_value:
+            return f"{name}, not the first row's {first_value}"
     if not 0.0 < pt.p < 1.0:  # a comparison with NaN is false
         return "p, not in (0, 1)"
     if pt.trials < 1:
@@ -622,16 +631,17 @@ def parse_sweep_csv(text: str) -> SweepResult:
         try:
             pt = SweepPoint(p=float(r["p"]), failures=int(r["failures"]), trials=int(r["trials"]),
                             p_L=float(r["p_L"]), stderr=float(r["stderr"]))
+            seed = check_counter("seed", int(r["seed"]))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        bad = _unfit_field(pt)
+        first = first or (r["code_id"], seed)
+        bad = _unfit_field(pt, (r["code_id"], seed), first)
         if bad is not None:
             raise ValueError(f"{where} has a bad {bad}: {','.join(fields)!r}")
         points.append(pt)
-        first = first or r
     if first is None:
         raise ValueError("CSV has no data rows")
-    return SweepResult(first["code_id"], int(first["seed"]), tuple(points))
+    return SweepResult(*first, tuple(points))
 
 
 def _fit_payload(fit: FitResult | None) -> dict | None:

@@ -174,10 +174,6 @@ class QMatrix:
         """Read-only ``(rows, cols, 4)`` component array."""
         return self._c
 
-    def entry(self, r: int, c: int) -> Quaternion:
-        w, x, y, z = self._c[r, c]
-        return Quaternion(w, x, y, z)
-
     def isclose(self, other: "QMatrix", tol: float = TOLERANCE) -> bool:
         return self.shape == other.shape and bool(np.all(np.abs(self._c - other._c) <= tol))
 
@@ -245,7 +241,6 @@ class UnitarityReport:
     passed: bool
     max_deviation: float
     worst_entry: tuple[int, int]
-    tol: float
 
 
 def is_unitary(u: QMatrix, tol: float = TOLERANCE) -> UnitarityReport:
@@ -268,7 +263,7 @@ def is_unitary(u: QMatrix, tol: float = TOLERANCE) -> UnitarityReport:
     norms = np.sqrt(np.add.reduce(delta * delta, axis=-1))
     worst = int(norms.argmax())
     max_dev = float(norms[worst])
-    return UnitarityReport(max_dev <= tol, max_dev, divmod(worst, u.rows), tol)
+    return UnitarityReport(max_dev <= tol, max_dev, divmod(worst, u.rows))
 
 
 def phase_alignment_check(u: QMatrix, tol: float = TOLERANCE) -> bool:

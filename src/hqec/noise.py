@@ -1,4 +1,4 @@
-"""Stochastic error generation: phased Pauli noise plus unit-quaternion rotations.
+"""Stochastic error generation: Pauli noise plus unit-quaternion rotations.
 
 A rotation error multiplies amplitudes by ``exp_axis(axis, theta)`` on the
 left without touching the basis states, so it is invisible to commutation
@@ -32,14 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quaternion as quat
 from .quaternion import ImaginaryAxis, K_AXIS, exp_axis
 from .linalg import left_mul_matrix
-from .register import UNIT_FOR_LETTER, QRegister
+from .register import QRegister
 from .codes import PauliString, apply_pauli
 
 ROT_MODES = ("zero", "all")
-PHASE_MODES = ("none", "table1")
 
 #: Uniforms a trial consumes per qubit: Pauli hit, letter, rotation hit, angle.
 DRAWS_PER_QUBIT = 4
@@ -82,11 +80,10 @@ class AngleDistribution:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-qubit error law: Pauli rate, letter mixture, phases, rotations."""
+    """Per-qubit error law: Pauli rate, letter mixture, rotations."""
 
     p: float
     pauli_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    phase_mode: str = "none"
     p_rot: float = 0.0
     rot_axis: ImaginaryAxis = K_AXIS
     rot_angle: AngleDistribution = AngleDistribution("fixed", math.pi / 8)
@@ -107,8 +104,6 @@ class NoiseModel:
         object.__setattr__(self, "pauli_weights", tuple(float(w) for w in weights))
         if abs(sum(self.pauli_weights) - 1.0) > 1e-12:
             raise ValueError(f"pauli_weights must sum to 1, got {sum(self.pauli_weights)}")
-        if self.phase_mode not in PHASE_MODES:
-            raise ValueError(f"phase_mode must be one of {PHASE_MODES}, got {self.phase_mode!r}")
         if self.rot_mode not in ROT_MODES:
             raise ValueError(f"rot_mode must be one of {ROT_MODES}, got {self.rot_mode!r}")
 
@@ -122,7 +117,7 @@ class RotationError:
 
 @dataclass(frozen=True)
 class ErrorEvent:
-    """One sampled error: a phased Pauli string plus per-qubit rotations."""
+    """One sampled error: a Pauli string plus per-qubit rotations."""
 
     pauli: PauliString
     rotations: tuple[RotationError, ...]
@@ -137,13 +132,9 @@ def _event_from_draws(model: NoiseModel, n: int, draws: np.ndarray) -> ErrorEven
     c1 = model.pauli_weights[0]
     c2 = c1 + model.pauli_weights[1]
     letters = []
-    phase = quat.ONE
     for q in range(n):
         if u_err[q] < model.p:
-            letter = "X" if u_letter[q] < c1 else ("Y" if u_letter[q] < c2 else "Z")
-            letters.append(letter)
-            if model.phase_mode == "table1":
-                phase = phase * UNIT_FOR_LETTER[letter]
+            letters.append("X" if u_letter[q] < c1 else ("Y" if u_letter[q] < c2 else "Z"))
         else:
             letters.append("I")
     rotations = []
@@ -152,17 +143,18 @@ def _event_from_draws(model: NoiseModel, n: int, draws: np.ndarray) -> ErrorEven
             if u_rot[q] < model.p_rot:
                 angle = model.rot_angle.draw(float(u_angle[q]))
                 rotations.append(RotationError(q + 1, model.rot_axis, angle))
-    return ErrorEvent(PauliString(tuple(letters), phase), tuple(rotations), model.rot_mode)
+    return ErrorEvent(PauliString(letters), tuple(rotations), model.rot_mode)
 
 
 def sample_error(model: NoiseModel, n: int, seed: int, trial: int) -> ErrorEvent:
     """Sample one error event from the stream keyed by ``(seed, trial)``.
 
     Per qubit, an independent draw decides whether a Pauli letter occurs
-    (letter by ``pauli_weights``, phase per ``phase_mode``) and another
-    whether a rotation occurs.  A fixed block of uniforms is consumed per
-    trial, so the event for a given ``(seed, trial)`` never depends on
-    other parameters being swept.
+    (letter by ``pauli_weights``) and another whether a rotation occurs.
+    The string carries no unit factor, since one could not flip a
+    commutator.  A fixed block of uniforms is consumed per trial, so the
+    event for a given ``(seed, trial)`` never depends on other parameters
+    being swept.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -320,7 +312,7 @@ def apply_rotations(reg: QRegister, rotations: tuple[RotationError, ...], mode: 
 
 
 def apply_event(reg: QRegister, event: ErrorEvent) -> QRegister:
-    """Apply the Pauli part (phase as left scalar), then each rotation."""
+    """Apply the Pauli string (its unit factor from the left), then each rotation."""
     return apply_rotations(apply_pauli(event.pauli, reg), event.rotations, event.rot_mode)
 
 

@@ -102,9 +102,6 @@ class Quaternion:
         """Squared norm ``w**2 + x**2 + y**2 + z**2`` (the real value of ``q * conj(q)``)."""
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
     def inverse(self) -> "Quaternion":
         """Multiplicative inverse ``conj(q) / norm_sq(q)``.
 

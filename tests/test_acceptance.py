@@ -124,7 +124,7 @@ def test_criterion_3_unitarity_audit():
     assert abs(h_report.max_deviation - 1.0) <= 1e-12
     assert h_report.worst_entry == (0, 1)
     product = matmul(h, adjoint(h))
-    assert product.entry(0, 1).isclose(-quat.I, tol=1e-12)
+    assert Quaternion(*product.components[0, 1]).isclose(-quat.I, tol=1e-12)
     # deterministic across repeated runs
     again = is_unitary(h, tol=1e-12)
     assert again == h_report

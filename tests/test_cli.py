@@ -157,7 +157,6 @@ _OVERRIDE_BASE = {"code": "perfect5", "p": "0.05:0.2:log:3", "trials": 200, "see
 _OVERRIDES = {
     "trials": (50, ["--trials", "20"]),
     "weights": ("1,0,0", ["--weights", "0,0.5,0.5"]),
-    "phase_mode": ("table1", ["--phase-mode", "none"]),
     "rotations": (0.0, ["--rotations", "0.3"]),
     "rot_axis": ("i", ["--rot-axis", "0,0,1"]),
     "rot_angle": ("fixed:0.05", ["--rot-angle", "uniform:1.2"]),
@@ -242,6 +241,7 @@ _BAD_WEIGHTS = ([math.nan, 1, 1], [math.inf, 0, 0], [True, False, False])
         ("flat", "phase_mode", True),
         ("flat", "rot_mode", False),
         *(("flat", "weights", w) for w in _BAD_WEIGHTS),
+        ("flat", "phase_mode", "both"),
     ],
 )
 def test_config_bool_and_non_finite_noise_values_exit_3(tmp_path, capsys, section, key, value):
@@ -523,6 +523,25 @@ def test_mc_csv_golden_bytes(capsys, code_id, noise):
     assert hashlib.sha256(out.encode()).hexdigest() == _MC_GOLDEN_SHA256[(code_id, noise)]
 
 
+@pytest.mark.parametrize("code_id", ["three", "paper5", "perfect5"])
+@pytest.mark.parametrize("noise", ["rotations", "detect"])
+def test_phase_mode_changes_no_mc_byte(capsys, tmp_path, code_id, noise):
+    # A unit phase cannot flip a commutator, so the option is checked and
+    # dropped: the golden bytes hold with the table1 phases and without them.
+    noise_flags = [arg for arg in _MC_NOISE_FLAGS[noise] if arg not in ("--phase-mode", "table1")]
+    assert len(noise_flags) == len(_MC_NOISE_FLAGS[noise]) - 2
+    flags = ["--code", code_id, "--p", "0.01:0.2:log:4", "--trials", "300", "--seed", "11",
+             *noise_flags]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"phase_mode": "table1"}))
+    for phase in ([], ["--phase-mode", "none"], ["--phase-mode", "table1"],
+                  ["--config", str(config)]):
+        code, out, err = run_cli(capsys, "mc", *flags, *phase)
+        assert (code, err) == (0, ""), phase
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == _MC_GOLDEN_SHA256[(code_id, noise)], phase
+
+
 @pytest.mark.parametrize("raw", ["abc", "-1"])
 @pytest.mark.parametrize("command", ["mc", "figure1"])
 def test_bad_thread_env_exits_3(monkeypatch, capsys, tmp_path, command, raw):
@@ -630,9 +649,10 @@ _BAD_INPUTS = {
                      "CSV line 2 has 8 fields, not 7: 'three,0.1,10,1,0.1,0.09,7,8'"),
 }
 
-# A header, two good rows and one row that no sweep writes; the fit must refuse it.
-_FIT_HEAD = ("code_id,p,trials,failures,p_L,stderr,seed\n"
-             "three,0.01,100,1,0.01,0.00995,0\nthree,0.02,100,4,0.04,0.0196,0\n")
+# Rows that no sweep writes; the fit must refuse them. A bare row follows two
+# good ones as CSV line 4, and its fragment follows "CSV line 4"; a tuple holds
+# every data row, and its fragment names the line.
+_GOOD_FIT_ROWS = ("three,0.01,100,1,0.01,0.00995,0", "three,0.02,100,4,0.04,0.0196,0")
 _BAD_FIT_ROWS = {
     "p_L inf": ("three,0.05,100,9,inf,0.0286,0", " has a bad p_L, not in [0, 1]"),
     "p_L nan": ("three,0.05,100,9,nan,0.0286,0", " has a bad p_L, not in [0, 1]"),
@@ -650,10 +670,37 @@ _BAD_FIT_ROWS = {
     "trials not integer": ("three,0.05,1e2,9,0.09,0.0286,0", ": invalid literal for int()"),
     "p_L not failures / trials": ("three,0.05,100,9,0.5,0.0286,0",
                                   " has a bad p_L, not failures / trials"),
+    "seed not integer on line 3": (
+        (_GOOD_FIT_ROWS[0], "three,0.02,100,4,0.04,0.0196,abc"),
+        "CSV line 3: invalid literal for int() with base 10: 'abc'"),
+    "first seed not integer": (("three,0.01,100,1,0.01,0.00995,abc", *_GOOD_FIT_ROWS[1:]),
+                               "CSV line 2: invalid literal for int() with base 10: 'abc'"),
+    "code unknown and seed negative": (
+        "not-a-code,0.05,100,9,0.09,0.0286,-5",
+        ": seed must be an integer in [0, 2**64), got -5"),
+    "code unknown": ("not-a-code,0.05,100,9,0.09,0.0286,0",
+                     " has a bad code_id, not one of three, paper5, perfect5"),
+    "every seed negative": (("three,0.01,100,1,0.01,0.00995,-3",
+                             "three,0.02,100,4,0.04,0.0196,-3"),
+                            "CSV line 2: seed must be an integer in [0, 2**64), got -3"),
+    "code not the first row's": ("perfect5,0.05,100,9,0.09,0.0286,0",
+                                 " has a bad code_id, not the first row's three"),
+    "seed not the first row's": ("three,0.05,100,9,0.09,0.0286,1",
+                                 " has a bad seed, not the first row's 0"),
 }
+
+
+def _fit_input(rows, fragment: str) -> tuple[str, str]:
+    """The CSV text of a ``_BAD_FIT_ROWS`` case, and the fragment its error holds."""
+    if isinstance(rows, str):
+        rows, fragment = (*_GOOD_FIT_ROWS, rows), f"CSV line 4{fragment}"
+    header = "code_id,p,trials,failures,p_L,stderr,seed"
+    return "".join(f"{row}\n" for row in (header, *rows)), fragment
+
+
 _BAD_INPUTS.update({
-    f"fit {case}": (["fit", "--in", "IN"], f"{_FIT_HEAD}{row}\n", f"CSV line 4{fragment}")
-    for case, (row, fragment) in _BAD_FIT_ROWS.items()
+    f"fit {case}": (["fit", "--in", "IN"], *_fit_input(*entry))
+    for case, entry in _BAD_FIT_ROWS.items()
 })
 
 

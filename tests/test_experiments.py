@@ -343,7 +343,6 @@ def engine_cases(draw):
     noise = NoiseModel(
         p=0.0,
         pauli_weights=weights,
-        phase_mode=draw(st.sampled_from(["none", "table1"])),
         p_rot=draw(st.sampled_from([0.0, 0.3, 1.0])),
         rot_axis=draw(st.sampled_from([K_AXIS, J_AXIS, I_AXIS, ImaginaryAxis.normalized(1, 2, 3)])),
         rot_angle=angle,
@@ -378,7 +377,7 @@ def test_batched_engine_equals_per_trial_oracle(case):
 
 
 def test_batched_engine_crosses_the_real_chunk_boundary():
-    noise = NoiseModel(p=0.0, pauli_weights=(0.5, 0.2, 0.3), phase_mode="table1", p_rot=0.02)
+    noise = NoiseModel(p=0.0, pauli_weights=(0.5, 0.2, 0.3), p_rot=0.02)
     start = 2**40 + 5
     stop = start + experiments.CHUNK_TRIALS + 37
     args = (_CODES["paper5"], noise, (0.05, 0.3), 2**64 - 1, start, stop, True, 0.01)
@@ -391,8 +390,7 @@ def test_batched_engine_crosses_the_real_chunk_boundary():
     "noise, width",
     [
         (NoiseModel(p=0.0, pauli_weights=(0.5, 0.2, 0.3)), 2),
-        (NoiseModel(p=0.0, phase_mode="table1", p_rot=0.3,
-                    rot_angle=AngleDistribution("fixed", 0.4)), 3),
+        (NoiseModel(p=0.0, p_rot=0.3, rot_angle=AngleDistribution("fixed", 0.4)), 3),
         (NoiseModel(p=0.0, p_rot=0.2, rot_angle=AngleDistribution("uniform", 1.2),
                     rot_mode="all"), 4),
     ],

@@ -59,53 +59,54 @@ def _assigned(node: ast.stmt) -> list[str]:
 
 
 def _definitions(path: Path):
-    """``(label, name, owner)`` for each module-level name and public method or field.
+    """``(label, name, owner, method)`` for each module-level name and public method or field.
 
-    ``owner`` is the class of a field and ``None`` otherwise. The name of a
-    class or static method is ``Class.method``, the only way code outside
-    the class can call it.
+    ``owner`` is the class of a field and ``None`` otherwise, and ``method``
+    marks a method. The name of a class or static method is
+    ``Class.method``, the only way code outside the class can call it.
     """
     for node in ast.parse(path.read_text(), str(path)).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.name, None
+            yield node.name, node.name, None, False
         for name in _assigned(node):
-            yield name, name, None
+            yield name, name, None, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     label = f"{node.name}.{item.name}"
                     decorators = {getattr(d, "id", None) for d in item.decorator_list}
                     on_class = decorators & {"classmethod", "staticmethod"}
-                    yield label, label if on_class else item.name, None
+                    yield label, label if on_class else item.name, None, True
                 for name in _assigned(item):
                     if not name.startswith("_"):
-                        yield f"{node.name}.{name}", name, node.name
+                        yield f"{node.name}.{name}", name, node.name, False
 
 
 def _references(path: Path):
-    """Names ``path`` reads: loaded names and attributes, imports and keywords, and calls.
+    """Names ``path`` reads, the attributes and keywords among them, and calls.
 
-    An attribute read off a name, such as ``Owner.attr`` or ``hqec.Owner.attr``,
+    Names are loaded names and attributes, imports and keywords. An
+    attribute read off a name, such as ``Owner.attr`` or ``hqec.Owner.attr``,
     is also read as ``Owner.attr``.
     """
-    read, called = set(), set()
+    names, attributes, called = set(), set(), set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
+            attributes.add(node.attr)
             owner = getattr(node.value, "id", getattr(node.value, "attr", None))
             if owner is not None:
-                read.add(f"{owner}.{node.attr}")
+                attributes.add(f"{owner}.{node.attr}")
         elif isinstance(node, ast.alias):
-            read.add(node.name.split(".")[-1])
+            names.add(node.name.split(".")[-1])
         elif isinstance(node, ast.keyword) and node.arg:
-            read.add(node.arg)
+            attributes.add(node.arg)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             called.add(node.func.id)
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             called.add(node.func.attr)
-    return read, called
+    return names | attributes, attributes, called
 
 
 def test_every_public_name_has_a_caller_outside_tests():
@@ -114,20 +115,23 @@ def test_every_public_name_has_a_caller_outside_tests():
     # class is built outside tests, because positional constructor
     # arguments name no field. A class or static method counts only when
     # ``Class.method`` is read, so ``np.zeros`` cannot keep a
-    # ``QMatrix.zeros`` alive; other methods are matched by bare name.
+    # ``QMatrix.zeros`` alive; another method counts only when read as an
+    # attribute or passed as a keyword, so a local variable ``t`` cannot
+    # keep a property ``t`` alive.
     modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     callers = modules + sorted((REPO / "demos").glob("*.py"))
     callers += sorted((REPO / "bench").glob("*.py"))
-    read, called = set(), set()
+    read, attributes, called = set(), set(), set()
     for path in callers:
-        names, calls = _references(path)
+        names, attrs, calls = _references(path)
         read |= names
+        attributes |= attrs
         called |= calls
     unused = [
         f"{path.stem}.{label}"
         for path in modules
-        for label, name, owner in _definitions(path)
-        if name not in read and owner not in called
+        for label, name, owner, method in _definitions(path)
+        if name not in (attributes if method else read) and owner not in called
     ]
     assert unused == []
 

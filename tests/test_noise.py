@@ -236,17 +236,10 @@ def test_sample_zero_rates_is_identity():
         assert event.pauli == PauliString.identity(5) and not event.rotations
 
 
-def test_sample_forced_phased_bitflips():
-    model = bitflip_model(1.0, phase_mode="table1")
-    event = sample_error(model, 5, seed=3, trial=0)
-    assert event.pauli.letters == ("X",) * 5
-    # five i factors: i^5 = i
-    assert event.pauli.phase == quat.I
-
-
 def test_sample_phase_mode_none():
     model = bitflip_model(1.0)
     event = sample_error(model, 5, seed=3, trial=0)
+    assert event.pauli.letters == ("X",) * 5
     assert event.pauli.phase == quat.ONE
 
 
@@ -286,8 +279,8 @@ def test_noise_model_validation():
         NoiseModel(p=1.5)
     with pytest.raises(ValueError):
         NoiseModel(p=0.1, pauli_weights=(0.5, 0.5, 0.5))
-    with pytest.raises(ValueError):
-        NoiseModel(p=0.1, phase_mode="both")
+    with pytest.raises(TypeError):  # a unit phase flips no verdict, so the model has none
+        NoiseModel(p=0.1, phase_mode="none")
     with pytest.raises(ValueError):
         NoiseModel(p=0.1, rot_mode="some")
 

@@ -239,7 +239,8 @@ def test_parse_format_roundtrip():
     rng = np.random.default_rng(14)
     for _ in range(200):
         q = rand_quaternion(rng, scale=1e3)
-        assert parse_quaternion(format_quaternion(q)).isclose(q, tol=1e-9 * max(1.0, q.norm()))
+        tol = 1e-9 * max(1.0, math.sqrt(q.norm_sq()))
+        assert parse_quaternion(format_quaternion(q)).isclose(q, tol=tol)
 
 
 def test_parse_exponent_notation():

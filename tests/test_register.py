@@ -441,7 +441,7 @@ def test_bell_reproducible():
 
 def test_substitute_units_on_cnot_entry():
     sub = substitute_units(cnot_gate(), {"k": -I})
-    assert sub.matrix.entry(3, 2) == -I
+    assert Quaternion(*sub.matrix.components[3, 2]) == -I
 
 
 def test_substitute_units_bell_becomes_standard():
