@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import quaternion as quat
-from .quaternion import ImaginaryAxis
+from .quaternion import ImaginaryAxis, parse_int
 from .linalg import UnitarityReport, is_unitary, matrix_to_dict, phase_alignment_check
 from .register import (
     Gate,
@@ -56,9 +56,8 @@ from .codes import (
     verify_codewords,
 )
 if TYPE_CHECKING:  # the sweep stack loads only on the mc, fit and figure1 paths
-    from .noise import AngleDistribution, NoiseModel
+    from .noise import AngleDistribution
 
-DEFAULT_SEED = 0
 #: ``--phase-mode`` values.  The option is checked and dropped: a unit phase
 #: on a Pauli cannot flip a commutator, so no verdict depends on it.
 _PHASE_MODES = ("none", "table1")
@@ -81,7 +80,7 @@ def _parse_p_range(spec: str) -> tuple[float, ...]:
         raise ConfigError(f"p range must be start:stop:scale:count, got {spec!r}")
     try:
         start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[3])
+        count = parse_int(parts[3])
     except ValueError:
         raise ConfigError(f"p range has non-numeric fields: {spec!r}") from None
     scale = parts[2]
@@ -142,32 +141,59 @@ def _parse_weights(spec: str) -> tuple[float, float, float]:
     return (wx, wy, wz)
 
 
+def _unrepeated(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members, refusing a key given twice (``json`` keeps the last)."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"repeated config key: {key}")
+        data[key] = value
+    return data
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unrepeated)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(data) - set(_MC_DEFAULTS)
+    unknown = set(data) - {key for key, *_ in _SWEEP_INPUTS} - {"out"}
     if unknown:
         raise ConfigError(f"unknown config key: {sorted(unknown)[0]}")
     return data
 
 
-def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
-    """The sweep flags ``mc`` and ``figure1`` share; unset flags stay ``None``."""
-    parser.add_argument("--code", default=None, choices=CODE_IDS)
-    parser.add_argument("--p", default=None, help="range start:stop:{log|lin}:count")
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--rotations", type=float, default=None, help="rotation rate per qubit")
-    parser.add_argument("--rot-axis", dest="rot_axis", default=None, help="i|j|k or x,y,z")
-    parser.add_argument("--rot-angle", dest="rot_angle", default=None, help="fixed:T or uniform:T")
-    parser.add_argument("--threshold", type=float, default=None, help="detection threshold")
+def _int(text: str) -> int:
+    return parse_int(text)
+
+
+_int.__name__ = "int"  # argparse's message reads "invalid int value: ..."
+
+# The one place a sweep input is written: its key, which is its ``mc --config``
+# key and, with "_" written "-", its flag after "--"; its mc default (None:
+# required); its figure1 default, or None when only mc takes the flag (figure1
+# then runs with the mc default); and its argparse options.
+_SWEEP_INPUTS = (
+    ("code", None, "perfect5", {"choices": CODE_IDS}),
+    ("p", None, "0.001:0.03:log:8", {"help": "range start:stop:{log|lin}:count"}),
+    ("trials", 1000, 20000, {"type": _int}),
+    ("seed", 0, 0, {"type": _int}),
+    ("rotations", 0.0, 0.05, {"type": float, "help": "rotation rate per qubit"}),
+    ("rot_axis", "k", "k", {"help": "i|j|k or x,y,z"}),
+    ("rot_angle", f"fixed:{math.pi / 8}", f"fixed:{math.pi / 8}",
+     {"help": "fixed:T or uniform:T"}),
+    ("threshold", 0.01, 0.01, {"type": float, "help": "detection threshold"}),
+    ("weights", "0.3333333333333333,0.3333333333333333,0.3333333333333334", None,
+     {"help": "Pauli mixture wx,wy,wz"}),
+    ("phase_mode", "none", None, {"choices": _PHASE_MODES}),
+    ("rot_mode", "zero", None, {"choices": ("zero", "all")}),
+    ("detect", False, None, {"action": argparse.BooleanOptionalAction,
+                             "help": "quaternionic detection and correction (default off)"}),
+)
 
 
 @functools.cache  # parse_args reuses one parser; parsing leaves it unchanged
@@ -194,14 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--out", default=None)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo logical-error-rate sweep")
-    _add_sweep_flags(p_mc)
-    p_mc.add_argument("--weights", default=None, help="Pauli mixture wx,wy,wz")
-    p_mc.add_argument("--phase-mode", dest="phase_mode", default=None, choices=_PHASE_MODES)
-    p_mc.add_argument("--rot-mode", dest="rot_mode", default=None, choices=("zero", "all"))
-    p_mc.add_argument("--detect", action=argparse.BooleanOptionalAction, default=None,
-                      help="quaternionic detection and correction (default off)")
-    p_mc.add_argument("--config", default=None, help="JSON config file; flags override")
-    p_mc.add_argument("--out", default=None)
 
     p_fit = sub.add_parser("fit", help="log-log threshold fit of a sweep CSV")
     p_fit.add_argument("--in", dest="input", required=True)
@@ -209,7 +227,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figure1", help="paired standard/quaternionic sweep")
     p_fig.add_argument("--out", required=True, help="output path prefix")
-    _add_sweep_flags(p_fig)
+    # Unset flags stay None, so a config file's value is kept.
+    for key, _, figure1, options in _SWEEP_INPUTS:
+        for p_cmd in (p_mc,) if figure1 is None else (p_mc, p_fig):
+            p_cmd.add_argument("--" + key.replace("_", "-"), default=None, **options)
+    p_mc.add_argument("--config", default=None, help="JSON config file; flags override")
+    p_mc.add_argument("--out", default=None)
     p_fig.add_argument("--include-model", dest="include_model", action="store_true",
                        help="append suppression-law rows at the target parameters")
 
@@ -219,46 +242,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The one place a sweep default is written; figure1 overrides four of them.
-# Its keys are the flag names and the keys an ``mc --config`` file may hold.
-_MC_DEFAULTS = {
-    "code": None,  # required
-    "p": None,  # required
-    "trials": 1000,
-    "seed": DEFAULT_SEED,
-    "out": None,
-    "weights": "0.3333333333333333,0.3333333333333333,0.3333333333333334",
-    "phase_mode": "none",
-    "rotations": 0.0,
-    "rot_axis": "k",
-    "rot_angle": f"fixed:{math.pi / 8}",
-    "rot_mode": "zero",
-    "detect": False,
-    "threshold": 0.01,
-}
-
-_FIGURE1_DEFAULTS = {
-    **_MC_DEFAULTS,
-    "code": "perfect5",
-    "p": "0.001:0.03:log:8",
-    "trials": 20000,
-    "rotations": 0.05,
-}
-
-
-def _merge_sweep_parameters(args: argparse.Namespace, defaults: dict) -> dict:
+def _merge_sweep_parameters(args: argparse.Namespace) -> dict:
     """Defaults, then the ``mc --config`` file, then the flags given."""
-    merged = dict(defaults)
+    merged = {key: mc if args.command == "mc" or figure1 is None else figure1
+              for key, mc, figure1, _ in _SWEEP_INPUTS}
+    merged["out"] = None
     if getattr(args, "config", None) is not None:
         merged.update(_load_config_file(args.config))
-    for key in defaults:
+    for key in merged:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
-    if merged["code"] is None:
-        raise ConfigError("missing required parameter: code")
-    if merged["p"] is None:
-        raise ConfigError("missing required parameter: p")
+    for key, mc, *_ in _SWEEP_INPUTS:
+        if mc is None and merged[key] is None:
+            raise ConfigError(f"missing required parameter: {key}")
     if merged["out"] is not None and not isinstance(merged["out"], str):
         raise ConfigError(f"out must be a path string, got {merged['out']!r}")
     return merged
@@ -275,14 +272,7 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     command = args.command
 
     if command in ("mc", "figure1"):
-        from . import experiments
-
-        try:
-            experiments.thread_count()  # run_sweep reads HQEC_THREADS again; checked for exit 3
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        defaults = _FIGURE1_DEFAULTS if command == "figure1" else _MC_DEFAULTS
-        merged = _merge_sweep_parameters(args, defaults)
+        merged = _merge_sweep_parameters(args)
         params = _validate_sweep(merged)
         if command == "figure1":
             params["include_model"] = bool(args.include_model)
@@ -292,44 +282,31 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     return RunConfig(command, params, args.out)
 
 
-def _noise_model(merged: dict) -> NoiseModel:
-    """The noise template, at p = 0, from the merged flag keys."""
-    from .noise import NoiseModel
-
-    phase_mode = merged["phase_mode"]
-    if phase_mode not in _PHASE_MODES:
-        raise ConfigError(f"phase_mode must be one of {_PHASE_MODES}, got {phase_mode!r}")
-    weights = merged["weights"]
-    if not isinstance(weights, (tuple, list)):
-        weights = _parse_weights(str(weights))
-    return NoiseModel(
-        p=0.0,
-        pauli_weights=tuple(weights),
-        p_rot=merged["rotations"],
-        rot_axis=_parse_axis(merged["rot_axis"]),
-        rot_angle=_parse_angle(merged["rot_angle"]),
-        rot_mode=merged["rot_mode"],
-    )
-
-
 def _validate_sweep(merged: dict) -> dict:
     """The fields of the :class:`SweepConfig` that ``merged`` describes, once it is built.
 
-    The value rules are :class:`SweepConfig`'s and :class:`NoiseModel`'s;
-    a value they refuse raises :class:`ConfigError` here, before any work.
+    The value rules are :class:`SweepConfig`'s, :class:`NoiseModel`'s (at p = 0)
+    and ``HQEC_THREADS``'s, and ``phase_mode`` is checked, then dropped; a
+    value they refuse raises :class:`ConfigError` here, before any work.
     """
-    from .experiments import SweepConfig
+    from .experiments import SweepConfig, thread_count
+    from .noise import NoiseModel
 
+    phase_mode, weights = merged["phase_mode"], merged["weights"]
     try:
-        sweep = SweepConfig(
-            code_id=merged["code"],
-            p_values=_parse_p_range(str(merged["p"])),
-            noise=_noise_model(merged),
-            trials=merged["trials"],
-            seed=merged["seed"],
-            quaternionic_detection=merged["detect"],
-            detection_threshold=merged["threshold"],
-        )
+        thread_count()  # run_sweep reads HQEC_THREADS again; checked here for exit 3
+        p_values = _parse_p_range(str(merged["p"]))
+        if phase_mode not in _PHASE_MODES:
+            raise ConfigError(f"phase_mode must be one of {_PHASE_MODES}, got {phase_mode!r}")
+        if not isinstance(weights, (tuple, list)):
+            weights = _parse_weights(str(weights))
+        noise = NoiseModel(p=0.0, pauli_weights=tuple(weights), p_rot=merged["rotations"],
+                           rot_axis=_parse_axis(merged["rot_axis"]),
+                           rot_angle=_parse_angle(merged["rot_angle"]), rot_mode=merged["rot_mode"])
+        sweep = SweepConfig(code_id=merged["code"], noise=noise, p_values=p_values,
+                            trials=merged["trials"], seed=merged["seed"],
+                            quaternionic_detection=merged["detect"],
+                            detection_threshold=merged["threshold"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return dict(vars(sweep))

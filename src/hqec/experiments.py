@@ -48,9 +48,7 @@ operations could flip the verdict, is scored by :func:`score_event` instead.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import math
 import numbers
@@ -85,7 +83,7 @@ from .noise import (
     slot_cover,
 )
 from .linalg import left_mul_matrix
-from .quaternion import TOLERANCE, ImaginaryAxis, Quaternion
+from .quaternion import TOLERANCE, ImaginaryAxis, Quaternion, parse_int
 
 # Published performance targets, pipeline -> (exponent, p_th), attached
 # to outputs as annotations only.
@@ -143,6 +141,12 @@ class SweepPoint:
     trials: int
     p_L: float
     stderr: float
+
+    @classmethod
+    def tally(cls, p: float, failures: int, trials: int) -> SweepPoint:
+        """The point of ``failures`` in ``trials`` at ``p``, with its binomial standard error."""
+        p_l = failures / trials
+        return cls(p, failures, trials, p_l, math.sqrt(p_l * (1.0 - p_l) / trials))
 
 
 @dataclass(frozen=True)
@@ -239,14 +243,12 @@ def thread_count() -> int:
     if raw is None:
         return 1
     try:
-        value = int(raw)
+        value = parse_int(raw)
     except ValueError:
         raise ValueError(f"HQEC_THREADS must be an integer, got {raw!r}") from None
     if value < 0:
         raise ValueError(f"HQEC_THREADS must be >= 0, got {value}")
-    if value == 0:
-        return usable_cpus()
-    return value
+    return value or usable_cpus()
 
 
 #: Trials per worker: a sweep starts one pool worker for each full
@@ -492,12 +494,9 @@ def _run_sweeps(config: SweepConfig, detects: tuple[bool, ...]) -> list[SweepRes
         parts = [count_failures(*args, 0, config.trials)]
     results = []
     for tallies in zip(*parts):
-        points = []
-        for p, count in zip(config.p_values, map(sum, zip(*tallies))):
-            p_l = count / config.trials
-            stderr = math.sqrt(p_l * (1.0 - p_l) / config.trials)
-            points.append(SweepPoint(p, count, config.trials, p_l, stderr))
-        results.append(SweepResult(config.code_id, config.seed, tuple(points)))
+        counts = zip(config.p_values, map(sum, zip(*tallies)))
+        points = tuple(SweepPoint.tally(p, count, config.trials) for p, count in counts)
+        results.append(SweepResult(config.code_id, config.seed, points))
     return results
 
 
@@ -587,11 +586,12 @@ def sweep_csv(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _unfit_field(pt: SweepPoint, key: tuple[str, int], first: tuple[str, int]) -> str | None:
+def _unfit_field(row: str, pt: SweepPoint, key: tuple[str, int], first: tuple[str, int],
+                 points: list[SweepPoint]) -> str | None:
     """The first field of a parsed CSV row that no sweep could have written.
 
     ``key`` is the row's ``(code_id, seed)``, which every row of a sweep
-    shares with its first row, ``first``.
+    shares with its first row, ``first``; ``points`` are the rows before it.
     """
     if key[0] not in CODE_IDS:
         return f"code_id, not one of {', '.join(CODE_IDS)}"
@@ -610,35 +610,47 @@ def _unfit_field(pt: SweepPoint, key: tuple[str, int], first: tuple[str, int]) -
         return "stderr, not finite"
     if _g12(pt.failures / pt.trials) != _g12(pt.p_L):
         return "p_L, not failures / trials"
+    if points and pt.trials != points[0].trials:
+        return f"trials, not the first row's {points[0].trials}"
+    if points and pt.p <= points[-1].p:
+        return f"p, not above the previous row's {_g12(points[-1].p)}"
+    written = _point_row(SweepResult(*key, ()), SweepPoint.tally(pt.p, pt.failures, pt.trials))
+    for name, field, want in zip(SWEEP_CSV_HEADER.split(","), row.split(","), written.split(",")):
+        if field != want:
+            return f"{name}, not {want} as a sweep writes it"
     return None
 
 
 def parse_sweep_csv(text: str) -> SweepResult:
-    """The sweep a ``sweep_csv`` text holds; ``ValueError`` names the first bad line."""
-    reader = csv.reader(io.StringIO(text))
+    """The sweep a ``sweep_csv`` text holds; ``ValueError`` names the first bad line.
+
+    A row's point is rebuilt from its p, trials and failures, and the row is
+    taken only if :func:`_point_row` of that point gives it back byte for byte.
+    """
+    lines = text.split("\n")
     expected = SWEEP_CSV_HEADER.split(",")
-    header = next(reader, None)
-    if header != expected:
-        raise ValueError(f"bad CSV header: expected {expected}, got {header}")
+    if lines[0] != SWEEP_CSV_HEADER:
+        raise ValueError(f"bad CSV header: expected {expected}, got {lines[0].split(',')}")
     points, first = [], None
-    for fields in filter(None, reader):  # blank lines are skipped
-        where = f"CSV line {reader.line_num}"
+    for number, row in enumerate(lines[1:], start=2):
+        if not row:
+            continue  # blank lines are skipped
+        where, fields = f"CSV line {number}", row.split(",")
         if len(fields) != len(expected):
-            raise ValueError(
-                f"{where} has {len(fields)} fields, not {len(expected)}: {','.join(fields)!r}"
-            )
+            raise ValueError(f"{where} has {len(fields)} fields, not {len(expected)}: {row!r}")
         r = dict(zip(expected, fields))
         try:
-            pt = SweepPoint(p=float(r["p"]), failures=int(r["failures"]), trials=int(r["trials"]),
-                            p_L=float(r["p_L"]), stderr=float(r["stderr"]))
-            seed = check_counter("seed", int(r["seed"]))
+            pt = SweepPoint(p=float(r["p"]), failures=parse_int(r["failures"]),
+                            trials=parse_int(r["trials"]), p_L=float(r["p_L"]),
+                            stderr=float(r["stderr"]))
+            seed = check_counter("seed", parse_int(r["seed"]))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
         first = first or (r["code_id"], seed)
-        bad = _unfit_field(pt, (r["code_id"], seed), first)
+        bad = _unfit_field(row, pt, (r["code_id"], seed), first, points)
         if bad is not None:
-            raise ValueError(f"{where} has a bad {bad}: {','.join(fields)!r}")
-        points.append(pt)
+            raise ValueError(f"{where} has a bad {bad}: {row!r}")
+        points.append(SweepPoint.tally(pt.p, pt.failures, pt.trials))
     if first is None:
         raise ValueError("CSV has no data rows")
     return SweepResult(*first, tuple(points))

@@ -238,6 +238,13 @@ def format_quaternion(q: Quaternion, digits: int = 12) -> str:
     return "".join(parts)
 
 
+def parse_int(text: str) -> int:
+    """``int(text)`` of ASCII digits after an optional ``-``: no ``_``, ``+`` or space."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def parse_quaternion(text: str) -> Quaternion:
     """Parse the ``w+xi+yj+zk`` rendering produced by :func:`format_quaternion`."""
     m = _QUAT_RE.fullmatch(text)

@@ -113,6 +113,21 @@ def test_descending_p_range_exits_3(capsys):
     assert "p range" in err
 
 
+@pytest.mark.parametrize("raw", ["1_000", "+1", " 2 ", "\u0663"])
+@pytest.mark.parametrize("flag", ["--trials", "--seed"])
+@pytest.mark.parametrize("command", ["mc", "figure1"])
+def test_an_integer_flag_not_in_ascii_digits_exits_2(capsys, tmp_path, command, flag, raw):
+    if command == "mc":
+        argv = ["mc", "--code", "three", "--p", "0.01:0.1:log:3"]
+    else:
+        argv = ["figure1", "--out", str(tmp_path / "fig")]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"{flag}={raw}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid int value: {raw!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_negative_seed_exits_3(capsys):
     code, _, err = run_cli(
         capsys, "mc", "--code", "three", "--p", "0.01:0.1:log:3", "--seed", "-1"
@@ -360,8 +375,8 @@ _FUZZ_TRIALS_CAP = 20
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.dictionaries(st.sampled_from(sorted(cli._MC_DEFAULTS)), _FUZZ_VALUES,
-                       min_size=1, max_size=4))
+@given(st.dictionaries(st.sampled_from(sorted({key for key, *_ in cli._SWEEP_INPUTS} | {"out"})),
+                       _FUZZ_VALUES, min_size=1, max_size=4))
 def test_fuzzed_config_file_exits_0_or_3(tmp_path, monkeypatch, capsys, fuzzed):
     monkeypatch.chdir(tmp_path)  # a fuzzed ``out`` that is valid lands here
     body = {"code": "three", "p": "0.05:0.2:log:3", "trials": _FUZZ_TRIALS_CAP, **fuzzed}
@@ -374,10 +389,14 @@ def test_fuzzed_config_file_exits_0_or_3(tmp_path, monkeypatch, capsys, fuzzed):
     assert code in (0, 3), (body, err)
 
 
-# The fuzzed sweep flags of each command, and the text of every value class above.
+# The fuzzed flags of each command: every sweep flag it takes but ``--trials``,
+# which the test sets below its cap, and ``--out``; and the text of every value
+# class above.
 _FUZZ_FLAGS = {
-    "mc": ("--p", "--weights", "--rot-axis", "--rot-angle", "--rotations", "--threshold", "--out"),
-    "figure1": ("--p", "--rot-axis", "--rot-angle", "--rotations", "--threshold", "--out"),
+    command: (*("--" + key.replace("_", "-") for key, _, figure1, _ in cli._SWEEP_INPUTS
+                if key != "trials" and (command == "mc" or figure1 is not None)),
+              "--out")
+    for command in ("mc", "figure1")
 }
 _FUZZ_TEXT = _FUZZ_VALUES.map(str) | _FUZZ_VALUES.map(json.dumps)
 
@@ -542,7 +561,7 @@ def test_phase_mode_changes_no_mc_byte(capsys, tmp_path, code_id, noise):
         assert digest == _MC_GOLDEN_SHA256[(code_id, noise)], phase
 
 
-@pytest.mark.parametrize("raw", ["abc", "-1"])
+@pytest.mark.parametrize("raw", ["abc", "-1", "1_0", "+1", " 2 ", "\u0663"])
 @pytest.mark.parametrize("command", ["mc", "figure1"])
 def test_bad_thread_env_exits_3(monkeypatch, capsys, tmp_path, command, raw):
     monkeypatch.setenv("HQEC_THREADS", raw)
@@ -554,6 +573,8 @@ def test_bad_thread_env_exits_3(monkeypatch, capsys, tmp_path, command, raw):
     assert code == 3
     assert out == ""
     assert "HQEC_THREADS" in err
+    if raw != "-1":
+        assert f"HQEC_THREADS must be an integer, got {raw!r}" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -579,8 +600,8 @@ def test_fit_of_a_nearly_flat_curve_exits_0_with_warnings_as_errors(capsys, tmp_
     path.write_text(
         "code_id,p,trials,failures,p_L,stderr,seed\n"
         "three,0.01,10000,5000,0.5,0.005,0\n"
-        "three,0.02,10000,5001,0.5001,0.005,0\n"
-        "three,0.03,10000,5002,0.5002,0.005,0\n"
+        "three,0.02,10000,5001,0.5001,0.0049999999,0\n"
+        "three,0.03,10000,5002,0.5002,0.0049999996,0\n"
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -640,6 +661,13 @@ _BAD_INPUTS = {
     "config rot_angle true": (["mc", "--config", "IN"],
                               '{"code": "three", "p": "0.05:0.2:log:3", "rot_angle": true}',
                               "rot_angle must be fixed:THETA or uniform:THETA_MAX, got True"),
+    "config repeated key": (["mc", "--config", "IN"],
+                            '{"code": "three", "p": "0.05:0.2:log:3", "trials": 5, "trials": 6}',
+                            "repeated config key: trials"),
+    "p count with an underscore": (["mc", "--code", "three", "--p", "0.05:0.2:log:1_0"], None,
+                                   "p range has non-numeric fields: '0.05:0.2:log:1_0'"),
+    "p count with a plus": (["mc", "--code", "three", "--p", "0.05:0.2:log:+3"], None,
+                            "p range has non-numeric fields: '0.05:0.2:log:+3'"),
     "fit bad header": (["fit", "--in", "IN"], "p,failures\n0.1,1\n", "bad CSV header"),
     "fit short row": (["fit", "--in", "IN"],
                       "code_id,p,trials,failures,p_L,stderr,seed\nthree,0.1\n",
@@ -652,7 +680,8 @@ _BAD_INPUTS = {
 # Rows that no sweep writes; the fit must refuse them. A bare row follows two
 # good ones as CSV line 4, and its fragment follows "CSV line 4"; a tuple holds
 # every data row, and its fragment names the line.
-_GOOD_FIT_ROWS = ("three,0.01,100,1,0.01,0.00995,0", "three,0.02,100,4,0.04,0.0196,0")
+_GOOD_FIT_ROWS = ("three,0.01,100,1,0.01,0.00994987437107,0",
+                  "three,0.02,100,4,0.04,0.0195959179423,0")
 _BAD_FIT_ROWS = {
     "p_L inf": ("three,0.05,100,9,inf,0.0286,0", " has a bad p_L, not in [0, 1]"),
     "p_L nan": ("three,0.05,100,9,nan,0.0286,0", " has a bad p_L, not in [0, 1]"),
@@ -687,6 +716,23 @@ _BAD_FIT_ROWS = {
                                  " has a bad code_id, not the first row's three"),
     "seed not the first row's": ("three,0.05,100,9,0.09,0.0286,1",
                                  " has a bad seed, not the first row's 0"),
+    "trials with an underscore": ("three,0.05,1_00,9,0.09,0.0286181760425,0",
+                                  ": invalid literal for int() with base 10: '1_00'"),
+    "seed with a plus": ("three,0.05,100,9,0.09,0.0286181760425,+0",
+                         ": invalid literal for int() with base 10: '+0'"),
+    "p falling, then repeated": (
+        (_GOOD_FIT_ROWS[1], _GOOD_FIT_ROWS[0], _GOOD_FIT_ROWS[0]),
+        "CSV line 3 has a bad p, not above the previous row's 0.02"),
+    "p repeated": ((_GOOD_FIT_ROWS[0], _GOOD_FIT_ROWS[0], _GOOD_FIT_ROWS[1]),
+                   "CSV line 3 has a bad p, not above the previous row's 0.01"),
+    "trials not the first row's": (
+        (_GOOD_FIT_ROWS[0], "three,0.02,50,2,0.04,0.0277128129211,0",
+         "three,0.05,100,9,0.09,0.0286181760425,0"),
+        "CSV line 3 has a bad trials, not the first row's 100"),
+    "stderr not the computed one": ("three,0.05,100,9,0.09,0.0286,0",
+                                    " has a bad stderr, not 0.0286181760425 as a sweep writes it"),
+    "p not as a sweep writes it": ("three,0.050,100,9,0.09,0.0286181760425,0",
+                                   " has a bad p, not 0.05 as a sweep writes it"),
 }
 
 

@@ -703,6 +703,35 @@ def test_sweep_csv_roundtrip():
     assert [pt.failures for pt in parsed.points] == [pt.failures for pt in result.points]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CODE_IDS),
+       st.lists(st.integers(1, 10**12 - 1), min_size=1, max_size=5, unique=True),
+       st.integers(1, 40), st.integers(0, 2**64 - 1), st.sampled_from([0.0, 0.3]), st.booleans())
+def test_parse_sweep_csv_gives_back_the_sweep_the_engine_wrote(code_id, numerators, trials, seed,
+                                                               p_rot, detect):
+    # p of at most 12 significant digits, which sweep_csv writes in full
+    p_values = tuple(k / 10**12 for k in sorted(numerators))
+    config = SweepConfig(code_id, NoiseModel(p=0.0, p_rot=p_rot), p_values, trials, seed,
+                         quaternionic_detection=detect)
+    result = run_sweep(config)
+    assert parse_sweep_csv(sweep_csv(result)) == result
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_one_character_change_to_a_sweep_csv_is_refused_or_read_as_written(data):
+    config = SweepConfig("perfect5", NoiseModel(p=0.0, p_rot=0.3), (0.01, 0.05, 0.2, 0.5),
+                         trials=37, seed=5)
+    text = sweep_csv(run_sweep(config))
+    i = data.draw(st.integers(0, len(text) - 1))
+    changed = text[:i] + data.draw(st.sampled_from("0123456789.,-+_ eE\nat")) + text[i + 1:]
+    try:
+        result = parse_sweep_csv(changed)
+    except ValueError:
+        return
+    assert sweep_csv(result) == changed
+
+
 def test_parse_sweep_csv_rejects_bad_header():
     with pytest.raises(ValueError):
         parse_sweep_csv("a,b,c\n1,2,3\n")
