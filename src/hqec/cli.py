@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import quaternion as quat
-from .quaternion import ImaginaryAxis, parse_int
+from .quaternion import ImaginaryAxis, parse_float, parse_int
 from .linalg import UnitarityReport, is_unitary, matrix_to_dict, phase_alignment_check
 from .register import (
     Gate,
@@ -79,7 +79,7 @@ def _parse_p_range(spec: str) -> tuple[float, ...]:
     if len(parts) != 4:
         raise ConfigError(f"p range must be start:stop:scale:count, got {spec!r}")
     try:
-        start, stop = float(parts[0]), float(parts[1])
+        start, stop = parse_float(parts[0]), parse_float(parts[1])
         count = parse_int(parts[3])
     except ValueError:
         raise ConfigError(f"p range has non-numeric fields: {spec!r}") from None
@@ -112,7 +112,7 @@ def _parse_axis(spec) -> ImaginaryAxis:
     if len(parts) != 3:
         raise ConfigError(f"rot_axis must be i|j|k or x,y,z, got {spec!r}")
     try:
-        x, y, z = (float(v) for v in parts)
+        x, y, z = map(parse_float, parts)
         return ImaginaryAxis.normalized(x, y, z)
     except ValueError as exc:
         raise ConfigError(f"bad rot_axis {spec!r}: {exc}") from None
@@ -125,7 +125,7 @@ def _parse_angle(spec) -> AngleDistribution:
     if len(parts) != 2 or parts[0] not in ("fixed", "uniform"):
         raise ConfigError(f"rot_angle must be fixed:THETA or uniform:THETA_MAX, got {spec!r}")
     try:
-        return AngleDistribution(parts[0], float(parts[1]))
+        return AngleDistribution(parts[0], parse_float(parts[1]))
     except ValueError as exc:
         raise ConfigError(f"bad rot_angle {spec!r}: {exc}") from None
 
@@ -135,7 +135,7 @@ def _parse_weights(spec: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ConfigError(f"weights must be wx,wy,wz, got {spec!r}")
     try:
-        wx, wy, wz = (float(v) for v in parts)
+        wx, wy, wz = map(parse_float, parts)
     except ValueError:
         raise ConfigError(f"weights have non-numeric fields: {spec!r}") from None
     return (wx, wy, wz)
@@ -173,6 +173,13 @@ def _int(text: str) -> int:
 
 _int.__name__ = "int"  # argparse's message reads "invalid int value: ..."
 
+
+def _float(text: str) -> float:
+    return parse_float(text)
+
+
+_float.__name__ = "float"  # and "invalid float value: ..."
+
 # The one place a sweep input is written: its key, which is its ``mc --config``
 # key and, with "_" written "-", its flag after "--"; its mc default (None:
 # required); its figure1 default, or None when only mc takes the flag (figure1
@@ -182,11 +189,11 @@ _SWEEP_INPUTS = (
     ("p", None, "0.001:0.03:log:8", {"help": "range start:stop:{log|lin}:count"}),
     ("trials", 1000, 20000, {"type": _int}),
     ("seed", 0, 0, {"type": _int}),
-    ("rotations", 0.0, 0.05, {"type": float, "help": "rotation rate per qubit"}),
+    ("rotations", 0.0, 0.05, {"type": _float, "help": "rotation rate per qubit"}),
     ("rot_axis", "k", "k", {"help": "i|j|k or x,y,z"}),
     ("rot_angle", f"fixed:{math.pi / 8}", f"fixed:{math.pi / 8}",
      {"help": "fixed:T or uniform:T"}),
-    ("threshold", 0.01, 0.01, {"type": float, "help": "detection threshold"}),
+    ("threshold", 0.01, 0.01, {"type": _float, "help": "detection threshold"}),
     ("weights", "0.3333333333333333,0.3333333333333333,0.3333333333333334", None,
      {"help": "Pauli mixture wx,wy,wz"}),
     ("phase_mode", "none", None, {"choices": _PHASE_MODES}),

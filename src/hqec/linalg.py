@@ -17,6 +17,8 @@ the Hamilton product: :func:`qmul_components`, :func:`left_mul_matrix`,
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -24,6 +26,7 @@ import numpy as np
 
 from .quaternion import TOLERANCE, Quaternion
 
+_LARGEST = sys.float_info.max
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 # The one array definition of the Hamilton product: component t of a * b is the
 # sum over u = 0..3, in order, of a[u] * b[t ^ u] * HAMILTON_SIGNS[u, t], and
@@ -59,25 +62,27 @@ def _validate_components(arr: np.ndarray, expected_ndim: int) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     if arr.ndim != expected_ndim or arr.shape[-1] != 4:
         raise ValueError(f"expected shape (..., 4) with ndim {expected_ndim}, got {arr.shape}")
-    return _finite(arr)
-
-
-def _finite(arr: np.ndarray) -> np.ndarray:
     if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError("components must be finite")
     return arr
 
 
 class QVector:
-    """Dense quaternion-amplitude vector."""
+    """Dense quaternion-amplitude vector.
 
-    __slots__ = ("_c",)
+    :attr:`bound` is an upper bound on its largest absolute component: 1.0
+    for a basis vector, exact where :meth:`adopt` scans the array, and
+    ``inf`` where it is unknown.
+    """
+
+    __slots__ = ("_c", "_bound")
 
     def __init__(self, amps: Iterable[Quaternion]):
         rows = [q.as_tuple() for q in amps]
         if not rows:
             raise ValueError("vector must have at least one amplitude")
         self._c = _freeze(np.array(rows))
+        self._bound = math.inf
 
     @classmethod
     def from_components(cls, arr: np.ndarray) -> "QVector":
@@ -90,13 +95,28 @@ class QVector:
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "QVector":
         v = object.__new__(cls)
-        v._c = _freeze(arr)
+        v._c, v._bound = _freeze(arr), math.inf
         return v
 
     @classmethod
-    def _take(cls, arr: np.ndarray) -> "QVector":
-        """Vector that takes over a new float64 ``(dim, 4)`` ``arr``; only finiteness is checked."""
-        return cls._wrap(_finite(arr))
+    def adopt(cls, arr: np.ndarray, bound: float = math.inf) -> "QVector":
+        """Vector that takes over a new C-contiguous float64 ``(dim, 4)`` ``arr``.
+
+        ``bound`` must be an upper bound on the largest absolute component.
+        One at most the largest double proves ``arr`` finite, so it is kept
+        and nothing is scanned.  Otherwise ``arr.max()`` and ``arr.min()``,
+        which allocate nothing and return NaN or inf if any component is one,
+        give the exact bound, and a non-finite one raises ``ValueError``.
+        """
+        if not bound <= _LARGEST:  # also true for a NaN bound
+            high, low = arr.max(), arr.min()
+            if not (high <= _LARGEST and -low <= _LARGEST):
+                raise ValueError("components must be finite")
+            bound = float(max(high, -low))
+        arr.setflags(write=False)
+        v = object.__new__(cls)
+        v._c, v._bound = arr, bound
+        return v
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "QVector":
@@ -104,7 +124,7 @@ class QVector:
             raise ValueError(f"basis index {index} out of range for dim {dim}")
         arr = np.zeros((dim, 4))
         arr[index, 0] = 1.0
-        return cls._wrap(arr)
+        return cls.adopt(arr, 1.0)
 
     @property
     def dim(self) -> int:
@@ -114,6 +134,11 @@ class QVector:
     def components(self) -> np.ndarray:
         """Read-only ``(dim, 4)`` component array."""
         return self._c
+
+    @property
+    def bound(self) -> float:
+        """Upper bound on the largest absolute component; ``inf`` if unknown."""
+        return self._bound
 
     def __len__(self) -> int:
         return self.dim

@@ -245,6 +245,18 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
+def parse_float(text: str) -> float:
+    """``float(text)`` of ASCII decimal or exponent form after an optional ``-``.
+
+    Also ``inf`` and ``nan``, as ``repr`` and ``%g`` write them; no ``_``,
+    ``+`` before the number, or space.
+    """
+    if re.fullmatch(r"-?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|inf|nan)",
+                    text) is None:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def parse_quaternion(text: str) -> Quaternion:
     """Parse the ``w+xi+yj+zk`` rendering produced by :func:`format_quaternion`."""
     m = _QUAT_RE.fullmatch(text)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,13 +56,6 @@ class QRegister:
     @classmethod
     def from_components(cls, n: int, arr: np.ndarray) -> "QRegister":
         return cls(n, QVector.from_components(arr))
-
-    @classmethod
-    def _take(cls, n: int, arr: np.ndarray) -> "QRegister":
-        """Register that takes over a new ``(2**n, 4)`` ``arr``; only finiteness is checked."""
-        reg = object.__new__(cls)
-        reg._n, reg._amps = n, QVector._take(arr)
-        return reg
 
     @property
     def n(self) -> int:
@@ -129,6 +123,15 @@ class Gate:
         op = products.transpose(1, 2, 0, 3).reshape(size, size)
         op.flags.writeable = False
         return op
+
+    @functools.cached_property
+    def gain(self) -> float:
+        """Largest column abs-sum of :attr:`operator`, correctly rounded.
+
+        No component of ``row @ operator`` exceeds ``gain`` times the row's
+        largest absolute component in exact arithmetic.
+        """
+        return max(map(math.fsum, np.abs(self.operator).T.tolist()))
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -202,12 +205,15 @@ def identity_gate() -> Gate:
 
 #: Byte budget of the layout cache, oldest out first; a layout holds 16 B per row.
 _LAYOUT_CACHE_BYTES = 1 << 24
-_layouts: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
+#: The layout of targets that already are the last qubits, in order: no gather.
+_IN_ORDER = None, None
+_layouts: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray] | tuple[None, None]] = {}
 
 
-def _layout(n: int, targets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _layout(n: int, targets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
     """Cached row order with the ``targets`` bits last, in order, and its inverse.
 
+    Targets that already are the last qubits, in order, give :data:`_IN_ORDER`.
     Raises unless the targets are distinct and in ``1..n``; no exception is
     cached.  The arrays stay writeable: ``take`` copies read-only indices.
     """
@@ -221,13 +227,21 @@ def _layout(n: int, targets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"target {q} out of range 1..{n}")
     axes = [q - 1 for q in targets]
     perm = [q for q in range(n) if q not in axes] + axes
+    if perm == list(range(n)):
+        _layouts[n, targets] = _IN_ORDER
+        return _IN_ORDER
     order = np.arange(1 << n).reshape((2,) * n).transpose(perm).ravel()
     layout = order, np.argsort(order)
     if 2 * order.nbytes <= _LAYOUT_CACHE_BYTES:
-        while 2 * sum(o.nbytes for o, _ in (layout, *_layouts.values())) > _LAYOUT_CACHE_BYTES:
+        while 2 * sum(o.nbytes for o, _ in (layout, *_layouts.values()) if o is not None) \
+                > _LAYOUT_CACHE_BYTES:
             del _layouts[next(iter(_layouts))]
         _layouts[n, targets] = layout
     return layout
+
+
+_EPS = sys.float_info.epsilon
+_TINY = math.ulp(0.0)
 
 
 def apply_gate(reg: QRegister, gate: Gate, targets: list[int] | tuple[int, ...]) -> QRegister:
@@ -236,17 +250,38 @@ def apply_gate(reg: QRegister, gate: Gate, targets: list[int] | tuple[int, ...])
     The amplitude rows are gathered with the target bits last, in order, so
     each ``2**arity`` rows make one row multiplied by :attr:`Gate.operator`,
     and the product's rows are gathered back; no ``2**n x 2**n`` matrix is
-    built.  The first target is the most significant bit of the gate's row
-    and column index.  Row orders and target checks are cached per layout.
+    built.  When the targets already are the last qubits in order, both
+    gathers are skipped: the rows and the product are the same, bit for bit.
+    The first target is the most significant bit of the gate's row and
+    column index.  Row orders and target checks are cached per layout.
+
+    No pass checks the result for finiteness while its bound proves it.
+    With ``B`` the input's :attr:`~hqec.linalg.QVector.bound`, ``G`` the
+    gate's :attr:`Gate.gain`, ``w = 4 << arity`` and ``u = eps / 2``, every
+    product component and each of its partial sums is at most
+    ``(1 + gamma_w) (B G + w 2**-1075)``, ``gamma_w = w u / (1 - w u)``, in
+    any summation order, with or without FMA, and with gradual underflow
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3).
+    ``B G (1 + w eps) + w tiny``, worked out in doubles, is above that for
+    ``w >= 8``: ``G`` and the three operations each lose at most a relative
+    ``u`` or an absolute ``tiny / 2``, within the margins ``(w - 4) u`` and
+    ``w tiny / 2``.  While it is at most the largest double nothing
+    overflows, and :meth:`~hqec.linalg.QVector.adopt` keeps it unchecked;
+    otherwise ``adopt`` takes the exact bound, raising if it is not finite.
     """
     if len(targets) != gate.arity:
         raise ValueError(f"gate {gate.name} has arity {gate.arity}, got {len(targets)} targets")
-    n = reg.n
+    n, amps = reg.n, reg.amps
     order, back = _layout(n, tuple(map(operator.index, targets)))
-    # The gathered rows are a temporary, so at most two state-sized arrays live at once.
     width = 4 << gate.arity
-    product = reg.amps.components.take(order, axis=0).reshape(-1, width).dot(gate.operator)
-    return QRegister._take(n, product.reshape(-1, 4).take(back, axis=0))
+    bound = amps.bound * gate.gain * (1.0 + width * _EPS) + width * _TINY
+    if order is None:
+        product = amps.components.reshape(-1, width).dot(gate.operator).reshape(-1, 4)
+    else:
+        # The gathered rows are a temporary, so at most two state-sized arrays live at once.
+        rows = amps.components.take(order, axis=0).reshape(-1, width).dot(gate.operator)
+        product = rows.reshape(-1, 4).take(back, axis=0)
+    return QRegister(n, QVector.adopt(product, bound))
 
 
 def bell_prepare() -> QRegister:

@@ -106,6 +106,21 @@ def test_unknown_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("raw", ["0_0.1", "+0.1", " 1e-2", "1e-2 ", "\u0663", "Infinity"])
+@pytest.mark.parametrize("flag", ["--rotations", "--threshold"])
+@pytest.mark.parametrize("command", ["mc", "figure1"])
+def test_a_float_flag_not_in_ascii_decimal_exits_2(capsys, tmp_path, command, flag, raw):
+    if command == "mc":
+        argv = ["mc", "--code", "three", "--p", "0.01:0.1:log:3"]
+    else:
+        argv = ["figure1", "--out", str(tmp_path / "fig")]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"{flag}={raw}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid float value: {raw!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_descending_p_range_exits_3(capsys):
     code, _, err = run_cli(capsys, "mc", "--code", "three", "--p", "0.5:0.1:log:5",
                            "--trials", "10")
@@ -668,6 +683,36 @@ _BAD_INPUTS = {
                                    "p range has non-numeric fields: '0.05:0.2:log:1_0'"),
     "p count with a plus": (["mc", "--code", "three", "--p", "0.05:0.2:log:+3"], None,
                             "p range has non-numeric fields: '0.05:0.2:log:+3'"),
+    "p start with a space": (["mc", "--code", "three", "--p", " 0.05:0.2:log:3"], None,
+                             "p range has non-numeric fields: ' 0.05:0.2:log:3'"),
+    "p stop with an underscore": (["mc", "--code", "three", "--p", "0.05:0_0.2:log:3"], None,
+                                  "p range has non-numeric fields: '0.05:0_0.2:log:3'"),
+    "weights with an underscore": ([*_MC, "--weights", "0.5,0.5,0_0"], None,
+                                   "weights have non-numeric fields: '0.5,0.5,0_0'"),
+    "weights with a plus": ([*_MC, "--weights", "+1,0,0"], None,
+                            "weights have non-numeric fields: '+1,0,0'"),
+    "rot-angle with a space": ([*_MC, "--rot-angle", "fixed: 0.3"], None,
+                               "bad rot_angle 'fixed: 0.3': could not convert string to float"),
+    "rot-angle with an underscore": ([*_MC, "--rot-angle", "uniform:0_1"], None,
+                                     "bad rot_angle 'uniform:0_1'"),
+    "rot-axis with an underscore": ([*_MC, "--rot-axis", "1_0,0,0"], None,
+                                    "bad rot_axis '1_0,0,0': could not convert string to float"),
+    "rot-axis with a non-ASCII digit": ([*_MC, "--rot-axis", "\u0663,0,0"], None,
+                                        "bad rot_axis '\u0663,0,0'"),
+    "config p with a space": (["mc", "--config", "IN"],
+                              '{"code": "three", "p": "0.05:0.2 :log:3"}',
+                              "p range has non-numeric fields: '0.05:0.2 :log:3'"),
+    "config weights with an underscore": (["mc", "--config", "IN"],
+                                          '{"code": "three", "p": "0.05:0.2:log:3", '
+                                          '"weights": "0.5,0.5,0_0"}',
+                                          "weights have non-numeric fields: '0.5,0.5,0_0'"),
+    "config rot_axis with a plus": (["mc", "--config", "IN"],
+                                    '{"code": "three", "p": "0.05:0.2:log:3", "rot_axis": "+1,0,0"}',
+                                    "bad rot_axis '+1,0,0'"),
+    "config rot_angle with a space": (["mc", "--config", "IN"],
+                                      '{"code": "three", "p": "0.05:0.2:log:3", '
+                                      '"rot_angle": "fixed:0.3 "}',
+                                      "bad rot_angle 'fixed:0.3 '"),
     "fit bad header": (["fit", "--in", "IN"], "p,failures\n0.1,1\n", "bad CSV header"),
     "fit short row": (["fit", "--in", "IN"],
                       "code_id,p,trials,failures,p_L,stderr,seed\nthree,0.1\n",

@@ -54,11 +54,13 @@ def test_from_components_copies_unless_handed_over():
     arr = np.random.default_rng(3).uniform(-2, 2, size=(8, 4))
     copied = QVector.from_components(arr)
     assert not np.shares_memory(copied.components, arr) and arr.flags.writeable
-    taken = QVector._take(arr)  # the handoff that apply_gate's result goes through
+    taken = QVector.adopt(arr)  # the handoff that apply_gate's result goes through
     assert np.shares_memory(taken.components, arr)
     assert not taken.components.flags.writeable
-    with pytest.raises(ValueError, match="components must be finite"):
-        QVector._take(np.full((2, 4), np.inf))
+    assert taken.bound == np.abs(arr).max()  # no bound given, so the exact one is taken
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="components must be finite"):
+            QVector.adopt(np.full((2, 4), bad))
 
 
 # -- inner product -----------------------------------------------------------

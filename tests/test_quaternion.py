@@ -12,6 +12,7 @@ from hqec.quaternion import (
     Quaternion,
     exp_axis,
     format_quaternion,
+    parse_float,
     parse_quaternion,
     phase_label,
 )
@@ -259,3 +260,30 @@ def test_phase_labels():
     assert phase_label(-quat.K) == "-k"
     with pytest.raises(ValueError):
         phase_label(Quaternion(0.5, 0.5, 0.5, 0.5))
+
+
+# -- the float grammar of every decimal input ----------------------------------
+
+def same_float(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_parse_float_reads_back_what_repr_and_g12_write(x):
+    assert same_float(parse_float(repr(x)), x)
+    text = f"{x:.12g}"
+    assert same_float(parse_float(text), float(text))
+
+
+@pytest.mark.parametrize("text", ["0.1", "-2", ".5", "5.", "1e-05", "-1E+20", "1e400", "-inf", "nan"])
+def test_parse_float_is_float_on_decimal_and_exponent_forms(text):
+    assert same_float(parse_float(text), float(text))
+
+
+@pytest.mark.parametrize("text", ["", "0_0.1", "1_000", "+1", " 1", "1 ", "1\n", "\u0663", "1e",
+                                  "e5", ".", "-", "1.2.3", "1e+-2", "Infinity", "INF", "NaN",
+                                  "0x1p-3", "1e1_0"])
+def test_parse_float_refuses_what_no_writer_emits_with_floats_message(text):
+    with pytest.raises(ValueError) as info:
+        parse_float(text)
+    assert str(info.value) == f"could not convert string to float: {text!r}"

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hqec import quaternion as quat
 from hqec import register
@@ -195,12 +196,13 @@ def test_apply_gate_working_set_is_a_few_states():
 
 
 def test_apply_gate_keeps_no_copy_of_its_result():
-    # The product and its gathered result: two state-sized buffers, plus the
-    # finiteness check's boolean mask.
+    # The product and its gathered result: two state-sized buffers, plus a
+    # margin of 2% of a state for the objects around them.  No pass checks
+    # the result's finiteness, so nothing else is allocated.
     rng = np.random.default_rng(47)
     reg = rand_register(rng, 12)
     gate = cnot_gate()
-    gate.operator  # built outside the traced call
+    gate.operator, gate.gain  # built outside the traced call
     register._layout(12, (12, 1))  # so is the layout, half a state of row indices
     tracemalloc.start()
     try:
@@ -208,10 +210,28 @@ def test_apply_gate_keeps_no_copy_of_its_result():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * reg.amps.components.nbytes, peak / reg.amps.components.nbytes
+    assert peak <= 2.02 * reg.amps.components.nbytes, peak / reg.amps.components.nbytes
     assert not out.amps.components.flags.writeable
     with pytest.raises(ValueError):
         out.amps.components[0, 0] = 1.0
+
+
+def test_apply_gate_on_in_order_targets_allocates_only_its_result():
+    # Targets that already are the last qubits in order are not gathered: the
+    # product is the result, one state-sized buffer, plus the same 2% margin.
+    rng = np.random.default_rng(48)
+    reg = rand_register(rng, 12)
+    for gate, targets in ((cnot_gate(), [11, 12]), (t_gate(), [12])):
+        gate.operator, gate.gain  # built outside the traced call
+        register._layout(12, tuple(targets))
+        tracemalloc.start()
+        try:
+            out = apply_gate(reg, gate, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.02 * reg.amps.components.nbytes, (gate.name, peak / reg.amps.components.nbytes)
+        assert not out.amps.components.flags.writeable
 
 
 def test_apply_gate_overflow_raises_not_finite():
@@ -243,6 +263,133 @@ def test_bench_circuit_matches_dense_oracle_gate_by_gate(n):
     out = apply_gate(reg, cnot_gate(), [n, 1])
     want = oracle_apply(reg, cnot_gate(), [n, 1])
     assert np.allclose(out.amps.components, want.components, rtol=0, atol=1e-12)
+
+
+# -- the carried amplitude bound ------------------------------------------------
+
+def scaled_gate(rng, arity, side, scale=1.0):
+    return Gate("R", QMatrix.from_components(scale * rng.normal(size=(2**arity, 2**arity, 4))),
+                side, arity)
+
+
+def random_targets(rng, n, arity, in_order):
+    if in_order:  # the last qubits, in order: the product needs no gather
+        return list(range(n - arity + 1, n + 1))
+    return [int(q) for q in rng.permutation(np.arange(1, n + 1))[:arity]]
+
+
+def largest_component(reg):
+    return float(np.abs(reg.amps.components).max())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 3), st.booleans(), st.sampled_from(list(MulSide)),
+       st.integers(-300, 150), st.integers(-300, 150), st.booleans(), st.integers(0, 2**32 - 1))
+def test_apply_gate_equals_the_uncached_oracle_bit_for_bit_at_any_magnitude(
+        n, arity, in_order, side, reg_exp, gate_exp, bound_known, seed):
+    rng = np.random.default_rng(seed)
+    arity = min(arity, n)
+    targets = random_targets(rng, n, arity, in_order)
+    gate = scaled_gate(rng, arity, side, 10.0**gate_exp)
+    if bound_known:
+        # A basis state has bound 1; Hadamards spread it, and one gate scales it.
+        reg = QRegister.computational(n, int(rng.integers(2**n)))
+        for q in range(1, n + 1):
+            reg = apply_gate(reg, hadamard_gate(), [q])
+        reg = apply_gate(reg, scaled_gate(rng, 1, side, 10.0**reg_exp), [int(rng.integers(1, n + 1))])
+        assert largest_component(reg) < reg.amps.bound < math.inf
+    else:
+        reg = QRegister.from_components(n, 10.0**reg_exp * rng.normal(size=(2**n, 4)))
+        assert reg.amps.bound == math.inf
+    out = apply_gate(reg, gate, targets)
+    want = uncached_apply_gate(reg, gate, targets)
+    assert np.array_equal(out.amps.components, want.amps.components), (n, targets, side)
+    assert largest_component(out) <= out.amps.bound
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_the_bound_of_the_bench_circuit_holds_after_every_gate_and_is_never_scanned(n):
+    reg = QRegister.computational(n, 0)
+    assert reg.amps.bound == 1.0
+    for gate, targets in bench_circuit_steps(n):
+        reg = apply_gate(reg, gate, targets)
+        # A scanned bound is exact; a carried one is strictly above the largest component.
+        assert largest_component(reg) < reg.amps.bound < math.inf, (gate.name, targets)
+
+
+@pytest.mark.parametrize("start", ["computational", "from_components"])
+def test_the_carried_bound_holds_after_every_gate_of_random_chains(start):
+    rng = np.random.default_rng(55)
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        if start == "computational":
+            reg = QRegister.computational(n, int(rng.integers(2**n)))
+        else:
+            reg = QRegister.from_components(n, rng.normal(size=(2**n, 4)))
+        for _ in range(30):
+            arity = int(rng.integers(1, min(n, 3) + 1))
+            side = (MulSide.LEFT, MulSide.RIGHT)[int(rng.integers(2))]
+            targets = random_targets(rng, n, arity, bool(rng.integers(2)))
+            reg = apply_gate(reg, scaled_gate(rng, arity, side, 0.5), targets)
+            assert largest_component(reg) <= reg.amps.bound < math.inf, (n, targets)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("side", list(MulSide))
+def test_gain_sums_each_output_column_not_each_input_row(arity, side):
+    # Ones along the first row feed every input into one output amplitude;
+    # ones down the first column feed one input into every output amplitude.
+    row, column = np.zeros((2, 2**arity, 2**arity, 4))
+    row[0, :, 0] = column[:, 0, 0] = 1.0
+    for entries, gain in ((row, 2**arity), (column, 1.0)):
+        assert Gate("ones", QMatrix.from_components(entries), side, arity).gain == gain
+    assert hadamard_gate().gain == math.fsum([INV_SQRT2] * 2)
+    assert cnot_gate().gain == 1.0
+
+
+def test_the_carried_bound_covers_sums_of_products_that_round_up_below_the_normal_range():
+    # Every product c * g is 0.625 * 2**-1074, which rounds up to 2**-1074, so
+    # an eight-term sum can exceed B * G = 5 * 2**-1074; the bound's width *
+    # tiny term covers that.
+    c, g = 2.0**-537, 0.625 * 2.0**-537
+    spread = np.zeros((8, 8, 4))
+    spread[:, 0, 0] = c  # takes |000> to c on every row, with a carried bound
+    reg = apply_gate(QRegister.computational(3, 0),
+                     Gate("spread", QMatrix.from_components(spread), MulSide.LEFT, 3), [1, 2, 3])
+    assert largest_component(reg) == c < reg.amps.bound < math.inf
+    tiny = np.zeros((8, 8, 4))
+    tiny[..., 0] = g
+    out = apply_gate(reg, Gate("tiny", QMatrix.from_components(tiny), MulSide.LEFT, 3), [1, 2, 3])
+    assert 0 < largest_component(out) <= out.amps.bound < math.inf
+
+
+def test_a_zero_gate_on_a_register_without_a_bound_leaves_an_exact_bound():
+    # inf * 0 is NaN, not a bound: the product is scanned instead.
+    zero = Gate("0", QMatrix.from_components(np.zeros((2, 2, 4))), MulSide.LEFT, 1)
+    reg = apply_gate(QRegister.from_components(1, np.ones((2, 4))), zero, [1])
+    assert reg.amps.bound == 0.0
+
+
+def test_a_huge_gate_raises_at_the_first_overflowing_product_with_or_without_a_bound():
+    big = Gate("big", QMatrix.from_components(np.full((2, 2, 4), 1e60)), MulSide.LEFT, 1)
+    bounded = QRegister.computational(2, 0)
+    starts = {"bounded": bounded,
+              "unbounded": QRegister.from_components(2, bounded.amps.components),
+              "oracle": bounded}
+    raised_at = {}
+    for name, reg in starts.items():
+        step = uncached_apply_gate if name == "oracle" else apply_gate
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(10):
+                try:
+                    reg = step(reg, big, [2])
+                except ValueError as exc:
+                    assert str(exc) == "components must be finite"
+                    raised_at[name] = k
+                    break
+                if name == "bounded":  # the bound proved every product before this one finite
+                    assert largest_component(reg) < reg.amps.bound < math.inf
+    assert raised_at == {"bounded": 5, "unbounded": 5, "oracle": 5}
 
 
 # -- the gate's real operator ---------------------------------------------------
