@@ -32,8 +32,7 @@ _EXPORTS = {
         "AuditReport", "CodewordReport", "DecodeOutcome", "PauliString", "StabilizerCode",
         "Syndrome", "SyndromeTable", "audit_against_paper", "build_syndrome_table",
         "codeword_action_table", "commute_sign", "decode", "get_code", "hqubit_expand",
-        "paper_five_qubit_code", "standard_perfect_code", "syndrome_of", "three_qubit_code",
-        "verify_codewords",
+        "syndrome_of", "verify_codewords",
     ), "codes"),
     **dict.fromkeys((
         "AngleDistribution", "ErrorEvent", "NoiseModel", "RotationError", "apply_event",

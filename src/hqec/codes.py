@@ -384,102 +384,46 @@ def verify_codewords(code: StabilizerCode) -> CodewordReport:
 
 # -- shipped codes ---------------------------------------------------------
 
-def three_qubit_code() -> StabilizerCode:
-    """3-qubit bit-flip construction: ZZI, IZZ on codewords |000>, |111>.
-
-    The declared distance 3 is the bit-flip distance (one X error is
-    correctable); phase errors are invisible to these generators.
-    """
-    return StabilizerCode(
-        code_id="three",
-        n=3,
-        k=1,
-        d=3,
-        generators=(PauliString.from_word("ZZI"), PauliString.from_word("IZZ")),
-        logical_x=PauliString.from_word("XXX"),
-        logical_z=PauliString.from_word("ZZZ"),
-        codeword_zero=QRegister.computational(3, "000"),
-        codeword_one=QRegister.computational(3, "111"),
-    )
-
-
-def paper_five_qubit_code() -> StabilizerCode:
-    """Published five-qubit variant: XXXXI, ZZIII, IZZII, IIZZZ.
-
-    Ships exactly as printed.  The first generator does not fix the
-    claimed codewords |00000>, |11111>, and several single-qubit errors
-    share syndromes; :func:`verify_codewords` and
-    :func:`audit_against_paper` record both facts.
-    """
-    return StabilizerCode(
-        code_id="paper5",
-        n=5,
-        k=1,
-        d=3,
-        generators=(
-            PauliString.from_word("XXXXI"),
-            PauliString.from_word("ZZIII"),
-            PauliString.from_word("IZZII"),
-            PauliString.from_word("IIZZZ"),
-        ),
-        logical_x=PauliString.from_word("XXXXX"),
-        logical_z=PauliString.from_word("ZZZZZ"),
-        codeword_zero=QRegister.computational(5, "00000"),
-        codeword_one=QRegister.computational(5, "11111"),
-    )
-
-
-def standard_perfect_code() -> StabilizerCode:
-    """Textbook [[5,1,3]] code with cyclic generators XZZXI, IXZZX, XIXZZ, ZXIXZ.
-
-    Codewords are built by projecting |00000> onto the joint +1 eigenspace,
-    so ``verify_codewords`` passes and all 15 single-qubit errors have
-    distinct nontrivial syndromes.
-    """
-    generators = (
-        PauliString.from_word("XZZXI"),
-        PauliString.from_word("IXZZX"),
-        PauliString.from_word("XIXZZ"),
-        PauliString.from_word("ZXIXZ"),
-    )
-    logical_x = PauliString.from_word("XXXXX")
-    seed = QRegister.computational(5, "00000")
-    arr = seed.amps.components.copy()
-    for g in generators:
-        reg = QRegister.from_components(5, arr)
-        arr = (arr + apply_pauli(g, reg).amps.components) / 2.0
-    norm = float(np.sqrt(real_norm_sq(QVector.from_components(arr))))
-    zero = QRegister.from_components(5, arr / norm)
-    one = apply_pauli(logical_x, zero)
-    return StabilizerCode(
-        code_id="perfect5",
-        n=5,
-        k=1,
-        d=3,
-        generators=generators,
-        logical_x=logical_x,
-        logical_z=PauliString.from_word("ZZZZZ"),
-        codeword_zero=zero,
-        codeword_one=one,
-    )
-
-
-_CODE_FACTORIES = {
-    "three": three_qubit_code,
-    "paper5": paper_five_qubit_code,
-    "perfect5": standard_perfect_code,
+# code id -> (generator words, logical X, logical Z, codeword basis labels);
+# every code is declared k = 1, d = 3.  ``three`` is the bit-flip
+# construction: d = 3 is the bit-flip distance, and phase errors are
+# invisible to ZZI, IZZ.  ``paper5`` ships exactly as printed: XXXXI does
+# not fix the claimed |00000>, |11111>, and several single-qubit errors
+# share syndromes; :func:`verify_codewords` and :func:`audit_against_paper`
+# record both facts.  ``perfect5`` is the cyclic [[5,1,3]] code (Laflamme et
+# al., PRL 77 (1996) 198); labels ``None`` project |0...0> onto the joint +1
+# eigenspace for |0>, and |1> is its logical-X image, so verify_codewords
+# passes and all 15 single-qubit errors have distinct nontrivial syndromes.
+_CODES = {
+    "three": (("ZZI", "IZZ"), "XXX", "ZZZ", ("000", "111")),
+    "paper5": (("XXXXI", "ZZIII", "IZZII", "IIZZZ"), "XXXXX", "ZZZZZ", ("00000", "11111")),
+    "perfect5": (("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"), "XXXXX", "ZZZZZ", None),
 }
 
-CODE_IDS = tuple(_CODE_FACTORIES)
+CODE_IDS = tuple(_CODES)
 
 
 @functools.cache  # codes are immutable, so each is built once
 def get_code(code_id: str) -> StabilizerCode:
     try:
-        factory = _CODE_FACTORIES[code_id]
+        words, x_word, z_word, labels = _CODES[code_id]
     except KeyError:
         raise ValueError(f"unknown code id {code_id!r}; known: {', '.join(CODE_IDS)}") from None
-    return factory()
+    generators = tuple(map(PauliString.from_word, words))
+    logical_x, n = PauliString.from_word(x_word), len(x_word)
+    if labels is None:
+        arr = QRegister.computational(n, 0).amps.components
+        for g in generators:
+            arr = (arr + apply_pauli(g, QRegister.from_components(n, arr)).amps.components) / 2.0
+        norm = float(np.sqrt(real_norm_sq(QVector.from_components(arr))))
+        zero = QRegister.from_components(n, arr / norm)
+        one = apply_pauli(logical_x, zero)
+    else:
+        zero, one = (QRegister.computational(n, label) for label in labels)
+    return StabilizerCode(
+        code_id, n, k=1, d=3, generators=generators, logical_x=logical_x,
+        logical_z=PauliString.from_word(z_word), codeword_zero=zero, codeword_one=one,
+    )
 
 
 # -- syndrome tables and the published-table audit -------------------------

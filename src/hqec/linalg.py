@@ -256,7 +256,7 @@ def matvec(a: QMatrix, psi: QVector, side: MulSide) -> QVector:
     if a.cols != psi.dim:
         raise ValueError(f"shape mismatch: matrix cols {a.cols} vs vector dim {psi.dim}")
     prod = entry_products(a.components, psi.components[None, :, :], side)
-    return QVector._wrap(prod.sum(axis=1))
+    return QVector.adopt(prod.sum(axis=1))
 
 
 @dataclass(frozen=True)

@@ -217,9 +217,11 @@ def exp_axis(axis: ImaginaryAxis, theta: float) -> Quaternion:
 
 # -- text format -------------------------------------------------------
 
-_NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+# The one ASCII number form of both readers; re.ASCII also keeps \s to ASCII space.
+_NUM = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+_FLOAT_RE = re.compile(rf"-?(?:{_NUM}|inf|nan)", re.ASCII)
 _QUAT_RE = re.compile(
-    rf"\s*([+-]?{_NUM})\s*([+-]\s*{_NUM})i\s*([+-]\s*{_NUM})j\s*([+-]\s*{_NUM})k\s*"
+    rf"\s*([+-]?{_NUM})\s*([+-]\s*{_NUM})i\s*([+-]\s*{_NUM})j\s*([+-]\s*{_NUM})k\s*", re.ASCII
 )
 
 
@@ -251,8 +253,7 @@ def parse_float(text: str) -> float:
     Also ``inf`` and ``nan``, as ``repr`` and ``%g`` write them; no ``_``,
     ``+`` before the number, or space.
     """
-    if re.fullmatch(r"-?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|inf|nan)",
-                    text) is None:
+    if _FLOAT_RE.fullmatch(text) is None:
         raise ValueError(f"could not convert string to float: {text!r}")
     return float(text)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -26,10 +27,7 @@ from hqec.codes import (
     get_code,
     hqubit_expand,
     logical_failure,
-    paper_five_qubit_code,
-    standard_perfect_code,
     syndrome_of,
-    three_qubit_code,
     verify_codewords,
 )
 
@@ -146,7 +144,7 @@ def test_commute_sign_matches_matrix_oracle():
 
 
 def test_generator_commutation_matches_oracle_for_shipped_codes():
-    for code in (three_qubit_code(), paper_five_qubit_code(), standard_perfect_code()):
+    for code in (get_code("three"), get_code("paper5"), get_code("perfect5")):
         for qubit in range(1, code.n + 1):
             for letter in "XYZ":
                 error = PauliString.single(code.n, qubit, letter)
@@ -159,23 +157,23 @@ def test_generator_commutation_matches_oracle_for_shipped_codes():
 # -- syndrome_of ------------------------------------------------------------------
 
 def test_syndrome_three_qubit_x1():
-    code = three_qubit_code()
+    code = get_code("three")
     syn = syndrome_of(PauliString.single(3, 1, "X"), code)
     assert syn.bits == (-1, 1)
 
 
 def test_syndrome_identity_trivial():
-    for code in (three_qubit_code(), standard_perfect_code()):
+    for code in (get_code("three"), get_code("perfect5")):
         assert syndrome_of(PauliString.identity(code.n), code).trivial
 
 
 def test_syndrome_paper5_z5_trivial():
-    code = paper_five_qubit_code()
+    code = get_code("paper5")
     assert syndrome_of(PauliString.single(5, 5, "Z"), code).bits == (1, 1, 1, 1)
 
 
 def test_syndrome_phase_invariance():
-    codes = (three_qubit_code(), paper_five_qubit_code(), standard_perfect_code())
+    codes = (get_code("three"), get_code("paper5"), get_code("perfect5"))
     for code in codes:
         for qubit in (1, code.n):
             for letter in "XYZ":
@@ -186,7 +184,7 @@ def test_syndrome_phase_invariance():
 
 
 def test_state_based_syndrome_equals_commutation():
-    for code in (three_qubit_code(), standard_perfect_code()):
+    for code in (get_code("three"), get_code("perfect5")):
         for qubit in range(1, code.n + 1):
             for letter in "XYZ":
                 error = PauliString.single(code.n, qubit, letter)
@@ -196,7 +194,7 @@ def test_state_based_syndrome_equals_commutation():
 
 
 def test_state_based_syndrome_with_phases():
-    code = standard_perfect_code()
+    code = get_code("perfect5")
     error = PauliString.single(5, 3, "Y", K)
     assert state_based_syndrome(error, code) == syndrome_of(error, code)
 
@@ -204,7 +202,7 @@ def test_state_based_syndrome_with_phases():
 # -- syndrome tables -----------------------------------------------------------------
 
 def test_table_three_qubit():
-    table = build_syndrome_table(three_qubit_code())
+    table = build_syndrome_table(get_code("three"))
     assert len(table.rows) == 9
     assert table.rows[0].error_label == "X1"
     assert table.rows[0].syndrome.bits == (-1, 1)
@@ -233,14 +231,14 @@ PAPER5_COMPUTED = {
 
 
 def test_paper5_table_frozen_values():
-    table = build_syndrome_table(paper_five_qubit_code())
+    table = build_syndrome_table(get_code("paper5"))
     assert len(table.rows) == 15
     for row in table.rows:
         assert row.syndrome.bits == PAPER5_COMPUTED[(row.letter, row.qubit)]
 
 
 def test_paper5_table_matches_oracle():
-    code = paper_five_qubit_code()
+    code = get_code("paper5")
     for (letter, qubit), bits in PAPER5_COMPUTED.items():
         error = PauliString.single(5, qubit, letter)
         oracle_bits = tuple(
@@ -252,7 +250,7 @@ def test_paper5_table_matches_oracle():
 # -- audit -----------------------------------------------------------------------
 
 def test_audit_row_verdicts():
-    audit = audit_against_paper(build_syndrome_table(paper_five_qubit_code()))
+    audit = audit_against_paper(build_syndrome_table(get_code("paper5")))
     by_label = {row.error_label: row for row in audit.rows}
     assert by_label["Y2"].match
     assert not by_label["X1"].match
@@ -263,12 +261,12 @@ def test_audit_row_verdicts():
 
 
 def test_audit_mismatch_count_frozen():
-    audit = audit_against_paper(build_syndrome_table(paper_five_qubit_code()))
+    audit = audit_against_paper(build_syndrome_table(get_code("paper5")))
     assert audit.mismatch_count == 9
 
 
 def test_audit_collisions():
-    audit = audit_against_paper(build_syndrome_table(paper_five_qubit_code()))
+    audit = audit_against_paper(build_syndrome_table(get_code("paper5")))
     assert audit.collisions[(-1, 1, 1, 1)] == ("Z1", "Z2", "Z3", "Z4")
     assert audit.collisions[(1, 1, 1, -1)] == ("X4", "X5", "Y5")
     assert audit.trivial_syndrome_errors == ("Z5",)
@@ -276,7 +274,7 @@ def test_audit_collisions():
 
 def test_audit_requires_paper5():
     with pytest.raises(ValueError):
-        audit_against_paper(build_syndrome_table(three_qubit_code()))
+        audit_against_paper(build_syndrome_table(get_code("three")))
 
 
 def test_audit_reference_is_verbatim():
@@ -289,20 +287,20 @@ def test_audit_reference_is_verbatim():
 # -- decode ---------------------------------------------------------------------
 
 def test_decode_three_qubit_x1():
-    code = three_qubit_code()
+    code = get_code("three")
     out = decode(Syndrome((-1, 1)), code)
     assert out.correction == PauliString.single(3, 1, "X")
     assert not out.unknown
 
 
 def test_decode_trivial_is_identity():
-    for code in (three_qubit_code(), paper_five_qubit_code(), standard_perfect_code()):
+    for code in (get_code("three"), get_code("paper5"), get_code("perfect5")):
         out = decode(Syndrome((1,) * len(code.generators)), code)
         assert out.correction == PauliString.identity(code.n)
 
 
 def test_decode_paper5_tie_break_and_collision():
-    code = paper_five_qubit_code()
+    code = get_code("paper5")
     out = decode(Syndrome((1, 1, 1, -1)), code)
     assert out.correction == PauliString.single(5, 4, "X")
     assert out.ambiguous
@@ -311,7 +309,7 @@ def test_decode_paper5_tie_break_and_collision():
 
 
 def test_decode_paper5_trivial_collides_with_z5():
-    code = paper_five_qubit_code()
+    code = get_code("paper5")
     out = decode(Syndrome((1, 1, 1, 1)), code)
     assert out.correction == PauliString.identity(5)
     assert out.ambiguous
@@ -319,7 +317,7 @@ def test_decode_paper5_trivial_collides_with_z5():
 
 
 def test_decode_unknown_syndrome():
-    code = paper_five_qubit_code()
+    code = get_code("paper5")
     out = decode(Syndrome((-1, -1, 1, -1)), code)
     assert out.unknown
     assert out.correction is None
@@ -327,11 +325,11 @@ def test_decode_unknown_syndrome():
 
 def test_decode_length_validation():
     with pytest.raises(ValueError):
-        decode(Syndrome((1, 1, 1)), three_qubit_code())
+        decode(Syndrome((1, 1, 1)), get_code("three"))
 
 
 def test_decode_perfect5_soundness():
-    code = standard_perfect_code()
+    code = get_code("perfect5")
     seen = set()
     for qubit in range(1, 6):
         for letter in "XYZ":
@@ -457,24 +455,24 @@ def test_get_code_builds_each_code_once_with_read_only_tables():
 
 def test_logical_failure_length_validation():
     with pytest.raises(ValueError):
-        logical_failure(PauliString.identity(2), PauliString.identity(3), three_qubit_code())
+        logical_failure(PauliString.identity(2), PauliString.identity(3), get_code("three"))
 
 
 # -- codeword verification ---------------------------------------------------------
 
 def test_verify_three_qubit():
-    report = verify_codewords(three_qubit_code())
+    report = verify_codewords(get_code("three"))
     assert report.passed
     assert report.logical_x_ok and report.logical_z_ok
 
 
 def test_verify_perfect5():
-    report = verify_codewords(standard_perfect_code())
+    report = verify_codewords(get_code("perfect5"))
     assert report.passed
 
 
 def test_verify_paper5_records_s1_failure():
-    report = verify_codewords(paper_five_qubit_code())
+    report = verify_codewords(get_code("paper5"))
     assert not report.passed
     by_gen = {check.generator: check for check in report.checks}
     # the X-type generator moves both codewords off themselves
@@ -488,7 +486,7 @@ def test_verify_paper5_records_s1_failure():
 
 
 def test_perfect5_codeword_structure():
-    code = standard_perfect_code()
+    code = get_code("perfect5")
     comp = code.codeword_zero.amps.components
     nonzero = np.abs(comp[:, 0]) > 1e-12
     assert nonzero.sum() == 16
@@ -496,8 +494,48 @@ def test_perfect5_codeword_structure():
     assert np.allclose(comp[:, 1:], 0.0)
 
 
+# sha256 over each shipped code's generator and logical words, codeword
+# component bytes, signatures and verdicts, recorded before the codes were
+# built from one table.
+_CODE_SHA256 = {
+    "three": "425e7593e234e71f0586af19d771a641d79f03be6e5e0e664d1e29564b14301e",
+    "paper5": "719f4a51600d282306e78a0636378c988492fa5f4c9f837175ecd783bb6d4754",
+    "perfect5": "9d2a453768d0f06668e4396de29e959f86c144c4e62ecd286aec89081b062178",
+}
+
+
+@pytest.mark.parametrize("code_id", CODE_IDS)
+def test_each_shipped_code_is_the_same_bytes(code_id):
+    code = get_code(code_id)
+    h = hashlib.sha256()
+    words = (*code.generators, code.logical_x, code.logical_z)
+    h.update(" ".join(ps.word() for ps in words).encode())
+    for array in (code.codeword_zero.amps.components, code.codeword_one.amps.components,
+                  code.signatures, code.verdicts):
+        h.update(array.tobytes())
+    assert (code.k, code.d) == (1, 3)
+    assert h.hexdigest() == _CODE_SHA256[code_id]
+
+
+@pytest.mark.parametrize("code_id", ["three", "paper5"])
+def test_labelled_codewords_are_basis_states_with_an_exact_bound(code_id):
+    # |0...0> already lies in the code space of `three`, so projecting it
+    # would give the same amplitudes; only the bound `basis` carries differs.
+    code = get_code(code_id)
+    for codeword, bit in ((code.codeword_zero, "0"), (code.codeword_one, "1")):
+        expected = QRegister.computational(code.n, bit * code.n).amps.components
+        assert np.array_equal(codeword.amps.components, expected)
+        assert codeword.amps.bound == 1.0
+
+
+def test_code_ids_keep_their_order_and_unknown_ids_raise():
+    assert CODE_IDS == ("three", "paper5", "perfect5")
+    with pytest.raises(ValueError, match="unknown code id 'five'; known: three, paper5, perfect5"):
+        get_code("five")
+
+
 def test_generators_commute_in_all_codes():
-    for code in (three_qubit_code(), paper_five_qubit_code(), standard_perfect_code()):
+    for code in (get_code("three"), get_code("paper5"), get_code("perfect5")):
         for i, a in enumerate(code.generators):
             for b in code.generators[i + 1 :]:
                 assert commute_sign(a, b) == 1
@@ -581,7 +619,7 @@ def test_apply_pauli_z_sign():
 
 
 def test_measure_stabilizer_eigenvalue():
-    code = three_qubit_code()
+    code = get_code("three")
     assert measure_stabilizer_eigenvalue(code.codeword_zero, code.generators[0]) == 1
     flipped = apply_pauli(PauliString.single(3, 1, "X"), code.codeword_zero)
     assert measure_stabilizer_eigenvalue(flipped, code.generators[0]) == -1

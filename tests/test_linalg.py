@@ -237,6 +237,21 @@ def test_matvec_shape_mismatch():
         matvec(identity_matrix(2), QVector.basis(4, 0), MulSide.LEFT)
 
 
+def test_matvec_overflow_raises_not_finite():
+    a = QMatrix.from_components(np.full((2, 2, 4), 1e300))
+    psi = QVector.from_components(np.full((2, 4), 1e300))
+    # Whether the product warns depends on numpy's build; the error must not.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for side in MulSide:
+            with pytest.raises(ValueError, match="components must be finite"):
+                matvec(a, psi, side)
+
+
+def test_matvec_result_carries_its_exact_bound():
+    out = matvec(QMatrix([[I, J], [ONE, K]]), QVector([ONE, 2 * ONE]), MulSide.LEFT)
+    assert out.bound == 2.0
+
+
 # -- unitarity ------------------------------------------------------------------
 
 def test_is_unitary_cnot_passes():

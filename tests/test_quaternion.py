@@ -249,10 +249,17 @@ def test_parse_exponent_notation():
     assert q == Quaternion(1e-05, 2e3, -0.5, 0.25)
 
 
-@pytest.mark.parametrize("text", ["", "1+2i", "1+2i+3j", "i+j+k", "1+2i+3j+4k+5", "1 2i 3j 4k"])
+@pytest.mark.parametrize("text", ["", "1+2i", "1+2i+3j", "i+j+k", "1+2i+3j+4k+5", "1 2i 3j 4k",
+                                  "\u0663+0i+0j+0k", "1+\u0662i+0j+0k", "1+0i+0j+1e\u0661k",
+                                  "3+0i+0j+0k\u00a0", "\u00a03+0i+0j+0k", "3+\u00a00i+0j+0k"])
 def test_parse_rejects_malformed(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot parse quaternion from"):
         parse_quaternion(text)
+
+
+@given(quaternions)
+def test_parse_reads_back_a_17_digit_rendering_exactly(q):
+    assert parse_quaternion(format_quaternion(q, 17)) == q
 
 
 def test_phase_labels():
