@@ -31,8 +31,7 @@ _EXPORTS = {
     **dict.fromkeys((
         "AuditReport", "CodewordReport", "DecodeOutcome", "PauliString", "StabilizerCode",
         "Syndrome", "SyndromeTable", "audit_against_paper", "build_syndrome_table",
-        "codeword_action_table", "commute_sign", "decode", "get_code", "hqubit_expand",
-        "syndrome_of", "verify_codewords",
+        "commute_sign", "decode", "get_code", "syndrome_of", "verify_codewords",
     ), "codes"),
     **dict.fromkeys((
         "AngleDistribution", "ErrorEvent", "NoiseModel", "RotationError", "apply_event",

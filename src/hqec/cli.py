@@ -49,6 +49,7 @@ from .codes import (
     CodewordReport,
     StabilizerCode,
     Syndrome,
+    SyndromeTable,
     audit_against_paper,
     build_syndrome_table,
     codeword_action_diff,
@@ -389,11 +390,12 @@ _AUDIT_GATES = {
 class _Findings:
     """What the audit commands report, each part computed the first time it is read.
 
-    One instance serves one command call, so a command computes only the
-    parts its renderer reads, each once, and nothing outlives the call.
+    One instance serves one command call and its parameters, so a command
+    computes only the parts its renderer reads, each once, and nothing outlives the call.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, parameters: dict) -> None:
+        self._parameters = parameters
         self._gates: dict[str, tuple[Gate, UnitarityReport]] = {}
 
     def gate(self, name: str) -> tuple[Gate, UnitarityReport]:
@@ -428,6 +430,14 @@ class _Findings:
             (name, codeword_action_diff(mapping)[1])
             for name, mapping in (("table-implied", MAPPING_TABLE), ("prose", MAPPING_TEXT))
         )
+
+    @functools.cached_property
+    def syndrome_table(self) -> tuple[SyndromeTable, dict[str, bool] | None]:
+        """The ``--code`` table and, for paper5 only, each row's published match by label."""
+        table = build_syndrome_table(get_code(self._parameters["code"]))
+        if table.code_id != "paper5":
+            return table, None
+        return table, {row.error_label: row.match for row in audit_against_paper(table).rows}
 
 
 def _verdict(passed: bool) -> str:
@@ -550,6 +560,30 @@ def _report_lines(f: _Findings) -> list[str]:
     return [*lines, "", _summary_line(f)]
 
 
+def _syndrome_csv_lines(f: _Findings) -> list[str]:
+    table, matches = f.syndrome_table
+    header = "error_label,phase," + ",".join(f"s{i + 1}" for i in range(table.generator_count))
+    lines = [header if matches is None else header + ",matches_paper"]
+    for row in table.rows:
+        cells = [row.error_label, quat.phase_label(row.phase)]
+        cells += [f"{b:+d}" for b in row.syndrome.bits]
+        if matches is not None:
+            cells.append("yes" if matches[row.error_label] else "no")
+        lines.append(",".join(cells))
+    return lines
+
+
+def _syndrome_text_lines(f: _Findings) -> list[str]:
+    table, matches = f.syndrome_table
+    lines = [f"syndrome table [{table.code_id}] ({table.generator_count} generators)"]
+    for row in table.rows:
+        extra = ""
+        if matches is not None:
+            extra = f"  matches_paper={'yes' if matches[row.error_label] else 'no'}"
+        lines.append(f"  {row.error_label:>3} ({'/'.join(row.variants)}): {row.syndrome}{extra}")
+    return lines
+
+
 # (command, --format) -> renderer of the findings
 _RENDERERS = {
     ("bell", "text"): _bell_lines,
@@ -557,45 +591,14 @@ _RENDERERS = {
     ("audit", "text"): _audit_lines,
     ("audit", "json"): _audit_json_lines,
     ("report", "text"): _report_lines,
+    ("syndrome-table", "csv"): _syndrome_csv_lines,
+    ("syndrome-table", "text"): _syndrome_text_lines,
 }
 
 
 def _cmd_findings(config: RunConfig) -> int:
     render = _RENDERERS[config.command, config.parameters.get("format", "text")]
-    _emit("\n".join(render(_Findings())) + "\n", config.output_path)
-    return 0
-
-
-def _cmd_syndrome_table(config: RunConfig) -> int:
-    code = get_code(config.parameters["code"])
-    table = build_syndrome_table(code)
-    reference_rows = None
-    if code.code_id == "paper5":
-        reference_rows = {
-            row.error_label: row.match for row in audit_against_paper(table).rows
-        }
-    g = table.generator_count
-    if config.parameters["format"] == "csv":
-        header = "error_label,phase," + ",".join(f"s{i + 1}" for i in range(g))
-        if reference_rows is not None:
-            header += ",matches_paper"
-        lines = [header]
-        for row in table.rows:
-            cells = [row.error_label, quat.phase_label(row.phase)]
-            cells += [f"{b:+d}" for b in row.syndrome.bits]
-            if reference_rows is not None:
-                cells.append("yes" if reference_rows[row.error_label] else "no")
-            lines.append(",".join(cells))
-    else:
-        lines = [f"syndrome table [{code.code_id}] ({g} generators)"]
-        for row in table.rows:
-            extra = ""
-            if reference_rows is not None:
-                extra = "  matches_paper=" + ("yes" if reference_rows[row.error_label] else "no")
-            lines.append(
-                f"  {row.error_label:>3} ({'/'.join(row.variants)}): {row.syndrome}{extra}"
-            )
-    _emit("\n".join(lines) + "\n", config.output_path)
+    _emit("\n".join(render(_Findings(config.parameters))) + "\n", config.output_path)
     return 0
 
 
@@ -637,16 +640,8 @@ def _cmd_figure1(config: RunConfig) -> int:
     return 0
 
 
-_DISPATCH = {
-    "bell": _cmd_findings,
-    "verify": _cmd_findings,
-    "audit": _cmd_findings,
-    "syndrome-table": _cmd_syndrome_table,
-    "mc": _cmd_mc,
-    "fit": _cmd_fit,
-    "figure1": _cmd_figure1,
-    "report": _cmd_findings,
-}
+# The sweep commands; every other command renders the findings.
+_DISPATCH = {"mc": _cmd_mc, "fit": _cmd_fit, "figure1": _cmd_figure1}
 
 
 def run(config: RunConfig) -> int:
@@ -656,7 +651,7 @@ def run(config: RunConfig) -> int:
     write its result fails at once with :class:`ConfigError`.
     """
     _check_output_paths(config)
-    return _DISPATCH[config.command](config)
+    return _DISPATCH.get(config.command, _cmd_findings)(config)
 
 
 def main(argv: list[str] | None = None) -> int:

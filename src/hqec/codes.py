@@ -533,18 +533,6 @@ def audit_against_paper(table: SyndromeTable) -> AuditReport:
 
 # -- single-quaternion-slot codeword bookkeeping ---------------------------
 
-#: Expansion of one quaternion slot into two computational bits.
-HQUBIT_BASIS_EXPANSION = {"1": "00", "i": "01", "j": "10", "k": "11"}
-
-
-def hqubit_expand(label: str) -> str:
-    """Two-bit computational label for a unit slot value: 1->00, i->01, j->10, k->11."""
-    try:
-        return HQUBIT_BASIS_EXPANSION[label]
-    except KeyError:
-        raise ValueError(f"label must be one of 1, i, j, k, got {label!r}") from None
-
-
 #: Slot-value labellings: which unit each display label stands for.
 #: "0d"/"1d" are the dotted labels.  The prose mapping and the mapping the
 #: printed tables actually use disagree; both ship so neither is guessed.
@@ -569,7 +557,6 @@ class CodewordActionRow:
     unit: str
     sign: int
     label: str
-    expanded: str
     reference_sign: int
     reference_label: str
 
@@ -578,49 +565,27 @@ class CodewordActionRow:
         return (self.sign, self.label) == (self.reference_sign, self.reference_label)
 
 
-def codeword_action_table(
-    unit: str, mapping: Mapping[str, str]
-) -> tuple[CodewordActionRow, ...]:
-    """Right-multiply each codeword's first slot value by a unit.
+def codeword_action_diff(mapping: Mapping[str, str]) -> tuple[tuple[CodewordActionRow, ...], int]:
+    """Each codeword's first slot value right-multiplied by i, j and k, and how
+    many of these six rows match the published ones.
 
-    ``mapping`` assigns distinct display labels to the slot values 1, i,
-    j, k; the codeword rows are the preimages of labels "0" and "1".  The
-    product of units a and b is ``HAMILTON_SIGNS[a, a ^ b]`` times unit
-    ``a ^ b``, re-expressed as a signed mapped label, with the published
-    rows attached for diffing and the two-bit expansion of the product
-    unit included.
+    ``mapping`` gives the slot values 1, i, j, k distinct display labels; the
+    codewords are the values labelled "0" and "1".  Unit a times unit b is
+    ``HAMILTON_SIGNS[a, a ^ b]`` times unit ``a ^ b``, shown as a signed label.
+    Rows run unit i, j, k, and codeword 0 then 1 within each unit.
     """
-    if unit not in ("i", "j", "k"):
-        raise ValueError(f"unit must be one of i, j, k, got {unit!r}")
     if set(mapping) != set(quat.UNIT_BY_NAME):
         raise ValueError("mapping must assign labels to exactly 1, i, j, k")
     if len(set(mapping.values())) != 4:
         raise ValueError("mapping labels must be distinct")
     names = list(quat.UNIT_BY_NAME)
-    label_to_unit = {label: names.index(name) for name, label in mapping.items()}
-    b = names.index(unit)
+    unit_of = {label: names.index(name) for name, label in mapping.items()}
     rows = []
-    for codeword in ("0", "1"):
-        a = label_to_unit[codeword]
-        sign, product_unit = int(HAMILTON_SIGNS[a, a ^ b]), names[a ^ b]
-        ref_sign, ref_label = REFERENCE_CODEWORD_ACTION[(codeword, unit)]
-        rows.append(
-            CodewordActionRow(
-                codeword=codeword,
-                unit=unit,
-                sign=sign,
-                label=mapping[product_unit],
-                expanded=hqubit_expand(product_unit),
-                reference_sign=ref_sign,
-                reference_label=ref_label,
-            )
-        )
-    return tuple(rows)
-
-
-def codeword_action_diff(mapping: Mapping[str, str]) -> tuple[tuple[CodewordActionRow, ...], int]:
-    """All six codeword-action rows plus the count matching the published table."""
-    rows = tuple(
-        row for unit in ("i", "j", "k") for row in codeword_action_table(unit, mapping)
-    )
-    return rows, sum(1 for row in rows if row.match)
+    for b, unit in enumerate(names[1:], 1):
+        for codeword in ("0", "1"):
+            a = unit_of[codeword]
+            rows.append(CodewordActionRow(
+                codeword, unit, int(HAMILTON_SIGNS[a, a ^ b]), mapping[names[a ^ b]],
+                *REFERENCE_CODEWORD_ACTION[codeword, unit],
+            ))
+    return tuple(rows), sum(row.match for row in rows)

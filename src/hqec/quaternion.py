@@ -194,9 +194,6 @@ class ImaginaryAxis:
             raise ValueError("cannot normalize the zero direction")
         return cls(x / n, y / n, z / n)
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
 
 I_AXIS = ImaginaryAxis(1.0, 0.0, 0.0)
 J_AXIS = ImaginaryAxis(0.0, 1.0, 0.0)
@@ -263,5 +260,5 @@ def parse_quaternion(text: str) -> Quaternion:
     m = _QUAT_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"cannot parse quaternion from {text!r}")
-    w, x, y, z = (float(g.replace(" ", "")) for g in m.groups())
+    w, x, y, z = (float("".join(g.split())) for g in m.groups())  # the spaces \s admits
     return Quaternion(w, x, y, z)

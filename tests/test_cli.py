@@ -778,6 +778,7 @@ _BAD_FIT_ROWS = {
                                     " has a bad stderr, not 0.0286181760425 as a sweep writes it"),
     "p not as a sweep writes it": ("three,0.050,100,9,0.09,0.0286181760425,0",
                                    " has a bad p, not 0.05 as a sweep writes it"),
+    "header only": ((), "CSV has no data rows"),
 }
 
 
@@ -851,6 +852,7 @@ _OUT_COMMANDS = [
     ["audit"],
     ["audit", "--format", "json"],
     ["syndrome-table", "--code", "three"],
+    ["syndrome-table", "--code", "paper5", "--format", "text"],
     ["mc", "--code", "three", "--p", "0.05:0.2:log:3", "--trials", "5"],
     ["fit", "--in", "IN"],
     ["figure1", "--trials", "5"],
@@ -978,6 +980,24 @@ def test_tiny_trial_counts_and_certain_failure(tmp_path, capsys):
                    "three,0.9,3,3,1,0,0\nthree,0.99,3,3,1,0,0\n")
 
 
+def test_a_one_point_p_range_sweeps_its_start(capsys):
+    code, out, _ = run_cli(capsys, "mc", "--code", "three", "--p", "0.05:0.2:log:1",
+                           "--trials", "100")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "code_id,p,trials,failures,p_L,stderr,seed"
+    assert len(rows) == 1 and rows[0].startswith("three,0.05,100,")
+
+
+def test_figure1_at_one_p_fits_neither_pipeline(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "figure1", "--out", str(tmp_path / "fig"),
+                         "--p", "0.01:0.01:log:1")
+    assert code == 0
+    assert len((tmp_path / "fig.csv").read_text().splitlines()) == 3
+    fits = json.loads((tmp_path / "fig_fit.json").read_text())
+    assert (fits["standard"], fits["quaternionic"]) == (None, None)
+
+
 def test_report_runs(capsys):
     code, out, _ = run_cli(capsys, "report")
     assert code == 0
@@ -1063,6 +1083,14 @@ _AUDIT_CALLS = {
     ("audit",): _BELL_CALLS | _CODE_CALLS,
     ("audit", "--format", "json"): _BELL_CALLS | _CODE_CALLS,
     ("report",): _unitarity_calls(*_ALL_GATES) | _CODE_CALLS,
+    # only the --code table, and the published-row audit for paper5 alone
+    **{
+        ("syndrome-table", "--code", code_id, "--format", fmt): {
+            ("get_code", code_id), ("build_syndrome_table", code_id),
+            *((("audit_against_paper", code_id),) if code_id == "paper5" else ()),
+        }
+        for code_id in CODE_IDS for fmt in ("csv", "text")
+    },
 }
 
 

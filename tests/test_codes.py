@@ -13,6 +13,7 @@ from hqec.codes import (
     LETTERS,
     MAPPING_TABLE,
     MAPPING_TEXT,
+    REFERENCE_CODEWORD_ACTION,
     REFERENCE_TABLE2,
     PauliString,
     StabilizerCode,
@@ -21,11 +22,9 @@ from hqec.codes import (
     audit_against_paper,
     build_syndrome_table,
     codeword_action_diff,
-    codeword_action_table,
     commute_sign,
     decode,
     get_code,
-    hqubit_expand,
     logical_failure,
     syndrome_of,
     verify_codewords,
@@ -630,29 +629,23 @@ def test_measure_stabilizer_eigenvalue():
         measure_stabilizer_eigenvalue(superpos, PauliString.single(1, 1, "Z"))
 
 
-# -- slot expansion and codeword action tables ----------------------------------------
-
-def test_hqubit_expand():
-    expected = {"1": "00", "i": "01", "j": "10", "k": "11"}
-    assert {label: hqubit_expand(label) for label in expected} == expected
-    with pytest.raises(ValueError):
-        hqubit_expand("x")
-
+# -- codeword action rows ------------------------------------------------------------
 
 def test_codeword_action_table_mapping_rows():
-    rows = codeword_action_table("i", MAPPING_TABLE)
-    zero_row, one_row = rows
+    rows, _ = codeword_action_diff(MAPPING_TABLE)
+    assert [(row.unit, row.codeword) for row in rows] == [
+        ("i", "0"), ("i", "1"), ("j", "0"), ("j", "1"), ("k", "0"), ("k", "1"),
+    ]
+    zero_row, one_row = rows[:2]
     assert (zero_row.sign, zero_row.label) == (1, "1")
     assert zero_row.match
     assert (one_row.sign, one_row.label) == (-1, "0")
     assert one_row.match
-    # the product unit's two-bit expansion rides along
-    assert zero_row.expanded == "01"  # 1 * i = i -> 01
 
 
 def test_codeword_action_j_sign_diff():
-    rows = codeword_action_table("j", MAPPING_TABLE)
-    one_row = rows[1]
+    one_row = codeword_action_diff(MAPPING_TABLE)[0][3]
+    assert (one_row.codeword, one_row.unit) == ("1", "j")
     # computed +|1d...> where the published row says -|1d...>
     assert (one_row.sign, one_row.label) == (1, "1d")
     assert (one_row.reference_sign, one_row.reference_label) == (-1, "1d")
@@ -664,11 +657,14 @@ def test_codeword_action_rows_equal_quaternion_products_under_every_mapping():
     for labels in itertools.permutations(["0", "1", "0d", "1d"]):
         mapping = dict(zip(names, labels))
         unit_of = {label: quat.UNIT_BY_NAME[name] for name, label in mapping.items()}
-        for unit in ("i", "j", "k"):
-            for row in codeword_action_table(unit, mapping):
-                product = unit_of[row.codeword] * quat.UNIT_BY_NAME[unit]
-                assert product == unit_of[row.label] * float(row.sign)
-                assert row.expanded == hqubit_expand(names[labels.index(row.label)])
+        rows, matches = codeword_action_diff(mapping)
+        assert len(rows) == 6
+        for row in rows:
+            product = unit_of[row.codeword] * quat.UNIT_BY_NAME[row.unit]
+            assert product == unit_of[row.label] * float(row.sign)
+            assert (row.reference_sign, row.reference_label) == (
+                REFERENCE_CODEWORD_ACTION[row.codeword, row.unit])
+        assert matches == sum(row.match for row in rows)
 
 
 def test_codeword_action_match_counts():
@@ -679,9 +675,7 @@ def test_codeword_action_match_counts():
 
 
 def test_codeword_action_validation():
-    with pytest.raises(ValueError):
-        codeword_action_table("1", MAPPING_TABLE)
-    with pytest.raises(ValueError):
-        codeword_action_table("i", {"1": "0", "i": "0", "j": "1", "k": "1d"})
-    with pytest.raises(ValueError):
-        codeword_action_table("i", {"1": "0"})
+    with pytest.raises(ValueError, match="distinct"):
+        codeword_action_diff({"1": "0", "i": "0", "j": "1", "k": "1d"})
+    with pytest.raises(ValueError, match="exactly 1, i, j, k"):
+        codeword_action_diff({"1": "0"})

@@ -257,6 +257,17 @@ def test_parse_rejects_malformed(text):
         parse_quaternion(text)
 
 
+@pytest.mark.parametrize("space", [" ", "\t", "\n", "\f", "\r", "\v"],
+                         ids=["space", "tab", "newline", "form feed", "return", "vertical tab"])
+def test_parse_reads_each_ascii_space_after_a_sign_as_a_space(space):
+    assert parse_quaternion(f"1+{space}2i+0j+0k") == Quaternion(1, 2, 0, 0)
+    assert parse_quaternion(f"{space}-1{space}-{space}2i{space}+{space}0j-3k{space}") == (
+        Quaternion(-1, -2, 0, -3))
+    q = Quaternion(0.5, 0.125, -2e3, 4.25)
+    spaced = format_quaternion(q).replace("+", "+" + space).replace("-", "-" + space)
+    assert parse_quaternion(spaced) == parse_quaternion(format_quaternion(q)) == q
+
+
 @given(quaternions)
 def test_parse_reads_back_a_17_digit_rendering_exactly(q):
     assert parse_quaternion(format_quaternion(q, 17)) == q
