@@ -578,6 +578,8 @@ def codeword_action_diff(mapping: Mapping[str, str]) -> tuple[tuple[CodewordActi
         raise ValueError("mapping must assign labels to exactly 1, i, j, k")
     if len(set(mapping.values())) != 4:
         raise ValueError("mapping labels must be distinct")
+    if not {"0", "1"} <= set(mapping.values()):
+        raise ValueError('mapping labels must include the codewords "0" and "1"')
     names = list(quat.UNIT_BY_NAME)
     unit_of = {label: names.index(name) for name, label in mapping.items()}
     rows = []

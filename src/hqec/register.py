@@ -44,13 +44,16 @@ class QRegister:
 
     @classmethod
     def computational(cls, n: int, bits: str | int) -> "QRegister":
-        """Basis state, e.g. ``computational(2, "10")`` or ``computational(2, 2)``."""
+        """Basis state, e.g. ``computational(2, "10")`` or ``computational(2, 2)``.
+
+        An index is read with :func:`operator.index`, so a float raises ``TypeError``.
+        """
         if isinstance(bits, str):
             if len(bits) != n or any(b not in "01" for b in bits):
                 raise ValueError(f"bad bit string {bits!r} for {n} qubits")
             index = int(bits, 2)
         else:
-            index = int(bits)
+            index = operator.index(bits)
         return cls(n, QVector.basis(2**n, index))
 
     @classmethod
@@ -89,6 +92,13 @@ class QRegister:
 
     def __repr__(self) -> str:
         return f"QRegister(n={self._n})"
+
+
+def _register(n: int, amps: QVector) -> QRegister:
+    """Register without the constructor's checks, for ``n >= 1`` and ``amps.dim == 2**n``."""
+    reg = object.__new__(QRegister)
+    reg._n, reg._amps = n, amps
+    return reg
 
 
 @dataclass(frozen=True)
@@ -253,7 +263,9 @@ def apply_gate(reg: QRegister, gate: Gate, targets: list[int] | tuple[int, ...])
     built.  When the targets already are the last qubits in order, both
     gathers are skipped: the rows and the product are the same, bit for bit.
     The first target is the most significant bit of the gate's row and
-    column index.  Row orders and target checks are cached per layout.
+    column index.  Row orders and target checks are cached per layout.  The
+    result has the input's ``n`` and row count, so it is built without the
+    constructor's checks.
 
     No pass checks the result for finiteness while its bound proves it.
     With ``B`` the input's :attr:`~hqec.linalg.QVector.bound`, ``G`` the
@@ -271,7 +283,7 @@ def apply_gate(reg: QRegister, gate: Gate, targets: list[int] | tuple[int, ...])
     """
     if len(targets) != gate.arity:
         raise ValueError(f"gate {gate.name} has arity {gate.arity}, got {len(targets)} targets")
-    n, amps = reg.n, reg.amps
+    n, amps = reg._n, reg._amps
     order, back = _layout(n, tuple(map(operator.index, targets)))
     width = 4 << gate.arity
     bound = amps.bound * gate.gain * (1.0 + width * _EPS) + width * _TINY
@@ -281,7 +293,7 @@ def apply_gate(reg: QRegister, gate: Gate, targets: list[int] | tuple[int, ...])
         # The gathered rows are a temporary, so at most two state-sized arrays live at once.
         rows = amps.components.take(order, axis=0).reshape(-1, width).dot(gate.operator)
         product = rows.reshape(-1, 4).take(back, axis=0)
-    return QRegister(n, QVector.adopt(product, bound))
+    return _register(n, QVector.adopt(product, bound))
 
 
 def bell_prepare() -> QRegister:

@@ -679,3 +679,7 @@ def test_codeword_action_validation():
         codeword_action_diff({"1": "0", "i": "0", "j": "1", "k": "1d"})
     with pytest.raises(ValueError, match="exactly 1, i, j, k"):
         codeword_action_diff({"1": "0"})
+    with pytest.raises(ValueError, match='^mapping labels must include the codewords "0" and "1"$'):
+        codeword_action_diff({"1": "a", "i": "b", "j": "c", "k": "d"})
+    with pytest.raises(ValueError, match="include the codewords"):
+        codeword_action_diff({"1": "0", "i": "b", "j": "c", "k": "d"})

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from hqec import quaternion as quat
 from hqec import register
 from hqec.quaternion import Quaternion
-from hqec.linalg import MulSide, QMatrix, entry_products, is_unitary, matvec, real_norm_sq
+from hqec.linalg import (
+    MulSide, QMatrix, QVector, entry_products, is_unitary, matvec, real_norm_sq)
 from hqec.register import (
     Gate,
     QRegister,
@@ -263,6 +265,47 @@ def test_bench_circuit_matches_dense_oracle_gate_by_gate(n):
     out = apply_gate(reg, cnot_gate(), [n, 1])
     want = oracle_apply(reg, cnot_gate(), [n, 1])
     assert np.allclose(out.amps.components, want.components, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_bench_circuit_equals_the_uncached_oracle_bit_for_bit_gate_by_gate(n):
+    # Against the oracle, not pinned digests: BLAS may round differently per machine.
+    reg = QRegister.computational(n, 0)
+    for gate, targets in bench_circuit_steps(n) + [(cnot_gate(), [n, 1])]:
+        want = uncached_apply_gate(reg, gate, targets)
+        reg = apply_gate(reg, gate, targets)
+        assert np.array_equal(reg.amps.components, want.amps.components), (gate.name, targets)
+
+
+# -- the register and its constructors ------------------------------------------
+
+def test_computational_reads_an_index_as_an_integer_and_refuses_a_float():
+    for bits in (2, np.int64(2), np.uint8(2), "10"):
+        assert QRegister.computational(2, bits).nonzero_terms() == [("10", ONE)], bits
+    assert QRegister.computational(2, True).nonzero_terms() == [("01", ONE)]
+    for bits in (2.9, np.float64(3.7), 2.0):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            QRegister.computational(2, bits)
+
+
+def test_the_public_constructor_checks_the_qubit_count_and_the_amplitudes():
+    with pytest.raises(ValueError, match="^register needs at least one qubit$"):
+        QRegister(0, QVector.basis(1, 0))
+    with pytest.raises(ValueError, match=r"^expected 8 amplitudes for 3 qubits, got 4$"):
+        QRegister(3, QVector.basis(4, 0))
+
+
+@pytest.mark.parametrize("targets", [[2], [3], [1, 3], [2, 3]])
+def test_apply_gate_returns_a_whole_register(targets):
+    gate = hadamard_gate() if len(targets) == 1 else cnot_gate()
+    reg = apply_gate(QRegister.computational(3, 5), hadamard_gate(), [1])
+    out = apply_gate(reg, gate, targets)
+    assert type(out) is QRegister and not hasattr(out, "__dict__")
+    assert (out.n, out.dim, out.amps.dim) == (3, 8, 8)
+    assert not out.amps.components.flags.writeable
+    width = 4 << gate.arity
+    eps, tiny = sys.float_info.epsilon, math.ulp(0.0)
+    assert out.amps.bound == reg.amps.bound * gate.gain * (1.0 + width * eps) + width * tiny
 
 
 # -- the carried amplitude bound ------------------------------------------------
