@@ -59,10 +59,6 @@ from .codes import (
 if TYPE_CHECKING:  # the sweep stack loads only on the mc, fit and figure1 paths
     from .noise import AngleDistribution
 
-#: ``--phase-mode`` values.  The option is checked and dropped: a unit phase
-#: on a Pauli cannot flip a commutator, so no verdict depends on it.
-_PHASE_MODES = ("none", "table1")
-
 
 class ConfigError(Exception):
     """Configuration or validation problem; maps to exit code 3."""
@@ -197,7 +193,6 @@ _SWEEP_INPUTS = (
     ("threshold", 0.01, 0.01, {"type": _float, "help": "detection threshold"}),
     ("weights", "0.3333333333333333,0.3333333333333333,0.3333333333333334", None,
      {"help": "Pauli mixture wx,wy,wz"}),
-    ("phase_mode", "none", None, {"choices": _PHASE_MODES}),
     ("rot_mode", "zero", None, {"choices": ("zero", "all")}),
     ("detect", False, None, {"action": argparse.BooleanOptionalAction,
                              "help": "quaternionic detection and correction (default off)"}),
@@ -294,18 +289,16 @@ def _validate_sweep(merged: dict) -> dict:
     """The fields of the :class:`SweepConfig` that ``merged`` describes, once it is built.
 
     The value rules are :class:`SweepConfig`'s, :class:`NoiseModel`'s (at p = 0)
-    and ``HQEC_THREADS``'s, and ``phase_mode`` is checked, then dropped; a
-    value they refuse raises :class:`ConfigError` here, before any work.
+    and ``HQEC_THREADS``'s; a value they refuse raises :class:`ConfigError`
+    here, before any work.
     """
     from .experiments import SweepConfig, thread_count
     from .noise import NoiseModel
 
-    phase_mode, weights = merged["phase_mode"], merged["weights"]
+    weights = merged["weights"]
     try:
         thread_count()  # run_sweep reads HQEC_THREADS again; checked here for exit 3
         p_values = _parse_p_range(str(merged["p"]))
-        if phase_mode not in _PHASE_MODES:
-            raise ConfigError(f"phase_mode must be one of {_PHASE_MODES}, got {phase_mode!r}")
         if not isinstance(weights, (tuple, list)):
             weights = _parse_weights(str(weights))
         noise = NoiseModel(p=0.0, pauli_weights=tuple(weights), p_rot=merged["rotations"],

@@ -277,9 +277,11 @@ def count_failures(
     entry ``[j][i]`` equals the number of those trials ``t`` whose event
     :func:`~hqec.noise.sample_error` draws for ``(seed, t)`` at
     ``p_values[i]`` fails :func:`score_event` with scoring ``j``, bit for
-    bit.  Trials are scored in chunks of at most :data:`CHUNK_TRIALS`
-    trials and :data:`CHUNK_WORDS` draws, so the working set does not grow
-    with the trials.  The uniforms of a chunk are drawn once for every
+    bit; that event is one row of the draws here, read by the same rules,
+    and numpy's Philox generator is the tests' oracle for both.  Trials are
+    scored in chunks of at most :data:`CHUNK_TRIALS` trials and
+    :data:`CHUNK_WORDS` draws, so the working set does not grow with the
+    trials.  The uniforms of a chunk are drawn once for every
     point and scoring: ``2 * n`` words without rotations, ``3 * n`` with a
     ``fixed`` angle, ``4 * n`` with a ``uniform`` one.  The module
     docstring says how each channel is scored.
@@ -317,7 +319,7 @@ def _chunk_failures(code, noise, scorings, p_values, seed, trials, width) -> lis
               for p in p_values]
     if noise.p_rot == 0.0:
         return [[int(np.count_nonzero(f)) for f in failed]] * len(scorings)
-    rows, angles = rotation_angles(noise, draws, n)
+    rows, _, angles = rotation_angles(noise, draws, n)
     if noise.rot_angle.kind == "fixed":
         # a zero angle is the identity unit: subset 0, which passes
         score = functools.partial(
@@ -351,11 +353,13 @@ def rotation_verdicts(
     Entry ``r`` of the bool array returned is :func:`score_event` of the
     event with no Pauli part and, on each qubit ``q`` with bit ``q - 1`` of
     ``subsets[r]`` set, a rotation by ``angle`` about ``axis`` in slot mode
-    ``mode``: the event :func:`~hqec.noise.sample_error` gives at ``p = 0``
-    when exactly those qubits are rotated.  The verdicts are filled in on
-    demand in a per-process memo of ``2**code.n`` bytes for each set of the
-    other arguments (1/32 of the ``codeword_zero`` the code holds): the
-    distinct subsets it does not know yet are scored once, as arrays.
+    ``mode``: the event :func:`~hqec.noise.sample_error`, one row of the
+    engine's draws, gives at ``p = 0`` when exactly those qubits are
+    rotated (the tests' oracle reads it from numpy's Philox generator).
+    The verdicts are filled in on demand in a per-process memo of
+    ``2**code.n`` bytes for each set of the other arguments (1/32 of the
+    ``codeword_zero`` the code holds): the distinct subsets it does not
+    know yet are scored once, as arrays.
     """
     memo = _verdict_memo(code, axis, angle, mode, detect, threshold)
     verdicts = memo[subsets]

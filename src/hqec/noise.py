@@ -8,18 +8,18 @@ acts on the amplitudes whose ``q`` bit is 0 (the ``"zero"`` slot mode);
 ``"all"`` applies it to the whole register instead.
 
 Sampling is counter-based: the draws of a trial are the first
-``DRAWS_PER_QUBIT * n`` uniforms of numpy's Philox4x64-10 keyed by the two
-integers ``(seed, trial)``, so trials are reproducible in any evaluation
-order and across any degree of parallelism.  :func:`sample_error` draws
-one trial through numpy and is the single-trial oracle;
-:func:`philox_uniforms` computes any prefix of the same doubles for a
-whole range of trials at once in plain numpy, its first two rounds folded
-into per-block constants, so the batched engine in
-:mod:`hqec.experiments` draws only the blocks of ``n`` it reads (Pauli
-hit, letter, rotation hit, angle), and :func:`pauli_letters` and
-:func:`rotation_angles` turn those rows into what it scores, with the
-same comparisons as :func:`sample_error`.  :func:`slot_cover` is the one rule for which
-amplitude slots a rotation touches, read by the single-trial oracle
+``DRAWS_PER_QUBIT * n`` uniforms of Philox4x64-10 keyed by the two integers
+``(seed, trial)``, laid out as numpy's ``Philox`` generator gives them, so
+trials are reproducible in any evaluation order and across any degree of
+parallelism.  :func:`philox_uniforms` computes any prefix of those doubles
+for a range of trials at once, its first two rounds folded into per-block
+constants, so the batched engine in :mod:`hqec.experiments` draws only the
+blocks of ``n`` it reads (Pauli hit, letter, rotation hit, angle).
+:func:`pauli_letters` and :func:`rotation_angles` are the one rule from
+those rows to letters and rotations, and :func:`sample_error` is one row
+of the same draws read by the same rules.  numpy's generator itself is
+the tests' oracle for the draws.  :func:`slot_cover` is the one rule for
+which amplitude slots a rotation touches, read by the single-trial oracle
 (:func:`apply_rotations`, :func:`detect_rotations`) and by that engine.
 """
 
@@ -74,9 +74,6 @@ class AngleDistribution:
             raise ValueError(f"angle theta must be a finite real number, got {self.theta!r}")
         object.__setattr__(self, "theta", float(self.theta))
 
-    def draw(self, u: float) -> float:
-        return self.theta if self.kind == "fixed" else u * self.theta
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -124,45 +121,6 @@ class ErrorEvent:
     rot_mode: str = "zero"
 
 
-def _event_from_draws(model: NoiseModel, n: int, draws: np.ndarray) -> ErrorEvent:
-    u_err = draws[0:n]
-    u_letter = draws[n : 2 * n]
-    u_rot = draws[2 * n : 3 * n]
-    u_angle = draws[3 * n : 4 * n]
-    c1 = model.pauli_weights[0]
-    c2 = c1 + model.pauli_weights[1]
-    letters = []
-    for q in range(n):
-        if u_err[q] < model.p:
-            letters.append("X" if u_letter[q] < c1 else ("Y" if u_letter[q] < c2 else "Z"))
-        else:
-            letters.append("I")
-    rotations = []
-    if model.p_rot > 0.0:
-        for q in range(n):
-            if u_rot[q] < model.p_rot:
-                angle = model.rot_angle.draw(float(u_angle[q]))
-                rotations.append(RotationError(q + 1, model.rot_axis, angle))
-    return ErrorEvent(PauliString(letters), tuple(rotations), model.rot_mode)
-
-
-def sample_error(model: NoiseModel, n: int, seed: int, trial: int) -> ErrorEvent:
-    """Sample one error event from the stream keyed by ``(seed, trial)``.
-
-    Per qubit, an independent draw decides whether a Pauli letter occurs
-    (letter by ``pauli_weights``) and another whether a rotation occurs.
-    The string carries no unit factor, since one could not flip a
-    commutator.  A fixed block of uniforms is consumed per trial, so the
-    event for a given ``(seed, trial)`` never depends on other parameters
-    being swept.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    key = np.array([check_counter("seed", seed), check_counter("trial", trial)], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return _event_from_draws(model, n, rng.random(DRAWS_PER_QUBIT * n))
-
-
 # Philox4x64-10 (Salmon et al., SC'11) with numpy's constants and layout.
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -202,8 +160,8 @@ def philox_uniforms(seed: int, trials, count: int) -> np.ndarray:
     """The first ``count`` doubles of each trial's stream, one row per trial.
 
     Row ``r`` equals ``np.random.Generator(np.random.Philox(key=key)).random(count)``
-    bit for bit, with ``key`` the uint64 array ``[seed, trials[r]]`` that
-    :func:`sample_error` builds: block ``b`` of four words is
+    bit for bit, with ``key`` the uint64 array ``[seed, trials[r]]``, as
+    the tests check: block ``b`` of four words is
     Philox4x64-10 of the counter ``(b + 1, 0, 0, 0)`` under that key, and a
     word ``u`` becomes the double ``(u >> 11) * 2**-53``.
 
@@ -252,9 +210,9 @@ def philox_uniforms(seed: int, trials, count: int) -> np.ndarray:
 def pauli_letters(model: NoiseModel, draws: np.ndarray, n: int) -> np.ndarray:
     """Letter of each qubit's Pauli draw, as int8 0, 1, 2 for X, Y, Z.
 
-    ``draws`` holds one trial's uniforms per row, as :func:`sample_error`
-    consumes them; the letter comparisons are the ones it makes.  Whether
-    the qubit is hit at all is ``draws[:, q - 1] < p``.
+    ``draws`` holds one trial's uniforms per row, in the layout of
+    :data:`DRAWS_PER_QUBIT`.  Whether the qubit is hit at all is
+    ``draws[:, q - 1] < p``.
     """
     u_letter = draws[:, n : 2 * n]
     c1 = model.pauli_weights[0]
@@ -265,15 +223,16 @@ def pauli_letters(model: NoiseModel, draws: np.ndarray, n: int) -> np.ndarray:
 
 def rotation_angles(
     model: NoiseModel, draws: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``draws`` whose event on ``n`` qubits has a rotation, and their angles.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of ``draws`` whose event on ``n`` qubits has a rotation, its qubits and angles.
 
-    Returns ``(rows, angles)``: ``angles[r, q - 1]`` is the angle of the
-    :func:`sample_error` rotation on qubit ``q`` in row ``rows[r]``, and 0.0
-    where that qubit is not rotated.  The rotations do not depend on ``p``.
-    A ``fixed`` angle reads the first ``3 * n`` draws of a row, a
-    ``uniform`` one all ``4 * n``.  This is the batched engine's one rule
-    for which trials rotate which qubits by what, under either angle law.
+    Returns ``(rows, hit, angles)``: ``hit[r, q - 1]`` says whether row
+    ``rows[r]`` rotates qubit ``q``, and ``angles[r, q - 1]`` is the angle,
+    0.0 where the qubit is not rotated; a hit can have angle 0.0 as well.
+    The rotations do not depend on ``p``.  A ``fixed`` angle reads the
+    first ``3 * n`` draws of a row, a ``uniform`` one all ``4 * n``.  This
+    is the one rule for which trials rotate which qubits by what, under
+    either angle law.
     """
     hit = draws[:, 2 * n : 3 * n] < model.p_rot
     rows = np.flatnonzero(hit.any(axis=1))
@@ -282,7 +241,30 @@ def rotation_angles(
         angles = np.where(hit, model.rot_angle.theta, 0.0)
     else:
         angles = np.where(hit, draws[rows, 3 * n : 4 * n] * model.rot_angle.theta, 0.0)
-    return rows, angles
+    return rows, hit, angles
+
+
+def sample_error(model: NoiseModel, n: int, seed: int, trial: int) -> ErrorEvent:
+    """The error event of the stream keyed by ``(seed, trial)``: one row of the engine's draws.
+
+    The row is :func:`philox_uniforms` of the one trial, read by the
+    engine's rules: a qubit whose hit draw is below ``p`` carries the
+    letter :func:`pauli_letters` gives (with no unit factor, which could
+    not flip a commutator), and the rotation is :func:`rotation_angles`'.
+    A fixed block of uniforms is consumed per trial, so the event for a
+    given ``(seed, trial)`` never depends on other parameters being swept.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    trials = np.array([check_counter("trial", trial)], dtype=np.uint64)
+    draws = philox_uniforms(seed, trials, DRAWS_PER_QUBIT * n)
+    hit = (draws[0, :n] < model.p).tolist()
+    letters = pauli_letters(model, draws, n)[0].tolist()
+    letters = ["XYZ"[x] if h else "I" for h, x in zip(hit, letters)]
+    _, rotated, angles = rotation_angles(model, draws, n)
+    rotations = tuple(RotationError(q + 1, model.rot_axis, float(angles.flat[q]))
+                      for q in np.flatnonzero(rotated).tolist())
+    return ErrorEvent(PauliString(letters), rotations, model.rot_mode)
 
 
 def slot_cover(n: int, mode: str) -> np.ndarray:

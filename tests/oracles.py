@@ -8,6 +8,10 @@ product out term by term, apart from the sign table ``hqec.linalg``
 computes it from.
 :func:`repetition_code` and :func:`random_code` build codes other than
 the shipped three for the tests to run both on.
+:func:`numpy_rows` draws each trial's uniforms from numpy's own Philox
+generator, and :func:`pauli_masks`, :func:`rotation_events` and
+:func:`oracle_events` read them into events one comparison at a time,
+apart from the rules ``hqec.noise`` samples with.
 """
 
 import numpy as np
@@ -28,7 +32,7 @@ from hqec.codes import (
     commute_sign,
     syndrome_of,
 )
-from hqec.noise import DRAWS_PER_QUBIT, NoiseModel
+from hqec.noise import DRAWS_PER_QUBIT, ErrorEvent, NoiseModel, RotationError
 
 
 def hamilton_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -215,10 +219,10 @@ def random_code(rng: np.random.Generator, index: int, sizes: range = range(1, 7)
 def pauli_masks(model: NoiseModel, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symplectic ``(x, z)`` masks of the Pauli part of each row's event.
 
-    ``draws`` holds one trial's ``DRAWS_PER_QUBIT * n`` uniforms per row, as
-    ``noise.sample_error`` consumes them; each mask is a uint64 with qubit 1
-    as the most significant bit, and the letter comparisons are the ones
-    ``sample_error`` makes.
+    ``draws`` holds one trial's ``DRAWS_PER_QUBIT * n`` uniforms per row:
+    per qubit a Pauli hit below ``p``, then a letter, X below the first
+    weight, Y below the first two, else Z.  Each mask is a uint64 with
+    qubit 1 as the most significant bit.
     """
     n = draws.shape[1] // DRAWS_PER_QUBIT
     if n > 64:
@@ -231,6 +235,52 @@ def pauli_masks(model: NoiseModel, draws: np.ndarray) -> tuple[np.ndarray, np.nd
     x = (hit & (u_letter < c2)).astype(np.uint64) @ place
     z = (hit & ~(u_letter < c1)).astype(np.uint64) @ place
     return x, z
+
+
+def numpy_rows(seed: int, trials, count: int) -> np.ndarray:
+    """Each trial's first ``count`` doubles from numpy's own Philox, one row per trial."""
+    # A uint64 key: numpy reads a plain list holding a word >= 2**63 as
+    # float64 and rounds that word.
+    rows = [np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
+            .random(count) for t in trials]
+    return np.array(rows).reshape(len(rows), count)
+
+
+def rotation_events(model: NoiseModel, draws: np.ndarray) -> list[tuple[int, ErrorEvent]]:
+    """``(row, event)`` for each row of ``draws`` whose event has a rotation.
+
+    Reads the rotation draws one qubit at a time: qubit ``q`` is rotated
+    when its rotation draw is below ``p_rot``, by ``theta`` for a
+    ``fixed`` angle and by its angle draw times ``theta`` for a
+    ``uniform`` one.  The event is the row's event with its Pauli part
+    removed.
+    """
+    n = draws.shape[1] // DRAWS_PER_QUBIT
+    kind, theta = model.rot_angle.kind, model.rot_angle.theta
+    events = []
+    for row, u in enumerate(draws):
+        rotations = tuple(
+            RotationError(q + 1, model.rot_axis,
+                          theta if kind == "fixed" else float(u[3 * n + q]) * theta)
+            for q in range(n)
+            if u[2 * n + q] < model.p_rot
+        )
+        if rotations:
+            events.append((row, ErrorEvent(PauliString.identity(n), rotations, model.rot_mode)))
+    return events
+
+
+def oracle_events(model: NoiseModel, draws: np.ndarray) -> list[ErrorEvent]:
+    """The error event of each row of ``draws``, from its Pauli masks and its rotations."""
+    n = draws.shape[1] // DRAWS_PER_QUBIT
+    rotated = dict(rotation_events(model, draws))
+    events = []
+    for row, (x, z) in enumerate(zip(*pauli_masks(model, draws))):
+        bits = [(int(x) >> (n - 1 - q) & 1, int(z) >> (n - 1 - q) & 1) for q in range(n)]
+        pauli = PauliString(tuple("IZXY"[2 * xb + zb] for xb, zb in bits))
+        rotations = rotated[row].rotations if row in rotated else ()
+        events.append(ErrorEvent(pauli, rotations, model.rot_mode))
+    return events
 
 
 def _anticommutes(x: np.ndarray, z: np.ndarray, gx: int, gz: int) -> np.ndarray:

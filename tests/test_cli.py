@@ -268,7 +268,7 @@ _BAD_WEIGHTS = ([math.nan, 1, 1], [math.inf, 0, 0], [True, False, False])
         ("flat", "rotations", True),
         ("flat", "rotations", False),
         ("flat", "weights", 1.0),
-        ("flat", "phase_mode", True),
+        ("flat", "phase_mode", True),  # no longer a key: it exits 3 as an unknown one
         ("flat", "rot_mode", False),
         *(("flat", "weights", w) for w in _BAD_WEIGHTS),
         ("flat", "phase_mode", "both"),
@@ -524,8 +524,8 @@ def test_mc_deterministic_output(capsys):
 # decoding or scoring moves them.
 _MC_NOISE_FLAGS = {
     "pauli": (),
-    "rotations": ("--phase-mode", "table1", "--rotations", "0.05"),
-    "detect": ("--phase-mode", "table1", "--rotations", "0.05", "--detect"),
+    "rotations": ("--rotations", "0.05"),
+    "detect": ("--rotations", "0.05", "--detect"),
     # A j/k excess at or below quaternion.TOLERANCE counts as zero, so at
     # threshold 0 each corrected trial passes and the bytes equal
     # paper5-detect (and paper5-pauli).
@@ -557,23 +557,22 @@ def test_mc_csv_golden_bytes(capsys, code_id, noise):
     assert hashlib.sha256(out.encode()).hexdigest() == _MC_GOLDEN_SHA256[(code_id, noise)]
 
 
-@pytest.mark.parametrize("code_id", ["three", "paper5", "perfect5"])
-@pytest.mark.parametrize("noise", ["rotations", "detect"])
-def test_phase_mode_changes_no_mc_byte(capsys, tmp_path, code_id, noise):
-    # A unit phase cannot flip a commutator, so the option is checked and
-    # dropped: the golden bytes hold with the table1 phases and without them.
-    noise_flags = [arg for arg in _MC_NOISE_FLAGS[noise] if arg not in ("--phase-mode", "table1")]
-    assert len(noise_flags) == len(_MC_NOISE_FLAGS[noise]) - 2
-    flags = ["--code", code_id, "--p", "0.01:0.2:log:4", "--trials", "300", "--seed", "11",
-             *noise_flags]
+@pytest.mark.parametrize("value", ["none", "table1"])
+def test_the_phase_mode_flag_is_gone_and_exits_2(capsys, value):
+    # A unit phase cannot flip a commutator, so no sweep setting selects one.
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "--code", "three", "--p", "0.05:0.2:log:3", "--phase-mode", value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --phase-mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["none", "table1"])
+def test_a_phase_mode_config_key_is_unknown_and_exits_3(tmp_path, capsys, value):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"phase_mode": "table1"}))
-    for phase in ([], ["--phase-mode", "none"], ["--phase-mode", "table1"],
-                  ["--config", str(config)]):
-        code, out, err = run_cli(capsys, "mc", *flags, *phase)
-        assert (code, err) == (0, ""), phase
-        digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == _MC_GOLDEN_SHA256[(code_id, noise)], phase
+    config.write_text(json.dumps({"code": "three", "p": "0.05:0.2:log:3", "phase_mode": value}))
+    code, out, err = run_cli(capsys, "mc", "--config", str(config))
+    assert (code, out) == (3, "")
+    assert "unknown config key: phase_mode" in err
 
 
 @pytest.mark.parametrize("raw", ["abc", "-1", "1_0", "+1", " 2 ", "\u0663"])

@@ -12,13 +12,14 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import random_code, repetition_code
+from oracles import numpy_rows, oracle_events, random_code, repetition_code
 
 from hqec import cli, experiments
 from hqec.quaternion import I_AXIS, J_AXIS, K_AXIS, TOLERANCE, ImaginaryAxis
 from hqec.codes import CODE_IDS, PauliString, get_code
 from hqec.register import QRegister
 from hqec.noise import (
+    DRAWS_PER_QUBIT,
     AngleDistribution,
     ErrorEvent,
     NoiseModel,
@@ -299,13 +300,11 @@ _REPETITION12 = repetition_code(12)
 
 
 def oracle_counts(code, noise, p_values, seed, start, stop, detect, threshold):
-    """Per-point failure counts from ``sample_error`` and ``score_event``, one trial at a time."""
+    """Per-point failure counts of the oracle events, scored one trial at a time."""
+    draws = numpy_rows(seed, range(start, stop), DRAWS_PER_QUBIT * code.n)
     return [
-        sum(
-            score_event(code, sample_error(dataclasses.replace(noise, p=p), code.n, seed, t),
-                        detect, threshold)
-            for t in range(start, stop)
-        )
+        sum(score_event(code, event, detect, threshold)
+            for event in oracle_events(dataclasses.replace(noise, p=p), draws))
         for p in p_values
     ]
 

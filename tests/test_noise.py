@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from hqec import quaternion as quat
 from hqec.quaternion import I_AXIS, K_AXIS, ImaginaryAxis, Quaternion, exp_axis
@@ -33,7 +33,15 @@ from hqec.noise import (
     slot_cover,
 )
 
-from oracles import amplitude, component_strength, left_scalar_mul, pauli_masks
+from oracles import (
+    amplitude,
+    component_strength,
+    left_scalar_mul,
+    numpy_rows,
+    oracle_events,
+    pauli_masks,
+    rotation_events,
+)
 
 
 def bitflip_model(p, p_rot=0.0, **kw):
@@ -52,26 +60,6 @@ def test_sample_error_reproducible():
     assert a != c or a != d  # streams keyed by both integers
 
 
-def rotation_events(model, draws):
-    """``(row, event)`` for each row of ``draws`` whose event has a rotation.
-
-    Reads the rotation draws one qubit at a time, in the layout
-    :func:`sample_error` consumes; the event is the row's event with its
-    Pauli part removed.
-    """
-    n = draws.shape[1] // DRAWS_PER_QUBIT
-    events = []
-    for row, u in enumerate(draws):
-        rotations = tuple(
-            RotationError(q + 1, model.rot_axis, model.rot_angle.draw(float(u[3 * n + q])))
-            for q in range(n)
-            if u[2 * n + q] < model.p_rot
-        )
-        if rotations:
-            events.append((row, ErrorEvent(PauliString.identity(n), rotations, model.rot_mode)))
-    return events
-
-
 def test_batch_draws_match_sample_error():
     model = NoiseModel(p=0.25, p_rot=0.1, rot_angle=AngleDistribution("uniform", 0.5))
     # unsorted, with a repeat: each row depends on its own trial number only
@@ -79,10 +67,11 @@ def test_batch_draws_match_sample_error():
     draws = philox_uniforms(9, np.array(trials, dtype=np.uint64), DRAWS_PER_QUBIT * 4)
     x, z = pauli_masks(model, draws)
     rotated = dict(rotation_events(model, draws))
-    rows, angles = rotation_angles(model, draws, 4)
+    rows, hit, angles = rotation_angles(model, draws, 4)
     assert rows.tolist() == sorted(rotated)
-    for row, row_angles in zip(rows, angles):
+    for row, row_hit, row_angles in zip(rows, hit, angles):
         by_qubit = {rot.qubit: rot.angle for rot in rotated[row].rotations}
+        assert row_hit.tolist() == [q in by_qubit for q in range(1, 5)]
         assert row_angles.tolist() == [by_qubit.get(q, 0.0) for q in range(1, 5)]
     letters = pauli_letters(model, draws, 4)
     for row, trial in enumerate(trials):
@@ -102,6 +91,44 @@ def test_batch_draws_match_sample_error():
 _MAX = 2**64 - 1
 
 
+@st.composite
+def models(draw, row: np.ndarray, n: int) -> NoiseModel:
+    """A noise model whose rates and letter bounds may equal uniforms of the trial ``row``.
+
+    A bound equal to a uniform shows whether a hit or letter test is strict.
+    """
+    def bound(block: int, lo: float = 0.0) -> float:
+        ties = [u for u in row[block * n : (block + 1) * n].tolist() if u >= lo]
+        return draw(st.sampled_from([lo, 1.0, *ties]) | st.floats(lo, 1.0))
+
+    c1 = bound(1)
+    c2 = bound(1, c1)
+    theta = draw(st.sampled_from([0.0, 0.3, math.pi / 8, 1.2]) | st.floats(-4.0, 4.0))
+    return NoiseModel(
+        p=bound(0), pauli_weights=(c1, c2 - c1, 1.0 - c2), p_rot=bound(2),
+        rot_axis=draw(st.sampled_from([K_AXIS, I_AXIS, ImaginaryAxis.normalized(1, 2, 2)])),
+        rot_angle=AngleDistribution(draw(st.sampled_from(["fixed", "uniform"])), theta),
+        rot_mode=draw(st.sampled_from(["zero", "all"])))
+
+
+@seed(20_240_601)
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), key=st.integers(0, _MAX), trial=st.just(_MAX) | st.integers(0, _MAX),
+       data=st.data())
+def test_sample_error_is_the_oracle_event(n, key, trial, data):
+    draws = numpy_rows(key, [trial], DRAWS_PER_QUBIT * n)
+    model = data.draw(models(draws[0], n))
+    assert sample_error(model, n, key, trial) == oracle_events(model, draws)[0]
+
+
+def test_a_rotation_by_zero_is_a_rotation():
+    # rotation_angles writes 0.0 where a qubit is not rotated, so a zero
+    # angle on a hit qubit is told apart by its hit mask.
+    model = NoiseModel(p=0.0, p_rot=1.0, rot_angle=AngleDistribution("fixed", 0.0))
+    event = sample_error(model, 3, 5, 0)
+    assert event.rotations == tuple(RotationError(q, K_AXIS, 0.0) for q in (1, 2, 3))
+
+
 @pytest.mark.parametrize(
     ("seed", "trials", "count"),
     [
@@ -117,17 +144,7 @@ _MAX = 2**64 - 1
 def test_philox_uniforms_match_numpy_generator(seed, trials, count):
     got = philox_uniforms(seed, np.array(trials, dtype=np.uint64), count)
     assert got.shape == (len(trials), count)
-    for row, trial in zip(got, trials):
-        key = np.array([seed, trial], dtype=np.uint64)
-        want = np.random.Generator(np.random.Philox(key=key)).random(count)
-        assert row.tobytes() == want.tobytes()
-
-
-def numpy_rows(seed, trials, count):
-    """Each trial's first ``count`` doubles from numpy's own Philox, one row per trial."""
-    rows = [np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
-            .random(count) for t in trials]
-    return np.array(rows).reshape(len(trials), count)
+    assert got.tobytes() == numpy_rows(seed, trials, count).tobytes()
 
 
 def test_philox_uniforms_match_numpy_generator_on_a_full_chunk():
@@ -157,12 +174,7 @@ def test_philox_key_wraps_emit_no_warning(seed):
 def test_philox_uniforms_match_numpy_generator_for_any_key(seed, trials, count):
     got = philox_uniforms(seed, np.array(trials, dtype=np.uint64), count)
     assert got.shape == (len(trials), count)
-    for row, trial in zip(got, trials):
-        # A uint64 key, as sample_error builds it: numpy reads a plain list
-        # holding a word >= 2**63 as float64 and rounds that word.
-        key = np.array([seed, trial], dtype=np.uint64)
-        want = np.random.Generator(np.random.Philox(key=key)).random(count)
-        assert row.tobytes() == want.tobytes()
+    assert got.tobytes() == numpy_rows(seed, trials, count).tobytes()
 
 
 @pytest.mark.parametrize("seed", [_MAX, _MAX - 1, 2**63, 0])
@@ -181,10 +193,10 @@ def test_fixed_angle_rotations_read_the_first_3n_draws():
     n = 5
     trials = np.arange(_MAX - 63, _MAX, dtype=np.uint64)
     model = NoiseModel(p=0.0, p_rot=0.2, rot_angle=AngleDistribution("fixed", 0.7))
-    rows, angles = rotation_angles(model, philox_uniforms(3, trials, DRAWS_PER_QUBIT * n), n)
-    trimmed_rows, trimmed_angles = rotation_angles(model, philox_uniforms(3, trials, 3 * n), n)
-    assert rows.size and rows.tolist() == trimmed_rows.tolist()
-    assert angles.tobytes() == trimmed_angles.tobytes()
+    full = rotation_angles(model, philox_uniforms(3, trials, DRAWS_PER_QUBIT * n), n)
+    trimmed = rotation_angles(model, philox_uniforms(3, trials, 3 * n), n)
+    assert full[0].size
+    assert [a.tobytes() for a in full] == [a.tobytes() for a in trimmed]
 
 
 def test_philox_uniforms_validation():
@@ -256,12 +268,12 @@ def test_sample_error_frequency():
 
 def test_sample_letter_mixture():
     model = NoiseModel(p=1.0, pauli_weights=(0.5, 0.25, 0.25))
-    counts = {"X": 0, "Y": 0, "Z": 0}
     trials = 8000
-    for t in range(trials):
-        counts[sample_error(model, 1, 11, t).pauli.letters[0]] += 1
-    assert abs(counts["X"] - trials * 0.5) <= 3 * math.sqrt(trials * 0.25)
-    assert abs(counts["Y"] - trials * 0.25) <= 3 * math.sqrt(trials * 0.1875)
+    # The letters sample_error reads, for trials 0 .. 7999 in one draw.
+    draws = philox_uniforms(11, np.arange(trials, dtype=np.uint64), DRAWS_PER_QUBIT)
+    x, y, _ = np.bincount(pauli_letters(model, draws, 1)[:, 0], minlength=3)
+    assert abs(x - trials * 0.5) <= 3 * math.sqrt(trials * 0.25)
+    assert abs(y - trials * 0.25) <= 3 * math.sqrt(trials * 0.1875)
 
 
 def test_sample_uniform_angles_bounded():
