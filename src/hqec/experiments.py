@@ -22,19 +22,18 @@ detection off and on, sharing the draws, Pauli failures and rotation states.
 
 :func:`score_event` scores the sampled event of one trial and is the
 reference.  Sweeps run the batched engine, :func:`count_failures`: it
-draws the uniforms of a chunk of trials at once (at most
-:data:`CHUNK_TRIALS` trials and :data:`CHUNK_WORDS` words) and scores
-them at every p of the grid and for every ``(detect, threshold)`` scoring,
-with counts equal to the per-trial loop bit for bit, and draws only the
-words its noise reads.  Syndrome and logical commutation are linear over
-GF(2) in the error, so the Pauli channel XORs the code's per-qubit
-``signatures`` and looks the result up in its ``verdicts``, for only the
-trials with an error at the largest p while those are at most half of a
-chunk.  The rotation channel is scored as arrays of damaged ``|0_L>``
-states, over the slots where ``|0_L>`` is nonzero: the rotations of an
-event share one axis, so each slot is the reference slot times the unit
-of its angle sum; detection is per-qubit slot sums, and correction
-leaves the flagged angles out of the sum.  For either angle law a chunk
+draws the uniforms of a chunk of trials at once (:data:`CHUNK_WORDS`
+words) and scores them at every p of the grid and for every
+``(detect, threshold)`` scoring, with counts equal to the per-trial loop
+bit for bit, and draws only the words its noise reads.  Syndrome and
+logical commutation are linear over GF(2) in the error, so the Pauli
+channel XORs the code's per-qubit ``signatures`` and looks the result up
+in its ``verdicts``, for only the trials with an error at the largest p.
+The rotation channel is scored as arrays of damaged ``|0_L>`` states,
+over the slots where ``|0_L>`` is nonzero: the rotations of an event
+share one axis, so each slot is the reference slot times the unit of its
+angle sum; detection is per-qubit slot sums, and correction leaves the
+flagged angles out of the sum.  For either angle law a chunk
 takes its rotated trials and their angles from
 :func:`~hqec.noise.rotation_angles`, once for all its scorings.  With a
 ``fixed`` angle a trial's verdict depends only on which qubits it turns
@@ -251,18 +250,18 @@ def thread_count() -> int:
     return value or usable_cpus()
 
 
-#: Trials per worker: a sweep starts one pool worker for each full
-#: ``CHUNK_TRIALS`` trials, at most ``HQEC_THREADS`` and the usable CPUs,
-#: and no pool for fewer than two workers; below that, starting the pool
-#: costs about as much as the work it would split.  The engine also scores
-#: at most this many trials per batch.
-CHUNK_TRIALS = 8192
+#: Trials per pool worker: a sweep starts one worker for each full
+#: ``WORKER_TRIALS`` trials, at most ``HQEC_THREADS`` and the usable CPUs,
+#: and no pool for fewer than two workers.  On two CPUs a pool of two costs
+#: more than it gains below about 150000 ``figure1`` trials.
+WORKER_TRIALS = 2**16
 
-#: Philox words the engine draws per batch, which bounds its working set
-#: whatever the trial count: a batch holds ``CHUNK_WORDS // w`` trials that
-#: read ``w`` words each (3276 Pauli-only perfect5 trials, 2184 with fixed
-#: angles).  It also bounds the rows :func:`rotation_verdicts` scores at
-#: once, which are the distinct unseen subsets of one batch.
+#: Philox words the engine draws per chunk, which bounds its working set
+#: whatever the trial count: a chunk holds ``CHUNK_WORDS // w`` trials (at
+#: least one) that read ``w`` words each (3276 Pauli-only perfect5 trials,
+#: 2184 with fixed angles).  It also bounds the rows
+#: :func:`rotation_verdicts` scores at once, which are the distinct unseen
+#: subsets of one chunk.
 CHUNK_WORDS = 2**15
 
 
@@ -279,18 +278,17 @@ def count_failures(
     ``p_values[i]`` fails :func:`score_event` with scoring ``j``, bit for
     bit; that event is one row of the draws here, read by the same rules,
     and numpy's Philox generator is the tests' oracle for both.  Trials are
-    scored in chunks of at most :data:`CHUNK_TRIALS` trials and
-    :data:`CHUNK_WORDS` draws, so the working set does not grow with the
-    trials.  The uniforms of a chunk are drawn once for every
-    point and scoring: ``2 * n`` words without rotations, ``3 * n`` with a
-    ``fixed`` angle, ``4 * n`` with a ``uniform`` one.  The module
+    scored in chunks of :data:`CHUNK_WORDS` draws, so the working set does
+    not grow with the trials.  The uniforms of a chunk are drawn once for
+    every point and scoring: ``2 * n`` words without rotations, ``3 * n``
+    with a ``fixed`` angle, ``4 * n`` with a ``uniform`` one.  The module
     docstring says how each channel is scored.
     """
     if not 0 <= start <= stop <= 2**64:
         raise ValueError(f"need 0 <= start <= stop <= 2**64, got {start}, {stop}")
     width = code.n * (2 if noise.p_rot == 0.0 else 3 if noise.rot_angle.kind == "fixed" else 4)
     counts = [[0] * len(p_values) for _ in scorings]
-    step = min(CHUNK_TRIALS, max(1, CHUNK_WORDS // width))
+    step = max(1, CHUNK_WORDS // width)
     for lo in range(start, stop, step):
         trials = np.uint64(lo) + np.arange(min(step, stop - lo), dtype=np.uint64)
         chunk = _chunk_failures(code, noise, scorings, p_values, seed, trials, width)
@@ -304,16 +302,10 @@ def _chunk_failures(code, noise, scorings, p_values, seed, trials, width) -> lis
     n = code.n
     draws = philox_uniforms(seed, trials, width)
     # Only the trials with a Pauli error at the largest p need letters and XORs.
-    # Picking them out costs a copy, which pays only while at most half are hit.
-    u_err = draws[:, :n].T  # contiguous, so the XOR below runs along the trials
+    u_err = draws[:, :n].T
     hit = (u_err < max(p_values)).any(axis=0)
-    few = 2 * np.count_nonzero(hit) <= trials.size
-
-    def pick(per_trial: np.ndarray) -> np.ndarray:
-        return per_trial.compress(hit, axis=-1) if few else per_trial
-
-    u_err = pick(u_err)
-    letters = pick(pauli_letters(noise, draws, n).T)
+    u_err = u_err.compress(hit, axis=1)  # contiguous, so the XOR below runs along the trials
+    letters = pauli_letters(noise, draws, n).T.compress(hit, axis=1)
     signatures = code.signatures.ravel()[letters + 3 * np.arange(n)[:, None]]
     failed = [code.verdicts[np.bitwise_xor.reduce(signatures * (u_err < p), axis=0)]
               for p in p_values]
@@ -332,7 +324,7 @@ def _chunk_failures(code, noise, scorings, p_values, seed, trials, width) -> lis
         rotated = np.zeros(trials.size, dtype=bool)
         rotated[rows] = score(detect, threshold)
         # a trial without a Pauli error fails on its rotations alone
-        with_pauli = pick(rotated)
+        with_pauli = rotated[hit]
         alone = int(np.count_nonzero(rotated)) - int(np.count_nonzero(with_pauli))
         counts.append([int(np.count_nonzero(f | with_pauli)) + alone for f in failed])
     return counts
@@ -466,7 +458,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     regardless of ``HQEC_THREADS`` and adjacent points are positively
     coupled (common random numbers).  ``HQEC_THREADS`` and the usable
     CPUs cap the worker count, and a worker starts only for each full
-    :data:`CHUNK_TRIALS` trials.  With more than one worker, one process
+    :data:`WORKER_TRIALS` trials.  With more than one worker, one process
     pool serves the whole sweep and each worker scores a contiguous range
     of trials at every point; otherwise the sweep runs in this process.
     """
@@ -477,18 +469,16 @@ def _run_sweeps(config: SweepConfig, detects: tuple[bool, ...]) -> list[SweepRes
     """One engine pass over ``config``'s trials, scored with each of ``detects``."""
     scorings = tuple((detect, config.detection_threshold) for detect in detects)
     args = (get_code(config.code_id), config.noise, scorings, config.p_values, config.seed)
-    workers = min(thread_count(), usable_cpus(), config.trials // CHUNK_TRIALS)
+    workers = min(thread_count(), usable_cpus(), config.trials // WORKER_TRIALS)
     parts = None
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
 
-        bounds = np.linspace(0, config.trials, workers + 1, dtype=int)
+        bounds = [config.trials * w // workers for w in range(workers + 1)]
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(count_failures, *args, int(a), int(b))
-                    for a, b in zip(bounds[:-1], bounds[1:])
-                ]
+                futures = [pool.submit(count_failures, *args, a, b)
+                           for a, b in zip(bounds, bounds[1:])]
                 parts = [f.result() for f in futures]
         except OSError:
             # Restricted environments without process support run serially;

@@ -256,8 +256,8 @@ def test_run_sweep_deterministic():
 
 def test_run_sweep_thread_invariance(monkeypatch):
     config = SweepConfig("three", bitflip_model(), (0.05, 0.1), trials=3000, seed=9)
-    # Small enough that two workers each get a full chunk; fork carries it to them.
-    monkeypatch.setattr(experiments, "CHUNK_TRIALS", 1000)
+    # Small enough that two workers each get their full share; fork carries it to them.
+    monkeypatch.setattr(experiments, "WORKER_TRIALS", 1000)
     monkeypatch.delenv("HQEC_THREADS", raising=False)
     serial = run_sweep(config)
     monkeypatch.setenv("HQEC_THREADS", "2")
@@ -312,6 +312,11 @@ def oracle_counts(code, noise, p_values, seed, start, stop, detect, threshold):
 def engine_counts(code, noise, p_values, seed, start, stop, detect=False, threshold=0.01):
     """The engine's counts for the one scoring ``(detect, threshold)``."""
     return count_failures(code, noise, ((detect, threshold),), p_values, seed, start, stop)[0]
+
+
+def words_per_trial(code, noise):
+    """Draws a trial reads: 2n without rotations, 3n with a fixed angle, 4n with a uniform one."""
+    return code.n * (2 if noise.p_rot == 0.0 else 3 if noise.rot_angle.kind == "fixed" else 4)
 
 
 def _random_engine_code(seed):
@@ -369,8 +374,9 @@ def engine_cases(draw):
 def test_batched_engine_equals_per_trial_oracle(case):
     args = (case["code"], case["noise"], case["p_values"], case["seed"],
             case["start"], case["stop"])
-    # A small chunk puts chunk boundaries inside every drawn range.
-    with mock.patch.object(experiments, "CHUNK_TRIALS", case["chunk"]):
+    # Chunks of 1 to 8 trials put chunk boundaries inside every drawn range.
+    words = case["chunk"] * words_per_trial(case["code"], case["noise"])
+    with mock.patch.object(experiments, "CHUNK_WORDS", words):
         counts = count_failures(case["code"], case["noise"], case["scorings"], *args[2:])
     assert counts == [oracle_counts(*args, *scoring) for scoring in case["scorings"]]
 
@@ -378,7 +384,7 @@ def test_batched_engine_equals_per_trial_oracle(case):
 def test_batched_engine_crosses_the_real_chunk_boundary():
     noise = NoiseModel(p=0.0, pauli_weights=(0.5, 0.2, 0.3), p_rot=0.02)
     start = 2**40 + 5
-    stop = start + experiments.CHUNK_TRIALS + 37
+    stop = start + experiments.CHUNK_WORDS // words_per_trial(_CODES["paper5"], noise) + 37
     args = (_CODES["paper5"], noise, (0.05, 0.3), 2**64 - 1, start, stop, True, 0.01)
     counts = engine_counts(*args)
     assert counts == oracle_counts(*args)
@@ -402,7 +408,7 @@ def test_one_draw_per_chunk_at_the_noise_width(noise, width):
     scorings = ((False, 0.01), (True, 0.01), (True, 0.0))
     p_values, seed, start = (0.05, 0.3), 2**64 - 1, 2**40 + 3
     stop = start + 2 * 8 + 5
-    with mock.patch.object(experiments, "CHUNK_TRIALS", 8), mock.patch.object(
+    with mock.patch.object(experiments, "CHUNK_WORDS", 8 * width * code.n), mock.patch.object(
         experiments, "philox_uniforms", wraps=experiments.philox_uniforms
     ) as draws:
         together = count_failures(code, noise, scorings, p_values, seed, start, stop)
@@ -821,7 +827,7 @@ def counted_pools(monkeypatch) -> list:
 def test_figure1_pass_equals_separate_sweeps_and_oracle(monkeypatch, pair, threads):
     code_id, *noises = _PAIRS[pair]
     pools = counted_pools(monkeypatch)
-    monkeypatch.setattr(experiments, "CHUNK_TRIALS", 100)  # 300 trials: a pool of two
+    monkeypatch.setattr(experiments, "WORKER_TRIALS", 100)  # 300 trials: a pool of two
     monkeypatch.setattr(experiments, "usable_cpus", lambda: 8)
     if threads is None:
         monkeypatch.delenv("HQEC_THREADS", raising=False)
@@ -854,7 +860,7 @@ def test_pool_that_cannot_start_falls_back_to_serial(monkeypatch):
             raise OSError("no process support")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoProcesses)
-    monkeypatch.setattr(experiments, "CHUNK_TRIALS", 100)  # 300 trials: a pool of two
+    monkeypatch.setattr(experiments, "WORKER_TRIALS", 100)  # 300 trials: a pool of two
     monkeypatch.setattr(experiments, "usable_cpus", lambda: 8)
     monkeypatch.setenv("HQEC_THREADS", "2")
     assert (run_sweep(std), figure1_data(std)) == serial
@@ -869,7 +875,7 @@ def test_pool_starts_only_for_a_full_chunk_per_worker(monkeypatch):
     monkeypatch.delenv("HQEC_THREADS", raising=False)
     serial = run_sweep(short), run_sweep(long)
     pools = counted_pools(monkeypatch)
-    monkeypatch.setattr(experiments, "CHUNK_TRIALS", chunk)
+    monkeypatch.setattr(experiments, "WORKER_TRIALS", chunk)
     monkeypatch.setattr(experiments, "usable_cpus", lambda: 8)
     monkeypatch.setenv("HQEC_THREADS", "2")
     assert run_sweep(short) == serial[0]
@@ -885,7 +891,7 @@ def test_pool_takes_no_more_workers_than_usable_cpus(monkeypatch):
     monkeypatch.delenv("HQEC_THREADS", raising=False)
     serial = run_sweep(config)
     pools = counted_pools(monkeypatch)
-    monkeypatch.setattr(experiments, "CHUNK_TRIALS", 50)  # 400 trials: up to eight workers
+    monkeypatch.setattr(experiments, "WORKER_TRIALS", 50)  # 400 trials: up to eight workers
     monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
     monkeypatch.setenv("HQEC_THREADS", "8")
     assert run_sweep(config) == serial
@@ -894,13 +900,73 @@ def test_pool_takes_no_more_workers_than_usable_cpus(monkeypatch):
     assert experiments.thread_count() == 2
 
 
+def recorded_pools(monkeypatch) -> list:
+    """``(max_workers, [(start, stop), ...])`` of each pool the sweeps start from now on.
+
+    The pools run nothing: each submitted range counts zero failures.
+    """
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.ranges = []
+            pools.append((max_workers, self.ranges))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, code, noise, scorings, p_values, seed, start, stop):
+            self.ranges.append((start, stop))
+            future = concurrent.futures.Future()
+            future.set_result([[0] * len(p_values) for _ in scorings])
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("trials", [2**53 + 1, 2**53 + 3, 2**64])
+def test_worker_ranges_tile_the_trials_exactly(monkeypatch, trials, threads):
+    # Float bounds drop or add a trial past 2**53 and overflow past 2**63.
+    pools = recorded_pools(monkeypatch)
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 8)
+    monkeypatch.setenv("HQEC_THREADS", str(threads))
+    result = run_sweep(SweepConfig("three", bitflip_model(), (0.1,), trials=trials, seed=3))
+    (workers, ranges), = pools
+    assert workers == len(ranges) == threads
+    starts, stops = zip(*ranges)
+    assert starts[0] == 0 and starts[1:] == stops[:-1] and stops[-1] == trials
+    assert all(type(a) is int and a < b for a, b in ranges)
+    assert result.points[0].trials == trials
+
+
+def test_a_pool_starts_only_where_it_pays_for_its_start(monkeypatch):
+    # On two CPUs a pool of two costs more than it gains at figure1's default
+    # 20000 trials and at 100000; at 400000 it pays.
+    params = cli.parse_args(["figure1", "--out", "unused"]).parameters
+    params.pop("include_model")
+    config = SweepConfig(**params)
+    pools = recorded_pools(monkeypatch)
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+    monkeypatch.setenv("HQEC_THREADS", "2")
+    for trials in (20000, 100000):
+        figure1_data(dataclasses.replace(config, trials=trials))
+        assert pools == []
+    figure1_data(dataclasses.replace(config, trials=400000))
+    assert pools == [(2, [(0, 200000), (200000, 400000)])]
+
+
 def test_engine_working_set_does_not_grow_with_the_trials():
     # figure1's two pipelines; the bound is fixed in advance, not fitted to a run.
     params = cli.parse_args(["figure1", "--out", "unused"]).parameters
     code, noise = get_code(params["code_id"]), params["noise"]
     threshold = params["detection_threshold"]
     args = (code, noise, ((False, threshold), (True, threshold)), params["p_values"], 1, 0)
-    chunk = min(experiments.CHUNK_TRIALS, experiments.CHUNK_WORDS // (3 * code.n))
+    chunk = experiments.CHUNK_WORDS // words_per_trial(code, noise)
     peaks = []
     for trials in (chunk, 4 * chunk):
         count_failures(*args, trials)  # warm caches
