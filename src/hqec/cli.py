@@ -14,7 +14,7 @@ Subcommands::
 Exit codes: 0 ok, 1 internal error, 2 usage error, 3 config validation
 error.  All randomness flows from ``--seed`` (default 0); repeated runs
 with the same configuration produce byte-identical output regardless of
-the ``HQEC_THREADS`` parallelism cap.
+how many CPUs a sweep's process pool uses.
 """
 
 from __future__ import annotations
@@ -288,16 +288,15 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
 def _validate_sweep(merged: dict) -> dict:
     """The fields of the :class:`SweepConfig` that ``merged`` describes, once it is built.
 
-    The value rules are :class:`SweepConfig`'s, :class:`NoiseModel`'s (at p = 0)
-    and ``HQEC_THREADS``'s; a value they refuse raises :class:`ConfigError`
-    here, before any work.
+    The value rules are :class:`SweepConfig`'s and :class:`NoiseModel`'s (at
+    p = 0); a value they refuse raises :class:`ConfigError` here, before any
+    work.
     """
-    from .experiments import SweepConfig, thread_count
+    from .experiments import SweepConfig
     from .noise import NoiseModel
 
     weights = merged["weights"]
     try:
-        thread_count()  # run_sweep reads HQEC_THREADS again; checked here for exit 3
         p_values = _parse_p_range(str(merged["p"]))
         if not isinstance(weights, (tuple, list)):
             weights = _parse_weights(str(weights))

@@ -16,8 +16,8 @@ scores failure on two independent channels:
   contains the detecting one's by construction.
 
 Sweeps derive every trial from ``(seed, trial)`` alone, which makes the
-results independent of the parallelism degree (``HQEC_THREADS``) and lets
-one pass of :func:`figure1_data` score the same realizations with
+results independent of how many pool workers score them and lets one
+pass of :func:`figure1_data` score the same realizations with
 detection off and on, sharing the draws, Pauli failures and rotation states.
 
 :func:`score_event` scores the sampled event of one trial and is the
@@ -74,7 +74,6 @@ from .noise import (
     check_counter,
     correct_rotation,
     detect_rotations,
-    is_number,
     jk_excess,
     pauli_letters,
     philox_uniforms,
@@ -82,7 +81,7 @@ from .noise import (
     slot_cover,
 )
 from .linalg import left_mul_matrix
-from .quaternion import TOLERANCE, ImaginaryAxis, Quaternion, parse_int
+from .quaternion import TOLERANCE, ImaginaryAxis, Quaternion, is_number, parse_int
 
 # Published performance targets, pipeline -> (exponent, p_th), attached
 # to outputs as annotations only.
@@ -233,27 +232,10 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def thread_count() -> int:
-    """Worker count from ``HQEC_THREADS``: unset means 1, 0 means every usable CPU.
-
-    Raises ValueError for a value that is not a nonnegative integer.
-    """
-    raw = os.environ.get("HQEC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = parse_int(raw)
-    except ValueError:
-        raise ValueError(f"HQEC_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"HQEC_THREADS must be >= 0, got {value}")
-    return value or usable_cpus()
-
-
 #: Trials per pool worker: a sweep starts one worker for each full
-#: ``WORKER_TRIALS`` trials, at most ``HQEC_THREADS`` and the usable CPUs,
-#: and no pool for fewer than two workers.  On two CPUs a pool of two costs
-#: more than it gains below about 150000 ``figure1`` trials.
+#: ``WORKER_TRIALS`` trials, at most one per usable CPU, and no pool for
+#: fewer than two workers.  On two CPUs a pool of two costs more than it
+#: gains below about 150000 ``figure1`` trials.
 WORKER_TRIALS = 2**16
 
 #: Philox words the engine draws per chunk, which bounds its working set
@@ -455,10 +437,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     Trial ``t`` at every p point reuses the stream keyed by
     ``(config.seed, t)``, so the counts are reproducible bit for bit
-    regardless of ``HQEC_THREADS`` and adjacent points are positively
-    coupled (common random numbers).  ``HQEC_THREADS`` and the usable
-    CPUs cap the worker count, and a worker starts only for each full
-    :data:`WORKER_TRIALS` trials.  With more than one worker, one process
+    regardless of the worker count and adjacent points are positively
+    coupled (common random numbers).  A worker starts for each full
+    :data:`WORKER_TRIALS` trials, at most one per CPU the process may run
+    on (:func:`usable_cpus`).  With more than one worker, one process
     pool serves the whole sweep and each worker scores a contiguous range
     of trials at every point; otherwise the sweep runs in this process.
     """
@@ -469,7 +451,7 @@ def _run_sweeps(config: SweepConfig, detects: tuple[bool, ...]) -> list[SweepRes
     """One engine pass over ``config``'s trials, scored with each of ``detects``."""
     scorings = tuple((detect, config.detection_threshold) for detect in detects)
     args = (get_code(config.code_id), config.noise, scorings, config.p_values, config.seed)
-    workers = min(thread_count(), usable_cpus(), config.trials // WORKER_TRIALS)
+    workers = min(usable_cpus(), config.trials // WORKER_TRIALS)
     parts = None
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
@@ -539,7 +521,7 @@ def figure1_data(config: SweepConfig) -> Figure1Data:
     """Score one sweep with the standard decoder and with quaternionic detection.
 
     Both pipelines score the same realizations in one engine pass (one
-    process pool when ``HQEC_THREADS`` asks for workers), with the counts
+    process pool when the trials and usable CPUs call for one), with the counts
     :func:`run_sweep` gives with ``quaternionic_detection`` off and on.
     ``config`` names the standard pipeline, so it must have detection off.
     """
@@ -580,8 +562,8 @@ def sweep_csv(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _unfit_field(row: str, pt: SweepPoint, key: tuple[str, int], first: tuple[str, int],
-                 points: list[SweepPoint]) -> str | None:
+def _unfit_field(row: str, p: float, failures: int, trials: int, key: tuple[str, int],
+                 first: tuple[str, int], points: list[SweepPoint]) -> str | None:
     """The first field of a parsed CSV row that no sweep could have written.
 
     ``key`` is the row's ``(code_id, seed)``, which every row of a sweep
@@ -592,23 +574,17 @@ def _unfit_field(row: str, pt: SweepPoint, key: tuple[str, int], first: tuple[st
     for name, value, first_value in zip(("code_id", "seed"), key, first):
         if value != first_value:
             return f"{name}, not the first row's {first_value}"
-    if not 0.0 < pt.p < 1.0:  # a comparison with NaN is false
+    if not 0.0 < p < 1.0:  # a comparison with NaN is false
         return "p, not in (0, 1)"
-    if pt.trials < 1:
+    if trials < 1:
         return "trials, below 1"
-    if not 0 <= pt.failures <= pt.trials:
+    if not 0 <= failures <= trials:
         return "failures, not in [0, trials]"
-    if not 0.0 <= pt.p_L <= 1.0:
-        return "p_L, not in [0, 1]"
-    if not math.isfinite(pt.stderr):
-        return "stderr, not finite"
-    if _g12(pt.failures / pt.trials) != _g12(pt.p_L):
-        return "p_L, not failures / trials"
-    if points and pt.trials != points[0].trials:
+    if points and trials != points[0].trials:
         return f"trials, not the first row's {points[0].trials}"
-    if points and pt.p <= points[-1].p:
+    if points and p <= points[-1].p:
         return f"p, not above the previous row's {_g12(points[-1].p)}"
-    written = _point_row(SweepResult(*key, ()), SweepPoint.tally(pt.p, pt.failures, pt.trials))
+    written = _point_row(SweepResult(*key, ()), SweepPoint.tally(p, failures, trials))
     for name, field, want in zip(SWEEP_CSV_HEADER.split(","), row.split(","), written.split(",")):
         if field != want:
             return f"{name}, not {want} as a sweep writes it"
@@ -634,17 +610,15 @@ def parse_sweep_csv(text: str) -> SweepResult:
             raise ValueError(f"{where} has {len(fields)} fields, not {len(expected)}: {row!r}")
         r = dict(zip(expected, fields))
         try:
-            pt = SweepPoint(p=float(r["p"]), failures=parse_int(r["failures"]),
-                            trials=parse_int(r["trials"]), p_L=float(r["p_L"]),
-                            stderr=float(r["stderr"]))
+            p, failures, trials = float(r["p"]), parse_int(r["failures"]), parse_int(r["trials"])
             seed = check_counter("seed", parse_int(r["seed"]))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
         first = first or (r["code_id"], seed)
-        bad = _unfit_field(row, pt, (r["code_id"], seed), first, points)
+        bad = _unfit_field(row, p, failures, trials, (r["code_id"], seed), first, points)
         if bad is not None:
             raise ValueError(f"{where} has a bad {bad}: {row!r}")
-        points.append(SweepPoint.tally(pt.p, pt.failures, pt.trials))
+        points.append(SweepPoint.tally(p, failures, trials))
     if first is None:
         raise ValueError("CSV has no data rows")
     return SweepResult(*first, tuple(points))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternion import ImaginaryAxis, K_AXIS, exp_axis
+from .quaternion import ImaginaryAxis, K_AXIS, exp_axis, is_number
 from .linalg import left_mul_matrix
 from .register import QRegister
 from .codes import PauliString, apply_pauli
@@ -41,16 +41,6 @@ ROT_MODES = ("zero", "all")
 
 #: Uniforms a trial consumes per qubit: Pauli hit, letter, rotation hit, angle.
 DRAWS_PER_QUBIT = 4
-
-
-def is_number(value, kind: type = numbers.Real) -> bool:
-    """True when ``value`` is an instance of ``kind``, which a bool never is here.
-
-    Python counts ``True`` as the integer 1, so without this rule a JSON
-    ``true`` would run as a rate of 1 or a seed of 1.  Strings are not
-    numbers either.
-    """
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def check_counter(name: str, value) -> int:

@@ -11,6 +11,7 @@ product exactly.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import sys
 from dataclasses import dataclass
@@ -20,9 +21,14 @@ from dataclasses import dataclass
 TOLERANCE = 1e-12
 
 
-def _is_scalar(value) -> bool:
-    """A real ``int`` or ``float`` a quaternion may be scaled by; a bool is not one."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def is_number(value, kind: type = numbers.Real) -> bool:
+    """True when ``value`` is an instance of ``kind``, which a bool never is here.
+
+    Python counts ``True`` as the integer 1, so without this rule a JSON
+    ``true`` would run as a rate of 1 or a seed of 1.  Strings are not
+    numbers either.
+    """
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,7 +52,7 @@ class Quaternion:
             return
         for name in ("w", "x", "y", "z"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not is_number(value):
                 raise TypeError(f"component {name} must be a real number, got {value!r}")
             value = float(value)
             if not math.isfinite(value):
@@ -77,17 +83,17 @@ class Quaternion:
                 a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
                 a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
             )
-        if _is_scalar(other):
+        if is_number(other):
             s = float(other)
             return Quaternion(self.w * s, self.x * s, self.y * s, self.z * s)
         return NotImplemented
 
     def __rmul__(self, other):
         # Real scalars commute with quaternions, so this is unambiguous.
-        return self.__mul__(other) if _is_scalar(other) else NotImplemented
+        return self.__mul__(other) if is_number(other) else NotImplemented
 
     def __truediv__(self, other):
-        if _is_scalar(other):
+        if is_number(other):
             s = float(other)
             return Quaternion(self.w / s, self.x / s, self.y / s, self.z / s)
         return NotImplemented
@@ -174,7 +180,7 @@ class ImaginaryAxis:
     def __post_init__(self) -> None:
         for name in ("x", "y", "z"):
             value = getattr(self, name)
-            if not _is_scalar(value):
+            if not is_number(value):
                 raise TypeError(f"axis component {name} must be a real number, got {value!r}")
             value = float(value)
             if not math.isfinite(value):

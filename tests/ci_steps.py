@@ -66,7 +66,6 @@ def main() -> int:
         launchers(tmp / "bin")
         env = dict(os.environ, PATH=f"{tmp / 'bin'}{os.pathsep}{os.environ['PATH']}",
                    GITHUB_STEP_SUMMARY=str(tmp / "summary.md"))
-        env.pop("HQEC_THREADS", None)
         for index, step in enumerate(job["steps"]):
             name = step.get("name") or step.get("uses") or step.get("run", "").splitlines()[0]
             script = step.get("run")

@@ -14,6 +14,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 
 from hqec import quaternion as quat
 from hqec.quaternion import Quaternion
@@ -43,6 +44,7 @@ from hqec.noise import (
     sample_error,
 )
 from hqec.experiments import (
+    WORKER_TRIALS,
     SweepConfig,
     SweepPoint,
     SweepResult,
@@ -241,24 +243,34 @@ def test_criterion_8_exponent_recovery_and_quaternionic_substitutes():
 
 
 def test_criterion_9_cli_byte_determinism(tmp_path):
+    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs os.sched_setaffinity and 2 usable CPUs, "
+                    "to run one sweep on one CPU and one through a pool of two")
     # The child interpreters import hqec from the tree this test imported.
     src_dir = os.path.dirname(os.path.dirname(quat.__file__))
     base_env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src_dir, os.environ.get("PYTHONPATH")))))
+    # Runs ``python -m hqec`` on one CPU only, so the sweep gets one worker.
+    one_cpu = ("import os, runpy; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+               "runpy.run_module('hqec', run_name='__main__', alter_sys=True)")
 
-    def run_with_threads(threads, out_name):
+    def run_mc(launcher, out_name):
         out = tmp_path / out_name
-        env = dict(base_env, HQEC_THREADS=threads)
         cmd = [
-            sys.executable, "-m", "hqec", "mc", "--code", "perfect5",
-            "--p", "0.005:0.05:log:4", "--trials", "3000", "--seed", "12",
+            sys.executable, "-X", "importtime", *launcher, "mc", "--code", "perfect5",
+            "--p", "0.005:0.05:log:4", "--trials", str(2 * WORKER_TRIALS), "--seed", "12",
             "--rotations", "0.05", "--detect", "--out", str(out),
         ]
-        subprocess.run(cmd, check=True, env=env, capture_output=True)
-        return out.read_bytes()
+        proc = subprocess.run(cmd, check=True, env=base_env, capture_output=True, text=True)
+        # A sweep loads the pool module only when it starts two or more workers.
+        pooled = any(line.endswith(" concurrent.futures.process")
+                     for line in proc.stderr.splitlines())
+        return out.read_bytes(), pooled
 
-    first = run_with_threads("1", "a.csv")
-    second = run_with_threads("2", "b.csv")
+    first, pooled = run_mc(["-c", one_cpu], "a.csv")
+    assert not pooled  # one worker
+    second, pooled = run_mc(["-m", "hqec"], "b.csv")
+    assert pooled  # two workers, one per full WORKER_TRIALS
     assert first == second
 
     def run_fit(source, out_name):
@@ -271,7 +283,7 @@ def test_criterion_9_cli_byte_determinism(tmp_path):
         return out.read_bytes()
 
     assert run_fit("a.csv", "fa.json") == run_fit("b.csv", "fb.json")
-    _report(9, "CLI output byte-identical across HQEC_THREADS settings")
+    _report(9, "CLI output byte-identical on one CPU and through a pool of two")
 
 
 def test_criterion_10_rotation_channel_invariants():

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from unittest import mock
 
-from hqec import cli
+from hqec import cli, experiments
 from hqec.cli import ConfigError, main, parse_args, _parse_p_range
 from hqec.codes import CODE_IDS
 from hqec.register import (
@@ -575,23 +575,6 @@ def test_a_phase_mode_config_key_is_unknown_and_exits_3(tmp_path, capsys, value)
     assert "unknown config key: phase_mode" in err
 
 
-@pytest.mark.parametrize("raw", ["abc", "-1", "1_0", "+1", " 2 ", "\u0663"])
-@pytest.mark.parametrize("command", ["mc", "figure1"])
-def test_bad_thread_env_exits_3(monkeypatch, capsys, tmp_path, command, raw):
-    monkeypatch.setenv("HQEC_THREADS", raw)
-    if command == "mc":
-        argv = ("mc", "--code", "three", "--p", "0.01:0.1:log:3", "--trials", "10")
-    else:
-        argv = ("figure1", "--out", str(tmp_path / "fig"), "--trials", "10")
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 3
-    assert out == ""
-    assert "HQEC_THREADS" in err
-    if raw != "-1":
-        assert f"HQEC_THREADS must be an integer, got {raw!r}" in err
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_mc_detect_flag(capsys):
     args = ("mc", "--code", "perfect5", "--p", "0.01:0.05:log:3", "--trials", "300",
             "--seed", "2", "--rotations", "0.1", "--detect")
@@ -727,9 +710,9 @@ _BAD_INPUTS = {
 _GOOD_FIT_ROWS = ("three,0.01,100,1,0.01,0.00994987437107,0",
                   "three,0.02,100,4,0.04,0.0195959179423,0")
 _BAD_FIT_ROWS = {
-    "p_L inf": ("three,0.05,100,9,inf,0.0286,0", " has a bad p_L, not in [0, 1]"),
-    "p_L nan": ("three,0.05,100,9,nan,0.0286,0", " has a bad p_L, not in [0, 1]"),
-    "p_L above 1": ("three,0.05,100,9,1.5,0.0286,0", " has a bad p_L, not in [0, 1]"),
+    "p_L inf": ("three,0.05,100,9,inf,0.0286,0", " has a bad p_L, not 0.09 as a sweep writes it"),
+    "p_L nan": ("three,0.05,100,9,nan,0.0286,0", " has a bad p_L, not 0.09 as a sweep writes it"),
+    "p_L above 1": ("three,0.05,100,9,1.5,0.0286,0", " has a bad p_L, not 0.09 as a sweep writes it"),
     "p nan": ("three,nan,100,9,0.09,0.0286,0", " has a bad p, not in (0, 1)"),
     "p negative": ("three,-1,100,9,0.09,0.0286,0", " has a bad p, not in (0, 1)"),
     "p one": ("three,1,100,9,0.09,0.0286,0", " has a bad p, not in (0, 1)"),
@@ -738,11 +721,11 @@ _BAD_FIT_ROWS = {
                           " has a bad failures, not in [0, trials]"),
     "failures above trials": ("three,0.05,100,101,0.09,0.0286,0",
                               " has a bad failures, not in [0, trials]"),
-    "stderr inf": ("three,0.05,100,9,0.09,inf,0", " has a bad stderr, not finite"),
-    "stderr nan": ("three,0.05,100,9,0.09,nan,0", " has a bad stderr, not finite"),
+    "stderr inf": ("three,0.05,100,9,0.09,inf,0", " has a bad stderr, not 0.0286181760425 as a sweep writes it"),
+    "stderr nan": ("three,0.05,100,9,0.09,nan,0", " has a bad stderr, not 0.0286181760425 as a sweep writes it"),
     "trials not integer": ("three,0.05,1e2,9,0.09,0.0286,0", ": invalid literal for int()"),
     "p_L not failures / trials": ("three,0.05,100,9,0.5,0.0286,0",
-                                  " has a bad p_L, not failures / trials"),
+                                  " has a bad p_L, not 0.09 as a sweep writes it"),
     "seed not integer on line 3": (
         (_GOOD_FIT_ROWS[0], "three,0.02,100,4,0.04,0.0196,abc"),
         "CSV line 3: invalid literal for int() with base 10: 'abc'"),
@@ -935,18 +918,21 @@ _FIGURE1_GOLDEN_FLAGS = {
 }
 
 
-@pytest.mark.parametrize(("run", "threads"), [
-    pytest.param("small", "1", id="1"),
-    pytest.param("small", "2", id="2"),
-    pytest.param("defaults", "1", id="defaults-1"),
-    pytest.param("defaults", "2", id="defaults-2"),
+@pytest.mark.parametrize(("run", "cpus"), [
+    pytest.param("small", 1, id="1"),
+    pytest.param("small", 2, id="2"),
+    pytest.param("defaults", 1, id="defaults-1"),
+    pytest.param("defaults", 2, id="defaults-2"),
 ])
-def test_figure1_golden_bytes(tmp_path, capsys, monkeypatch, run, threads):
-    monkeypatch.setenv("HQEC_THREADS", threads)
+def test_figure1_golden_bytes(tmp_path, capsys, monkeypatch, started_pools, run, cpus):
+    # Both runs have at least 600 trials: on two CPUs, a pool of two.
+    monkeypatch.setattr(experiments, "WORKER_TRIALS", 300)
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
     code, _, _ = run_cli(
         capsys, "figure1", "--out", str(tmp_path / "fig"), *_FIGURE1_GOLDEN_FLAGS[run]
     )
     assert code == 0
+    assert started_pools == ([] if cpus == 1 else [2])
     digests = tuple(
         hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("fig.csv", "fig_fit.json")

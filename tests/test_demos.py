@@ -1,7 +1,6 @@
 """The demo scripts run and print exactly the bytes they printed when recorded.
 
-Demo 05 (the threshold experiment) takes under a second and prints the same
-bytes serially and with ``HQEC_THREADS=2``.
+Demo 05 (the threshold experiment) takes under a second.
 """
 
 import hashlib

@@ -254,27 +254,18 @@ def test_run_sweep_deterministic():
     assert a == b
 
 
-def test_run_sweep_thread_invariance(monkeypatch):
+def test_run_sweep_thread_invariance(monkeypatch, started_pools):
     config = SweepConfig("three", bitflip_model(), (0.05, 0.1), trials=3000, seed=9)
-    # Small enough that two workers each get their full share; fork carries it to them.
+    # Small enough that each of up to three workers gets its full share.
     monkeypatch.setattr(experiments, "WORKER_TRIALS", 1000)
-    monkeypatch.delenv("HQEC_THREADS", raising=False)
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
     serial = run_sweep(config)
-    monkeypatch.setenv("HQEC_THREADS", "2")
-    threaded = run_sweep(config)
-    assert serial == threaded
-    monkeypatch.setenv("HQEC_THREADS", "0")  # auto
+    assert started_pools == []
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
     assert run_sweep(config) == serial
-
-
-def test_bad_thread_env_rejected(monkeypatch):
-    config = SweepConfig("three", bitflip_model(), (0.05,), trials=10, seed=9)
-    monkeypatch.setenv("HQEC_THREADS", "many")
-    with pytest.raises(ValueError):
-        run_sweep(config)
-    monkeypatch.setenv("HQEC_THREADS", "-2")
-    with pytest.raises(ValueError):
-        run_sweep(config)
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 8)
+    assert run_sweep(config) == serial
+    assert started_pools == [2, 3]
 
 
 def test_run_sweep_monotone_under_shared_seeds():
@@ -808,37 +799,18 @@ _PAIRS = {
 }
 
 
-def counted_pools(monkeypatch) -> list:
-    """The ``max_workers`` of each process pool the sweeps start from now on."""
-    pools = []
-
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    # _run_sweeps imports the pool class from here when it starts a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    return pools
-
-
-@pytest.mark.parametrize("threads", [None, "2"])
+@pytest.mark.parametrize("pool", [None, 2])
 @pytest.mark.parametrize("pair", list(_PAIRS))
-def test_figure1_pass_equals_separate_sweeps_and_oracle(monkeypatch, pair, threads):
+def test_figure1_pass_equals_separate_sweeps_and_oracle(monkeypatch, started_pools, pair, pool):
     code_id, *noises = _PAIRS[pair]
-    pools = counted_pools(monkeypatch)
-    monkeypatch.setattr(experiments, "WORKER_TRIALS", 100)  # 300 trials: a pool of two
-    monkeypatch.setattr(experiments, "usable_cpus", lambda: 8)
-    if threads is None:
-        monkeypatch.delenv("HQEC_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("HQEC_THREADS", threads)
+    monkeypatch.setattr(experiments, "WORKER_TRIALS", 100)  # 300 trials: up to three workers
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: pool or 1)
     for noise, threshold in noises:
         config = SweepConfig(code_id, noise, (0.02, 0.1), trials=300, seed=17,
                              detection_threshold=threshold)
-        pools.clear()
+        started_pools.clear()
         data = figure1_data(config)
-        assert pools == ([] if threads is None else [2])  # one pass, one pool
+        assert started_pools == ([] if pool is None else [pool])  # one pass, one pool
         for detect, result in ((False, data.standard), (True, data.quaternionic)):
             assert result == run_sweep(dataclasses.replace(config, quaternionic_detection=detect))
             want = oracle_counts(_CODES[code_id], noise, config.p_values, config.seed, 0,
@@ -850,8 +822,6 @@ def test_pool_that_cannot_start_falls_back_to_serial(monkeypatch):
     base = dict(code_id="perfect5", noise=NoiseModel(p=0.0, p_rot=0.1), p_values=(0.02, 0.1),
                 trials=300, seed=5)
     std = SweepConfig(**base)
-    monkeypatch.delenv("HQEC_THREADS", raising=False)
-    serial = (run_sweep(std), figure1_data(std))
     attempts = []
 
     class NoProcesses:
@@ -860,44 +830,41 @@ def test_pool_that_cannot_start_falls_back_to_serial(monkeypatch):
             raise OSError("no process support")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoProcesses)
-    monkeypatch.setattr(experiments, "WORKER_TRIALS", 100)  # 300 trials: a pool of two
-    monkeypatch.setattr(experiments, "usable_cpus", lambda: 8)
-    monkeypatch.setenv("HQEC_THREADS", "2")
+    monkeypatch.setattr(experiments, "WORKER_TRIALS", 100)  # 300 trials: up to three workers
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
+    serial = (run_sweep(std), figure1_data(std))
+    assert attempts == []
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
     assert (run_sweep(std), figure1_data(std)) == serial
     assert attempts == [2, 2]
 
 
-def test_pool_starts_only_for_a_full_chunk_per_worker(monkeypatch):
+def test_pool_starts_only_for_a_full_chunk_per_worker(monkeypatch, started_pools):
     chunk = 50
     base = dict(code_id="perfect5", noise=NoiseModel(p=0.0, p_rot=0.1), p_values=(0.02, 0.1),
                 seed=5, quaternionic_detection=True)
     short, long = SweepConfig(trials=2 * chunk - 1, **base), SweepConfig(trials=3 * chunk, **base)
-    monkeypatch.delenv("HQEC_THREADS", raising=False)
-    serial = run_sweep(short), run_sweep(long)
-    pools = counted_pools(monkeypatch)
     monkeypatch.setattr(experiments, "WORKER_TRIALS", chunk)
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
+    serial = run_sweep(short), run_sweep(long)
+    assert started_pools == []
     monkeypatch.setattr(experiments, "usable_cpus", lambda: 8)
-    monkeypatch.setenv("HQEC_THREADS", "2")
     assert run_sweep(short) == serial[0]
-    assert pools == []
-    monkeypatch.setenv("HQEC_THREADS", "8")
+    assert started_pools == []
     assert run_sweep(long) == serial[1]
-    assert pools == [3]
+    assert started_pools == [3]
 
 
-def test_pool_takes_no_more_workers_than_usable_cpus(monkeypatch):
+def test_pool_takes_no_more_workers_than_usable_cpus(monkeypatch, started_pools):
     config = SweepConfig("perfect5", NoiseModel(p=0.0, p_rot=0.1), (0.02, 0.1), trials=400,
                          seed=5, quaternionic_detection=True)
-    monkeypatch.delenv("HQEC_THREADS", raising=False)
-    serial = run_sweep(config)
-    pools = counted_pools(monkeypatch)
     monkeypatch.setattr(experiments, "WORKER_TRIALS", 50)  # 400 trials: up to eight workers
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
+    serial = run_sweep(config)
+    assert started_pools == []
     monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
-    monkeypatch.setenv("HQEC_THREADS", "8")
     assert run_sweep(config) == serial
-    assert pools == [2]
-    monkeypatch.setenv("HQEC_THREADS", "0")
-    assert experiments.thread_count() == 2
+    assert started_pools == [2]
 
 
 def recorded_pools(monkeypatch) -> list:
@@ -928,16 +895,15 @@ def recorded_pools(monkeypatch) -> list:
     return pools
 
 
-@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("trials", [2**53 + 1, 2**53 + 3, 2**64])
-def test_worker_ranges_tile_the_trials_exactly(monkeypatch, trials, threads):
+def test_worker_ranges_tile_the_trials_exactly(monkeypatch, trials, cpus):
     # Float bounds drop or add a trial past 2**53 and overflow past 2**63.
     pools = recorded_pools(monkeypatch)
-    monkeypatch.setattr(experiments, "usable_cpus", lambda: 8)
-    monkeypatch.setenv("HQEC_THREADS", str(threads))
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
     result = run_sweep(SweepConfig("three", bitflip_model(), (0.1,), trials=trials, seed=3))
     (workers, ranges), = pools
-    assert workers == len(ranges) == threads
+    assert workers == len(ranges) == cpus
     starts, stops = zip(*ranges)
     assert starts[0] == 0 and starts[1:] == stops[:-1] and stops[-1] == trials
     assert all(type(a) is int and a < b for a, b in ranges)
@@ -952,7 +918,6 @@ def test_a_pool_starts_only_where_it_pays_for_its_start(monkeypatch):
     config = SweepConfig(**params)
     pools = recorded_pools(monkeypatch)
     monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
-    monkeypatch.setenv("HQEC_THREADS", "2")
     for trials in (20000, 100000):
         figure1_data(dataclasses.replace(config, trials=trials))
         assert pools == []

@@ -159,6 +159,23 @@ def test_axis_components_must_be_real_numbers(components):
         ImaginaryAxis(*components)
 
 
+@pytest.mark.parametrize("number", [np.int64, np.int32, np.uint8], ids=lambda t: t.__name__)
+def test_numpy_integer_components_build_what_floats_build(number):
+    # One rule, hqec.quaternion.is_number, says what a real component is.
+    assert ImaginaryAxis(number(0), number(1), number(0)) == ImaginaryAxis(0.0, 1.0, 0.0)
+    q = Quaternion(number(1), number(2), number(0), number(3))
+    assert q == Quaternion(1.0, 2.0, 0.0, 3.0)
+    assert all(type(c) is float for c in q.as_tuple())
+    assert q * number(2) == q * 2.0
+    for bad, shown in ((True, "True"), ("1", "'1'")):
+        with pytest.raises(TypeError) as err:
+            Quaternion(number(1), bad)
+        assert str(err.value) == f"component x must be a real number, got {shown}"
+        with pytest.raises(TypeError) as err:
+            ImaginaryAxis(number(1), number(0), bad)
+        assert str(err.value) == f"axis component z must be a real number, got {shown}"
+
+
 def test_axis_normalized_rejects_zero():
     with pytest.raises(ValueError):
         ImaginaryAxis.normalized(0, 0, 0)
