@@ -55,4 +55,4 @@ for trial in range(3):
     rots = ", ".join(f"q{r.qubit}@{r.angle:.3f}" for r in event.rotations) or "none"
     print(f"  trial {trial}: pauli={event.pauli.label:<6} rotations: {rots}")
 again = sample_error(model, 5, seed=123, trial=1)
-print("resampling trial 1 give the same event:", again == sample_error(model, 5, 123, 1))
+print("resampling trial 1 gives the same event:", again == sample_error(model, 5, 123, 1))

@@ -26,7 +26,7 @@ import numpy as np
 from . import quaternion as quat
 from .quaternion import Quaternion, phase_label
 from .linalg import (
-    HAMILTON_INDEX, HAMILTON_SIGNS, QVector, inner_product, left_mul_matrix, real_norm_sq,
+    HAMILTON_INDEX, HAMILTON_SIGNS, QVector, inner_product, qmul_components, real_norm_sq,
 )
 from .register import UNIT_FOR_LETTER, QRegister
 
@@ -307,9 +307,9 @@ def apply_pauli(ps: PauliString, reg: QRegister) -> QRegister:
         raise ValueError(f"operator length {ps.n} does not match register n={reg.n}")
     indices = np.arange(reg.dim)
     signs = 1.0 - 2.0 * (np.bitwise_count(indices & ps.z) & 1)
-    rotated = (reg.amps.components @ left_mul_matrix(_pauli_scalar(ps)).T) * signs[:, None]
+    rotated = qmul_components(np.array(_pauli_scalar(ps).as_tuple()), reg.amps.components)
     out = np.empty_like(rotated)
-    out[indices ^ ps.x] = rotated
+    out[indices ^ ps.x] = rotated * signs[:, None]
     return QRegister.from_components(reg.n, out)
 
 

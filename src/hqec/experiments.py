@@ -80,8 +80,8 @@ from .noise import (
     rotation_angles,
     slot_cover,
 )
-from .linalg import left_mul_matrix
-from .quaternion import TOLERANCE, ImaginaryAxis, Quaternion, is_number, parse_int
+from .linalg import qmul_components
+from .quaternion import TOLERANCE, ImaginaryAxis, is_number, parse_int
 
 # Published performance targets, pipeline -> (exponent, p_th), attached
 # to outputs as annotations only.
@@ -366,8 +366,10 @@ class _RotationScorer:
     ``|a|**2 = 1 + delta``.  Against exact ``(cos(phi) + a sin(phi)) ref``,
     a slot here is off by ``e <= (n S + 12) u`` times |ref|: the angle sum
     (gamma_{n-1} S), cos and sin (1 ulp, as numpy's accuracy tests hold
-    them), ``a ref`` (gamma_3), ``cos ref + sin a ref`` (gamma_2).  The
-    oracle's is off by ``e <= 2 k (12 u + |delta|)``: at most 2 k units
+    them), ``a ref`` (gamma_3: of its four Hamilton terms the u = 0 one
+    is an exact zero, and the other three are summed in order), and
+    ``cos ref + sin a ref`` (gamma_2).  The oracle's is off by
+    ``e <= 2 k (12 u + |delta|)``: at most 2 k units
     (rotations, corrections), each 4 u off from cos and sin, 2 gamma_4 from
     its product, and |delta| from ``u(s) u(t) = u(s + t) - delta sin s sin t``.
     A strength moves by (2 + e) e |ref|**2, and each side sums N squares
@@ -385,7 +387,7 @@ class _RotationScorer:
         support = np.flatnonzero(ref.any(axis=1))
         ref = ref[support]
         self.cover = slot_cover(code.n, mode)[:, support]
-        turned = ref @ left_mul_matrix(Quaternion(0.0, axis.x, axis.y, axis.z)).T
+        turned = qmul_components(np.array((0.0, axis.x, axis.y, axis.z)), ref)
         self.ref_jk, self.turned_jk = ref[:, 2:], turned[:, 2:]
         ref_strengths = self.ref_jk**2
         self.ref_total = ref_strengths.sum(axis=0)
@@ -479,15 +481,15 @@ def _run_sweeps(config: SweepConfig, detects: tuple[bool, ...]) -> list[SweepRes
 def fit_threshold(result: SweepResult) -> FitResult:
     """Least-squares line fit of ``log(p_L)`` against ``log(p)``.
 
-    Zero-failure points carry no log-space information and are excluded
-    with a warning; fewer than three usable points, or a degenerate
-    (constant) curve, is an error.
+    A point is usable only if ``p > 0`` and ``p_L > 0``: any other has no
+    finite logarithm, and is excluded with a warning.  Fewer than three
+    usable points, or a degenerate (constant) curve, is an error.
     """
-    zero_ps = [point.p for point in result.points if point.p_L <= 0.0]
-    usable = [(point.p, point.p_L) for point in result.points if point.p_L > 0.0]
-    if zero_ps:
+    usable = [(point.p, point.p_L) for point in result.points if point.p > 0.0 and point.p_L > 0.0]
+    excluded = [point.p for point in result.points if not (point.p > 0.0 and point.p_L > 0.0)]
+    if excluded:
         warnings.warn(
-            f"excluding {len(zero_ps)} zero-failure point(s) at p = {zero_ps}",
+            f"excluding {len(excluded)} zero-failure or p <= 0 point(s) at p = {excluded}",
             stacklevel=2,
         )
     if len(usable) < 3:

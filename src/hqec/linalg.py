@@ -10,8 +10,10 @@ The inner product is right-linear: ``<phi|psi * q> == <phi|psi> * q``.
 Norms are real, taken from the scalar part of ``<psi|psi>``.
 
 ``HAMILTON_INDEX`` and ``HAMILTON_SIGNS`` are the one array definition of
-the Hamilton product: :func:`qmul_components`, :func:`left_mul_matrix`,
-:func:`is_unitary` and the codeword checks in ``hqec.codes`` all read it.
+the Hamilton product: :func:`qmul_components`, :func:`is_unitary` and the
+codeword checks in ``hqec.codes`` all read it.  A unit times an amplitude
+array goes through :func:`qmul_components`, with no BLAS call, so its bits
+do not depend on the CPU's BLAS kernel.
 """
 
 from __future__ import annotations
@@ -38,18 +40,13 @@ HAMILTON_SIGNS = np.array([[1, 1, 1, 1], [-1, 1, -1, 1], [-1, 1, 1, -1], [-1, -1
 
 def qmul_components(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Broadcasted Hamilton product of ``(..., 4)`` component arrays."""
-    terms = a[..., :, None] * b[..., HAMILTON_INDEX] * HAMILTON_SIGNS
+    # Signing a first is exact (signs are +-1) and, for a single unit a, cheap.
+    terms = a[..., :, None] * HAMILTON_SIGNS * b[..., HAMILTON_INDEX]
     return terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :] + terms[..., 3, :]
 
 
 def qconj_components(a: np.ndarray) -> np.ndarray:
     return a * _CONJ_SIGNS
-
-
-def left_mul_matrix(q: Quaternion) -> np.ndarray:
-    """4x4 real matrix L with ``L @ v == components of q * v``; ``L[t, t ^ u]`` is signed q[u]."""
-    terms = HAMILTON_SIGNS * np.array(q.as_tuple())[:, None]
-    return terms[HAMILTON_INDEX, np.arange(4)[:, None]]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

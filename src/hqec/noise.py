@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quaternion import ImaginaryAxis, K_AXIS, exp_axis, is_number
-from .linalg import left_mul_matrix
+from .linalg import qmul_components
 from .register import QRegister
 from .codes import PauliString, apply_pauli
 
@@ -273,13 +273,12 @@ def apply_rotations(reg: QRegister, rotations: tuple[RotationError, ...], mode: 
     by ``exp_axis(axis, angle)``; the basis-state support never changes.
     """
     cover = slot_cover(reg.n, mode)
-    comp = reg.amps.components
+    comp = reg.amps.components.copy()
     for rot in rotations:
         if not 1 <= rot.qubit <= reg.n:
             raise ValueError(f"rotation qubit {rot.qubit} out of range 1..{reg.n}")
         rows = cover[rot.qubit - 1]
-        comp = comp.copy()
-        comp[rows] = comp[rows] @ left_mul_matrix(exp_axis(rot.axis, rot.angle)).T
+        comp[rows] = qmul_components(np.array(exp_axis(rot.axis, rot.angle).as_tuple()), comp[rows])
     return QRegister.from_components(reg.n, comp)
 
 

@@ -2,13 +2,20 @@ import collections
 import hashlib
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
+
+import numpy as np
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from unittest import mock
 
+import hqec
 from hqec import cli, experiments
 from hqec.cli import ConfigError, main, parse_args, _parse_p_range
 from hqec.codes import CODE_IDS
@@ -20,6 +27,8 @@ from hqec.register import (
     phased_pauli_gate,
     t_gate,
 )
+
+from test_demos import DEMO_STDOUT_SHA256, DEMOS
 
 
 def run_cli(capsys, *argv):
@@ -1036,6 +1045,61 @@ def test_audit_golden_bytes(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _AUDIT_GOLDEN_SHA256[argv]
+
+
+# Each OpenBLAS kernel and a CPU feature (numpy's runtime name) it needs.
+_BLAS_KERNELS = {"Prescott": "SSE3", "Haswell": "AVX2", "Zen": "AVX2", "SkylakeX": "AVX512_SKX"}
+
+# Reads a JSON list of argvs on stdin, each a demo script or an hqec command,
+# and prints the SHA-256 of each one's stdout (or its exit code if not 0).
+_DIGEST_CHILD = """
+import contextlib, hashlib, io, json, runpy, sys
+from hqec.cli import main
+digests = {}
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if argv[0].endswith(".py"):
+            runpy.run_path(argv[0])
+            code = 0
+        else:
+            code = main(argv)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    digests[" ".join(argv)] = digest if code == 0 else code
+json.dump(digests, sys.stdout)
+"""
+
+
+def _dynamic_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OpenBLAS kernels are chosen per CPU only on x86_64")
+@pytest.mark.skipif(not _dynamic_openblas(),
+                    reason="numpy is not linked to a DYNAMIC_ARCH OpenBLAS")
+@pytest.mark.parametrize("kernel", list(_BLAS_KERNELS))
+def test_goldens_are_the_same_under_every_blas_kernel(kernel):
+    # The figure1 fit goldens are left out: fit_threshold still solves through
+    # LAPACK, so their last digits follow the kernel until the fit stops
+    # calling it (ROADMAP item 19's fit half).
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    if not __cpu_features__.get(_BLAS_KERNELS[kernel]):
+        pytest.skip(f"this CPU lacks {_BLAS_KERNELS[kernel]}, which the {kernel} kernel needs")
+    demo = DEMOS / "04_rotation_noise.py"
+    mc = ("mc", "--p", "0.01:0.2:log:4", "--trials", "300", "--seed", "11")
+    goldens = {(str(demo),): DEMO_STDOUT_SHA256[demo.name], **_AUDIT_GOLDEN_SHA256}
+    goldens.update(((*mc, "--code", code_id, *_MC_NOISE_FLAGS[noise]), digest)
+                   for (code_id, noise), digest in _MC_GOLDEN_SHA256.items())
+    src_dir = os.path.dirname(os.path.dirname(hqec.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=os.pathsep.join(
+        filter(None, (src_dir, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _DIGEST_CHILD], input=json.dumps(list(goldens)),
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {" ".join(argv): d for argv, d in goldens.items()}
 
 
 # name in hqec.cli -> the thing one call of it is about

@@ -20,7 +20,7 @@ DEMO_STDOUT_SHA256 = {
     "01_quaternion_basics.py": "162f2e01187ba2660fcbcb502a0efe8a9b89406f364def46e8cff2f1f43836ae",
     "02_gates_and_bell.py": "23b1d73f57c40b63c3b69370689c68a6be29f1f7149d898f82b45e7d989c1424",
     "03_codes_and_syndromes.py": "6cd1b45c8598820cf10347159180faacd982fa2fb43ba6ada1ca54532c53b28b",
-    "04_rotation_noise.py": "bce2dca534d6d6ea0d5cc448610559eb3f8733d165d5cecc91707672c49a301c",
+    "04_rotation_noise.py": "014a2e51bc8e68d7094d4098ea53a3e51d0f477d48983e17656c6fe5fc92e4b9",
     "05_threshold_experiment.py": "2e87201e83fac3c9f870e87d12b470d149f8f445930732b80be02e1355fdd9dd",
 }
 

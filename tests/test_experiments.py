@@ -661,6 +661,20 @@ def test_fit_excludes_zero_rows_with_warning():
     assert fit.exponent == pytest.approx(2.0, abs=1e-9)
 
 
+def test_fit_excludes_p_zero_points_and_nothing_reaches_stderr(capfd):
+    # Rotations fail trials at p = 0 too, so log(p) must not reach the solver
+    # there: LAPACK would print to the stderr file descriptor and raise.
+    config = SweepConfig("perfect5", NoiseModel(p=0.0, p_rot=0.05), (0.0, 0.01, 0.02, 0.03),
+                         trials=2000, seed=0)
+    data = figure1_data(config)
+    assert data.standard.points[0].p_L > 0.0
+    with pytest.warns(UserWarning, match=r"excluding 1 .* at p = \[0\.0\]") as record:
+        fit = fit_threshold(data.standard)
+    assert [w.category for w in record] == [UserWarning]
+    assert data.standard_fit == fit and data.quaternionic_fit is not None
+    assert capfd.readouterr().err == ""
+
+
 def test_fit_needs_three_usable_rows():
     points = (
         SweepPoint(0.001, 0, 10, 0.0, 0.0),
@@ -895,12 +909,18 @@ def recorded_pools(monkeypatch) -> list:
     return pools
 
 
+def no_serial_scoring(*args):
+    raise AssertionError("the sweep scored its trials in this process")
+
+
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("trials", [2**53 + 1, 2**53 + 3, 2**64])
 def test_worker_ranges_tile_the_trials_exactly(monkeypatch, trials, cpus):
     # Float bounds drop or add a trial past 2**53 and overflow past 2**63.
     pools = recorded_pools(monkeypatch)
     monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
+    # A sweep that starts no pool fails at once rather than scoring 2**53 trials here.
+    monkeypatch.setattr(experiments, "count_failures", no_serial_scoring)
     result = run_sweep(SweepConfig("three", bitflip_model(), (0.1,), trials=trials, seed=3))
     (workers, ranges), = pools
     assert workers == len(ranges) == cpus

@@ -14,7 +14,6 @@ from hqec.linalg import (
     adjoint,
     inner_product,
     is_unitary,
-    left_mul_matrix,
     matrix_to_dict,
     matvec,
     phase_alignment_check,
@@ -33,7 +32,6 @@ from hqec.register import (
 from oracles import (
     hamilton_product,
     identity_matrix,
-    left_mul_literal,
     matmul,
     matrix_from_dict,
     right_scalar_mul,
@@ -125,14 +123,6 @@ def test_qmul_components_equals_the_written_out_product_bit_for_bit(scale):
             arr[draw > 0.9] = -0.0
         got, want = qmul_components(a, b), hamilton_product(a, b)
         assert got.shape == want.shape
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-def test_left_mul_matrix_equals_the_written_out_matrix_bit_for_bit():
-    rng = np.random.default_rng(37)
-    randoms = [Quaternion(*rng.normal(size=4)) for _ in range(2000)]
-    for q in randoms + list(quat.UNIT_PHASES) + [Quaternion(0.0, -0.0, 0.0, -0.0)]:
-        got, want = left_mul_matrix(q), left_mul_literal(q)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
