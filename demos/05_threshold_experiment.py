@@ -72,12 +72,12 @@ base = dict(
 )
 data = figure1_data(SweepConfig(**base))
 print("  p        baseline    detecting")
-for std_pt, q_pt in zip(data.standard.points, data.quaternionic.points):
+for std_pt, q_pt in zip(data.sweeps["standard"].points, data.sweeps["quaternionic"].points):
     print(f"  {std_pt.p:<8} {std_pt.p_L:<11.5f} {q_pt.p_L:.5f}")
 print("baseline failures are dominated by undetected rotations; the")
 print("detecting pipeline removes them and leaves only the Pauli floor")
 print()
 print("first lines of the combined CSV (annotation columns carry the")
 print("published target exponents and thresholds):")
-for line in figure1_csv(data).splitlines()[:3]:
+for line in figure1_csv(data.row_sets()).splitlines()[:3]:
     print("  " + line)

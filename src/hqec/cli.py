@@ -614,7 +614,7 @@ def _cmd_fit(config: RunConfig) -> int:
         fit = experiments.fit_threshold(experiments.parse_sweep_csv(text))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _emit(experiments.fit_json(fit) + "\n", config.output_path)
+    _emit(json.dumps(experiments.fit_fields(fit)) + "\n", config.output_path)
     return 0
 
 
@@ -625,7 +625,7 @@ def _cmd_figure1(config: RunConfig) -> int:
     include_model = params.pop("include_model")
     data = experiments.figure1_data(experiments.SweepConfig(**params))
     csv_path, json_path = _figure1_paths(config.output_path)
-    csv_text = experiments.figure1_csv(data, include_model_curves=include_model)
+    csv_text = experiments.figure1_csv(data.row_sets(include_model))
     _write_file(csv_path, csv_text)
     _write_file(json_path, experiments.figure1_fits_json(data) + "\n")
     sys.stdout.write(f"wrote {csv_path}\nwrote {json_path}\n")

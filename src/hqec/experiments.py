@@ -83,8 +83,9 @@ from .noise import (
 from .linalg import qmul_components
 from .quaternion import TOLERANCE, ImaginaryAxis, is_number, parse_int
 
-# Published performance targets, pipeline -> (exponent, p_th), attached
-# to outputs as annotations only.
+# Published performance targets, pipeline -> (exponent, p_th), attached to
+# outputs as annotations only.  The order is the scoring order (detection
+# off, then on), which figure1_data keys its sweeps and fits by.
 _TARGETS = {"standard": (2.0, 0.01), "quaternionic": (2.2, 0.015)}
 
 DEFAULT_DETECTION_THRESHOLD = 0.01
@@ -372,9 +373,10 @@ class _RotationScorer:
     ``e <= 2 k (12 u + |delta|)``: at most 2 k units
     (rotations, corrections), each 4 u off from cos and sin, 2 gamma_4 from
     its product, and |delta| from ``u(s) u(t) = u(s + t) - delta sin s sin t``.
-    A strength moves by (2 + e) e |ref|**2, and each side sums N squares
-    twice (gamma_N W) and subtracts once (u W): to first order W (n eps S +
-    (2 N + 13) eps + 4 k (6 eps + |delta|)), or (2 N + 1) eps W if k = 0.
+    A strength moves by (2 + e) e |ref|**2.  This side sums N squares twice
+    (gamma_N W), the oracle twice with the correctly rounded ``math.fsum``
+    (2 u W each, in any order), and each side subtracts once (u W): to first
+    order W (n eps S + (N + 15) eps + 4 k (6 eps + |delta|)), or (N + 3) eps W if k = 0.
     ``band`` is W (4 n eps S + 4 (N + n) eps + 4 k (8 eps + |delta|)); the
     slack covers the squared e, the 3 u in the computed ``delta``, and any
     S: past ``n eps S = 2`` the band passes 8 W, while excesses here lie in
@@ -511,12 +513,18 @@ def fit_threshold(result: SweepResult) -> FitResult:
 
 @dataclass(frozen=True)
 class Figure1Data:
-    """Paired standard/quaternionic sweeps with their fits and target annotations."""
+    """Each pipeline's sweep and fit, keyed by pipeline in ``_TARGETS`` order."""
 
-    standard: SweepResult
-    quaternionic: SweepResult
-    standard_fit: FitResult | None
-    quaternionic_fit: FitResult | None
+    sweeps: dict[str, SweepResult]
+    fits: dict[str, FitResult | None]
+
+    def row_sets(self, include_model_curves: bool = False) -> dict[str, SweepResult]:
+        """The labelled sweeps for :func:`figure1_csv`: measured, then any :func:`model_curve`."""
+        sets = dict(self.sweeps)
+        if include_model_curves:
+            sets.update((f"{pipeline}_model", model_curve(result, pipeline))
+                        for pipeline, result in self.sweeps.items())
+        return sets
 
 
 def figure1_data(config: SweepConfig) -> Figure1Data:
@@ -529,17 +537,24 @@ def figure1_data(config: SweepConfig) -> Figure1Data:
     """
     if config.quaternionic_detection:
         raise ValueError("figure1_data needs a config with quaternionic_detection disabled")
-    standard, quaternionic = _run_sweeps(config, (False, True))
-
-    def _try_fit(result: SweepResult) -> FitResult | None:
+    sweeps = dict(zip(_TARGETS, _run_sweeps(config, (False, True))))
+    fits = {}
+    for pipeline, result in sweeps.items():
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                return fit_threshold(result)
+                fits[pipeline] = fit_threshold(result)
         except ValueError:
-            return None
+            fits[pipeline] = None
+    return Figure1Data(sweeps, fits)
 
-    return Figure1Data(standard, quaternionic, _try_fit(standard), _try_fit(quaternionic))
+
+def model_curve(result: SweepResult, pipeline: str) -> SweepResult:
+    """``pipeline``'s target law ``(p / p_th) ** exponent`` at ``result``'s p, with 0 trials."""
+    exponent, p_th = _TARGETS[pipeline]
+    # The target exponents are fit values, not integer distances: no scaling_model.
+    points = tuple(SweepPoint(pt.p, 0, 0, (pt.p / p_th) ** exponent, 0.0) for pt in result.points)
+    return SweepResult(result.code_id, result.seed, points)
 
 
 # -- text formats -----------------------------------------------------------
@@ -626,7 +641,8 @@ def parse_sweep_csv(text: str) -> SweepResult:
     return SweepResult(*first, tuple(points))
 
 
-def _fit_payload(fit: FitResult | None) -> dict | None:
+def fit_fields(fit: FitResult | None) -> dict | None:
+    """The JSON fields of a fit, as ``hqec fit`` and :func:`figure1_fits_json` write them."""
     if fit is None:
         return None
     return {
@@ -637,43 +653,23 @@ def _fit_payload(fit: FitResult | None) -> dict | None:
     }
 
 
-def fit_json(fit: FitResult) -> str:
-    return json.dumps(_fit_payload(fit))
-
-
 FIGURE1_CSV_HEADER = (
     "pipeline,code_id,p,trials,failures,p_L,stderr,seed,target_exponent,target_p_th"
 )
 
 
-def figure1_csv(data: Figure1Data, include_model_curves: bool = False) -> str:
-    """Combined CSV for a paired sweep, annotated with the published targets.
-
-    With ``include_model_curves`` the suppression-law curves evaluated at
-    the target parameters are appended as extra, clearly labelled rows
-    (zero trials) so simulated and model-generated data stay distinct.
-    """
+def figure1_csv(row_sets: dict[str, SweepResult]) -> str:
+    """CSV of labelled row sets, annotated with the targets of the label up to any ``_``."""
     lines = [FIGURE1_CSV_HEADER]
-    for suffix in ("", "_model") if include_model_curves else ("",):
-        for pipeline, result in (("standard", data.standard), ("quaternionic", data.quaternionic)):
-            exponent, p_th = _TARGETS[pipeline]
-            targets = f"{_g12(exponent)},{_g12(p_th)}"
-            for pt in result.points:
-                if suffix:
-                    # The target exponents are fit values, not integer distances,
-                    # so the curve is evaluated directly rather than via scaling_model.
-                    pt = SweepPoint(pt.p, 0, 0, (pt.p / p_th) ** exponent, 0.0)
-                lines.append(f"{pipeline}{suffix},{_point_row(result, pt)},{targets}")
+    for label, result in row_sets.items():
+        exponent, p_th = _TARGETS[label.split("_")[0]]
+        targets = f"{_g12(exponent)},{_g12(p_th)}"
+        lines += (f"{label},{_point_row(result, pt)},{targets}" for pt in result.points)
     return "\n".join(lines) + "\n"
 
 
 def figure1_fits_json(data: Figure1Data) -> str:
-    payload = {
-        "standard": _fit_payload(data.standard_fit),
-        "quaternionic": _fit_payload(data.quaternionic_fit),
-        "targets": {
-            pipeline: {"exponent": exponent, "p_th": p_th}
-            for pipeline, (exponent, p_th) in _TARGETS.items()
-        },
-    }
+    payload = {pipeline: fit_fields(fit) for pipeline, fit in data.fits.items()}
+    payload["targets"] = {pipeline: {"exponent": exponent, "p_th": p_th}
+                          for pipeline, (exponent, p_th) in _TARGETS.items()}
     return json.dumps(payload)

@@ -299,8 +299,9 @@ class RotationFlag:
 
 
 def _slot_jk_strength(comp: np.ndarray, rows: np.ndarray) -> tuple[float, float]:
+    """Squared j and k components summed over ``rows``, correctly rounded, so in any order."""
     block = comp[rows]
-    return float(np.sum(block[:, 2] ** 2)), float(np.sum(block[:, 3] ** 2))
+    return math.fsum(block[:, 2] ** 2), math.fsum(block[:, 3] ** 2)
 
 
 def detect_rotations(
@@ -342,6 +343,6 @@ def jk_excess(reg: QRegister, reference: QRegister) -> float:
     """Largest of the global j and k strength excesses over the reference."""
     comp = reg.amps.components
     ref = reference.amps.components
-    j = float(np.sum(comp[:, 2] ** 2) - np.sum(ref[:, 2] ** 2))
-    k = float(np.sum(comp[:, 3] ** 2) - np.sum(ref[:, 3] ** 2))
+    j = math.fsum(comp[:, 2] ** 2) - math.fsum(ref[:, 2] ** 2)
+    k = math.fsum(comp[:, 3] ** 2) - math.fsum(ref[:, 3] ** 2)
     return max(j, k)

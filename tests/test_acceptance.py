@@ -231,7 +231,7 @@ def test_criterion_8_exponent_recovery_and_quaternionic_substitutes():
     )
     data = figure1_data(SweepConfig(**base))
     strict = 0
-    for std_pt, q_pt in zip(data.standard.points, data.quaternionic.points):
+    for std_pt, q_pt in zip(data.sweeps["standard"].points, data.sweeps["quaternionic"].points):
         assert q_pt.p_L <= std_pt.p_L
         strict += q_pt.p_L < std_pt.p_L
     assert strict >= 1

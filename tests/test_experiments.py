@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -39,8 +40,10 @@ from hqec.experiments import (
     count_failures,
     figure1_csv,
     figure1_data,
-    fit_json,
+    figure1_fits_json,
+    fit_fields,
     fit_threshold,
+    model_curve,
     parse_sweep_csv,
     rotation_verdicts,
     run_sweep,
@@ -667,11 +670,11 @@ def test_fit_excludes_p_zero_points_and_nothing_reaches_stderr(capfd):
     config = SweepConfig("perfect5", NoiseModel(p=0.0, p_rot=0.05), (0.0, 0.01, 0.02, 0.03),
                          trials=2000, seed=0)
     data = figure1_data(config)
-    assert data.standard.points[0].p_L > 0.0
+    assert data.sweeps["standard"].points[0].p_L > 0.0
     with pytest.warns(UserWarning, match=r"excluding 1 .* at p = \[0\.0\]") as record:
-        fit = fit_threshold(data.standard)
+        fit = fit_threshold(data.sweeps["standard"])
     assert [w.category for w in record] == [UserWarning]
-    assert data.standard_fit == fit and data.quaternionic_fit is not None
+    assert data.fits["standard"] == fit and data.fits["quaternionic"] is not None
     assert capfd.readouterr().err == ""
 
 
@@ -696,7 +699,7 @@ def test_fit_json_keys():
     fit = FitResult(exponent=2.0, p_th=0.015, p_th_crossing=0.000225, residual=0.001)
     import json
 
-    payload = json.loads(fit_json(fit))
+    payload = json.loads(json.dumps(fit_fields(fit)))
     assert list(payload) == ["slope", "p_th_intercept", "p_th_crossing", "residual"]
 
 
@@ -765,7 +768,7 @@ def test_figure1_rotation_free_curves_coincide():
         seed=21,
     )
     data = figure1_data(SweepConfig(**base))
-    assert data.standard.points == data.quaternionic.points
+    assert data.sweeps["standard"].points == data.sweeps["quaternionic"].points
 
 
 def test_figure1_rotation_noise_orders_pipelines():
@@ -781,7 +784,7 @@ def test_figure1_rotation_noise_orders_pipelines():
     )
     data = figure1_data(SweepConfig(**base))
     strict = 0
-    for std_pt, q_pt in zip(data.standard.points, data.quaternionic.points):
+    for std_pt, q_pt in zip(data.sweeps["standard"].points, data.sweeps["quaternionic"].points):
         assert q_pt.failures <= std_pt.failures
         strict += q_pt.failures < std_pt.failures
     assert strict >= 1
@@ -825,7 +828,8 @@ def test_figure1_pass_equals_separate_sweeps_and_oracle(monkeypatch, started_poo
         started_pools.clear()
         data = figure1_data(config)
         assert started_pools == ([] if pool is None else [pool])  # one pass, one pool
-        for detect, result in ((False, data.standard), (True, data.quaternionic)):
+        for detect, result in ((False, data.sweeps["standard"]),
+                               (True, data.sweeps["quaternionic"])):
             assert result == run_sweep(dataclasses.replace(config, quaternionic_detection=detect))
             want = oracle_counts(_CODES[code_id], noise, config.p_values, config.seed, 0,
                                  config.trials, detect, threshold)
@@ -989,7 +993,7 @@ def test_figure1_csv_layout():
         seed=4,
     )
     data = figure1_data(SweepConfig(**base))
-    text = figure1_csv(data, include_model_curves=True)
+    text = figure1_csv(data.row_sets(include_model_curves=True))
     lines = text.splitlines()
     assert lines[0] == (
         "pipeline,code_id,p,trials,failures,p_L,stderr,seed,target_exponent,target_p_th"
@@ -1000,3 +1004,32 @@ def test_figure1_csv_layout():
     assert standard_rows[0].split(",")[-2:] == ["2", "0.01"]
     quat_rows = [l for l in lines[1:] if l.startswith("quaternionic,")]
     assert quat_rows[0].split(",")[-2:] == ["2.2", "0.015"]
+
+
+def test_model_curve_is_the_target_law_bit_for_bit():
+    points = tuple(SweepPoint.tally(p, 7, 1000) for p in (0.001, 0.0037, 0.01, 0.03))
+    result = SweepResult("perfect5", 12, points)
+    for pipeline, (exponent, p_th) in {"standard": (2.0, 0.01),
+                                       "quaternionic": (2.2, 0.015)}.items():
+        curve = model_curve(result, pipeline)
+        assert (curve.code_id, curve.seed) == ("perfect5", 12)
+        assert curve.points == tuple(SweepPoint(pt.p, 0, 0, (pt.p / p_th) ** exponent, 0.0)
+                                     for pt in points)
+
+
+def test_figure1_csv_annotates_a_row_set_with_the_pipeline_its_label_names():
+    result = SweepResult("three", 3, (SweepPoint.tally(0.05, 4, 100),))
+    rows = figure1_csv({"standard_exact": result}).splitlines()[1:]
+    assert rows == ["standard_exact,three,0.05,100,4,0.04,0.0195959179423,3,2,0.01"]
+
+
+def test_row_sets_and_fits_json_follow_the_target_order():
+    config = SweepConfig("perfect5", NoiseModel(p=0.0, p_rot=0.1), (0.02, 0.05, 0.1),
+                         trials=500, seed=4)
+    data = figure1_data(config)
+    assert list(data.sweeps) == list(data.fits) == ["standard", "quaternionic"]
+    assert data.row_sets() == data.sweeps
+    assert list(data.row_sets()) == ["standard", "quaternionic"]
+    assert list(data.row_sets(include_model_curves=True)) == [
+        "standard", "quaternionic", "standard_model", "quaternionic_model"]
+    assert list(json.loads(figure1_fits_json(data))) == ["standard", "quaternionic", "targets"]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,78 @@ def test_every_public_name_has_a_caller_outside_tests():
         if name not in (attributes if method else read) and owner not in called
     ]
     assert unused == []
+
+
+# Each site in src/ whose float result could follow the BLAS kernel, numpy's
+# SIMD summation order or its math kernels: ``@``, ``np.dot``, ``np.matmul``,
+# ``np.einsum``, ``np.linalg.*``, ``np.polyfit``, ``np.sum`` or a ``.sum(`` or
+# ``.dot(`` method, and ``np.log``, ``np.exp``, ``np.cos`` or ``np.sin``. One
+# entry per site, as ``(scope, operation, guard)``: the guard is what keeps the
+# output bytes the site feeds the same under every kernel.
+_ENGINE_BAND = "engine: within _RotationScorer's band, or rescored by score_event"
+_BELL_GATES = "bell golden: one nonzero term per sum, run under four kernels"
+_FIT_OPEN = "open: ROADMAP item 19's fit half, which moves the rotation_pair bench digest"
+_KERNEL_SITES = [
+    ("codes._build_tables", "@", "exact: integer bit weights times 0/1 bits"),
+    ("codes.verify_codewords", "@", "exact: Pauli unit components and signs are 0 or +-1"),
+    ("experiments._chunk_failures", "@", "exact: bool rows times integer bit weights"),
+    ("experiments._RotationScorer.__init__", ".sum", _ENGINE_BAND),
+    ("experiments._RotationScorer.__init__", "@", _ENGINE_BAND),
+    ("experiments._RotationScorer.__init__", "@", _ENGINE_BAND),
+    ("experiments._RotationScorer.__init__", "np.sum", "engine: sizes the band, with slack"),
+    ("experiments._RotationScorer.__init__", ".sum", "engine: sizes the band, with slack"),
+    ("experiments._RotationScorer._jk_strengths", "np.cos", _ENGINE_BAND),
+    ("experiments._RotationScorer._jk_strengths", "np.sin", _ENGINE_BAND),
+    ("experiments._RotationScorer.failures", "@", _ENGINE_BAND),
+    ("experiments._RotationScorer.failures", "@", _ENGINE_BAND),
+    ("experiments._RotationScorer.failures", ".sum", _ENGINE_BAND),
+    ("experiments.fit_threshold", "np.log", _FIT_OPEN),
+    ("experiments.fit_threshold", "np.log", _FIT_OPEN),
+    ("experiments.fit_threshold", "np.polyfit", _FIT_OPEN),
+    ("experiments.fit_threshold", "np.exp", _FIT_OPEN),
+    ("experiments.fit_threshold", "np.exp", _FIT_OPEN),
+    ("linalg.inner_product", ".sum", "fixed order: whole rows added down axis 0"),
+    ("linalg.real_norm_sq", "np.sum", "exact: the codeword build's entries are dyadic"),
+    ("linalg.matvec", ".sum", "fixed order: added along axis 1, one column after another"),
+    ("linalg.is_unitary", ".sum", "fixed order: k in row order; report golden, four kernels"),
+    ("register.apply_gate", ".dot", _BELL_GATES),
+    ("register.apply_gate", ".dot", _BELL_GATES),
+]
+_NUMPY_KERNELS = {"dot", "matmul", "einsum", "polyfit", "sum", "log", "exp", "cos", "sin"}
+
+
+def _dotted(node: ast.expr) -> str | None:
+    """``np.linalg.norm`` for that attribute chain; ``None`` unless it starts at a name."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def _kernel_sites(node: ast.AST, scope: str):
+    """``(scope, operation)`` for each ``_KERNEL_SITES`` operation under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        elif isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult):
+            yield scope, "@"
+        elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+            name = _dotted(child.func) or ""
+            if name.startswith("np.linalg.") or name.removeprefix("np.") in _NUMPY_KERNELS:
+                yield scope, name
+            elif not name.startswith("np.") and child.func.attr in ("sum", "dot"):
+                yield scope, f".{child.func.attr}"
+        yield from _kernel_sites(child, inner)
+
+
+def test_every_kernel_dependent_site_names_its_guard():
+    found = Counter(site for path in sorted(SRC.glob("*.py"))
+                    for site in _kernel_sites(ast.parse(path.read_text(), str(path)), path.stem))
+    listed = Counter((scope, operation) for scope, operation, _ in _KERNEL_SITES)
+    assert {"unlisted": found - listed, "gone": listed - found} == {
+        "unlisted": Counter(), "gone": Counter()}
 
 
 # Modules that only a sweep (mc, fit, figure1) or a process pool needs.

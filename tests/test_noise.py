@@ -513,3 +513,20 @@ def test_multi_qubit_rotate_then_correct():
         fixed = correct_rotation(fixed, rot.qubit, rot.axis, rot.angle)
     assert jk_excess(fixed, code.codeword_zero) <= 1e-10
     assert fixed.amps.isclose(code.codeword_zero.amps, tol=1e-10)
+
+
+def test_oracle_excesses_do_not_depend_on_slot_order():
+    # The oracle's strengths are correctly rounded sums, so permuting the slots
+    # of both states keeps every excess bit for bit ("all" mode: each qubit
+    # covers every slot, so its slot set survives any permutation).
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        comp, ref = rng.normal(size=(2, 32, 4))
+        order = rng.permutation(32)
+        excesses = []
+        for c, r in ((comp, ref), (comp[order], ref[order])):
+            reg, reference = QRegister.from_components(5, c), QRegister.from_components(5, r)
+            flags = detect_rotations(reg, reference, threshold=-math.inf, mode="all")
+            excesses.append([jk_excess(reg, reference).hex()]
+                            + [x.hex() for f in flags for x in (f.j_excess, f.k_excess)])
+        assert len(excesses[0]) == 11 and excesses[0] == excesses[1]
