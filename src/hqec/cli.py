@@ -36,7 +36,6 @@ from .register import (
     bell_prepare,
     cnot_gate,
     hadamard_gate,
-    identity_gate,
     pauli_gate,
     phased_pauli_gate,
     t_gate,
@@ -375,7 +374,7 @@ _AUDIT_GATES = {
     "T": t_gate,
     **{f"{unit}{letter}": functools.partial(phased_pauli_gate, letter)
        for unit, letter in zip("ijk", "XYZ")},
-    "I": identity_gate,
+    "I": functools.partial(pauli_gate, "I"),
 }
 
 

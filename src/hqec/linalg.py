@@ -55,12 +55,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _validate_components(arr: np.ndarray, expected_ndim: int) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
+def _copy_components(arr: np.ndarray, expected_ndim: int) -> np.ndarray:
+    """A C-contiguous float64 copy of ``arr``, which must have ``expected_ndim`` axes, the last 4."""
+    arr = np.array(arr, dtype=float, order="C")
     if arr.ndim != expected_ndim or arr.shape[-1] != 4:
         raise ValueError(f"expected shape (..., 4) with ndim {expected_ndim}, got {arr.shape}")
-    if np.count_nonzero(np.isfinite(arr)) != arr.size:
-        raise ValueError("components must be finite")
     return arr
 
 
@@ -83,17 +82,14 @@ class QVector:
 
     @classmethod
     def from_components(cls, arr: np.ndarray) -> "QVector":
-        """Vector of a copy of a ``(dim, 4)`` component array, which must be finite."""
-        arr = _validate_components(arr, 2)
+        """Vector of a copy of a ``(dim, 4)`` component array, which must be finite.
+
+        :meth:`adopt` takes the copy, so the vector carries its exact bound.
+        """
+        arr = _copy_components(arr, 2)
         if arr.shape[0] < 1:
             raise ValueError("vector must have at least one amplitude")
-        return cls._wrap(arr.copy())
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "QVector":
-        v = object.__new__(cls)
-        v._c, v._bound = _freeze(arr), math.inf
-        return v
+        return cls.adopt(arr)
 
     @classmethod
     def adopt(cls, arr: np.ndarray, bound: float = math.inf) -> "QVector":
@@ -137,9 +133,6 @@ class QVector:
         """Upper bound on the largest absolute component; ``inf`` if unknown."""
         return self._bound
 
-    def __len__(self) -> int:
-        return self.dim
-
     def __getitem__(self, index: int) -> Quaternion:
         w, x, y, z = self._c[index]
         return Quaternion(w, x, y, z)
@@ -170,8 +163,10 @@ class QMatrix:
 
     @classmethod
     def from_components(cls, arr: np.ndarray) -> "QMatrix":
-        arr = _validate_components(arr, 3)
-        return cls._wrap(arr.copy())
+        arr = _copy_components(arr, 3)
+        if np.count_nonzero(np.isfinite(arr)) != arr.size:
+            raise ValueError("components must be finite")
+        return cls._wrap(arr)
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "QMatrix":

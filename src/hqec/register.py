@@ -193,24 +193,23 @@ _PAULI_ROWS = {
 }
 
 
-def pauli_gate(letter: str) -> Gate:
+def _pauli_rows(letter: str) -> list[list[Quaternion]]:
     if letter not in _PAULI_ROWS:
         raise ValueError(f"letter must be one of I, X, Y, Z, got {letter!r}")
-    return Gate(letter, QMatrix(_PAULI_ROWS[letter]), MulSide.LEFT, 1)
+    return _PAULI_ROWS[letter]
+
+
+def pauli_gate(letter: str) -> Gate:
+    return Gate(letter, QMatrix(_pauli_rows(letter)), MulSide.LEFT, 1)
 
 
 def phased_pauli_gate(letter: str) -> Gate:
     """Pauli letter premultiplied by its paired unit: ``iX``, ``jY``, ``kZ``, ``I``."""
-    if letter not in _PAULI_ROWS:
-        raise ValueError(f"letter must be one of I, X, Y, Z, got {letter!r}")
+    rows = _pauli_rows(letter)
     unit = UNIT_FOR_LETTER[letter]
-    rows = [[unit * entry for entry in row] for row in _PAULI_ROWS[letter]]
+    phased = [[unit * entry for entry in row] for row in rows]
     name = letter if letter == "I" else f"{quat.phase_label(unit)[1]}{letter}"
-    return Gate(name, QMatrix(rows), MulSide.LEFT, 1)
-
-
-def identity_gate() -> Gate:
-    return pauli_gate("I")
+    return Gate(name, QMatrix(phased), MulSide.LEFT, 1)
 
 
 #: Byte budget of the layout cache, oldest out first; a layout holds 16 B per row.

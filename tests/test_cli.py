@@ -22,7 +22,6 @@ from hqec.codes import CODE_IDS
 from hqec.register import (
     cnot_gate,
     hadamard_gate,
-    identity_gate,
     pauli_gate,
     phased_pauli_gate,
     t_gate,
@@ -873,12 +872,31 @@ def test_unwritable_output_exits_3_before_any_work(monkeypatch, capsys, tmp_path
     # an output path that is a directory (figure1 writes <prefix>.csv)
     taken = tmp_path / ("taken.csv" if argv[0] == "figure1" else "taken")
     taken.mkdir()
-    for out in (tmp_path / "missing" / "x", tmp_path / "taken"):
-        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    refused = tmp_path / "refused"
+    for out in (tmp_path / "missing" / "x", tmp_path / "taken", refused):
+        with monkeypatch.context() as patch:
+            if out == refused:  # os.access is true for every path when the tests run as root
+                patch.setattr(os, "access", lambda path, mode: False)
+            code, _, err = run_cli(capsys, *argv, "--out", str(out))
         assert code == 3, err
         assert "output" in err
+        assert out != refused or err.endswith(" is not writable\n"), err
     assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["sweep.csv", taken.name])
+
+
+def test_a_write_that_fails_at_the_rename_leaves_no_file(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(os, "replace", mock.Mock(side_effect=OSError("rename refused")))
+    code, stdout, err = run_cli(capsys, "bell", "--out", str(tmp_path / "bell.txt"))
+    assert (code, stdout, err) == (1, "", "internal error: rename refused\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_detection_threshold_defaults_are_the_engines():
+    # cli writes the default out, so the audit commands load no hqec.experiments.
+    (mc, figure1), = [(mc, figure1) for key, mc, figure1, _ in cli._SWEEP_INPUTS
+                      if key == "threshold"]
+    assert mc == figure1 == experiments.DEFAULT_DETECTION_THRESHOLD
 
 
 def test_output_files_are_replaced_whole(tmp_path, capsys):
@@ -1123,7 +1141,7 @@ _CODE_CALLS = {
     ("audit_against_paper", "paper5"),
 }
 _ALL_GATES = (hadamard_gate(), cnot_gate(), *map(pauli_gate, "XYZ"), t_gate(),
-              *map(phased_pauli_gate, "XYZ"), identity_gate())
+              *map(phased_pauli_gate, "XYZ"), pauli_gate("I"))
 
 # command -> every (name, key) call it makes through hqec.cli: only what it prints
 _AUDIT_CALLS = {

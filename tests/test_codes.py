@@ -26,6 +26,7 @@ from hqec.codes import (
     decode,
     get_code,
     logical_failure,
+    stabilizer_expectation_sign,
     syndrome_of,
     verify_codewords,
 )
@@ -180,6 +181,18 @@ def test_syndrome_phase_invariance():
                 for phase in quat.UNIT_PHASES:
                     phased = PauliString.single(code.n, qubit, letter, phase)
                     assert syndrome_of(phased, code) == plain
+
+
+def test_stabilizer_expectation_sign_of_each_outcome():
+    # perfect5's |0_L> has dyadic amplitudes, so each expectation is exact:
+    # +1 for a generator, -1 for its negation, 0 for an anticommuting error.
+    code = get_code("perfect5")
+    generator = code.generators[0]
+    negated = PauliString(generator.letters, -quat.ONE)
+    error = PauliString.single(5, 1, "Z")
+    assert commute_sign(error, generator) == -1
+    assert [stabilizer_expectation_sign(code.codeword_zero, s)
+            for s in (generator, negated, error)] == [1, -1, 0]
 
 
 def test_state_based_syndrome_equals_commutation():

@@ -695,6 +695,17 @@ def test_fit_degenerate_rows():
         fit_threshold(SweepResult("three", 0, points))
 
 
+def test_fit_of_a_curve_with_an_exactly_zero_slope_raises():
+    # log(p) is -a, 0, a and log(p_L) is symmetric about the middle point, so
+    # the columns are orthogonal and polyfit's slope is exactly 0.0; checked
+    # under the Prescott, Haswell, Zen and SkylakeX OpenBLAS kernels.
+    points = tuple(SweepPoint.tally(p, failures, 100)
+                   for p, failures in ((0.5, 50), (1.0, 25), (2.0, 50)))
+    with pytest.raises(ValueError) as raised:
+        fit_threshold(SweepResult("three", 0, points))
+    assert str(raised.value) == "degenerate fit: zero slope"
+
+
 def test_fit_json_keys():
     fit = FitResult(exponent=2.0, p_th=0.015, p_th_crossing=0.000225, residual=0.001)
     import json

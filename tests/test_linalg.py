@@ -21,9 +21,9 @@ from hqec.linalg import (
     real_norm_sq,
 )
 from hqec.register import (
+    QRegister,
     cnot_gate,
     hadamard_gate,
-    identity_gate,
     pauli_gate,
     phased_pauli_gate,
     t_gate,
@@ -52,13 +52,15 @@ def test_from_components_copies_unless_handed_over():
     arr = np.random.default_rng(3).uniform(-2, 2, size=(8, 4))
     copied = QVector.from_components(arr)
     assert not np.shares_memory(copied.components, arr) and arr.flags.writeable
+    assert copied.bound == np.abs(arr).max()  # adopt takes the copy, with its exact bound
     taken = QVector.adopt(arr)  # the handoff that apply_gate's result goes through
     assert np.shares_memory(taken.components, arr)
     assert not taken.components.flags.writeable
     assert taken.bound == np.abs(arr).max()  # no bound given, so the exact one is taken
     for bad in (np.inf, -np.inf, np.nan):
-        with pytest.raises(ValueError, match="components must be finite"):
-            QVector.adopt(np.full((2, 4), bad))
+        for build in (QVector.adopt, QVector.from_components):
+            with pytest.raises(ValueError, match="components must be finite"):
+                build(np.full((2, 4), bad))
 
 
 # -- inner product -----------------------------------------------------------
@@ -237,6 +239,12 @@ def test_matvec_overflow_raises_not_finite():
                 matvec(a, psi, side)
 
 
+def test_reprs_name_the_shape():
+    assert repr(QVector.basis(4, 1)) == "QVector(dim=4)"
+    assert repr(QMatrix([[ONE, ZERO]])) == "QMatrix(shape=(1, 2))"
+    assert repr(QRegister.computational(3, 0)) == "QRegister(n=3)"
+
+
 def test_matvec_result_carries_its_exact_bound():
     out = matvec(QMatrix([[I, J], [ONE, K]]), QVector([ONE, 2 * ONE]), MulSide.LEFT)
     assert out.bound == 2.0
@@ -286,7 +294,7 @@ def _audit_gates():
     """The ten gates the audit commands check, from their public factories."""
     return [
         hadamard_gate(), cnot_gate(), *(pauli_gate(letter) for letter in "XYZ"), t_gate(),
-        *(phased_pauli_gate(letter) for letter in "XYZ"), identity_gate(),
+        *(phased_pauli_gate(letter) for letter in "XYZ"), pauli_gate("I"),
     ]
 
 

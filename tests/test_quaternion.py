@@ -64,6 +64,16 @@ def test_scalar_mul_and_div():
     assert q / 2 == Quaternion(0.5, -1, 1.5, -2)
 
 
+def test_add_sub_and_operands_that_are_not_quaternions_or_reals():
+    q = Quaternion(1, -2, 3, -4)
+    assert q + Quaternion(0.5, 2, 0, 1) == Quaternion(1.5, 0, 3, -3)
+    assert q - Quaternion(0.5, 2, 0, 1) == Quaternion(0.5, -4, 3, -5)
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        assert getattr(q, name)("a") is NotImplemented, name
+    with pytest.raises(TypeError, match="unsupported operand"):
+        q + "a"
+
+
 # -- conjugation ----------------------------------------------------------
 
 def test_conj_definition():
