@@ -49,10 +49,10 @@ print("states equal:", restored.amps.isclose(code.codeword_zero.amps, tol=1e-12)
 
 print()
 print("== sampled events are reproducible from (seed, trial) ==")
-model = NoiseModel(p=0.1, p_rot=0.3, rot_angle=AngleDistribution("uniform", math.pi / 6))
+model = NoiseModel(p_rot=0.3, rot_angle=AngleDistribution("uniform", math.pi / 6))
 for trial in range(3):
-    event = sample_error(model, 5, seed=123, trial=trial)
+    event = sample_error(model, 0.1, 5, seed=123, trial=trial)
     rots = ", ".join(f"q{r.qubit}@{r.angle:.3f}" for r in event.rotations) or "none"
     print(f"  trial {trial}: pauli={event.pauli.label:<6} rotations: {rots}")
-again = sample_error(model, 5, seed=123, trial=1)
-print("resampling trial 1 gives the same event:", again == sample_error(model, 5, 123, 1))
+again = sample_error(model, 0.1, 5, seed=123, trial=1)
+print("resampling trial 1 gives the same event:", again == sample_error(model, 0.1, 5, 123, 1))

@@ -28,7 +28,7 @@ from hqec.experiments import (
 print("== Monte Carlo vs exact closed form (three-qubit, bit flips) ==")
 config = SweepConfig(
     code_id="three",
-    noise=NoiseModel(p=0.0, pauli_weights=(1.0, 0.0, 0.0)),
+    noise=NoiseModel(pauli_weights=(1.0, 0.0, 0.0)),
     p_values=(0.02, 0.05, 0.1, 0.2),
     trials=20_000,
     seed=7,
@@ -42,7 +42,7 @@ print()
 print("== slope of the textbook [[5,1,3]] code under depolarizing noise ==")
 config = SweepConfig(
     code_id="perfect5",
-    noise=NoiseModel(p=0.0),
+    noise=NoiseModel(),
     p_values=tuple(0.003 * (10 ** (k / 4)) for k in range(5)),
     trials=40_000,
     seed=1,
@@ -62,7 +62,7 @@ print(f"  at p = p_th / 2.14 the d -> d+2 ratio is {lam:.2f}")
 
 print()
 print("== paired pipelines under Pauli + rotation noise ==")
-noise = NoiseModel(p=0.0, p_rot=0.05, rot_angle=AngleDistribution("fixed", math.pi / 8))
+noise = NoiseModel(p_rot=0.05, rot_angle=AngleDistribution("fixed", math.pi / 8))
 base = dict(
     code_id="perfect5",
     noise=noise,

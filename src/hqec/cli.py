@@ -287,9 +287,8 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
 def _validate_sweep(merged: dict) -> dict:
     """The fields of the :class:`SweepConfig` that ``merged`` describes, once it is built.
 
-    The value rules are :class:`SweepConfig`'s and :class:`NoiseModel`'s (at
-    p = 0); a value they refuse raises :class:`ConfigError` here, before any
-    work.
+    The value rules are :class:`SweepConfig`'s and :class:`NoiseModel`'s; a
+    value they refuse raises :class:`ConfigError` here, before any work.
     """
     from .experiments import SweepConfig
     from .noise import NoiseModel
@@ -299,7 +298,7 @@ def _validate_sweep(merged: dict) -> dict:
         p_values = _parse_p_range(str(merged["p"]))
         if not isinstance(weights, (tuple, list)):
             weights = _parse_weights(str(weights))
-        noise = NoiseModel(p=0.0, pauli_weights=tuple(weights), p_rot=merged["rotations"],
+        noise = NoiseModel(pauli_weights=tuple(weights), p_rot=merged["rotations"],
                            rot_axis=_parse_axis(merged["rot_axis"]),
                            rot_angle=_parse_angle(merged["rot_angle"]), rot_mode=merged["rot_mode"])
         sweep = SweepConfig(code_id=merged["code"], noise=noise, p_values=p_values,
@@ -322,13 +321,26 @@ def _temporary_path(path: str) -> str:
     return f"{path}.{os.getpid()}.tmp"
 
 
+def _write_target(path: str) -> tuple[str, bool]:
+    """The file ``path`` names through any links, and whether to write it in place:
+    it exists and is neither regular nor a directory (a FIFO, a device)."""
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    return target, os.path.exists(target) and not (os.path.isfile(target) or os.path.isdir(target))
+
+
 def _write_file(path: str, text: str) -> None:
-    """Write ``text`` whole: to a temporary file beside ``path``, then renamed onto it."""
-    temporary = _temporary_path(path)
+    """Write ``text`` to the file ``path`` names: in place if :func:`_write_target`
+    says so, else whole, to a temporary file beside it that is renamed onto it."""
+    target, in_place = _write_target(path)
+    if in_place:
+        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        return
+    temporary = _temporary_path(target)
     try:
         with open(temporary, "x", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        os.replace(temporary, path)
+        os.replace(temporary, target)
     finally:
         if os.path.exists(temporary):
             os.remove(temporary)
@@ -349,16 +361,21 @@ def _check_output_paths(config: RunConfig) -> None:
     for path in paths:
         if not path:
             raise ConfigError("output path is empty")
-        directory = os.path.dirname(path) or "."
+        target, in_place = _write_target(path)
+        if in_place:
+            if not os.access(target, os.W_OK):
+                raise ConfigError(f"output path {path!r} is not writable")
+            continue
+        directory = os.path.dirname(target) or "."
         if not os.path.isdir(directory):
             raise ConfigError(f"output directory {directory!r} does not exist")
         if not os.access(directory, os.W_OK | os.X_OK):
             raise ConfigError(f"output directory {directory!r} is not writable")
-        if os.path.isdir(path):
+        if os.path.isdir(target):
             raise ConfigError(f"output path {path!r} is a directory")
         # A name the file system refuses (too long, a null byte) passes the
         # checks above, so the write's temporary file is made and removed here.
-        temporary = _temporary_path(path)
+        temporary = _temporary_path(target)
         try:
             open(temporary, "x").close()
             os.remove(temporary)

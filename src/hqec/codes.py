@@ -316,11 +316,7 @@ def apply_pauli(ps: PauliString, reg: QRegister) -> QRegister:
 def stabilizer_expectation_sign(reg: QRegister, s: PauliString) -> int:
     """Sign of the real part of ``<reg| s |reg>`` (0 when it vanishes)."""
     value = inner_product(reg.amps, apply_pauli(s, reg).amps).w
-    if value > 0.0:
-        return 1
-    if value < 0.0:
-        return -1
-    return 0
+    return (value > 0.0) - (value < 0.0)
 
 
 # -- codeword verification ------------------------------------------------
@@ -341,11 +337,7 @@ class CodewordReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            all(c.fixes_zero and c.fixes_one for c in self.checks)
-            and self.logical_z_ok
-            and self.logical_x_ok
-        )
+        return not self.failing_generators and self.logical_z_ok and self.logical_x_ok
 
     @property
     def failing_generators(self) -> tuple[str, ...]:
@@ -514,13 +506,11 @@ def audit_against_paper(table: SyndromeTable) -> AuditReport:
     if table.code_id != "paper5":
         raise ValueError("the published reference table applies to the paper5 code only")
     rows = []
-    mismatches = 0
     by_syndrome: dict[tuple[int, ...], list[str]] = {}
     trivial = []
     for row in table.rows:
         reference = Syndrome(REFERENCE_TABLE2[(row.letter, row.qubit)])
         match = row.syndrome.bits == reference.bits
-        mismatches += not match
         rows.append(AuditRow(row.error_label, row.syndrome, reference, match))
         by_syndrome.setdefault(row.syndrome.bits, []).append(row.error_label)
         if row.syndrome.trivial:
@@ -528,7 +518,7 @@ def audit_against_paper(table: SyndromeTable) -> AuditReport:
     collisions = {
         bits: tuple(labels) for bits, labels in by_syndrome.items() if len(labels) > 1
     }
-    return AuditReport(tuple(rows), mismatches, collisions, tuple(trivial))
+    return AuditReport(tuple(rows), sum(not row.match for row in rows), collisions, tuple(trivial))
 
 
 # -- single-quaternion-slot codeword bookkeeping ---------------------------

@@ -93,7 +93,7 @@ DEFAULT_DETECTION_THRESHOLD = 0.01
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One logical-error-rate sweep: a code, a noise template, and a p grid."""
+    """One logical-error-rate sweep: a code, a noise law, and a p grid."""
 
     code_id: str
     noise: NoiseModel
@@ -254,10 +254,9 @@ def count_failures(
 ) -> list[list[int]]:
     """Failures among trials ``start .. stop - 1`` at each p of ``p_values``, per scoring.
 
-    The batched trial engine.  ``noise`` is a template; each point
-    replaces its ``p``.  A scoring is a ``(detect, threshold)`` pair, and
-    entry ``[j][i]`` equals the number of those trials ``t`` whose event
-    :func:`~hqec.noise.sample_error` draws for ``(seed, t)`` at
+    The batched trial engine.  A scoring is a ``(detect, threshold)``
+    pair, and entry ``[j][i]`` equals the number of those trials ``t``
+    whose event :func:`~hqec.noise.sample_error` draws for ``(seed, t)`` at
     ``p_values[i]`` fails :func:`score_event` with scoring ``j``, bit for
     bit; that event is one row of the draws here, read by the same rules,
     and numpy's Philox generator is the tests' oracle for both.  Trials are
@@ -380,9 +379,11 @@ class _RotationScorer:
     ``band`` is W (4 n eps S + 4 (N + n) eps + 4 k (8 eps + |delta|)); the
     slack covers the squared e, the 3 u in the computed ``delta``, and any
     S: past ``n eps S = 2`` the band passes 8 W, while excesses here lie in
-    [-W, 4 W] and the oracle's in [-W, W].
+    [-W, 4 W] and the oracle's in [-W, W].  An angle sum past the largest
+    double is ``inf``, whose cosine is NaN, so a NaN excess counts as near.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, code, axis, mode, angles) -> None:
         self.code, self.axis, self.mode, self.angles = code, axis, mode, angles
         ref = code.codeword_zero.amps.components
@@ -404,6 +405,7 @@ class _RotationScorer:
         phi = phi[..., None]
         return (np.cos(phi) * self.ref_jk + np.sin(phi) * self.turned_jk) ** 2
 
+    @np.errstate(over="ignore", invalid="ignore")
     def failures(self, detect: bool, threshold: float) -> np.ndarray:
         """Rotation-channel verdict of each row, as :func:`score_event` gives it.
 
@@ -422,12 +424,12 @@ class _RotationScorer:
         if detect:
             slots = self.cover @ strengths - self.ref_slots
             flags = (slots > threshold).any(axis=-1)
-            near = np.abs(slots - threshold) <= self.band[:, None, None]
+            near = ~(np.abs(slots - threshold) > self.band[:, None, None])
             near = (near.any(axis=-1) & (self.angles != 0.0)).any(axis=-1)
             strengths = self._jk_strengths(np.where(flags, 0.0, self.angles) @ self.cover)
         excess = (strengths.sum(axis=1) - self.ref_total).max(axis=-1)
         failed = excess > threshold
-        near |= np.abs(excess - threshold) <= self.band
+        near |= ~(np.abs(excess - threshold) > self.band)
         for r in np.flatnonzero(near):
             rotations = tuple(RotationError(q + 1, self.axis, float(angle))
                               for q, angle in enumerate(self.angles[r]) if angle != 0.0)

@@ -67,9 +67,8 @@ class AngleDistribution:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-qubit error law: Pauli rate, letter mixture, rotations."""
+    """Per-qubit error law at any Pauli rate: letter mixture, rotations."""
 
-    p: float
     pauli_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
     p_rot: float = 0.0
     rot_axis: ImaginaryAxis = K_AXIS
@@ -77,8 +76,6 @@ class NoiseModel:
     rot_mode: str = "zero"
 
     def __post_init__(self) -> None:
-        if not (is_number(self.p) and 0.0 <= self.p <= 1.0):
-            raise ValueError(f"p must be a real number in [0, 1], got {self.p!r}")
         if not (is_number(self.p_rot) and 0.0 <= self.p_rot <= 1.0):
             raise ValueError(
                 f"p_rot (rotations per qubit) must be a real number in [0, 1], got {self.p_rot!r}"
@@ -86,7 +83,6 @@ class NoiseModel:
         weights = tuple(self.pauli_weights)
         if len(weights) != 3 or not all(is_number(w) and 0.0 <= w < math.inf for w in weights):
             raise ValueError(f"pauli_weights must be three finite reals >= 0, got {weights}")
-        object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "p_rot", float(self.p_rot))
         object.__setattr__(self, "pauli_weights", tuple(float(w) for w in weights))
         if abs(sum(self.pauli_weights) - 1.0) > 1e-12:
@@ -234,21 +230,24 @@ def rotation_angles(
     return rows, hit, angles
 
 
-def sample_error(model: NoiseModel, n: int, seed: int, trial: int) -> ErrorEvent:
-    """The error event of the stream keyed by ``(seed, trial)``: one row of the engine's draws.
+def sample_error(model: NoiseModel, p: float, n: int, seed: int, trial: int) -> ErrorEvent:
+    """The error event at Pauli rate ``p`` of the stream keyed by ``(seed, trial)``.
 
-    The row is :func:`philox_uniforms` of the one trial, read by the
-    engine's rules: a qubit whose hit draw is below ``p`` carries the
-    letter :func:`pauli_letters` gives (with no unit factor, which could
-    not flip a commutator), and the rotation is :func:`rotation_angles`'.
+    It is one row of the engine's draws, :func:`philox_uniforms` of the
+    one trial, read by the engine's rules: a qubit whose hit draw is below
+    ``p`` carries the letter :func:`pauli_letters` gives (with no unit
+    factor, which could not flip a commutator), and the rotation is
+    :func:`rotation_angles`'.
     A fixed block of uniforms is consumed per trial, so the event for a
     given ``(seed, trial)`` never depends on other parameters being swept.
     """
+    if not (is_number(p) and 0.0 <= p <= 1.0):
+        raise ValueError(f"p must be a real number in [0, 1], got {p!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     trials = np.array([check_counter("trial", trial)], dtype=np.uint64)
     draws = philox_uniforms(seed, trials, DRAWS_PER_QUBIT * n)
-    hit = (draws[0, :n] < model.p).tolist()
+    hit = (draws[0, :n] < p).tolist()
     letters = pauli_letters(model, draws, n)[0].tolist()
     letters = ["XYZ"[x] if h else "I" for h, x in zip(hit, letters)]
     _, rotated, angles = rotation_angles(model, draws, n)

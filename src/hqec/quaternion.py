@@ -149,16 +149,7 @@ UNIT_BY_NAME = {"1": ONE, "i": I, "j": J, "k": K}
 #: The eight unit phases closed under multiplication.
 UNIT_PHASES = (ONE, -ONE, I, -I, J, -J, K, -K)
 
-_PHASE_LABELS = {
-    ONE: "+1",
-    -ONE: "-1",
-    I: "+i",
-    -I: "-i",
-    J: "+j",
-    -J: "-j",
-    K: "+k",
-    -K: "-k",
-}
+_PHASE_LABELS = dict(zip(UNIT_PHASES, ("+1", "-1", "+i", "-i", "+j", "-j", "+k", "-k")))
 
 
 def phase_label(q: Quaternion) -> str:

@@ -216,8 +216,8 @@ def random_code(rng: np.random.Generator, index: int, sizes: range = range(1, 7)
                           zero, one)
 
 
-def pauli_masks(model: NoiseModel, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic ``(x, z)`` masks of the Pauli part of each row's event.
+def pauli_masks(model: NoiseModel, p: float, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symplectic ``(x, z)`` masks of the Pauli part of each row's event at rate ``p``.
 
     ``draws`` holds one trial's ``DRAWS_PER_QUBIT * n`` uniforms per row:
     per qubit a Pauli hit below ``p``, then a letter, X below the first
@@ -227,7 +227,7 @@ def pauli_masks(model: NoiseModel, draws: np.ndarray) -> tuple[np.ndarray, np.nd
     n = draws.shape[1] // DRAWS_PER_QUBIT
     if n > 64:
         raise ValueError(f"masks hold at most 64 qubits, got n={n}")
-    hit = draws[:, 0:n] < model.p
+    hit = draws[:, 0:n] < p
     u_letter = draws[:, n : 2 * n]
     c1 = model.pauli_weights[0]
     c2 = c1 + model.pauli_weights[1]
@@ -270,12 +270,12 @@ def rotation_events(model: NoiseModel, draws: np.ndarray) -> list[tuple[int, Err
     return events
 
 
-def oracle_events(model: NoiseModel, draws: np.ndarray) -> list[ErrorEvent]:
-    """The error event of each row of ``draws``, from its Pauli masks and its rotations."""
+def oracle_events(model: NoiseModel, p: float, draws: np.ndarray) -> list[ErrorEvent]:
+    """The error event at rate ``p`` of each row of ``draws``, from its Pauli masks and rotations."""
     n = draws.shape[1] // DRAWS_PER_QUBIT
     rotated = dict(rotation_events(model, draws))
     events = []
-    for row, (x, z) in enumerate(zip(*pauli_masks(model, draws))):
+    for row, (x, z) in enumerate(zip(*pauli_masks(model, p, draws))):
         bits = [(int(x) >> (n - 1 - q) & 1, int(z) >> (n - 1 - q) & 1) for q in range(n)]
         pauli = PauliString(tuple("IZXY"[2 * xb + zb] for xb, zb in bits))
         rotations = rotated[row].rotations if row in rotated else ()

@@ -177,7 +177,7 @@ def test_criterion_7_monte_carlo_vs_closed_form():
     started = time.perf_counter()
     config = SweepConfig(
         code_id="three",
-        noise=NoiseModel(p=0.0, pauli_weights=(1.0, 0.0, 0.0)),
+        noise=NoiseModel(pauli_weights=(1.0, 0.0, 0.0)),
         p_values=(0.01, 0.05, 0.1, 0.2),
         trials=100_000,
         seed=31415,
@@ -198,7 +198,7 @@ def test_criterion_8_exponent_recovery_and_quaternionic_substitutes():
     p_values = tuple(0.001 * (30 ** (k / 7)) for k in range(8))
     config = SweepConfig(
         code_id="perfect5",
-        noise=NoiseModel(p=0.0),
+        noise=NoiseModel(),
         p_values=p_values,
         trials=200_000,
         seed=2026,
@@ -221,7 +221,7 @@ def test_criterion_8_exponent_recovery_and_quaternionic_substitutes():
 
     # (b) with rotation noise and oracle correction the detecting pipeline
     # dominates pointwise under shared seeds
-    noise = NoiseModel(p=0.0, p_rot=0.05, rot_angle=AngleDistribution("fixed", math.pi / 8))
+    noise = NoiseModel(p_rot=0.05, rot_angle=AngleDistribution("fixed", math.pi / 8))
     base = dict(
         code_id="perfect5",
         noise=noise,
@@ -289,35 +289,35 @@ def test_criterion_9_cli_byte_determinism(tmp_path):
 def test_criterion_10_rotation_channel_invariants():
     rng = np.random.default_rng(10)
     model = NoiseModel(
-        p=0.0, p_rot=0.7, rot_angle=AngleDistribution("uniform", math.pi / 4)
+        p_rot=0.7, rot_angle=AngleDistribution("uniform", math.pi / 4)
     )
     # norm preservation on random normalized registers
     for trial in range(20):
         arr = rng.uniform(-1, 1, size=(32, 4))
         arr /= math.sqrt(float(np.sum(arr * arr)))
         reg = QRegister.from_components(5, arr)
-        event = sample_error(model, 5, seed=55, trial=trial)
+        event = sample_error(model, 0.0, 5, seed=55, trial=trial)
         out = apply_event(reg, event)
         assert abs(real_norm_sq(out.amps) - 1.0) <= 1e-10
     # rotations-only events give the all-+1 syndrome on every shipped code
     for code_id in ("three", "paper5", "perfect5"):
         code = get_code(code_id)
         for trial in range(10):
-            event = sample_error(model, code.n, seed=56, trial=trial)
+            event = sample_error(model, 0.0, code.n, seed=56, trial=trial)
             assert set(event.pauli.letters) == {"I"}
             assert syndrome_of(event.pauli, code).trivial
     # and measured on intact codewords the generators still read +1
     for code_id in ("three", "perfect5"):
         code = get_code(code_id)
         for trial in range(5):
-            event = sample_error(model, code.n, seed=57, trial=trial)
+            event = sample_error(model, 0.0, code.n, seed=57, trial=trial)
             damaged = apply_event(code.codeword_zero, event)
             for g in code.generators:
                 assert stabilizer_expectation_sign(damaged, g) == 1
     # rotate-then-correct restores the state
     for trial in range(10):
         code = get_code("perfect5")
-        event = sample_error(model, 5, seed=58, trial=trial)
+        event = sample_error(model, 0.0, 5, seed=58, trial=trial)
         damaged = apply_event(code.codeword_zero, event)
         restored = damaged
         for rot in event.rotations:

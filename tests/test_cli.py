@@ -4,8 +4,10 @@ import json
 import math
 import os
 import platform
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -618,6 +620,20 @@ def test_fit_of_a_nearly_flat_curve_exits_0_with_warnings_as_errors(capsys, tmp_
     )
 
 
+@pytest.mark.parametrize("angle", ["fixed:1e308", "uniform:1.7e308"])
+def test_angles_whose_sum_overflows_exit_0_under_python_w_error(capsys, angle):
+    # Every qubit turns, so the angle sum of a shared slot is inf.
+    argv = ["mc", "--code", "three", "--p", "0.01:0.1:log:2", "--trials", "2",
+            "--rotations", "1", "--rot-angle", angle]
+    src_dir = os.path.dirname(os.path.dirname(hqec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src_dir, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "hqec", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_cli(capsys, *argv)[1]
+
+
 @pytest.mark.parametrize("command", ["fit --in", "mc --config"])
 def test_non_utf8_input_exits_3(capsys, tmp_path, command):
     path = tmp_path / "input"
@@ -908,6 +924,75 @@ def test_output_files_are_replaced_whole(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, *argv)
     assert out.read_text() == stdout
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def _fifo_reader(path):
+    """A started thread that reads the FIFO at ``path`` to its end, and the list it fills."""
+    chunks = []
+
+    def read():
+        with open(path, encoding="utf-8") as fh:
+            chunks.append(fh.read())
+
+    thread = threading.Thread(target=read, daemon=True)
+    thread.start()
+    return thread, chunks
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["target exists", "target missing"])
+def test_out_through_a_symlink_writes_its_target_and_keeps_the_link(tmp_path, capsys, existing):
+    # The file went to a temporary name beside the link, which the rename then replaced.
+    (tmp_path / "runs").mkdir()
+    target, link = tmp_path / "runs" / "sweep.csv", tmp_path / "link.csv"
+    if existing:
+        target.write_text("stale\n")
+    link.symlink_to(os.path.join("runs", "sweep.csv"))
+    argv = ["mc", "--code", "three", "--p", "0.05:0.2:log:3", "--trials", "50"]
+    assert run_cli(capsys, *argv, "--out", str(link))[0] == 0
+    assert link.is_symlink() and os.readlink(link) == os.path.join("runs", "sweep.csv")
+    assert target.read_text() == run_cli(capsys, *argv)[1]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["link.csv", "runs", "sweep.csv"]
+
+
+def test_out_to_a_fifo_writes_into_the_fifo(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    thread, chunks = _fifo_reader(fifo)
+    argv = ["mc", "--code", "three", "--p", "0.05:0.2:log:3", "--trials", "50"]
+    assert run_cli(capsys, *argv, "--out", str(fifo)) == (0, "", "")
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "the reader saw no writer close the FIFO"
+    assert chunks == [run_cli(capsys, *argv)[1]]
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_figure1_writes_a_linked_csv_and_a_fifo_fit(tmp_path, capsys):
+    (tmp_path / "fig.csv").symlink_to("target.csv")
+    os.mkfifo(tmp_path / "fig_fit.json")
+    thread, chunks = _fifo_reader(tmp_path / "fig_fit.json")
+    argv = ["figure1", "--p", "0.005:0.02:log:3", "--trials", "200"]
+    code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "fig"))
+    assert code == 0
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "the reader saw no writer close the FIFO"
+    run_cli(capsys, *argv, "--out", str(tmp_path / "plain"))
+    assert (tmp_path / "target.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert chunks == [(tmp_path / "plain_fit.json").read_text()]
+    assert (tmp_path / "fig.csv").is_symlink()
+    assert stat.S_ISFIFO((tmp_path / "fig_fit.json").lstat().st_mode)
+
+
+def test_an_unwritable_fifo_exits_3_before_any_work(tmp_path, capsys, monkeypatch):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    access = os.access
+    # os.access is true for every path when the tests run as root
+    monkeypatch.setattr(os, "access", lambda path, mode: path != str(fifo) and access(path, mode))
+    monkeypatch.setattr(experiments, "count_failures", mock.Mock(side_effect=AssertionError))
+    code, out, err = run_cli(capsys, "mc", "--code", "three", "--p", "0.05:0.2:log:3",
+                             "--out", str(fifo))
+    assert (code, out, err) == (3, "", f"error: output path {str(fifo)!r} is not writable\n")
 
 
 def test_figure1_writes_files(tmp_path, capsys):

@@ -50,7 +50,9 @@ REFUSALS = [
      ValueError, "phase alignment check needs a square matrix, got (1, 2)"),
     ("noise: unknown angle law", lambda: AngleDistribution("normal", 0.1),
      ValueError, "kind must be 'fixed' or 'uniform', got 'normal'"),
-    ("noise: event on no qubits", lambda: sample_error(NoiseModel(p=0.1), 0, 0, 0),
+    ("noise: Pauli rate above 1", lambda: sample_error(NoiseModel(), 1.5, 3, 0, 0),
+     ValueError, "p must be a real number in [0, 1], got 1.5"),
+    ("noise: event on no qubits", lambda: sample_error(NoiseModel(), 0.1, 0, 0, 0),
      ValueError, "n must be >= 1"),
     ("noise: rotation on a qubit past the register",
      lambda: apply_rotations(QRegister.computational(2, 0), (RotationError(3, K_AXIS, 0.1),),

@@ -54,8 +54,8 @@ from hqec.experiments import (
 )
 
 
-def bitflip_model(p=0.0):
-    return NoiseModel(p=p, pauli_weights=(1.0, 0.0, 0.0))
+def bitflip_model():
+    return NoiseModel(pauli_weights=(1.0, 0.0, 0.0))
 
 
 # -- closed forms -----------------------------------------------------------
@@ -105,8 +105,8 @@ def test_suppression_factor():
 
 def test_zero_noise_trial_never_fails():
     code = get_code("perfect5")
-    model = NoiseModel(p=0.0)
-    assert not any(score_event(code, sample_error(model, 5, seed=1, trial=t)) for t in range(50))
+    events = (sample_error(NoiseModel(), 0.0, 5, seed=1, trial=t) for t in range(50))
+    assert not any(score_event(code, event) for event in events)
 
 
 def test_injected_single_error_is_corrected():
@@ -214,7 +214,7 @@ def test_sweep_config_validation():
 def test_sweep_config_refuses_bad_values(field, value):
     # A NaN threshold used to run: every comparison with it is false, so
     # no trial failed on the rotation channel.
-    base = dict(code_id="perfect5", noise=NoiseModel(p=0.0, p_rot=0.3), p_values=(0.0,),
+    base = dict(code_id="perfect5", noise=NoiseModel(p_rot=0.3), p_values=(0.0,),
                 trials=20, seed=0)
     with pytest.raises(ValueError, match=field):
         SweepConfig(**{**base, field: value})
@@ -251,7 +251,7 @@ def test_run_sweep_matches_closed_form():
 
 
 def test_run_sweep_deterministic():
-    config = SweepConfig("perfect5", NoiseModel(p=0.0), (0.02, 0.05), trials=2000, seed=5)
+    config = SweepConfig("perfect5", NoiseModel(), (0.02, 0.05), trials=2000, seed=5)
     a = run_sweep(config)
     b = run_sweep(config)
     assert a == b
@@ -273,7 +273,7 @@ def test_run_sweep_thread_invariance(monkeypatch, started_pools):
 
 def test_run_sweep_monotone_under_shared_seeds():
     p_values = (0.01, 0.02, 0.05, 0.1, 0.2)
-    config = SweepConfig("perfect5", NoiseModel(p=0.0), p_values, trials=4000, seed=13)
+    config = SweepConfig("perfect5", NoiseModel(), p_values, trials=4000, seed=13)
     result = run_sweep(config)
     rates = [pt.p_L for pt in result.points]
     for lo, hi, lo_pt, hi_pt in zip(
@@ -298,7 +298,7 @@ def oracle_counts(code, noise, p_values, seed, start, stop, detect, threshold):
     draws = numpy_rows(seed, range(start, stop), DRAWS_PER_QUBIT * code.n)
     return [
         sum(score_event(code, event, detect, threshold)
-            for event in oracle_events(dataclasses.replace(noise, p=p), draws))
+            for event in oracle_events(noise, p, draws))
         for p in p_values
     ]
 
@@ -336,10 +336,10 @@ def engine_cases(draw):
     angle = AngleDistribution(
         draw(st.sampled_from(["fixed", "uniform"])),
         # a zero angle rotates nothing, yet its qubit was hit
-        draw(st.sampled_from([math.pi / 8, 0.05, 1.2, -0.7, 0.0, -0.0])),
+        # two angles near the largest double sum past it in one slot
+        draw(st.sampled_from([math.pi / 8, 0.05, 1.2, -0.7, 0.0, -0.0, 1e308, -1.7e308])),
     )
     noise = NoiseModel(
-        p=0.0,
         pauli_weights=weights,
         p_rot=draw(st.sampled_from([0.0, 0.3, 1.0])),
         rot_axis=draw(st.sampled_from([K_AXIS, J_AXIS, I_AXIS, ImaginaryAxis.normalized(1, 2, 3)])),
@@ -375,8 +375,28 @@ def test_batched_engine_equals_per_trial_oracle(case):
     assert counts == [oracle_counts(*args, *scoring) for scoring in case["scorings"]]
 
 
+@pytest.mark.parametrize("detect", [False, True], ids=["detect off", "detect on"])
+@pytest.mark.parametrize("rot_mode", ["zero", "all"])
+@pytest.mark.parametrize("theta", [1e308, 1.7e308])
+@pytest.mark.parametrize("kind", ["fixed", "uniform"])
+@pytest.mark.parametrize("code_id", ["three", "paper5", "perfect5"])
+def test_engine_equals_the_oracle_when_angle_sums_overflow(code_id, kind, theta, rot_mode, detect):
+    # An angle sum of inf has a NaN cosine, and a NaN excess compares false
+    # both with the threshold and with the band: such rows once passed here
+    # while the oracle, which turns by one angle at a time, failed them.
+    code = _CODES[code_id]
+    noise = NoiseModel(p_rot=0.7, rot_axis=J_AXIS, rot_angle=AngleDistribution(kind, theta),
+                       rot_mode=rot_mode)
+    experiments._verdict_memo.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = count_failures(code, noise, ((detect, 0.01),), (0.0,), 0, 0, 300)
+    events = (sample_error(noise, 0.0, code.n, 0, t) for t in range(300))
+    assert counts == [[sum(score_event(code, event, detect, 0.01) for event in events)]]
+
+
 def test_batched_engine_crosses_the_real_chunk_boundary():
-    noise = NoiseModel(p=0.0, pauli_weights=(0.5, 0.2, 0.3), p_rot=0.02)
+    noise = NoiseModel(pauli_weights=(0.5, 0.2, 0.3), p_rot=0.02)
     start = 2**40 + 5
     stop = start + experiments.CHUNK_WORDS // words_per_trial(_CODES["paper5"], noise) + 37
     args = (_CODES["paper5"], noise, (0.05, 0.3), 2**64 - 1, start, stop, True, 0.01)
@@ -388,9 +408,9 @@ def test_batched_engine_crosses_the_real_chunk_boundary():
 @pytest.mark.parametrize(
     "noise, width",
     [
-        (NoiseModel(p=0.0, pauli_weights=(0.5, 0.2, 0.3)), 2),
-        (NoiseModel(p=0.0, p_rot=0.3, rot_angle=AngleDistribution("fixed", 0.4)), 3),
-        (NoiseModel(p=0.0, p_rot=0.2, rot_angle=AngleDistribution("uniform", 1.2),
+        (NoiseModel(pauli_weights=(0.5, 0.2, 0.3)), 2),
+        (NoiseModel(p_rot=0.3, rot_angle=AngleDistribution("fixed", 0.4)), 3),
+        (NoiseModel(p_rot=0.2, rot_angle=AngleDistribution("uniform", 1.2),
                     rot_mode="all"), 4),
     ],
     ids=["pauli", "fixed", "uniform"],
@@ -414,7 +434,7 @@ def test_one_draw_per_chunk_at_the_noise_width(noise, width):
 
 
 def test_run_sweep_emits_no_warning():
-    noise = NoiseModel(p=0.0, p_rot=0.05, rot_angle=AngleDistribution("uniform", 1.2))
+    noise = NoiseModel(p_rot=0.05, rot_angle=AngleDistribution("uniform", 1.2))
     config = SweepConfig("perfect5", noise, (0.001, 0.03), trials=300, seed=2**64 - 1,
                          quaternionic_detection=True)
     with warnings.catch_warnings():
@@ -465,8 +485,8 @@ def test_engine_threshold_on_an_oracle_excess(rot_mode, angle):
     # TOLERANCE, which the band need not reach.
     code, seed = _CODES["perfect5"], 41
     for axis in _AXES:
-        noise = NoiseModel(p=0.0, p_rot=0.3, rot_axis=axis, rot_angle=angle, rot_mode=rot_mode)
-        events = [sample_error(noise, code.n, seed, t) for t in range(6)]
+        noise = NoiseModel(p_rot=0.3, rot_axis=axis, rot_angle=angle, rot_mode=rot_mode)
+        events = [sample_error(noise, 0.0, code.n, seed, t) for t in range(6)]
         for detect in (False, True):
             values = [
                 value for event in events if event.rotations
@@ -508,7 +528,7 @@ def test_threshold_zero_rescores_no_corrected_row(code_id, angle, rot_mode):
         code = _CODES[code_id]
     else:
         code = normalized_repetition_code(int(code_id.removeprefix("repetition")))
-    noise = NoiseModel(p=0.0, p_rot=0.05, rot_axis=ImaginaryAxis.normalized(1, 2, 3),
+    noise = NoiseModel(p_rot=0.05, rot_axis=ImaginaryAxis.normalized(1, 2, 3),
                        rot_angle=angle, rot_mode=rot_mode)
     experiments._verdict_memo.cache_clear()
     with mock.patch.object(experiments, "score_event", wraps=score_event) as fallback:
@@ -578,12 +598,12 @@ def noise_with_bound(bound, u):
     nothing is rotated unless p_rot is.
     """
     if bound == "p":
-        return NoiseModel(p=0.0), u
+        return NoiseModel(), u
     if bound == "c1":
-        return NoiseModel(p=0.0, pauli_weights=(u, (1 - u) / 2, (1 - u) / 2)), 1.0
+        return NoiseModel(pauli_weights=(u, (1 - u) / 2, (1 - u) / 2)), 1.0
     if bound == "c2":  # c1 = u / 2 and c1 + w[1] = u, both exact
-        return NoiseModel(p=0.0, pauli_weights=(u / 2, u / 2, 1 - u)), 1.0
-    return NoiseModel(p=0.0, p_rot=u), 0.0
+        return NoiseModel(pauli_weights=(u / 2, u / 2, 1 - u)), 1.0
+    return NoiseModel(p_rot=u), 0.0
 
 
 @pytest.mark.parametrize(
@@ -605,7 +625,7 @@ def test_a_bound_equal_to_a_drawn_uniform_is_compared_as_the_oracle_does(bound, 
     verdicts = []
     for value in (tie, float(np.nextafter(tie, 1.0))):
         noise, p = noise_with_bound(bound, value)
-        event = sample_error(dataclasses.replace(noise, p=p), n, seed, trial)
+        event = sample_error(noise, p, n, seed, trial)
         verdicts.append(score_event(code, event))
         scorings = ((False, 0.01), (True, 0.01))
         counts = count_failures(code, noise, scorings, (p,), seed, 0, trials)
@@ -615,7 +635,7 @@ def test_a_bound_equal_to_a_drawn_uniform_is_compared_as_the_oracle_does(bound, 
 
 
 def test_count_failures_range_validation():
-    code, noise = _CODES["three"], NoiseModel(p=0.0)
+    code, noise = _CODES["three"], NoiseModel()
     assert engine_counts(code, noise, (0.1, 0.2), 0, 5, 5) == [0, 0]
     for start, stop in ((-1, 3), (4, 3), (2**64 - 1, 2**64 + 1)):
         with pytest.raises(ValueError):
@@ -667,7 +687,7 @@ def test_fit_excludes_zero_rows_with_warning():
 def test_fit_excludes_p_zero_points_and_nothing_reaches_stderr(capfd):
     # Rotations fail trials at p = 0 too, so log(p) must not reach the solver
     # there: LAPACK would print to the stderr file descriptor and raise.
-    config = SweepConfig("perfect5", NoiseModel(p=0.0, p_rot=0.05), (0.0, 0.01, 0.02, 0.03),
+    config = SweepConfig("perfect5", NoiseModel(p_rot=0.05), (0.0, 0.01, 0.02, 0.03),
                          trials=2000, seed=0)
     data = figure1_data(config)
     assert data.sweeps["standard"].points[0].p_L > 0.0
@@ -735,7 +755,7 @@ def test_parse_sweep_csv_gives_back_the_sweep_the_engine_wrote(code_id, numerato
                                                                p_rot, detect):
     # p of at most 12 significant digits, which sweep_csv writes in full
     p_values = tuple(k / 10**12 for k in sorted(numerators))
-    config = SweepConfig(code_id, NoiseModel(p=0.0, p_rot=p_rot), p_values, trials, seed,
+    config = SweepConfig(code_id, NoiseModel(p_rot=p_rot), p_values, trials, seed,
                          quaternionic_detection=detect)
     result = run_sweep(config)
     assert parse_sweep_csv(sweep_csv(result)) == result
@@ -744,7 +764,7 @@ def test_parse_sweep_csv_gives_back_the_sweep_the_engine_wrote(code_id, numerato
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_a_one_character_change_to_a_sweep_csv_is_refused_or_read_as_written(data):
-    config = SweepConfig("perfect5", NoiseModel(p=0.0, p_rot=0.3), (0.01, 0.05, 0.2, 0.5),
+    config = SweepConfig("perfect5", NoiseModel(p_rot=0.3), (0.01, 0.05, 0.2, 0.5),
                          trials=37, seed=5)
     text = sweep_csv(run_sweep(config))
     i = data.draw(st.integers(0, len(text) - 1))
@@ -764,7 +784,7 @@ def test_parse_sweep_csv_rejects_bad_header():
 # -- paired sweeps ------------------------------------------------------------------
 
 def test_figure1_refuses_a_detecting_config():
-    config = SweepConfig("perfect5", NoiseModel(p=0.0), (0.01, 0.02), trials=100, seed=0,
+    config = SweepConfig("perfect5", NoiseModel(), (0.01, 0.02), trials=100, seed=0,
                          quaternionic_detection=True)
     with pytest.raises(ValueError, match="quaternionic_detection"):
         figure1_data(config)
@@ -773,7 +793,7 @@ def test_figure1_refuses_a_detecting_config():
 def test_figure1_rotation_free_curves_coincide():
     base = dict(
         code_id="perfect5",
-        noise=NoiseModel(p=0.0),
+        noise=NoiseModel(),
         p_values=(0.02, 0.05),
         trials=2000,
         seed=21,
@@ -784,7 +804,7 @@ def test_figure1_rotation_free_curves_coincide():
 
 def test_figure1_rotation_noise_orders_pipelines():
     noise = NoiseModel(
-        p=0.0, p_rot=0.05, rot_angle=AngleDistribution("fixed", math.pi / 8)
+        p_rot=0.05, rot_angle=AngleDistribution("fixed", math.pi / 8)
     )
     base = dict(
         code_id="perfect5",
@@ -805,16 +825,15 @@ _PAIRS = {
     # two configs that share a noise and differ in the threshold
     "shared-noise": (
         "perfect5",
-        (NoiseModel(p=0.0, p_rot=0.2), 0.01),
-        (NoiseModel(p=0.0, p_rot=0.2), 0.05),
+        (NoiseModel(p_rot=0.2), 0.01),
+        (NoiseModel(p_rot=0.2), 0.05),
     ),
     # two configs with different uniform-angle noises
     "different-noise": (
         "paper5",
-        (NoiseModel(p=0.0, p_rot=0.1, rot_angle=AngleDistribution("uniform", 1.2)), 0.2),
+        (NoiseModel(p_rot=0.1, rot_angle=AngleDistribution("uniform", 1.2)), 0.2),
         (
             NoiseModel(
-                p=0.0,
                 pauli_weights=(0.5, 0.25, 0.25),
                 p_rot=0.3,
                 rot_axis=ImaginaryAxis.normalized(1, 2, 3),
@@ -848,7 +867,7 @@ def test_figure1_pass_equals_separate_sweeps_and_oracle(monkeypatch, started_poo
 
 
 def test_pool_that_cannot_start_falls_back_to_serial(monkeypatch):
-    base = dict(code_id="perfect5", noise=NoiseModel(p=0.0, p_rot=0.1), p_values=(0.02, 0.1),
+    base = dict(code_id="perfect5", noise=NoiseModel(p_rot=0.1), p_values=(0.02, 0.1),
                 trials=300, seed=5)
     std = SweepConfig(**base)
     attempts = []
@@ -870,7 +889,7 @@ def test_pool_that_cannot_start_falls_back_to_serial(monkeypatch):
 
 def test_pool_starts_only_for_a_full_chunk_per_worker(monkeypatch, started_pools):
     chunk = 50
-    base = dict(code_id="perfect5", noise=NoiseModel(p=0.0, p_rot=0.1), p_values=(0.02, 0.1),
+    base = dict(code_id="perfect5", noise=NoiseModel(p_rot=0.1), p_values=(0.02, 0.1),
                 seed=5, quaternionic_detection=True)
     short, long = SweepConfig(trials=2 * chunk - 1, **base), SweepConfig(trials=3 * chunk, **base)
     monkeypatch.setattr(experiments, "WORKER_TRIALS", chunk)
@@ -885,7 +904,7 @@ def test_pool_starts_only_for_a_full_chunk_per_worker(monkeypatch, started_pools
 
 
 def test_pool_takes_no_more_workers_than_usable_cpus(monkeypatch, started_pools):
-    config = SweepConfig("perfect5", NoiseModel(p=0.0, p_rot=0.1), (0.02, 0.1), trials=400,
+    config = SweepConfig("perfect5", NoiseModel(p_rot=0.1), (0.02, 0.1), trials=400,
                          seed=5, quaternionic_detection=True)
     monkeypatch.setattr(experiments, "WORKER_TRIALS", 50)  # 400 trials: up to eight workers
     monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
@@ -985,7 +1004,7 @@ def test_fixed_angle_working_set_on_a_full_support_ten_qubit_code():
     # run: scoring all 2**10 subsets at once over every slot would peak near
     # 90 MiB.
     code = normalized_repetition_code(10)
-    noise = NoiseModel(p=0.0, p_rot=0.05, rot_mode="all")
+    noise = NoiseModel(p_rot=0.05, rot_mode="all")
     tracemalloc.start()
     try:
         count_failures(code, noise, ((True, 0.01),), (0.01,), 1, 0, 3000)
@@ -998,7 +1017,7 @@ def test_fixed_angle_working_set_on_a_full_support_ten_qubit_code():
 def test_figure1_csv_layout():
     base = dict(
         code_id="perfect5",
-        noise=NoiseModel(p=0.0),
+        noise=NoiseModel(),
         p_values=(0.02, 0.05, 0.1),
         trials=500,
         seed=4,
@@ -1035,7 +1054,7 @@ def test_figure1_csv_annotates_a_row_set_with_the_pipeline_its_label_names():
 
 
 def test_row_sets_and_fits_json_follow_the_target_order():
-    config = SweepConfig("perfect5", NoiseModel(p=0.0, p_rot=0.1), (0.02, 0.05, 0.1),
+    config = SweepConfig("perfect5", NoiseModel(p_rot=0.1), (0.02, 0.05, 0.1),
                          trials=500, seed=4)
     data = figure1_data(config)
     assert list(data.sweeps) == list(data.fits) == ["standard", "quaternionic"]

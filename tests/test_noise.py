@@ -44,28 +44,24 @@ from oracles import (
 )
 
 
-def bitflip_model(p, p_rot=0.0, **kw):
-    return NoiseModel(p=p, pauli_weights=(1.0, 0.0, 0.0), p_rot=p_rot, **kw)
-
-
 # -- sampling determinism -----------------------------------------------------
 
 def test_sample_error_reproducible():
-    model = NoiseModel(p=0.3, p_rot=0.2)
-    a = sample_error(model, 5, seed=42, trial=17)
-    b = sample_error(model, 5, seed=42, trial=17)
+    model = NoiseModel(p_rot=0.2)
+    a = sample_error(model, 0.3, 5, seed=42, trial=17)
+    b = sample_error(model, 0.3, 5, seed=42, trial=17)
     assert a == b
-    c = sample_error(model, 5, seed=42, trial=18)
-    d = sample_error(model, 5, seed=43, trial=17)
+    c = sample_error(model, 0.3, 5, seed=42, trial=18)
+    d = sample_error(model, 0.3, 5, seed=43, trial=17)
     assert a != c or a != d  # streams keyed by both integers
 
 
 def test_batch_draws_match_sample_error():
-    model = NoiseModel(p=0.25, p_rot=0.1, rot_angle=AngleDistribution("uniform", 0.5))
+    model = NoiseModel(p_rot=0.1, rot_angle=AngleDistribution("uniform", 0.5))
     # unsorted, with a repeat: each row depends on its own trial number only
     trials = [1, 99999, 0, 5, 100, 1, 2**64 - 1]
     draws = philox_uniforms(9, np.array(trials, dtype=np.uint64), DRAWS_PER_QUBIT * 4)
-    x, z = pauli_masks(model, draws)
+    x, z = pauli_masks(model, 0.25, draws)
     rotated = dict(rotation_events(model, draws))
     rows, hit, angles = rotation_angles(model, draws, 4)
     assert rows.tolist() == sorted(rotated)
@@ -75,7 +71,7 @@ def test_batch_draws_match_sample_error():
         assert row_angles.tolist() == [by_qubit.get(q, 0.0) for q in range(1, 5)]
     letters = pauli_letters(model, draws, 4)
     for row, trial in enumerate(trials):
-        event = sample_error(model, 4, 9, trial)
+        event = sample_error(model, 0.25, 4, 9, trial)
         assert (int(x[row]), int(z[row])) == (event.pauli.x, event.pauli.z)
         for q, letter in enumerate(event.pauli.letters):
             assert letter in ("I", "XYZ"[letters[row, q]])
@@ -92,8 +88,8 @@ _MAX = 2**64 - 1
 
 
 @st.composite
-def models(draw, row: np.ndarray, n: int) -> NoiseModel:
-    """A noise model whose rates and letter bounds may equal uniforms of the trial ``row``.
+def models(draw, row: np.ndarray, n: int) -> tuple[float, NoiseModel]:
+    """A Pauli rate and a noise model whose rates and letter bounds may equal uniforms of ``row``.
 
     A bound equal to a uniform shows whether a hit or letter test is strict.
     """
@@ -101,11 +97,12 @@ def models(draw, row: np.ndarray, n: int) -> NoiseModel:
         ties = [u for u in row[block * n : (block + 1) * n].tolist() if u >= lo]
         return draw(st.sampled_from([lo, 1.0, *ties]) | st.floats(lo, 1.0))
 
+    p = bound(0)
     c1 = bound(1)
     c2 = bound(1, c1)
     theta = draw(st.sampled_from([0.0, 0.3, math.pi / 8, 1.2]) | st.floats(-4.0, 4.0))
-    return NoiseModel(
-        p=bound(0), pauli_weights=(c1, c2 - c1, 1.0 - c2), p_rot=bound(2),
+    return p, NoiseModel(
+        pauli_weights=(c1, c2 - c1, 1.0 - c2), p_rot=bound(2),
         rot_axis=draw(st.sampled_from([K_AXIS, I_AXIS, ImaginaryAxis.normalized(1, 2, 2)])),
         rot_angle=AngleDistribution(draw(st.sampled_from(["fixed", "uniform"])), theta),
         rot_mode=draw(st.sampled_from(["zero", "all"])))
@@ -117,15 +114,15 @@ def models(draw, row: np.ndarray, n: int) -> NoiseModel:
        data=st.data())
 def test_sample_error_is_the_oracle_event(n, key, trial, data):
     draws = numpy_rows(key, [trial], DRAWS_PER_QUBIT * n)
-    model = data.draw(models(draws[0], n))
-    assert sample_error(model, n, key, trial) == oracle_events(model, draws)[0]
+    p, model = data.draw(models(draws[0], n))
+    assert sample_error(model, p, n, key, trial) == oracle_events(model, p, draws)[0]
 
 
 def test_a_rotation_by_zero_is_a_rotation():
     # rotation_angles writes 0.0 where a qubit is not rotated, so a zero
     # angle on a hit qubit is told apart by its hit mask.
-    model = NoiseModel(p=0.0, p_rot=1.0, rot_angle=AngleDistribution("fixed", 0.0))
-    event = sample_error(model, 3, 5, 0)
+    model = NoiseModel(p_rot=1.0, rot_angle=AngleDistribution("fixed", 0.0))
+    event = sample_error(model, 0.0, 3, 5, 0)
     assert event.rotations == tuple(RotationError(q, K_AXIS, 0.0) for q in (1, 2, 3))
 
 
@@ -192,7 +189,7 @@ def test_philox_prefix_equals_the_full_draw(seed):
 def test_fixed_angle_rotations_read_the_first_3n_draws():
     n = 5
     trials = np.arange(_MAX - 63, _MAX, dtype=np.uint64)
-    model = NoiseModel(p=0.0, p_rot=0.2, rot_angle=AngleDistribution("fixed", 0.7))
+    model = NoiseModel(p_rot=0.2, rot_angle=AngleDistribution("fixed", 0.7))
     full = rotation_angles(model, philox_uniforms(3, trials, DRAWS_PER_QUBIT * n), n)
     trimmed = rotation_angles(model, philox_uniforms(3, trials, 3 * n), n)
     assert full[0].size
@@ -213,53 +210,53 @@ def test_philox_uniforms_validation():
 
 
 def test_sample_error_seed_bounds():
-    model = NoiseModel(p=0.1)
+    model = NoiseModel()
     with pytest.raises(ValueError):
-        sample_error(model, 3, seed=-1, trial=0)
+        sample_error(model, 0.1, 3, seed=-1, trial=0)
     with pytest.raises(ValueError):
-        sample_error(model, 3, seed=0, trial=2**64)
+        sample_error(model, 0.1, 3, seed=0, trial=2**64)
 
 
 @pytest.mark.parametrize("value", [3.7, True, "7", np.float64(3.0), None])
 @pytest.mark.parametrize("name", ["seed", "trial"])
 def test_counters_must_be_integers(name, value):
     # int() used to read these as seeds 3, 1 and 7.
-    model = NoiseModel(p=0.1)
+    model = NoiseModel()
     counters = {"seed": 0, "trial": 0, name: value}
     with pytest.raises(ValueError, match=name):
-        sample_error(model, 3, **counters)
+        sample_error(model, 0.1, 3, **counters)
     if name == "seed":
         with pytest.raises(ValueError, match="seed"):
             philox_uniforms(value, np.array([0], dtype=np.uint64), 4)
 
 
 def test_counters_accept_numpy_integers():
-    model = NoiseModel(p=0.1)
-    expected = sample_error(model, 3, seed=5, trial=2**64 - 1)
-    assert sample_error(model, 3, seed=np.int64(5), trial=np.uint64(2**64 - 1)) == expected
+    model = NoiseModel()
+    expected = sample_error(model, 0.1, 3, seed=5, trial=2**64 - 1)
+    assert sample_error(model, 0.1, 3, seed=np.int64(5), trial=np.uint64(2**64 - 1)) == expected
     trials = np.array([0, 9], dtype=np.uint64)
     assert np.array_equal(philox_uniforms(np.uint64(5), trials, 4), philox_uniforms(5, trials, 4))
 
 
 def test_sample_zero_rates_is_identity():
-    model = NoiseModel(p=0.0, p_rot=0.0)
+    model = NoiseModel(p_rot=0.0)
     for trial in range(20):
-        event = sample_error(model, 5, seed=1, trial=trial)
+        event = sample_error(model, 0.0, 5, seed=1, trial=trial)
         assert event.pauli == PauliString.identity(5) and not event.rotations
 
 
 def test_sample_phase_mode_none():
-    model = bitflip_model(1.0)
-    event = sample_error(model, 5, seed=3, trial=0)
+    model = NoiseModel(pauli_weights=(1.0, 0.0, 0.0))
+    event = sample_error(model, 1.0, 5, seed=3, trial=0)
     assert event.pauli.letters == ("X",) * 5
     assert event.pauli.phase == quat.ONE
 
 
 def test_sample_error_frequency():
-    model = NoiseModel(p=0.1)
+    model = NoiseModel()
     trials, n = 20000, 5
     draws = philox_uniforms(10, np.arange(trials, dtype=np.uint64), DRAWS_PER_QUBIT * n)
-    x, z = pauli_masks(model, draws)
+    x, z = pauli_masks(model, 0.1, draws)
     count = int(np.bitwise_count(x | z).sum())
     expected = trials * n * 0.1
     sigma = math.sqrt(trials * n * 0.1 * 0.9)
@@ -267,7 +264,7 @@ def test_sample_error_frequency():
 
 
 def test_sample_letter_mixture():
-    model = NoiseModel(p=1.0, pauli_weights=(0.5, 0.25, 0.25))
+    model = NoiseModel(pauli_weights=(0.5, 0.25, 0.25))
     trials = 8000
     # The letters sample_error reads, for trials 0 .. 7999 in one draw.
     draws = philox_uniforms(11, np.arange(trials, dtype=np.uint64), DRAWS_PER_QUBIT)
@@ -277,8 +274,8 @@ def test_sample_letter_mixture():
 
 
 def test_sample_uniform_angles_bounded():
-    model = NoiseModel(p=0.0, p_rot=1.0, rot_angle=AngleDistribution("uniform", 0.4))
-    angles = [r.angle for t in range(200) for r in sample_error(model, 3, 12, t).rotations]
+    model = NoiseModel(p_rot=1.0, rot_angle=AngleDistribution("uniform", 0.4))
+    angles = [r.angle for t in range(200) for r in sample_error(model, 0.0, 3, 12, t).rotations]
     assert len(angles) == 600
     assert all(0.0 <= a < 0.4 for a in angles)
     assert max(angles) > 0.3  # actually spreads over the range
@@ -288,13 +285,13 @@ def test_sample_uniform_angles_bounded():
 
 def test_noise_model_validation():
     with pytest.raises(ValueError):
-        NoiseModel(p=1.5)
+        sample_error(NoiseModel(), 1.5, 3, 0, 0)
     with pytest.raises(ValueError):
-        NoiseModel(p=0.1, pauli_weights=(0.5, 0.5, 0.5))
+        NoiseModel(pauli_weights=(0.5, 0.5, 0.5))
     with pytest.raises(TypeError):  # a unit phase flips no verdict, so the model has none
-        NoiseModel(p=0.1, phase_mode="none")
+        NoiseModel(phase_mode="none")
     with pytest.raises(ValueError):
-        NoiseModel(p=0.1, rot_mode="some")
+        NoiseModel(rot_mode="some")
 
 
 @pytest.mark.parametrize(
@@ -312,11 +309,11 @@ def test_noise_model_validation():
 )
 def test_noise_model_rejects_bad_weights(weights):
     with pytest.raises(ValueError, match="pauli_weights"):
-        NoiseModel(p=0.1, pauli_weights=weights)
+        NoiseModel(pauli_weights=weights)
 
 
 def test_noise_model_accepts_integer_and_numpy_weights():
-    model = NoiseModel(p=0.1, pauli_weights=(1, 0, np.float64(0.0)))
+    model = NoiseModel(pauli_weights=(1, 0, np.float64(0.0)))
     assert model.pauli_weights == (1.0, 0.0, 0.0)
     assert all(type(w) is float for w in model.pauli_weights)
 
@@ -325,15 +322,25 @@ def test_noise_model_accepts_integer_and_numpy_weights():
 @pytest.mark.parametrize("value", [True, False, None, "x"])
 def test_noise_dict_rejects_non_numeric_rates(key, value):
     with pytest.raises(ValueError, match=key):
-        NoiseModel(**{"p": 0.1, key: value})
+        if key == "p":
+            sample_error(NoiseModel(), value, 3, 0, 0)
+        else:
+            NoiseModel(**{key: value})
+
+
+@pytest.mark.parametrize("p", [-0.0001, 1.5, math.nan, math.inf, True, False, "0.1", None])
+def test_sample_error_refuses_a_rate_outside_the_unit_interval(p):
+    with pytest.raises(ValueError) as raised:
+        sample_error(NoiseModel(), p, 3, 0, 0)
+    assert str(raised.value) == f"p must be a real number in [0, 1], got {p!r}"
 
 
 @pytest.mark.parametrize(
     ("build", "name"),
     [
-        (lambda: NoiseModel(p=0.1, p_rot=True), "p_rot"),
-        (lambda: NoiseModel(p="0.1"), "p"),
-        (lambda: NoiseModel(p=True), "p"),
+        (lambda: NoiseModel(p_rot=True), "p_rot"),
+        (lambda: sample_error(NoiseModel(), "0.1", 3, 0, 0), "p"),
+        (lambda: sample_error(NoiseModel(), True, 3, 0, 0), "p"),
         (lambda: AngleDistribution("fixed", True), "theta"),
         (lambda: AngleDistribution("uniform", "0.5"), "theta"),
         (lambda: AngleDistribution("fixed", None), "theta"),
@@ -424,16 +431,16 @@ def test_rotations_preserve_norm():
 
 
 def test_rotations_only_events_have_trivial_syndromes():
-    model = NoiseModel(p=0.0, p_rot=0.8, rot_angle=AngleDistribution("fixed", math.pi / 8))
+    model = NoiseModel(p_rot=0.8, rot_angle=AngleDistribution("fixed", math.pi / 8))
     for code_id in ("three", "paper5", "perfect5"):
         code = get_code(code_id)
         for trial in range(5):
-            event = sample_error(model, code.n, seed=60, trial=trial)
+            event = sample_error(model, 0.0, code.n, seed=60, trial=trial)
             assert syndrome_of(event.pauli, code).trivial
     # state-level check on codes whose codewords the generators actually fix
     for code_id in ("three", "perfect5"):
         code = get_code(code_id)
-        event = sample_error(model, code.n, seed=61, trial=1)
+        event = sample_error(model, 0.0, code.n, seed=61, trial=1)
         damaged = apply_event(code.codeword_zero, event)
         for g in code.generators:
             assert stabilizer_expectation_sign(damaged, g) == 1
